@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -19,20 +19,27 @@ from .solvers import (build_local_problems, default_params_for_horizon,
                       solve_centralized, solve_variant)
 from .stability import default_weight_schedule, stability_report_json
 
-_CONFIG_KEYS = ("n", "horizon", "tau", "gap", "veh_len", "reaction",
-                "a_min", "a_max", "v_min", "v_max")
+_SOLVER_KEYS = ("variant", "alpha", "rho", "gamma", "lam", "eta", "gamma0",
+                "tol", "max_iters", "warm_start")
+
+
+def _check_keys(section, raw, known):
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise SystemExit(f"config {section} has unknown key(s): {', '.join(unknown)}")
 
 
 def _load_config(path, horizon):
     """Config JSON mirrors PlatoonConfig + WeightSchedule + SolverParams;
-    every section is optional and falls back to the reference setup."""
+    every section is optional (reference setup otherwise); unknown keys fail."""
     raw = {}
     if path:
         with open(path) as fh:
             raw = json.load(fh)
+    _check_keys("top level", raw, ("platoon", "weights", "solver"))
     plat = raw.get("platoon", {})
-    base = reference_config(horizon=horizon)
-    cfg = PlatoonConfig(**{k: plat.get(k, getattr(base, k)) for k in _CONFIG_KEYS})
+    _check_keys("section 'platoon'", plat, [f.name for f in fields(PlatoonConfig)])
+    cfg = replace(reference_config(horizon=horizon), **plat)
     if horizon is not None and "horizon" not in plat:
         cfg = cfg.with_horizon(horizon)
 
@@ -48,13 +55,8 @@ def _load_config(path, horizon):
                                  np.asarray(w["q_ride"], dtype=float))
 
     s = raw.get("solver", {})
-    params = default_params_for_horizon(cfg.horizon)
-    for key in ("variant", "alpha", "rho", "gamma", "lam", "eta", "gamma0",
-                "tol", "max_iters", "warm_start", "parallel"):
-        if key in s:
-            setattr(params, key, s[key])
-    params.__post_init__()
-    return cfg, weights, params
+    _check_keys("section 'solver'", s, _SOLVER_KEYS)
+    return cfg, weights, replace(default_params_for_horizon(cfg.horizon), **s)
 
 
 def _cmd_simulate(args):

@@ -1,15 +1,16 @@
 """Distributed operator-splitting solvers for the per-step program.
 
-Three engines share the same skeleton: a consensus projection over the
-vehicle graph alternating with independent per-agent steps.
+One loop, ``_iterate``, runs every scheme: a consensus projection over the
+vehicle graph, then an independent step by each agent on its own slice,
+until every agent's increment is small.  The schemes differ in that step:
 
-* ``solve_dr``: relaxed proximal iteration; each agent solves a small
-  strongly convex QCQP every round.
+* ``solve_dr``: relaxed proximal step; each agent solves a small strongly
+  convex QCQP, in closed form when its constraints are inactive.
 * ``solve_three_op``: forward step on the smooth quadratic plus a
   Euclidean projection onto the local constraint set.
-* ``solve_three_op_accel``: the same operators with an adaptive step-size
-  recursion; the iterate error decays like O(1/(k+1)) under strong
-  convexity.
+* ``solve_three_op_accel``: the same operators at a momentum point with an
+  adaptive step size; the iterate error decays like O(1/(k+1)).
+* ``warmup_initial_guess``: the proximal step with the constraints dropped.
 
 Agents never read non-neighbor data: every cross-agent value moves through
 the consensus projection, which the message fabric can carry verbatim.  A
@@ -20,7 +21,6 @@ metrics.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from .consensus import AugmentedLayout, MessageFabric, VehicleGraph, _project, fabric_project
 from .decomposition import PdDecomposition
 from .problem import QcqpProblem
-from .smallqcqp import QuadConstraint, solve_qcqp
+from .smallqcqp import InfeasibleProblem, QuadConstraint, solve_qcqp
 
 __all__ = [
     "SolverParams",
@@ -47,7 +47,6 @@ __all__ = [
     "warmup_initial_guess",
 ]
 
-_VARIANTS = ("dr", "three-op", "three-op-accel")
 _WARM_STARTS = ("prev-solution", "warmup-projection", "zero")
 
 
@@ -80,10 +79,9 @@ class SolverParams:
     max_iters: int = 5000
     warm_start: str = "prev-solution"
     warmup_tol: float | None = None
-    parallel: bool = False
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
+        if self.variant not in SOLVERS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
@@ -185,74 +183,66 @@ class _Agent:
     def __init__(self, lp: LocalAgentProblem, rho: float):
         self.lp = lp
         p, d = lp.horizon, lp.dim
-        self.p, self.d = p, d
+        self.d = d
         self.c_tilde = np.zeros(d)
         self.c_tilde[:p] = lp.c_own
         self.rho = rho
         self.prox_mat = np.linalg.inv(rho * lp.hessian + np.eye(d))
-        T = np.tril(np.ones((p, p)))
-        G = np.zeros((4 * p, d))
-        G[0:p, 0:p] = np.eye(p)
-        G[p:2 * p, 0:p] = -np.eye(p)
-        G[2 * p:3 * p, 0:p] = lp.tau * T
-        G[3 * p:4 * p, 0:p] = -lp.tau * T
-        self.G = G
-        self.h = np.concatenate([
-            np.full(p, lp.a_max),
-            np.full(p, -lp.a_min),
-            np.full(p, lp.speed_hi),
-            np.full(p, -lp.speed_lo),
-        ])
+        # box rows, then the speed band on the cumulative sums
+        eye, T = np.eye(p), lp.tau * np.tril(np.ones((p, p)))
+        self.G = np.zeros((4 * p, d))
+        self.G[:, :p] = np.vstack([eye, -eye, T, -T])
+        self.h = np.repeat([lp.a_max, -lp.a_min, lp.speed_hi, -lp.speed_lo], p)
         self.quads = []
         prev = lp.prev_pos
         for sq in lp.safety:
             a = np.zeros(d)
             a[:sq.sum_len] = 1.0
-            Q = 2.0 * sq.quad * np.outer(a, a)
             b = np.zeros(d)
             b[:p] = sq.lin_own
             if prev is not None:
                 b[prev * p:(prev + 1) * p] = sq.lin_prev
-            self.quads.append(QuadConstraint(Q=Q, b=b, c=sq.const))
-        self.fast = 0
-        self.full = 0
-        self._prox_warm = None
-        self._proj_warm = None
+            self.quads.append(QuadConstraint(Q=2.0 * sq.quad * np.outer(a, a), b=b, c=sq.const))
+        self.fast = self.full = 0
+        self._warm = {}
 
     def feasible(self, x, tol=1e-11) -> bool:
         if (self.G @ x - self.h).max() > tol:
             return False
         return all(qc.value(x) <= tol for qc in self.quads)
 
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.lp.hessian @ x + self.c_tilde
+
+    def unconstrained_prox(self, y: np.ndarray) -> np.ndarray:
+        return self.prox_mat @ (y - self.rho * self.c_tilde)
+
     def prox(self, y: np.ndarray) -> np.ndarray:
-        x = self.prox_mat @ (y - self.rho * self.c_tilde)
+        return self._constrained(self.unconstrained_prox(y), "prox subproblem",
+                                 lambda: (self.lp.hessian + np.eye(self.d) / self.rho,
+                                          self.c_tilde - y / self.rho))
+
+    def project(self, y: np.ndarray) -> np.ndarray:
+        return self._constrained(y.copy(), "projection", lambda: (np.eye(self.d), -y))
+
+    def _constrained(self, x, kind, objective):
+        """``x`` itself when it meets the local constraints (the fast path),
+        else the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(),
+        warm-started from the last full solve of the same kind."""
         if self.feasible(x):
             self.fast += 1
             return x
         self.full += 1
-        P = self.lp.hessian + np.eye(self.d) / self.rho
-        q = self.c_tilde - y / self.rho
-        res = solve_qcqp(P, q, self.G, self.h, self.quads,
-                         x0=self._prox_warm[0] if self._prox_warm else None,
-                         warm_active=self._prox_warm[1] if self._prox_warm else None)
+        P, q = objective()
+        x0, active = self._warm.get(kind, (None, None))
+        try:
+            res = solve_qcqp(P, q, self.G, self.h, self.quads, x0=x0, warm_active=active)
+        except InfeasibleProblem as exc:
+            raise ProxSolveError(self.lp.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":
             raise ProxSolveError(self.lp.index,
-                                 f"prox subproblem stuck at KKT residual {res.kkt_residual:.2e}")
-        self._prox_warm = (res.x, res.active)
-        return res.x
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        if self.feasible(y):
-            self.fast += 1
-            return y.copy()
-        self.full += 1
-        res = solve_qcqp(np.eye(self.d), -y, self.G, self.h, self.quads,
-                         x0=self._proj_warm[0] if self._proj_warm else None,
-                         warm_active=self._proj_warm[1] if self._proj_warm else None)
-        if res.status != "optimal":
-            raise ProxSolveError(self.lp.index,
-                                 f"projection stuck at KKT residual {res.kkt_residual:.2e}")
-        self._proj_warm = (res.x, res.active)
+                                 f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
+        self._warm[kind] = (res.x, res.active)
         return res.x
 
 
@@ -313,8 +303,7 @@ class SolveReport:
 
 
 def _setup(problems, graph, params):
-    p = problems[0].horizon
-    layout = AugmentedLayout(graph, p)
+    layout = AugmentedLayout(graph, problems[0].horizon)
     agents = [_Agent(lp, params.rho) for lp in problems]
     for lp, order in zip(problems, layout.var_order):
         if tuple(order) != lp.var_order:
@@ -322,31 +311,54 @@ def _setup(problems, graph, params):
     return layout, agents
 
 
-def _agent_map(fn, indices, parallel):
-    if not parallel:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=min(8, len(indices))) as pool:
-        return list(pool.map(fn, indices))
+def _iterate(layout, agents, params, tol, step, z0=None, fabric=None, momentum=None):
+    """The iteration loop of every splitting scheme and of the warm-up.
 
+    Each round projects onto the consensus subspace (through ``fabric``
+    when given), maps every agent's own slice with ``step(i, sl, z, w)``,
+    and stops once each agent's increment is at most tol/n.  The projected
+    point is the current iterate, or ``momentum(z, w)`` when given, with
+    ``w`` the previous projection.
+    """
+    def project(vec):
+        return _project(vec, layout) if fabric is None else fabric_project(vec, layout, fabric)
 
-def _finish(layout, agents, w, iters, residual, converged, params, trace):
+    slices = [layout.agent_slice(i) for i in range(len(agents))]
+    per_agent_tol = tol / len(agents)
+    z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
+    w = project(z)
+    trace = []  # one residual ||z_new - z|| per round
+    converged = False
+    for _ in range(params.max_iters):
+        if momentum is not None:
+            w = project(momentum(z, w))
+        z_new = np.concatenate([step(i, sl, z, w) for i, sl in enumerate(slices)])
+        diffs = [np.linalg.norm(z_new[sl] - z[sl]) for sl in slices]
+        trace.append(float(np.linalg.norm(z_new - z)))
+        z = z_new
+        if max(diffs) <= per_agent_tol:
+            converged = True
+            break
+        if momentum is None:
+            w = project(z)
+
     return SolveReport(
         u_star=layout.stack_controls(w),
-        iterations=iters,
-        residual=residual,
+        iterations=len(trace),
+        residual=trace[-1] if trace else np.inf,
         converged=converged,
         variant=params.variant,
-        tol=params.tol,
+        tol=tol,
         prox_fast=sum(a.fast for a in agents),
         prox_full=sum(a.full for a in agents),
         agent_prox_stats=tuple((a.fast, a.full) for a in agents),
-        z_final=None,
+        z_final=z,
         residual_trace=trace,
     )
 
 
 def solve_dr(problems, graph: VehicleGraph, params: SolverParams, z0=None,
-             fabric: MessageFabric | None = None, collect_trace: bool = False) -> SolveReport:
+             fabric: MessageFabric | None = None) -> SolveReport:
     """Relaxed proximal splitting over the consensus subspace.
 
     Each round projects the stacked iterate onto the consensus subspace,
@@ -354,38 +366,13 @@ def solve_dr(problems, graph: VehicleGraph, params: SolverParams, z0=None,
     relaxes.  Agents stop once every local increment falls below tol/n.
     """
     layout, agents = _setup(problems, graph, params)
-    z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
-    per_agent_tol = params.tol / graph.n
     two_alpha = 2.0 * params.alpha
-    trace = []
-    w = _project(z, layout) if fabric is None else fabric_project(z, layout, fabric)
-    converged = False
-    iters = 0
-    residual = np.inf
 
-    def agent_step(i):
-        sl = layout.agent_slice(i)
-        yi = 2.0 * w[sl] - z[sl]
-        x = agents[i].prox(yi)
+    def step(i, sl, z, w):
+        x = agents[i].prox(2.0 * w[sl] - z[sl])
         return z[sl] + two_alpha * (x - w[sl])
 
-    for iters in range(1, params.max_iters + 1):
-        new_blocks = _agent_map(agent_step, range(graph.n), params.parallel)
-        z_new = np.concatenate(new_blocks)
-        diffs = [np.linalg.norm(z_new[layout.agent_slice(i)] - z[layout.agent_slice(i)])
-                 for i in range(graph.n)]
-        residual = float(np.linalg.norm(z_new - z))
-        if collect_trace:
-            trace.append(residual)
-        z = z_new
-        if max(diffs) <= per_agent_tol:
-            converged = True
-            break
-        w = _project(z, layout) if fabric is None else fabric_project(z, layout, fabric)
-
-    report = _finish(layout, agents, w, iters, residual, converged, params, trace)
-    report.z_final = z
-    return report
+    return _iterate(layout, agents, params, params.tol, step, z0, fabric)
 
 
 def accel_gamma_next(gamma: float, mut: float) -> float:
@@ -398,12 +385,8 @@ def _lipschitz(problems) -> float:
     return max(float(np.linalg.norm(lp.hessian, 2)) for lp in problems)
 
 
-def _strong_convexity(problems) -> float:
-    return min(float(np.linalg.eigvalsh(lp.hessian).min()) for lp in problems)
-
-
 def solve_three_op(problems, graph: VehicleGraph, params: SolverParams, z0=None,
-                   fabric: MessageFabric | None = None, collect_trace: bool = False) -> SolveReport:
+                   fabric: MessageFabric | None = None) -> SolveReport:
     """Forward-backward style splitting with a gradient step on the smooth
     quadratic and a projection onto the local constraint sets."""
     layout, agents = _setup(problems, graph, params)
@@ -416,98 +399,51 @@ def solve_three_op(problems, graph: VehicleGraph, params: SolverParams, z0=None,
     if not (0.0 < lam < lam_bound):
         raise ValueError(f"lam must lie in (0, {lam_bound:.6g})")
 
-    z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
-    per_agent_tol = params.tol / graph.n
-    trace = []
-    w = _project(z, layout) if fabric is None else fabric_project(z, layout, fabric)
-    converged = False
-    iters = 0
-    residual = np.inf
-
-    def agent_step(i):
-        sl = layout.agent_slice(i)
+    def step(i, sl, z, w):
         wi = w[sl]
-        yi = 2.0 * wi - z[sl] - gamma * (agents[i].lp.hessian @ wi + agents[i].c_tilde)
-        x = agents[i].project(yi)
+        x = agents[i].project(2.0 * wi - z[sl] - gamma * agents[i].gradient(wi))
         return z[sl] + lam * (x - wi)
 
-    for iters in range(1, params.max_iters + 1):
-        new_blocks = _agent_map(agent_step, range(graph.n), params.parallel)
-        z_new = np.concatenate(new_blocks)
-        diffs = [np.linalg.norm(z_new[layout.agent_slice(i)] - z[layout.agent_slice(i)])
-                 for i in range(graph.n)]
-        residual = float(np.linalg.norm(z_new - z))
-        if collect_trace:
-            trace.append(residual)
-        z = z_new
-        if max(diffs) <= per_agent_tol:
-            converged = True
-            break
-        w = _project(z, layout) if fabric is None else fabric_project(z, layout, fabric)
-
-    report = _finish(layout, agents, w, iters, residual, converged, params, trace)
-    report.z_final = z
-    return report
+    return _iterate(layout, agents, params, params.tol, step, z0, fabric)
 
 
 def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0=None,
-                         fabric: MessageFabric | None = None,
-                         collect_trace: bool = False) -> SolveReport:
+                         fabric: MessageFabric | None = None) -> SolveReport:
     """Accelerated variant with the adaptive step-size recursion
 
         gamma_{k+1} = -mu~ gamma_k^2 + sqrt((mu~ gamma_k^2)^2 + gamma_k^2),
 
     where mu~ is a fraction of the strong-convexity modulus.  With mu~ = 0
-    the recursion leaves gamma unchanged."""
+    the recursion leaves gamma unchanged.  Each round projects the momentum
+    point z + gamma_k v, v being the last projection's scaled offset."""
     layout, agents = _setup(problems, graph, params)
     L = _lipschitz(problems)
-    mu = _strong_convexity(problems)
+    mu = min(float(np.linalg.eigvalsh(lp.hessian).min()) for lp in problems)
     if mu <= 0:
         raise ValueError("acceleration needs strongly convex agent objectives")
     mut = params.eta * mu
     g_bound = 2.0 / (L * (1.0 - params.eta))
-    gamma_k = params.gamma0 if params.gamma0 is not None else 1.9 / (L * (1.0 - params.eta))
-    if not (0.0 < gamma_k < g_bound):
+    gamma0 = params.gamma0 if params.gamma0 is not None else 1.9 / (L * (1.0 - params.eta))
+    if not (0.0 < gamma0 < g_bound):
         raise ValueError(f"gamma0 must lie in (0, {g_bound:.6g})")
 
-    z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
-    per_agent_tol = params.tol / graph.n
-    trace = []
-    w = _project(z, layout) if fabric is None else fabric_project(z, layout, fabric)
-    v = (z - w) / gamma_k
-    converged = False
-    iters = 0
-    residual = np.inf
+    gam = [gamma0, gamma0]  # (gamma_k, gamma_{k+1}) of the current round
+    v = zv = None
 
-    for iters in range(1, params.max_iters + 1):
-        zv = z + gamma_k * v
-        w = _project(zv, layout) if fabric is None else fabric_project(zv, layout, fabric)
-        v = (zv - w) / gamma_k
-        gamma_next = accel_gamma_next(gamma_k, mut)
+    def momentum(z, w):
+        nonlocal v, zv
+        if v is None:  # first round: w is the projection of the start point
+            v = (z - w) / gamma0
+        gam[:] = gam[1], accel_gamma_next(gam[1], mut)
+        zv = z + gam[0] * v
+        return zv
 
-        def agent_step(i):
-            sl = layout.agent_slice(i)
-            wi = w[sl]
-            target = wi - gamma_next * v[sl] - gamma_next * (agents[i].lp.hessian @ wi
-                                                             + agents[i].c_tilde)
-            return agents[i].project(target)
+    def step(i, sl, z, w):
+        v[sl] = (zv[sl] - w[sl]) / gam[0]
+        wi = w[sl]
+        return agents[i].project(wi - gam[1] * v[sl] - gam[1] * agents[i].gradient(wi))
 
-        new_blocks = _agent_map(agent_step, range(graph.n), params.parallel)
-        z_new = np.concatenate(new_blocks)
-        gamma_k = gamma_next
-        diffs = [np.linalg.norm(z_new[layout.agent_slice(i)] - z[layout.agent_slice(i)])
-                 for i in range(graph.n)]
-        residual = float(np.linalg.norm(z_new - z))
-        if collect_trace:
-            trace.append(residual)
-        z = z_new
-        if max(diffs) <= per_agent_tol:
-            converged = True
-            break
-
-    report = _finish(layout, agents, w, iters, residual, converged, params, trace)
-    report.z_final = z
-    return report
+    return _iterate(layout, agents, params, params.tol, step, z0, fabric, momentum)
 
 
 SOLVERS = {
@@ -572,26 +508,13 @@ def warmup_initial_guess(problems, graph: VehicleGraph, params: SolverParams):
     """
     layout, agents = _setup(problems, graph, params)
     wu_tol = params.warmup_tol if params.warmup_tol is not None else params.tol
-    per_agent_tol = wu_tol / graph.n
     two_alpha = 2.0 * params.alpha
-    z = np.zeros(layout.dim)
-    w = _project(z, layout)
-    iters = 0
-    for iters in range(1, params.max_iters + 1):
-        z_new = z.copy()
-        stop = True
-        for i in range(graph.n):
-            sl = layout.agent_slice(i)
-            yi = 2.0 * w[sl] - z[sl]
-            x = agents[i].prox_mat @ (yi - params.rho * agents[i].c_tilde)
-            blk = z[sl] + two_alpha * (x - w[sl])
-            if np.linalg.norm(blk - z[sl]) > per_agent_tol:
-                stop = False
-            z_new[sl] = blk
-        z = z_new
-        if stop:
-            break
-        w = _project(z, layout)
-    w = _project(z, layout)
+
+    def step(i, sl, z, w):
+        x = agents[i].unconstrained_prox(2.0 * w[sl] - z[sl])
+        return z[sl] + two_alpha * (x - w[sl])
+
+    report = _iterate(layout, agents, params, wu_tol, step)
+    w = _project(report.z_final, layout)
     z0 = np.concatenate([agents[i].project(w[layout.agent_slice(i)]) for i in range(graph.n)])
-    return z0, iters
+    return z0, report.iterations

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from platoonmpc.cli import main
 
@@ -85,3 +86,16 @@ def test_custom_config_weights(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["per_vehicle_blocks"]) == 3
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"solver": {"tolerance": 1e-3}}, "tolerance"),
+    ({"solver": {"tol": 1e-3, "parallel": True}}, "parallel"),
+    ({"platoon": {"n": 10, "horizn": 2}}, "horizn"),
+    ({"solvr": {"tol": 1e-3}, "weight": "default"}, "solvr, weight"),
+])
+def test_config_unknown_keys_rejected(tmp_path, cfg, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit, match=named):
+        main(["analyze", "--config", str(path), "--horizon", "1"])

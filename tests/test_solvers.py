@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,10 +8,11 @@ from platoonmpc.consensus import MessageFabric, VehicleGraph
 from platoonmpc.core import initial_state
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import build_qcqp, check_membership
-from platoonmpc.solvers import (SolverParams, accel_gamma_next, build_local_problems,
-                                default_params_for_horizon, prox_local, project_local,
-                                solve_centralized, solve_dr, solve_three_op,
-                                solve_three_op_accel, warmup_initial_guess)
+from platoonmpc.smallqcqp import InfeasibleProblem
+from platoonmpc.solvers import (ProxSolveError, SolverParams, accel_gamma_next,
+                                build_local_problems, default_params_for_horizon,
+                                prox_local, project_local, solve_centralized, solve_dr,
+                                solve_three_op, solve_three_op_accel, warmup_initial_guess)
 
 from conftest import random_state, random_weights, small_config
 
@@ -100,6 +102,18 @@ def test_project_local_noop_inside(rng):
     np.testing.assert_allclose(project_local(lp, y), y)
 
 
+def test_empty_local_set_raises_agent_error(rng):
+    # crossed speed bounds leave no feasible point; the failure names the agent
+    _, prob, locals_, graph = make_instance(rng, 3, 2)
+    lp = dataclasses.replace(locals_[1], speed_lo=5.0, speed_hi=-5.0)
+    point = np.zeros(lp.dim)
+    for call in (lambda: prox_local(lp, point, rho=0.3), lambda: project_local(lp, point)):
+        with pytest.raises(ProxSolveError) as err:
+            call()
+        assert err.value.agent == lp.index
+        assert isinstance(err.value.__cause__, InfeasibleProblem)
+
+
 def test_dr_steady_platoon_stays_put(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2, steady=True)
     rep = solve_dr(locals_, graph, default_params_for_horizon(2))
@@ -185,19 +199,34 @@ def test_centralized_box_active_matches_enumeration(rng):
         np.testing.assert_allclose(u, oracle, atol=1e-7)
 
 
-def test_fabric_and_parallel_drivers_bit_identical(rng):
+def test_fabric_driver_bit_identical_every_variant(rng, monkeypatch):
+    # through the message fabric every variant gives the direct answer bit
+    # for bit, at two exchange rounds per consensus projection
+    import platoonmpc.solvers as solvers
+
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    params = default_params_for_horizon(2)
-    base = solve_dr(locals_, graph, params)
+    inner = solvers._project
+    calls = []
 
-    fabric = MessageFabric(graph)
-    via_fabric = solve_dr(locals_, graph, params, fabric=fabric)
-    assert np.array_equal(base.u_star, via_fabric.u_star)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
 
-    par = default_params_for_horizon(2)
-    par.parallel = True
-    threaded = solve_dr(locals_, graph, par)
-    assert np.array_equal(base.u_star, threaded.u_star)
+    monkeypatch.setattr(solvers, "_project", counted)
+    for variant, fn in (("dr", solve_dr), ("three-op", solve_three_op),
+                        ("three-op-accel", solve_three_op_accel)):
+        params = default_params_for_horizon(2, variant)
+        calls.clear()
+        base = fn(locals_, graph, params)
+        assert base.converged, variant
+        projections = len(calls)
+        assert projections == base.iterations + (variant == "three-op-accel"), variant
+
+        fabric = MessageFabric(graph)
+        via_fabric = fn(locals_, graph, params, fabric=fabric)
+        assert np.array_equal(base.u_star, via_fabric.u_star), variant
+        assert via_fabric.iterations == base.iterations, variant
+        assert fabric.round == 2 * projections, variant
 
 
 def test_nonconvergence_reported(rng):
@@ -262,7 +291,7 @@ def test_residuals_eventually_decrease(rng):
     params = default_params_for_horizon(2)
     params.tol = 1e-7
     params.max_iters = 30000
-    rep = solve_dr(locals_, graph, params, collect_trace=True)
+    rep = solve_dr(locals_, graph, params)
     trace = np.asarray(rep.residual_trace)
     assert trace[-1] <= trace[len(trace) // 2] <= trace.max()
 
@@ -349,7 +378,7 @@ def test_prox_stationarity_normal_cone(rng):
 
 def test_report_json_and_trace(rng, tmp_path):
     _, prob, locals_, graph = make_instance(rng, 3, 1)
-    rep = solve_dr(locals_, graph, default_params_for_horizon(1), collect_trace=True)
+    rep = solve_dr(locals_, graph, default_params_for_horizon(1))
     payload = json.loads(rep.to_json())
     assert payload["variant"] == "dr"
     assert payload["converged"] is True
