@@ -19,7 +19,7 @@ from .decomposition import (LocalHessian, LocalObjective, PdDecomposition, Stage
                             decompose_pd, decompose_psd, local_objectives, stage_blocks)
 from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
                       run_scenario, scenario_builtin)
-from .problem import (MembershipReport, QcqpProblem, SafetyQuadratic, build_qcqp,
+from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,
                       check_membership, eval_objective)
 from .solvers import (LocalAgentProblem, ProxSolveError, SolveReport, SolverParams,
                       build_local_problems, default_params_for_horizon, prox_local,

@@ -9,7 +9,6 @@ platoon state; nothing here iterates or communicates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .core import PlatoonConfig, PlatoonState, WeightSchedule, error_coords
 from .decomposition import StageBlocks, assemble_hessian_blocks, stage_blocks
 
 __all__ = [
-    "SafetyQuadratic",
+    "ConstraintSet",
     "QcqpProblem",
     "MembershipReport",
     "build_qcqp",
@@ -28,30 +27,60 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SafetyQuadratic:
-    """Safe-spacing constraint of one vehicle at one lookahead stage.
+class ConstraintSet:
+    """Every constraint row of one step's program, stored per vehicle.
 
-    The constraint value is
-    ``quad * (a . u_own)^2 + lin_own . u_own + lin_prev . u_prev + const``
-    and must stay <= 0.  ``a`` is the all-ones stage selector baked into
-    ``quad``'s rank-one structure: lin_own / lin_prev are dense in the
-    first s entries and zero beyond.  For the first vehicle the
-    predecessor is the uncontrolled leader, whose predicted motion is
-    folded into ``const`` (lin_prev is zero).
+    Vehicle i's rows read only its own controls u_i and its predecessor's
+    u_{i-1}, and each is feasible when its value is <= 0:
+
+    * the box ``a_min <= u_i <= a_max``;
+    * the speed band ``speed_lo[i] <= tau * cumsum(u_i) <= speed_hi[i]``,
+      with per-vehicle offsets ``v_min - v_i(k)`` and ``v_max - v_i(k)``;
+    * one safe-spacing row per stage s,
+      ``quad * (S u_i)_s^2 + own[i, s] . u_i + prev[i, s] . u_{i-1} + const[i, s]``,
+      S the cumulative-sum selector.  The first vehicle's predecessor is
+      the uncontrolled leader, whose predicted motion is folded into
+      ``const`` (``prev[0]`` is zero).
     """
 
+    tau: float
+    a_min: float
+    a_max: float
+    speed_lo: np.ndarray
+    speed_hi: np.ndarray
     quad: float
-    sum_len: int
-    lin_own: np.ndarray
-    lin_prev: np.ndarray
-    const: float
+    own: np.ndarray
+    prev: np.ndarray
+    const: np.ndarray
 
-    def value(self, u_own: np.ndarray, u_prev=None) -> float:
-        s = float(np.sum(u_own[: self.sum_len]))
-        val = self.quad * s * s + float(self.lin_own @ u_own) + self.const
-        if u_prev is not None:
-            val += float(self.lin_prev @ u_prev)
-        return val
+    def rows(self, i: int, dim: int, own: int, prev: int | None = None):
+        """Vehicle i's rows over ``dim`` columns whose own block starts at
+        column ``own`` and whose predecessor block starts at ``prev`` (None
+        when the layout has no predecessor block).
+
+        Returns ``(A, h, S)``: row k reads ``A[k] x - h[k] + quad (S[k] x)^2
+        <= 0``.  The rows are upper box, lower box, upper speed, lower speed
+        (S zero on all four) and safety, p of each.
+        """
+        p = self.own.shape[-1]
+        cols = slice(own, own + p)
+        L = np.tril(np.ones((p, p)))
+        T = self.tau * L
+        A = np.zeros((5 * p, dim))
+        A[:, cols] = np.concatenate([np.eye(p), -np.eye(p), T, -T, self.own[i]])
+        if prev is not None:
+            A[4 * p:, prev:prev + p] = self.prev[i]
+        h = np.empty(5 * p)
+        h[:p], h[p:2 * p], h[2 * p:3 * p], h[3 * p:4 * p], h[4 * p:] = \
+            self.a_max, -self.a_min, self.speed_hi[i], -self.speed_lo[i], -self.const[i]
+        S = np.zeros((5 * p, dim))
+        S[4 * p:, cols] = L
+        return A, h, S
+
+    def values(self, rows, x: np.ndarray) -> np.ndarray:
+        """Value of every row laid out by ``rows`` at ``x``."""
+        A, h, S = rows
+        return A @ x - h + self.quad * (S @ x) ** 2
 
 
 @dataclass(frozen=True)
@@ -60,30 +89,18 @@ class QcqpProblem:
 
     The Hessian is stored as its block-tridiagonal pieces (``diag[i]`` and
     ``off[i]`` coupling vehicles i, i+1); ``c`` is partitioned per vehicle.
-    ``speed_lo``/``speed_hi`` are per-vehicle offsets ``v_min - v_i(k)``
-    and ``v_max - v_i(k)`` bounding ``tau * cumsum(u_i)`` at every stage.
     """
 
     n: int
     horizon: int
-    tau: float
-    a_min: float
-    a_max: float
     diag: tuple
     off: tuple
     c: np.ndarray
-    speed_lo: np.ndarray
-    speed_hi: np.ndarray
-    safety: tuple
-    u0: float
+    constraints: ConstraintSet
 
     def c_part(self, i: int) -> np.ndarray:
         p = self.horizon
         return self.c[i * p:(i + 1) * p]
-
-    def u_block(self, u: np.ndarray, i: int) -> np.ndarray:
-        p = self.horizon
-        return np.asarray(u)[i * p:(i + 1) * p]
 
     def hessian_dense(self) -> np.ndarray:
         """Assemble the full Hessian (test/oracle path only)."""
@@ -98,43 +115,16 @@ class QcqpProblem:
 
     def hessian_matvec(self, u: np.ndarray) -> np.ndarray:
         p, n = self.horizon, self.n
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=float).reshape(n, p)
         out = np.zeros_like(u)
         for i in range(n):
-            blk = self.diag[i] @ self.u_block(u, i)
+            blk = self.diag[i] @ u[i]
             if i + 1 < n:
-                blk = blk + self.off[i] @ self.u_block(u, i + 1)
+                blk = blk + self.off[i] @ u[i + 1]
             if i > 0:
-                blk = blk + self.off[i - 1].T @ self.u_block(u, i - 1)
-            out[i * p:(i + 1) * p] = blk
-        return out
-
-    def to_debug_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "horizon": self.horizon,
-            "tau": self.tau,
-            "u0": self.u0,
-            "diag_blocks": [b.tolist() for b in self.diag],
-            "off_blocks": [b.tolist() for b in self.off],
-            "c": self.c.tolist(),
-            "accel_bounds": [self.a_min, self.a_max],
-            "speed_lo": self.speed_lo.tolist(),
-            "speed_hi": self.speed_hi.tolist(),
-            "safety": [
-                [
-                    {
-                        "quad": sq.quad,
-                        "sum_len": sq.sum_len,
-                        "lin_own": sq.lin_own.tolist(),
-                        "lin_prev": sq.lin_prev.tolist(),
-                        "const": sq.const,
-                    }
-                    for sq in per_vehicle
-                ]
-                for per_vehicle in self.safety
-            ],
-        })
+                blk = blk + self.off[i - 1].T @ u[i - 1]
+            out[i] = blk
+        return out.ravel()
 
 
 def _linear_term(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedule) -> np.ndarray:
@@ -167,35 +157,35 @@ def _linear_term(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedul
     return c
 
 
-def _safety_rows(state: PlatoonState, cfg: PlatoonConfig):
-    """Safe-spacing quadratics for every vehicle and stage."""
+def _constraint_set(state: PlatoonState, cfg: PlatoonConfig) -> ConstraintSet:
+    """Box, speed-band and safe-spacing rows of every vehicle."""
     p, tau = cfg.horizon, cfg.tau
-    out = []
-    for i in range(1, cfg.n + 1):
-        xi, vi = state.x[i], state.v[i]
-        xprev, vprev = state.x[i - 1], state.v[i - 1]
-        rows = []
-        for s in range(1, p + 1):
-            sel = np.zeros(p)
-            sel[:s] = 1.0
-            kappa = np.zeros(p)
-            kappa[:s] = np.array([(2 * (s - j) - 1) / 2.0 for j in range(s)])
-            quad = -tau ** 2 / (2.0 * cfg.a_min)
-            lin_own = (cfg.reaction * tau - tau * (vi - cfg.v_min) / cfg.a_min) * sel \
-                + tau ** 2 * kappa
-            const = -(xprev - xi) - s * tau * (vprev - vi) + cfg.veh_len \
-                + cfg.reaction * vi - (vi - cfg.v_min) ** 2 / (2.0 * cfg.a_min)
-            if i == 1:
-                # Leader prediction freezes its current acceleration, so the
-                # predecessor contribution is a constant.
-                lin_prev = np.zeros(p)
-                const -= tau ** 2 * float(kappa.sum()) * state.u0
-            else:
-                lin_prev = -tau ** 2 * kappa
-            rows.append(SafetyQuadratic(quad=quad, sum_len=s, lin_own=lin_own,
-                                        lin_prev=lin_prev, const=const))
-        out.append(tuple(rows))
-    return tuple(out)
+    stage = np.arange(1, p + 1)
+    # kappa[s-1, j] = (2(s - j) - 1) / 2 weighs control j in the stage-s position
+    kappa = np.tril((2 * (stage[:, None] - np.arange(p)) - 1) / 2.0)
+    v, v_prev = state.v[1:], state.v[:-1]
+    coef = cfg.reaction * tau - tau * (v - cfg.v_min) / cfg.a_min
+    # float_power squares through libm pow, like a scalar ``**``; an array's
+    # ``** 2`` multiplies and can round the last bit differently
+    const = -(state.x[:-1] - state.x[1:])[:, None] - stage * tau * (v_prev - v)[:, None] \
+        + cfg.veh_len + (cfg.reaction * v)[:, None] \
+        - (np.float_power(v - cfg.v_min, 2) / (2.0 * cfg.a_min))[:, None]
+    # The leader prediction freezes its current acceleration, so the first
+    # vehicle's predecessor contribution is a constant.
+    const[0] -= tau ** 2 * kappa.sum(axis=1) * state.u0
+    prev = np.repeat((-tau ** 2 * kappa)[None], cfg.n, axis=0)
+    prev[0] = 0.0
+    return ConstraintSet(
+        tau=tau,
+        a_min=cfg.a_min,
+        a_max=cfg.a_max,
+        speed_lo=cfg.v_min - v,
+        speed_hi=cfg.v_max - v,
+        quad=-tau ** 2 / (2.0 * cfg.a_min),
+        own=coef[:, None, None] * np.tril(np.ones((p, p))) + tau ** 2 * kappa,
+        prev=prev,
+        const=const,
+    )
 
 
 def build_qcqp(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedule,
@@ -216,16 +206,10 @@ def build_qcqp(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedule,
     return QcqpProblem(
         n=cfg.n,
         horizon=cfg.horizon,
-        tau=cfg.tau,
-        a_min=cfg.a_min,
-        a_max=cfg.a_max,
         diag=tuple(diag),
         off=tuple(off),
         c=c,
-        speed_lo=cfg.v_min - state.v[1:],
-        speed_hi=cfg.v_max - state.v[1:],
-        safety=_safety_rows(state, cfg),
-        u0=state.u0,
+        constraints=_constraint_set(state, cfg),
     )
 
 
@@ -260,14 +244,11 @@ class MembershipReport:
 
 def check_membership(prob: QcqpProblem, u: np.ndarray, tol: float = 1e-8) -> MembershipReport:
     """Evaluate every constraint of the step program at ``u``."""
-    p, n, tau = prob.horizon, prob.n, prob.tau
+    p, n, cons = prob.horizon, prob.n, prob.constraints
     u = np.asarray(u, dtype=float).reshape(n, p)
-    box = np.maximum(prob.a_min - u, u - prob.a_max)
-    dv = tau * np.cumsum(u, axis=1)
-    speed = np.maximum(prob.speed_lo[:, None] - dv, dv - prob.speed_hi[:, None])
-    safety = np.zeros((n, p))
-    for i in range(n):
-        u_prev = u[i - 1] if i > 0 else None
-        for s in range(p):
-            safety[i, s] = prob.safety[i][s].value(u[i], u_prev)
-    return MembershipReport(box=box, speed=speed, safety=safety, tol=tol)
+    # each vehicle's rows over its own block and its predecessor's
+    window = np.hstack([u, np.vstack([np.zeros((1, p)), u[:-1]])])
+    val = np.array([cons.values(cons.rows(i, 2 * p, 0, p), window[i])
+                    for i in range(n)]).reshape(n, 5, p)
+    return MembershipReport(box=np.maximum(val[:, 0], val[:, 1]),
+                            speed=np.maximum(val[:, 2], val[:, 3]), safety=val[:, 4], tol=tol)

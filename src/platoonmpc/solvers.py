@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .consensus import AugmentedLayout, MessageFabric, VehicleGraph, _project, fabric_project
 from .decomposition import PdDecomposition
-from .problem import QcqpProblem
+from .problem import ConstraintSet, QcqpProblem
 from .smallqcqp import InfeasibleProblem, QuadConstraint, solve_qcqp
 
 __all__ = [
@@ -112,19 +113,15 @@ def default_params_for_horizon(p: int, variant: str = "dr") -> SolverParams:
 @dataclass(frozen=True)
 class LocalAgentProblem:
     """Everything agent i knows: its Hessian block over (own, neighbor
-    copies), its slice of the linear term, its box/speed data, and its
-    safe-spacing quadratics, which read the copy of the predecessor."""
+    copies), its slice of the linear term, and the step's constraint set,
+    of which it lays out and reads only its own rows (the safe-spacing
+    rows read its copy of the predecessor)."""
 
     index: int
     var_order: tuple
     hessian: np.ndarray
     c_own: np.ndarray
-    a_min: float
-    a_max: float
-    speed_lo: float
-    speed_hi: float
-    tau: float
-    safety: tuple
+    constraints: ConstraintSet
     neighbors: tuple
 
     @property
@@ -134,13 +131,6 @@ class LocalAgentProblem:
     @property
     def dim(self) -> int:
         return self.hessian.shape[0]
-
-    @property
-    def prev_pos(self) -> int | None:
-        prev = self.index - 1
-        if prev < 0 or prev not in self.var_order:
-            return None
-        return self.var_order.index(prev)
 
 
 def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
@@ -165,15 +155,20 @@ def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
             var_order=order,
             hessian=perm @ part.matrix @ perm.T,
             c_own=prob.c_part(i).copy(),
-            a_min=prob.a_min,
-            a_max=prob.a_max,
-            speed_lo=float(prob.speed_lo[i]),
-            speed_hi=float(prob.speed_hi[i]),
-            tau=prob.tau,
-            safety=prob.safety[i],
+            constraints=prob.constraints,
             neighbors=tuple(graph.neighbors(i)),
         ))
     return out
+
+
+def _qcqp_rows(cons: ConstraintSet, rows):
+    """``solve_qcqp``'s constraints from rows laid out by ``cons.rows``: the
+    linear rows G x <= h and one rank-one quadratic per safety row."""
+    A, h, S = rows
+    m = 4 * len(h) // 5  # box and speed rows first, then the p safety rows
+    quads = [QuadConstraint(Q=2.0 * cons.quad * np.outer(a, a), b=b, c=-float(c))
+             for a, b, c in zip(S[m:], A[m:], h[m:])]
+    return A[:m], h[:m], quads
 
 
 class _Agent:
@@ -188,28 +183,19 @@ class _Agent:
         self.c_tilde[:p] = lp.c_own
         self.rho = rho
         self.prox_mat = np.linalg.inv(rho * lp.hessian + np.eye(d))
-        # box rows, then the speed band on the cumulative sums
-        eye, T = np.eye(p), lp.tau * np.tril(np.ones((p, p)))
-        self.G = np.zeros((4 * p, d))
-        self.G[:, :p] = np.vstack([eye, -eye, T, -T])
-        self.h = np.repeat([lp.a_max, -lp.a_min, lp.speed_hi, -lp.speed_lo], p)
-        self.quads = []
-        prev = lp.prev_pos
-        for sq in lp.safety:
-            a = np.zeros(d)
-            a[:sq.sum_len] = 1.0
-            b = np.zeros(d)
-            b[:p] = sq.lin_own
-            if prev is not None:
-                b[prev * p:(prev + 1) * p] = sq.lin_prev
-            self.quads.append(QuadConstraint(Q=2.0 * sq.quad * np.outer(a, a), b=b, c=sq.const))
+        prev = lp.index - 1
+        prev_col = lp.var_order.index(prev) * p if prev in lp.var_order else None
+        self.rows = lp.constraints.rows(lp.index, d, 0, prev_col)
         self.fast = self.full = 0
         self._warm = {}
 
+    @cached_property
+    def qcqp_rows(self):
+        """(G, h, quads) for ``solve_qcqp``, built on the first full solve."""
+        return _qcqp_rows(self.lp.constraints, self.rows)
+
     def feasible(self, x, tol=1e-11) -> bool:
-        if (self.G @ x - self.h).max() > tol:
-            return False
-        return all(qc.value(x) <= tol for qc in self.quads)
+        return self.lp.constraints.values(self.rows, x).max() <= tol
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.lp.hessian @ x + self.c_tilde
@@ -236,7 +222,7 @@ class _Agent:
         P, q = objective()
         x0, active = self._warm.get(kind, (None, None))
         try:
-            res = solve_qcqp(P, q, self.G, self.h, self.quads, x0=x0, warm_active=active)
+            res = solve_qcqp(P, q, *self.qcqp_rows, x0=x0, warm_active=active)
         except InfeasibleProblem as exc:
             raise ProxSolveError(self.lp.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":
@@ -275,7 +261,6 @@ class SolveReport:
     prox_fast: int = 0
     prox_full: int = 0
     agent_prox_stats: tuple = ()
-    warmup_iterations: int = 0
     rel_error_vs_oracle: float | None = None
     z_final: np.ndarray | None = None
     residual_trace: list = field(default_factory=list)
@@ -290,7 +275,6 @@ class SolveReport:
             "prox_fast": self.prox_fast,
             "prox_full": self.prox_full,
             "agent_prox_stats": [list(s) for s in self.agent_prox_stats],
-            "warmup_iterations": self.warmup_iterations,
             "rel_error_vs_oracle": self.rel_error_vs_oracle,
             "u_star": self.u_star.tolist(),
         })
@@ -458,34 +442,12 @@ def solve_variant(problems, graph, params, z0=None, **kw) -> SolveReport:
 
 
 def _centralized_constraints(prob: QcqpProblem):
-    n, p, tau = prob.n, prob.horizon, prob.tau
-    N = n * p
-    T = np.tril(np.ones((p, p)))
-    G = np.zeros((4 * p * n, N))
-    h = np.zeros(4 * p * n)
-    for i in range(n):
-        r = 4 * p * i
-        cols = slice(i * p, (i + 1) * p)
-        G[r:r + p, cols] = np.eye(p)
-        h[r:r + p] = prob.a_max
-        G[r + p:r + 2 * p, cols] = -np.eye(p)
-        h[r + p:r + 2 * p] = -prob.a_min
-        G[r + 2 * p:r + 3 * p, cols] = tau * T
-        h[r + 2 * p:r + 3 * p] = prob.speed_hi[i]
-        G[r + 3 * p:r + 4 * p, cols] = -tau * T
-        h[r + 3 * p:r + 4 * p] = -prob.speed_lo[i]
-    quads = []
-    for i in range(n):
-        for sq in prob.safety[i]:
-            a = np.zeros(N)
-            a[i * p:i * p + sq.sum_len] = 1.0
-            Q = 2.0 * sq.quad * np.outer(a, a)
-            b = np.zeros(N)
-            b[i * p:(i + 1) * p] = sq.lin_own
-            if i > 0:
-                b[(i - 1) * p:i * p] = sq.lin_prev
-            quads.append(QuadConstraint(Q=Q, b=b, c=sq.const))
-    return G, h, quads
+    """Every vehicle's rows stacked over the vehicle-major columns."""
+    n, p, cons = prob.n, prob.horizon, prob.constraints
+    parts = [_qcqp_rows(cons, cons.rows(i, n * p, i * p, (i - 1) * p if i else None))
+             for i in range(n)]
+    G, h, quads = zip(*parts)
+    return np.vstack(G), np.concatenate(h), [qc for qs in quads for qc in qs]
 
 
 def solve_centralized(prob: QcqpProblem, tol: float = 1e-10, x0=None) -> np.ndarray:

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -165,12 +163,3 @@ def test_weight_validation_and_finiteness(rng):
     with pytest.raises(ValueError):
         build_qcqp(state, cfg, w)
 
-
-def test_debug_json_roundtrip(rng):
-    cfg = small_config(3, 2)
-    w = random_weights(rng, 3, 2)
-    prob = build_qcqp(random_state(rng, cfg), cfg, w)
-    payload = json.loads(prob.to_debug_json())
-    assert payload["n"] == 3 and payload["horizon"] == 2
-    np.testing.assert_allclose(payload["c"], prob.c)
-    assert len(payload["safety"]) == 3 and len(payload["safety"][0]) == 2

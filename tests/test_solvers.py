@@ -4,12 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from platoonmpc.consensus import MessageFabric, VehicleGraph
+from platoonmpc.consensus import AugmentedLayout, MessageFabric, VehicleGraph
 from platoonmpc.core import initial_state
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import build_qcqp, check_membership
 from platoonmpc.smallqcqp import InfeasibleProblem
-from platoonmpc.solvers import (ProxSolveError, SolverParams, accel_gamma_next,
+from platoonmpc.solvers import (ProxSolveError, SolverParams, _Agent, accel_gamma_next,
                                 build_local_problems, default_params_for_horizon,
                                 prox_local, project_local, solve_centralized, solve_dr,
                                 solve_three_op, solve_three_op_accel, warmup_initial_guess)
@@ -53,11 +53,57 @@ def test_local_problem_layout(rng):
     assert locals_[0].var_order == (0, 1)
     assert locals_[1].var_order == (1, 0, 2)
     assert locals_[3].var_order == (3, 2)
-    assert locals_[0].prev_pos is None
-    assert locals_[1].prev_pos == 1
-    assert locals_[3].prev_pos == 1
-    for lp in locals_:
-        assert np.linalg.eigvalsh(lp.hessian).min() > 0
+
+    def prev_blocks(lp, p=2):
+        # neighbor-copy blocks that the agent's safety rows read
+        safety = _Agent(lp, 1.0).rows[0][4 * p:]
+        return [b for b in range(1, len(lp.var_order)) if safety[:, b * p:(b + 1) * p].any()]
+
+    assert prev_blocks(locals_[0]) == []
+    assert prev_blocks(locals_[1]) == [1]
+    assert prev_blocks(locals_[3]) == [1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_agent_rows_are_local_and_match_membership(rng, n, p):
+    # agent i's rows, laid out over (own block, neighbor copies), are
+    # vehicle i's rows of the membership check, read nothing beyond its own
+    # block and its copy of the predecessor, and decide feasibility alike
+    _, prob, locals_, graph = make_instance(rng, n, p)
+    layout = AugmentedLayout(graph, p)
+    agents = [_Agent(lp, 1.0) for lp in locals_]
+    outcomes = set()
+    for scale in (0.1, 1.0, 3.0):
+        u = scale * rng.normal(size=n * p)
+        z = layout.scatter_controls(u)
+        rep = check_membership(prob, u, tol=1e-11)
+        for i, (lp, agent) in enumerate(zip(locals_, agents)):
+            x = z[layout.agent_slice(i)]
+            val = prob.constraints.values(agent.rows, x).reshape(5, p)
+            G, h, quads = agent.qcqp_rows
+            lin = (G @ x - h).reshape(4, p)
+            for box, speed, safety in ((val[0:2], val[2:4], val[4]),
+                                       (lin[0:2], lin[2:4], [qc.value(x) for qc in quads])):
+                np.testing.assert_allclose(box.max(axis=0), rep.box[i], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(speed.max(axis=0), rep.speed[i], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(safety, rep.safety[i], rtol=0, atol=1e-12)
+
+            other = np.ones(lp.dim, dtype=bool)
+            for v in ([i] if i == 0 else [i, i - 1]):
+                pos = lp.var_order.index(v)
+                other[pos * p:(pos + 1) * p] = False
+            A, _, S = agent.rows
+            assert not (A[:, other].any() or S[:, other].any() or G[:, other].any())
+            assert not any(qc.Q[other].any() or qc.Q[:, other].any() or qc.b[other].any()
+                           for qc in quads)
+
+            own_ok = max(rep.box[i].max(), rep.speed[i].max(), rep.safety[i].max()) <= 1e-11
+            assert agent.feasible(x) == own_ok
+            outcomes.add(own_ok)
+        assert all(a.feasible(z[layout.agent_slice(i)]) for i, a in enumerate(agents)) \
+            == rep.feasible
+    assert outcomes == {True, False}
 
 
 def test_prox_identity_at_feasible_minimizer(rng):
@@ -87,7 +133,7 @@ def test_prox_with_active_box_matches_kkt(rng):
     point = np.array([50.0, 0.0])
     rho = 0.5
     out = prox_local(lp, point, rho)
-    assert out[0] <= lp.a_max + 1e-9
+    assert out[0] <= lp.constraints.a_max + 1e-9
     # KKT: the projected gradient must vanish on the inactive face
     grad = lp.hessian @ out + np.concatenate([lp.c_own, np.zeros(lp.dim - 1)]) \
         + (out - point) / rho
@@ -105,7 +151,11 @@ def test_project_local_noop_inside(rng):
 def test_empty_local_set_raises_agent_error(rng):
     # crossed speed bounds leave no feasible point; the failure names the agent
     _, prob, locals_, graph = make_instance(rng, 3, 2)
-    lp = dataclasses.replace(locals_[1], speed_lo=5.0, speed_hi=-5.0)
+    cons = locals_[1].constraints
+    lo, hi = cons.speed_lo.copy(), cons.speed_hi.copy()
+    lo[1], hi[1] = 5.0, -5.0
+    lp = dataclasses.replace(locals_[1],
+                             constraints=dataclasses.replace(cons, speed_lo=lo, speed_hi=hi))
     point = np.zeros(lp.dim)
     for call in (lambda: prox_local(lp, point, rho=0.3), lambda: project_local(lp, point)):
         with pytest.raises(ProxSolveError) as err:
@@ -190,8 +240,8 @@ def test_centralized_box_active_matches_enumeration(rng):
     c = prob.c - np.array([40.0, 40.0])  # drag the minimizer far outside
     prob2 = type(prob)(**{**prob.__dict__, "c": c})
     u = solve_centralized(prob2)
-    lo = np.full(2, prob.a_min)
-    hi = np.full(2, prob.a_max)
+    lo = np.full(2, prob.constraints.a_min)
+    hi = np.full(2, prob.constraints.a_max)
     oracle = box_qp_enumeration_oracle(W, c, lo, hi)
     # ignore speed/safety rows when they stay inactive at the oracle point
     rep = check_membership(prob2, oracle)
@@ -352,10 +402,10 @@ def test_prox_active_safety_matches_grid_oracle():
     point = np.array([4.0, 1.0])  # accelerating into the tight gap
     got = prox_local(lp, point, rho)
 
-    sq = lp.safety[0]
+    cons = lp.constraints
     a = np.array([1.0, 0.0])
-    quad = QuadConstraint(Q=2.0 * sq.quad * np.outer(a, a),
-                          b=np.concatenate([sq.lin_own, [0.0]]), c=sq.const)
+    quad = QuadConstraint(Q=2.0 * cons.quad * np.outer(a, a),
+                          b=np.concatenate([cons.own[0, 0], [0.0]]), c=float(cons.const[0, 0]))
     P = lp.hessian + np.eye(2) / rho
     q = np.concatenate([lp.c_own, [0.0]]) - point / rho
     assert quad.value(np.linalg.solve(P, -q)) > 0  # safety genuinely active
