@@ -9,14 +9,14 @@ reference (``solvers``), closed-loop stability analysis and weight design
 (``stability``), and scenario simulation (``harness``).
 """
 
-from .consensus import (AugmentedLayout, AugmentedVar, MessageFabric, SimulationFault,
-                        VehicleGraph, exchange_round, fabric_project, project_consensus)
+from .consensus import (AugmentedLayout, MessageFabric, SimulationFault, VehicleGraph,
+                        exchange_round, fabric_project)
 from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
                    accel_gaps, error_coords, error_step, first_diff, gaps_to_accel,
                    initial_state, prefix_sum, prefix_sum_matrix, reference_config,
                    step_dynamics)
-from .decomposition import (LocalHessian, LocalObjective, PdDecomposition, StageBlocks,
-                            decompose_pd, decompose_psd, local_objectives, stage_blocks)
+from .decomposition import (LocalHessian, PdDecomposition, StageBlocks, decompose_pd,
+                            decompose_psd, stage_blocks)
 from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
                       run_scenario, scenario_builtin)
 from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,

@@ -17,10 +17,8 @@ import numpy as np
 __all__ = [
     "VehicleGraph",
     "AugmentedLayout",
-    "AugmentedVar",
     "MessageFabric",
     "SimulationFault",
-    "project_consensus",
     "exchange_round",
     "fabric_project",
 ]
@@ -110,20 +108,6 @@ class AugmentedLayout:
         return out
 
 
-@dataclass(frozen=True)
-class AugmentedVar:
-    """A stacked augmented vector together with its layout."""
-
-    layout: AugmentedLayout
-    vec: np.ndarray
-
-    def own(self, i: int) -> np.ndarray:
-        return self.layout.block(self.vec, i)
-
-    def copy_of(self, i: int, j: int) -> np.ndarray:
-        return self.layout.block(self.vec, i, j)
-
-
 def _owner_averages(vec: np.ndarray, layout: AugmentedLayout) -> list:
     """Average each owner block with all copies of it, ascending index."""
     g = layout.graph
@@ -145,17 +129,6 @@ def _project(vec: np.ndarray, layout: AugmentedLayout) -> np.ndarray:
             start = layout.positions[i][v]
             out[start:start + p] = avg[v]
     return out
-
-
-def project_consensus(v: AugmentedVar, graph: VehicleGraph) -> AugmentedVar:
-    """Orthogonal projection onto the consensus subspace.
-
-    Every owner block and all copies of it are replaced by their common
-    average; the map is linear, idempotent and non-expansive.
-    """
-    if v.layout.graph != graph:
-        raise ValueError("layout does not match the graph")
-    return AugmentedVar(layout=v.layout, vec=_project(v.vec, v.layout))
 
 
 class MessageFabric:

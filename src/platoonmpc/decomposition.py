@@ -20,11 +20,9 @@ __all__ = [
     "StageBlocks",
     "LocalHessian",
     "PdDecomposition",
-    "LocalObjective",
     "stage_blocks",
     "decompose_pd",
     "decompose_psd",
-    "local_objectives",
 ]
 
 
@@ -249,43 +247,3 @@ def decompose_psd(sb: StageBlocks) -> PdDecomposition:
     parts.append(LocalHessian(agent=n - 1, vehicles=(n - 2, n - 1), matrix=last,
                               lambda_min=float(np.linalg.eigvalsh(last).min())))
     return PdDecomposition(parts=tuple(parts), deltas=(), horizon=p, n=n)
-
-
-@dataclass(frozen=True)
-class LocalObjective:
-    """Strongly convex per-vehicle objective term.
-
-    Reads only the blocks of the vehicles it couples; the linear term acts
-    on the agent's own block alone.  Summing the terms over all agents
-    reproduces the central objective.
-    """
-
-    agent: int
-    vehicles: tuple
-    hessian: np.ndarray
-    c_own: np.ndarray
-
-    def value(self, u_full: np.ndarray, p: int) -> float:
-        x = np.concatenate([u_full[v * p:(v + 1) * p] for v in self.vehicles])
-        own = u_full[self.agent * p:(self.agent + 1) * p]
-        return 0.5 * float(x @ self.hessian @ x) + float(self.c_own @ own)
-
-    def grad_contribution(self, u_full: np.ndarray, p: int, out: np.ndarray) -> None:
-        x = np.concatenate([u_full[v * p:(v + 1) * p] for v in self.vehicles])
-        g = self.hessian @ x
-        for a, v in enumerate(self.vehicles):
-            out[v * p:(v + 1) * p] += g[a * p:(a + 1) * p]
-        out[self.agent * p:(self.agent + 1) * p] += self.c_own
-
-
-def local_objectives(dec: PdDecomposition, c: np.ndarray):
-    """Attach the per-vehicle linear terms to the decomposed blocks."""
-    p = dec.horizon
-    c = np.asarray(c, dtype=float)
-    if c.shape != (dec.n * p,):
-        raise ValueError("linear term has the wrong length")
-    return [
-        LocalObjective(agent=part.agent, vehicles=part.vehicles, hessian=part.matrix,
-                       c_own=c[part.agent * p:(part.agent + 1) * p])
-        for part in dec.parts
-    ]

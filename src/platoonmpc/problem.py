@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import PlatoonConfig, PlatoonState, WeightSchedule, error_coords
 from .decomposition import StageBlocks, assemble_hessian_blocks, stage_blocks
+from .smallqcqp import row_values
 
 __all__ = [
     "ConstraintSet",
@@ -79,8 +80,7 @@ class ConstraintSet:
 
     def values(self, rows, x: np.ndarray) -> np.ndarray:
         """Value of every row laid out by ``rows`` at ``x``."""
-        A, h, S = rows
-        return A @ x - h + self.quad * (S @ x) ** 2
+        return row_values(*rows, self.quad, x)
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,29 @@
 """Dense solver for small strongly convex QCQPs.
 
-Solves  minimize 0.5 x'Px + q'x  subject to  Gx <= h  and a list of convex
-quadratic constraints 0.5 x'Q_j x + b_j'x + c_j <= 0, with P positive
-definite.  Problems here have at most a few dozen variables (per-agent
-proximal steps and the centralized reference solve), so everything is
-dense and direct.
+Solves  minimize 0.5 x'Px + q'x  subject to one family of rows
+
+    A[k] x - h[k] + quad (S[k] x)^2 <= 0,
+
+with P positive definite and quad >= 0: a row whose S is zero is linear,
+any other is a convex rank-one quadratic.  This is the layout of
+``problem.ConstraintSet.rows``.  Problems here have at most a few dozen
+variables (per-agent proximal steps and the centralized reference solve),
+so everything is dense and direct, vectorized over the rows.
 
 Strategy: an unconstrained fast path, then a warm active-set Newton
 attempt when the caller supplies a previous active set, then log-barrier
-continuation over all constraints, and finally an active-set Newton polish
-that drives the KKT residual to solver precision.
+continuation over all rows, and finally an active-set Newton polish that
+drives the KKT residual to solver precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["QuadConstraint", "QcqpResult", "InfeasibleProblem", "solve_qcqp"]
+__all__ = ["QcqpResult", "InfeasibleProblem", "row_values", "solve_qcqp"]
 
 
 class InfeasibleProblem(RuntimeError):
@@ -26,102 +31,85 @@ class InfeasibleProblem(RuntimeError):
     constraint set."""
 
 
-@dataclass(frozen=True)
-class QuadConstraint:
-    """Convex quadratic constraint 0.5 x'Qx + b'x + c <= 0 with Q PSD."""
-
-    Q: np.ndarray
-    b: np.ndarray
-    c: float
-
-    def value(self, x):
-        return 0.5 * float(x @ self.Q @ x) + float(self.b @ x) + self.c
-
-    def grad(self, x):
-        return self.Q @ x + self.b
-
-
 @dataclass
 class QcqpResult:
+    """Outcome of ``solve_qcqp``.
+
+    ``lam[k]`` is the multiplier of row k, in the caller's row order, and
+    ``active`` the ascending indices of the rows with a positive multiplier
+    (a valid ``warm_active`` for a nearby solve).
+    """
+
     x: np.ndarray
-    lam_lin: np.ndarray
-    lam_quad: np.ndarray
+    lam: np.ndarray
     kkt_residual: float
     iterations: int
     status: str
-    active: tuple = field(default_factory=tuple)
+    active: tuple = ()
 
 
-def _constraint_values(x, G, h, quads):
-    vals = []
-    if G is not None:
-        vals.append(G @ x - h)
-    else:
-        vals.append(np.zeros(0))
-    vals.append(np.array([qc.value(x) for qc in quads]))
-    return vals
+def row_values(A, h, S, quad, x):
+    """Value of every row ``A x - h + quad (S x)^2`` at ``x`` (<= 0 feasible)."""
+    return A @ x - h + quad * (S @ x) ** 2
 
 
-def _kkt_residual(P, q, x, G, h, quads, lam_lin, lam_quad):
-    stat = P @ x + q
-    if G is not None and lam_lin.size:
-        stat = stat + G.T @ lam_lin
-    for lam, qc in zip(lam_quad, quads):
-        stat = stat + lam * qc.grad(x)
-    f_lin, f_quad = _constraint_values(x, G, h, quads)
-    feas = 0.0
-    comp = 0.0
-    dual = 0.0
-    if f_lin.size:
-        feas = max(feas, float(f_lin.max(initial=-np.inf)))
-        comp = max(comp, float(np.abs(lam_lin * f_lin).max(initial=0.0)))
-        dual = max(dual, float((-lam_lin).max(initial=0.0)))
-    if f_quad.size:
-        feas = max(feas, float(f_quad.max(initial=-np.inf)))
-        comp = max(comp, float(np.abs(lam_quad * f_quad).max(initial=0.0)))
-        dual = max(dual, float((-lam_quad).max(initial=0.0)))
-    return max(float(np.abs(stat).max()), max(feas, 0.0), comp, dual)
+class _Rows(NamedTuple):
+    A: np.ndarray
+    h: np.ndarray
+    S: np.ndarray
+    quad: float
+
+    def values(self, x):
+        return row_values(*self, x)
+
+    def grads(self, x):
+        """Row gradients ``A + 2 quad (S x) S``, one per row."""
+        return self.A + (2.0 * self.quad * (self.S @ x))[:, None] * self.S
+
+    def curvature(self, w):
+        """Weighted sum of the row Hessians, ``2 quad S' diag(w) S``."""
+        return 2.0 * self.quad * (self.S.T * w) @ self.S
+
+    def take(self, idx):
+        return _Rows(self.A[idx], self.h[idx], self.S[idx], self.quad)
 
 
-def _active_set_newton(P, q, G, h, quads, x, lam_map, max_iters=40, tol=None):
+def _kkt_residual(P, q, x, rows, lam):
+    stat = P @ x + q + rows.grads(x).T @ lam
+    f = rows.values(x)
+    feas = float(f.max(initial=0.0))
+    comp = float(np.abs(lam * f).max(initial=0.0))
+    dual = float((-lam).max(initial=0.0))
+    return max(float(np.abs(stat).max()), feas, comp, dual)
+
+
+def _active_set_newton(P, q, rows, x, lam_map, max_iters=40, tol=None):
     """Newton on the stationarity + active-constraint equations.
 
-    ``lam_map`` maps ("lin", i) / ("quad", j) to a multiplier guess.  The
-    step is damped on the residual norm and stops once the residual is at
-    most ``tol`` (default 1e-12 (1 + max|q|)).  Returns (x, lam_map,
-    iterations).
+    ``lam_map`` maps a row index to a multiplier guess.  The step is damped
+    on the residual norm and stops once the residual is at most ``tol``
+    (default 1e-12 (1 + max|q|)).  Returns (x, lam_map, iterations).
     """
     if tol is None:
         tol = 1e-12 * (1.0 + float(np.abs(q).max()))
     dim = x.size
-    keys = sorted(lam_map.keys())
+    keys = sorted(lam_map)
     m = len(keys)
+    act = rows.take(keys)
 
-    def grad_of(key, xx):
-        kind, idx = key
-        return G[idx] if kind == "lin" else quads[idx].grad(xx)
-
-    def val_of(key, xx):
-        kind, idx = key
-        return float(G[idx] @ xx - h[idx]) if kind == "lin" else quads[idx].value(xx)
+    def residual(xx, ll):
+        grads = act.grads(xx)
+        return grads, P @ xx + q + grads.T @ ll, act.values(xx)
 
     lam = np.array([lam_map[k] for k in keys])
     for it in range(max_iters):
-        grads = np.array([grad_of(k, x) for k in keys]) if m else np.zeros((0, dim))
-        F1 = P @ x + q + (grads.T @ lam if m else 0.0)
-        F2 = np.array([val_of(k, x) for k in keys])
-        res = max(float(np.abs(F1).max()), float(np.abs(F2).max()) if m else 0.0)
-        if res <= tol:
+        grads, F1, F2 = residual(x, lam)
+        if max(float(np.abs(F1).max()), float(np.abs(F2).max(initial=0.0))) <= tol:
             break
-        H = P.copy()
-        for k, l in zip(keys, lam):
-            if k[0] == "quad":
-                H = H + l * quads[k[1]].Q
         KKT = np.zeros((dim + m, dim + m))
-        KKT[:dim, :dim] = H
-        if m:
-            KKT[:dim, dim:] = grads.T
-            KKT[dim:, :dim] = grads
+        KKT[:dim, :dim] = P + act.curvature(lam)
+        KKT[:dim, dim:] = grads.T
+        KKT[dim:, :dim] = grads
         rhs = -np.concatenate([F1, F2])
         try:
             sol = np.linalg.solve(KKT, rhs)
@@ -132,11 +120,7 @@ def _active_set_newton(P, q, G, h, quads, x, lam_map, max_iters=40, tol=None):
         merit = float(F1 @ F1) + float(F2 @ F2)
         step = 1.0
         for _ in range(30):
-            x_try = x + step * dx
-            lam_try = lam + step * dlam
-            g_try = np.array([grad_of(k, x_try) for k in keys]) if m else np.zeros((0, dim))
-            F1t = P @ x_try + q + (g_try.T @ lam_try if m else 0.0)
-            F2t = np.array([val_of(k, x_try) for k in keys])
+            _, F1t, F2t = residual(x + step * dx, lam + step * dlam)
             if float(F1t @ F1t) + float(F2t @ F2t) <= merit * (1 - 1e-4 * step) or step < 1e-8:
                 break
             step *= 0.5
@@ -145,55 +129,29 @@ def _active_set_newton(P, q, G, h, quads, x, lam_map, max_iters=40, tol=None):
     return x, dict(zip(keys, lam)), it + 1
 
 
-def _strictly_feasible(x, G, h, quads, margin):
-    f_lin, f_quad = _constraint_values(x, G, h, quads)
-    worst = max(float(f_lin.max(initial=-np.inf)), float(f_quad.max(initial=-np.inf)))
-    return worst < -margin
-
-
-def _phase_one(P, q, G, h, quads, x0):
+def _phase_one(rows, x0):
     """Find a strictly feasible point by minimizing the worst violation."""
     dim = x0.size
     x = x0.copy()
-    f_lin, f_quad = _constraint_values(x, G, h, quads)
-    worst = max(float(f_lin.max(initial=-np.inf)), float(f_quad.max(initial=-np.inf)))
+    worst = float(rows.values(x).max())
     t = worst + 1.0
     kappa = 1.0
     scale = 1.0 + abs(worst)
     for _ in range(60):
         # Newton on kappa*t - sum log(t - f_j)
         for _ in range(50):
-            g_x = np.zeros(dim)
-            g_t = kappa
-            H_xx = 1e-12 * np.eye(dim)
-            H_xt = np.zeros(dim)
-            H_tt = 0.0
-            worst = -np.inf
-            entries = []
-            if G is not None:
-                fl = G @ x - h
-                worst = max(worst, float(fl.max(initial=-np.inf)))
-                for i in range(fl.size):
-                    entries.append((t - fl[i], G[i], None))
-            for qc in quads:
-                fv = qc.value(x)
-                worst = max(worst, fv)
-                entries.append((t - fv, qc.grad(x), qc.Q))
+            f = rows.values(x)
+            worst = float(f.max())
             if worst < -1e-7 * scale:
                 return x
-            for slack, grad, Q in entries:
-                inv = 1.0 / slack
-                g_x += grad * inv
-                g_t -= inv
-                H_xx += np.outer(grad, grad) * inv * inv + (Q * inv if Q is not None else 0.0)
-                H_xt -= grad * inv * inv
-                H_tt += inv * inv
+            grads = rows.grads(x)
+            inv = 1.0 / (t - f)
             KKT = np.zeros((dim + 1, dim + 1))
-            KKT[:dim, :dim] = H_xx
-            KKT[:dim, dim] = H_xt
-            KKT[dim, :dim] = H_xt
-            KKT[dim, dim] = H_tt
-            rhs = -np.concatenate([g_x, [g_t]])
+            KKT[:dim, :dim] = 1e-12 * np.eye(dim) + (grads.T * (inv * inv)) @ grads \
+                + rows.curvature(inv)
+            KKT[:dim, dim] = KKT[dim, :dim] = -grads.T @ (inv * inv)
+            KKT[dim, dim] = float(inv @ inv)
+            rhs = -np.concatenate([grads.T @ inv, [kappa - inv.sum()]])
             try:
                 sol = np.linalg.solve(KKT, rhs)
             except np.linalg.LinAlgError:
@@ -202,13 +160,7 @@ def _phase_one(P, q, G, h, quads, x0):
             # keep every log argument positive
             step = 1.0
             for _ in range(60):
-                x_try, t_try = x + step * dx, t + step * dt
-                ok = True
-                if G is not None and np.any(t_try - (G @ x_try - h) <= 0):
-                    ok = False
-                if ok and any(t_try - qc.value(x_try) <= 0 for qc in quads):
-                    ok = False
-                if ok:
+                if np.all(t + step * dt - rows.values(x + step * dx) > 0):
                     break
                 step *= 0.5
             x, t = x + step * dx, t + step * dt
@@ -219,52 +171,33 @@ def _phase_one(P, q, G, h, quads, x0):
         kappa *= 10.0
         if kappa > 1e12:
             break
-    f_lin, f_quad = _constraint_values(x, G, h, quads)
-    worst = max(float(f_lin.max(initial=-np.inf)), float(f_quad.max(initial=-np.inf)))
+    worst = float(rows.values(x).max())
     if worst < 0:
         return x
     raise InfeasibleProblem(f"constraint set numerically empty (min worst violation {worst:.3e})")
 
 
-def _barrier(P, q, G, h, quads, x):
+def _barrier(P, q, rows, x):
     """Central-path continuation from a strictly feasible point.
 
-    Returns (x, lam_lin, lam_quad) with multipliers read off the barrier
-    gradient at the final weight.
+    Returns (x, lam) with multipliers read off the barrier gradient at the
+    final weight.
     """
-    dim = x.size
-    m = (G.shape[0] if G is not None else 0) + len(quads)
+    m = rows.h.size
 
     def phi(eta, xx):
-        val = eta * (0.5 * float(xx @ P @ xx) + float(q @ xx))
-        if G is not None:
-            fl = G @ xx - h
-            if np.any(fl >= 0):
-                return np.inf
-            val -= float(np.log(-fl).sum())
-        for qc in quads:
-            fv = qc.value(xx)
-            if fv >= 0:
-                return np.inf
-            val -= np.log(-fv)
-        return val
+        f = rows.values(xx)
+        if np.any(f >= 0):
+            return np.inf
+        return eta * (0.5 * float(xx @ P @ xx) + float(q @ xx)) - float(np.log(-f).sum())
 
     eta = 1.0
     for _ in range(40):
         for _ in range(60):
-            g = eta * (P @ x + q)
-            H = eta * P.copy()
-            if G is not None:
-                fl = G @ x - h
-                inv = -1.0 / fl
-                g += G.T @ inv
-                H += (G.T * (inv * inv)) @ G
-            for qc in quads:
-                fv = qc.value(x)
-                gr = qc.grad(x)
-                inv = -1.0 / fv
-                g += gr * inv
-                H += np.outer(gr, gr) * inv * inv + qc.Q * inv
+            grads = rows.grads(x)
+            inv = -1.0 / rows.values(x)
+            g = eta * (P @ x + q) + grads.T @ inv
+            H = eta * P + (grads.T * (inv * inv)) @ grads + rows.curvature(inv)
             try:
                 dx = -np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
@@ -281,58 +214,45 @@ def _barrier(P, q, G, h, quads, x):
             x = x + step * dx
             if step * float(np.abs(dx).max()) < 1e-14:
                 break
-        if m == 0 or m / eta < 1e-10:
+        if m / eta < 1e-10:
             break
         eta *= 20.0
-    lam_lin = np.zeros(G.shape[0]) if G is not None else np.zeros(0)
-    if G is not None:
-        lam_lin = -1.0 / (eta * (G @ x - h))
-    lam_quad = np.array([-1.0 / (eta * qc.value(x)) for qc in quads])
-    return x, lam_lin, lam_quad
+    return x, -1.0 / (eta * rows.values(x))
 
 
-def solve_qcqp(P, q, G=None, h=None, quads=(), x0=None, warm_active=None,
+def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None,
                kkt_tol: float = 1e-9) -> QcqpResult:
     """Solve the QCQP to a target KKT residual.
 
     Parameters
     ----------
     P, q : quadratic objective data, P symmetric positive definite.
-    G, h : optional linear inequality rows G x <= h.
-    quads : sequence of QuadConstraint.
+    A, h, S, quad : the rows ``A[k] x - h[k] + quad (S[k] x)^2 <= 0``; no
+        rows when ``A`` is None, all rows linear when ``S`` is None.
     x0 : optional warm start point.
-    warm_active : optional iterable of ("lin", i) / ("quad", j) keys tried
-        as the initial active set before any barrier work.
+    warm_active : optional iterable of row indices tried as the initial
+        active set before any barrier work.
     kkt_tol : target residual (stationarity, feasibility, complementarity).
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
-    dim = q.size
-    quads = tuple(quads)
-    n_lin = G.shape[0] if G is not None else 0
+    if A is None:
+        A, h = np.zeros((0, q.size)), np.zeros(0)
+    rows = _Rows(A, h, np.zeros_like(A) if S is None else S, quad)
+    m = h.size
     iterations = 0
 
     x_unc = np.linalg.solve(P, -q)
-    if n_lin == 0 and not quads:
-        return QcqpResult(x=x_unc, lam_lin=np.zeros(0), lam_quad=np.zeros(0),
-                          kkt_residual=0.0, iterations=1, status="optimal")
-    f_lin, f_quad = _constraint_values(x_unc, G, h, quads)
-    if (f_lin.size == 0 or f_lin.max() <= 0) and (f_quad.size == 0 or f_quad.max() <= 0):
-        return QcqpResult(x=x_unc, lam_lin=np.zeros(n_lin), lam_quad=np.zeros(len(quads)),
-                          kkt_residual=0.0, iterations=1, status="optimal")
+    if m == 0 or rows.values(x_unc).max() <= 0:
+        return QcqpResult(x=x_unc, lam=np.zeros(m), kkt_residual=0.0, iterations=1,
+                          status="optimal")
 
     def finish(x, lam_map, iters):
-        lam_lin = np.zeros(n_lin)
-        lam_quad = np.zeros(len(quads))
-        for (kind, idx), lam in lam_map.items():
-            if kind == "lin":
-                lam_lin[idx] = lam
-            else:
-                lam_quad[idx] = lam
-        res = _kkt_residual(P, q, x, G, h, quads, lam_lin, lam_quad)
+        lam = np.zeros(m)
+        lam[list(lam_map)] = list(lam_map.values())
+        res = _kkt_residual(P, q, x, rows, lam)
         status = "optimal" if res <= kkt_tol else "inaccurate"
-        return QcqpResult(x=x, lam_lin=lam_lin, lam_quad=lam_quad, kkt_residual=res,
-                          iterations=iters, status=status,
+        return QcqpResult(x=x, lam=lam, kkt_residual=res, iterations=iters, status=status,
                           active=tuple(sorted(k for k, l in lam_map.items() if l > 0)))
 
     def try_active_set(x_start, active, iters_budget=12, newton_tol=None):
@@ -341,31 +261,21 @@ def solve_qcqp(P, q, G=None, h=None, quads=(), x0=None, warm_active=None,
         lam_map = {k: 0.0 for k in active}
         x = x_start.copy()
         for _ in range(iters_budget):
-            x, lam_map, its = _active_set_newton(P, q, G, h, quads, x, lam_map, tol=newton_tol)
+            x, lam_map, its = _active_set_newton(P, q, rows, x, lam_map, tol=newton_tol)
             iterations += its
             # drop the most negative multiplier, if any
             neg = [(lam, k) for k, lam in lam_map.items() if lam < -1e-10]
             if neg:
-                _, worst_key = min(neg)
-                lam_map.pop(worst_key)
+                lam_map.pop(min(neg)[1])
                 continue
-            # add the most violated constraint, if any
-            f_lin, f_quad = _constraint_values(x, G, h, quads)
-            viol = []
-            for i in range(f_lin.size):
-                if ("lin", i) not in lam_map and f_lin[i] > 1e-11:
-                    viol.append((f_lin[i], ("lin", i)))
-            for j in range(f_quad.size):
-                if ("quad", j) not in lam_map and f_quad[j] > 1e-11:
-                    viol.append((f_quad[j], ("quad", j)))
+            # add the most violated row, if any
+            f = rows.values(x)
+            viol = [(f[k], k) for k in np.flatnonzero(f > 1e-11).tolist() if k not in lam_map]
             if viol:
-                _, worst_key = max(viol)
-                lam_map[worst_key] = 0.0
+                lam_map[max(viol)[1]] = 0.0
                 continue
             result = finish(x, {k: max(l, 0.0) for k, l in lam_map.items()}, iterations)
-            if result.status == "optimal":
-                return result
-            return None
+            return result if result.status == "optimal" else None
         return None
 
     if warm_active:
@@ -374,23 +284,20 @@ def solve_qcqp(P, q, G=None, h=None, quads=(), x0=None, warm_active=None,
             return result
 
     # barrier route
-    start = x0 if (x0 is not None and _strictly_feasible(x0, G, h, quads, 1e-9)) else None
-    if start is None:
-        start = _phase_one(P, q, G, h, quads, x0 if x0 is not None else x_unc)
-    x, lam_lin, lam_quad = _barrier(P, q, G, h, quads, start)
+    if x0 is not None and rows.values(x0).max() < -1e-9:
+        start = x0
+    else:
+        start = _phase_one(rows, x0 if x0 is not None else x_unc)
+    x, lam = _barrier(P, q, rows, start)
     iterations += 1
 
-    # polish: treat constraints with multiplier above slack as active
-    f_lin, f_quad = _constraint_values(x, G, h, quads)
-    active = [("lin", i) for i in range(n_lin) if lam_lin[i] >= -f_lin[i]]
-    active += [("quad", j) for j in range(len(quads)) if lam_quad[j] >= -f_quad[j]]
+    # polish: treat rows with multiplier above slack as active
+    active = np.flatnonzero(lam >= -rows.values(x)).tolist()
     result = try_active_set(x, active)
     if result is not None:
         return result
     # fall back to the barrier point with its approximate multipliers
-    lam_map = {("lin", i): lam_lin[i] for i in range(n_lin)}
-    lam_map.update({("quad", j): lam_quad[j] for j in range(len(quads))})
-    fallback = finish(x, lam_map, iterations)
+    fallback = finish(x, dict(enumerate(lam)), iterations)
     if fallback.status == "optimal":
         return fallback
     # The polish adds one weakly violated row per pass, so an optimum with
@@ -399,5 +306,5 @@ def solve_qcqp(P, q, G=None, h=None, quads=(), x0=None, warm_active=None,
     # room for every row and a stop below kkt_tol before settling for the
     # barrier point.
     newton_tol = min(1e-12 * (1.0 + float(np.abs(q).max())), 0.1 * kkt_tol)
-    result = try_active_set(x, active, iters_budget=n_lin + len(quads), newton_tol=newton_tol)
+    result = try_active_set(x, active, iters_budget=m, newton_tol=newton_tol)
     return result if result is not None else fallback

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .consensus import AugmentedLayout, MessageFabric, VehicleGraph, _project, fabric_project
 from .decomposition import PdDecomposition
 from .problem import ConstraintSet, QcqpProblem
-from .smallqcqp import InfeasibleProblem, QuadConstraint, solve_qcqp
+from .smallqcqp import InfeasibleProblem, solve_qcqp
 
 __all__ = [
     "SolverParams",
@@ -161,16 +160,6 @@ def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
     return out
 
 
-def _qcqp_rows(cons: ConstraintSet, rows):
-    """``solve_qcqp``'s constraints from rows laid out by ``cons.rows``: the
-    linear rows G x <= h and one rank-one quadratic per safety row."""
-    A, h, S = rows
-    m = 4 * len(h) // 5  # box and speed rows first, then the p safety rows
-    quads = [QuadConstraint(Q=2.0 * cons.quad * np.outer(a, a), b=b, c=-float(c))
-             for a, b, c in zip(S[m:], A[m:], h[m:])]
-    return A[:m], h[:m], quads
-
-
 class _Agent:
     """Cached per-agent machinery: constraint rows in local coordinates,
     the factorized unconstrained prox map, and active-set warm starts."""
@@ -188,11 +177,6 @@ class _Agent:
         self.rows = lp.constraints.rows(lp.index, d, 0, prev_col)
         self.fast = self.full = 0
         self._warm = {}
-
-    @cached_property
-    def qcqp_rows(self):
-        """(G, h, quads) for ``solve_qcqp``, built on the first full solve."""
-        return _qcqp_rows(self.lp.constraints, self.rows)
 
     def feasible(self, x, tol=1e-11) -> bool:
         return self.lp.constraints.values(self.rows, x).max() <= tol
@@ -222,7 +206,8 @@ class _Agent:
         P, q = objective()
         x0, active = self._warm.get(kind, (None, None))
         try:
-            res = solve_qcqp(P, q, *self.qcqp_rows, x0=x0, warm_active=active)
+            res = solve_qcqp(P, q, *self.rows, self.lp.constraints.quad, x0=x0,
+                             warm_active=active)
         except InfeasibleProblem as exc:
             raise ProxSolveError(self.lp.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":
@@ -444,16 +429,15 @@ def solve_variant(problems, graph, params, z0=None, **kw) -> SolveReport:
 def _centralized_constraints(prob: QcqpProblem):
     """Every vehicle's rows stacked over the vehicle-major columns."""
     n, p, cons = prob.n, prob.horizon, prob.constraints
-    parts = [_qcqp_rows(cons, cons.rows(i, n * p, i * p, (i - 1) * p if i else None))
-             for i in range(n)]
-    G, h, quads = zip(*parts)
-    return np.vstack(G), np.concatenate(h), [qc for qs in quads for qc in qs]
+    A, h, S = zip(*(cons.rows(i, n * p, i * p, (i - 1) * p if i else None)
+                    for i in range(n)))
+    return np.vstack(A), np.concatenate(h), np.vstack(S)
 
 
 def solve_centralized(prob: QcqpProblem, tol: float = 1e-10, x0=None) -> np.ndarray:
     """Reference solution of the full step program to tight KKT residual."""
-    G, h, quads = _centralized_constraints(prob)
-    res = solve_qcqp(prob.hessian_dense(), prob.c, G, h, quads, x0=x0, kkt_tol=tol)
+    res = solve_qcqp(prob.hessian_dense(), prob.c, *_centralized_constraints(prob),
+                     prob.constraints.quad, x0=x0, kkt_tol=tol)
     if res.status != "optimal":
         raise RuntimeError(
             f"centralized solve did not reach tolerance (KKT residual {res.kkt_residual:.2e})")

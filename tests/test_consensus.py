@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from platoonmpc.consensus import (AugmentedLayout, AugmentedVar, MessageFabric,
-                                  SimulationFault, VehicleGraph, _project, exchange_round,
-                                  fabric_project, project_consensus)
+from platoonmpc.consensus import (AugmentedLayout, MessageFabric, SimulationFault,
+                                  VehicleGraph, _project, exchange_round, fabric_project)
 
 
 def lstsq_projection_oracle(vec, layout):
@@ -35,10 +34,10 @@ def test_graph_validation():
 def test_projection_fixed_point():
     g = VehicleGraph.chain(3)
     layout = AugmentedLayout(g, 2)
+    assert layout.dim == 2 * (2 + 3 + 2)
     u = np.arange(6.0)
     vec = layout.scatter_controls(u)
-    out = project_consensus(AugmentedVar(layout, vec), g)
-    np.testing.assert_allclose(out.vec, vec)
+    np.testing.assert_allclose(_project(vec, layout), vec)
 
 
 def test_two_agent_average():
@@ -125,12 +124,3 @@ def test_fabric_projection_bit_identical(rng, tmp_path):
     lines = (tmp_path / "rounds.jsonl").read_text().strip().splitlines()
     assert len(lines) == 2 * 2 * len(g.edges)  # two phases, two directions per edge
 
-
-def test_augmented_var_accessors(rng):
-    g = VehicleGraph.chain(3)
-    layout = AugmentedLayout(g, 2)
-    vec = rng.normal(size=layout.dim)
-    av = AugmentedVar(layout, vec)
-    np.testing.assert_allclose(av.own(1), layout.block(vec, 1))
-    np.testing.assert_allclose(av.copy_of(1, 2), layout.block(vec, 1, 2))
-    assert layout.dim == 2 * (2 + 3 + 2)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from platoonmpc.core import WeightSchedule
-from platoonmpc.decomposition import (decompose_pd, decompose_psd, local_objectives,
-                                      stage_blocks)
-from platoonmpc.problem import build_qcqp, eval_objective
+from platoonmpc.decomposition import decompose_pd, decompose_psd, stage_blocks
 
-from conftest import dense_hessian_oracle, random_state, random_weights, small_config
+from conftest import dense_hessian_oracle, random_weights, small_config
 
 
 def test_single_stage_blocks_are_scalars(rng):
@@ -99,42 +97,6 @@ def test_scale_equivariance(rng):
     dec2 = decompose_pd(stage_blocks(w.scaled(3.0), tau=1.0))
     for a, b in zip(dec1.parts, dec2.parts):
         np.testing.assert_allclose(3.0 * a.matrix, b.matrix, rtol=1e-12)
-
-
-def test_local_objectives_sum_to_central(rng):
-    n, p = 5, 2
-    cfg = small_config(n, p)
-    w = random_weights(rng, n, p)
-    state = random_state(rng, cfg)
-    prob = build_qcqp(state, cfg, w)
-    dec = decompose_pd(stage_blocks(w, cfg.tau))
-    objs = local_objectives(dec, prob.c)
-
-    u = np.zeros(n * p)
-    assert sum(o.value(u, p) for o in objs) == 0.0
-    for _ in range(5):
-        u = rng.normal(size=n * p)
-        total = sum(o.value(u, p) for o in objs)
-        assert total == pytest.approx(eval_objective(prob, u), rel=1e-10)
-
-    # gradient assembled from the parts matches the central gradient
-    u = rng.normal(size=n * p)
-    grad = np.zeros(n * p)
-    for o in objs:
-        o.grad_contribution(u, p, grad)
-    central = prob.hessian_matvec(u) + prob.c
-    np.testing.assert_allclose(grad, central, rtol=1e-10, atol=1e-12)
-
-    # finite differences of the summed parts agree too
-    fd = np.zeros(n * p)
-    eps = 1e-6
-    for idx in range(n * p):
-        up = u.copy()
-        um = u.copy()
-        up[idx] += eps
-        um[idx] -= eps
-        fd[idx] = (sum(o.value(up, p) for o in objs) - sum(o.value(um, p) for o in objs)) / (2 * eps)
-    np.testing.assert_allclose(fd, central, rtol=1e-5, atol=1e-5)
 
 
 def test_delta_fraction_validation(rng):

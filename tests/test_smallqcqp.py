@@ -1,14 +1,41 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from platoonmpc.core import PlatoonState, reference_config
 from platoonmpc.problem import build_qcqp
-from platoonmpc.smallqcqp import InfeasibleProblem, QuadConstraint, solve_qcqp
+from platoonmpc.smallqcqp import InfeasibleProblem, solve_qcqp
 from platoonmpc.solvers import _centralized_constraints, solve_centralized
 from platoonmpc.stability import (DEFAULT_BASE_GAP_WEIGHTS, DEFAULT_BASE_RATE_WEIGHTS,
-                                  DEFAULT_BASE_RIDE_WEIGHTS, gen_weight_schedule)
+                                  DEFAULT_BASE_RIDE_WEIGHTS, default_weight_schedule,
+                                  gen_weight_schedule)
+
+
+@dataclass(frozen=True)
+class RankOneRow:
+    """One convex row quad (s.x)^2 + b.x + c <= 0, written out for the
+    oracles independently of the solver."""
+
+    quad: float
+    s: np.ndarray
+    b: np.ndarray
+    c: float
+
+    def value(self, x):
+        return self.quad * float(self.s @ x) ** 2 + float(self.b @ x) + self.c
+
+    def grad(self, x):
+        return 2.0 * self.quad * float(self.s @ x) * self.s + self.b
+
+    @property
+    def hess(self):
+        return 2.0 * self.quad * np.outer(self.s, self.s)
+
+    def rows(self):
+        """The row in ``solve_qcqp``'s ``(A, h, S)`` form."""
+        return self.b[None], np.array([-self.c]), self.s[None]
 
 
 def rand_spd(rng, d, scale=1.0):
@@ -93,7 +120,7 @@ def grid_polish_oracle(P, q, quad, bounds=3.0, n_grid=301):
     for _ in range(80):
         F = np.concatenate([P @ x + q + lam * quad.grad(x), [quad.value(x)]])
         J = np.zeros((3, 3))
-        J[:2, :2] = P + lam * quad.Q
+        J[:2, :2] = P + lam * quad.hess
         J[:2, 2] = quad.grad(x)
         J[2, :2] = quad.grad(x)
         sol = np.linalg.solve(J, -F)
@@ -106,10 +133,8 @@ def test_quadratic_constraint_matches_grid_oracle(rng):
     for _ in range(10):
         P = rand_spd(rng, 2)
         q = rng.normal(size=2) * 3
-        a = rng.normal(size=2)
-        quad = QuadConstraint(Q=2.0 * np.outer(a, a) + 0.2 * np.eye(2),
-                              b=rng.normal(size=2), c=-1.0)
-        res = solve_qcqp(P, q, quads=[quad])
+        quad = RankOneRow(quad=1.0, s=rng.normal(size=2), b=rng.normal(size=2), c=-1.0)
+        res = solve_qcqp(P, q, *quad.rows(), quad.quad)
         oracle = grid_polish_oracle(P, q, quad)
         np.testing.assert_allclose(res.x, oracle, atol=1e-6)
         assert res.kkt_residual <= 1e-9
@@ -122,15 +147,16 @@ def test_mixed_constraints_kkt_certificate(rng):
         q = rng.normal(size=d) * 4
         G = np.vstack([np.eye(d), -np.eye(d)])
         h = np.concatenate([rng.uniform(0.1, 1.0, d), rng.uniform(0.1, 1.0, d)])
-        a = rng.normal(size=d)
-        quads = [QuadConstraint(Q=2 * np.outer(a, a), b=rng.normal(size=d) * 0.1,
-                                c=-rng.uniform(0.5, 2.0))]
-        res = solve_qcqp(P, q, G, h, quads)
+        row = RankOneRow(quad=1.0, s=rng.normal(size=d), b=rng.normal(size=d) * 0.1,
+                         c=-rng.uniform(0.5, 2.0))
+        A, hq, S = row.rows()
+        res = solve_qcqp(P, q, np.vstack([G, A]), np.concatenate([h, hq]),
+                         np.vstack([np.zeros_like(G), S]), row.quad)
         assert res.status == "optimal"
         assert res.kkt_residual <= 1e-9
         # primal feasibility double check
         assert (G @ res.x - h).max() <= 1e-9
-        assert all(qc.value(res.x) <= 1e-9 for qc in quads)
+        assert row.value(res.x) <= 1e-9
 
 
 def test_warm_active_set_reuse(rng):
@@ -151,6 +177,27 @@ def test_infeasible_detection():
     h = np.array([-1.0, -1.0])  # x0 <= -1 and x0 >= 1
     with pytest.raises(InfeasibleProblem):
         solve_qcqp(P, q, G, h)
+
+
+def centralized_multipliers(prob, tol=1e-10):
+    """``solve_centralized``'s solve, returning the multipliers as well."""
+    return solve_qcqp(prob.hessian_dense(), prob.c, *_centralized_constraints(prob),
+                      prob.constraints.quad, kkt_tol=tol)
+
+
+def assert_kkt_certificate(prob, x, lam, tol=1e-10):
+    """Stationarity, feasibility, dual sign and complementarity of (x, lam)
+    over the centralized rows, from the row values of the ``ConstraintSet``
+    and the row gradients A + 2 quad (S x) S."""
+    cons = prob.constraints
+    rows = _centralized_constraints(prob)
+    A, _, S = rows
+    grads = A + 2.0 * cons.quad * (S @ x)[:, None] * S
+    f = cons.values(rows, x)
+    assert np.abs(prob.hessian_dense() @ x + prob.c + grads.T @ lam).max() <= tol
+    assert f.max() <= tol
+    assert lam.min() >= 0.0
+    assert np.abs(lam * f).max() <= tol
 
 
 def test_polish_with_many_weakly_active_rows_reaches_tolerance():
@@ -178,17 +225,29 @@ def test_polish_with_many_weakly_active_rows_reaches_tolerance():
     x = solve_centralized(prob)
 
     # independent KKT certificate from the returned multipliers
-    P, q = prob.hessian_dense(), prob.c
-    G, h, quads = _centralized_constraints(prob)
-    res = solve_qcqp(P, q, G, h, quads, kkt_tol=1e-10)
+    res = centralized_multipliers(prob)
     np.testing.assert_allclose(res.x, x, atol=0.0)
-    stat = P @ x + q + G.T @ res.lam_lin
-    for lam, qc in zip(res.lam_quad, quads):
-        stat = stat + lam * (qc.Q @ x + qc.b)
-    f_lin = G @ x - h
-    f_quad = np.array([qc.value(x) for qc in quads])
-    assert np.abs(stat).max() <= 1e-10
-    assert f_lin.max() <= 1e-10 and f_quad.max() <= 1e-10
-    assert res.lam_lin.min() >= 0.0 and res.lam_quad.min() >= 0.0
-    assert np.abs(res.lam_lin * f_lin).max() <= 1e-10
-    assert np.abs(res.lam_quad * f_quad).max() <= 1e-10
+    assert_kkt_certificate(prob, x, res.lam)
+
+
+def test_centralized_interleaved_rows_kkt_certificate(rng):
+    """The centralized rows interleave each vehicle's box, speed and safety
+    rows.  Random reference states with gaps down to below the braking
+    bound make box and safety rows of several vehicles bind in one solve."""
+    mixed = 0
+    for p in range(1, 6):
+        cfg = reference_config(horizon=p)
+        weights = default_weight_schedule(p)
+        for _ in range(4):
+            gaps = rng.uniform(36.0, 52.0, cfg.n)
+            state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
+                                 v=rng.uniform(20.0, 27.0, cfg.n + 1),
+                                 u0=float(rng.uniform(-2.0, 1.0)))
+            prob = build_qcqp(state, cfg, weights)
+            x = solve_centralized(prob)
+            res = centralized_multipliers(prob)
+            np.testing.assert_array_equal(res.x, x)
+            assert_kkt_certificate(prob, x, res.lam)
+            # row kind within a vehicle's 5p rows: 0..3 box and speed, 4 safety
+            mixed += {0, 4} <= {r % (5 * p) // p for r in res.active}
+    assert mixed >= 3

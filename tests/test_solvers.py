@@ -81,22 +81,16 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
         for i, (lp, agent) in enumerate(zip(locals_, agents)):
             x = z[layout.agent_slice(i)]
             val = prob.constraints.values(agent.rows, x).reshape(5, p)
-            G, h, quads = agent.qcqp_rows
-            lin = (G @ x - h).reshape(4, p)
-            for box, speed, safety in ((val[0:2], val[2:4], val[4]),
-                                       (lin[0:2], lin[2:4], [qc.value(x) for qc in quads])):
-                np.testing.assert_allclose(box.max(axis=0), rep.box[i], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(speed.max(axis=0), rep.speed[i], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(safety, rep.safety[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(val[0:2].max(axis=0), rep.box[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(val[2:4].max(axis=0), rep.speed[i], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(val[4], rep.safety[i], rtol=0, atol=1e-12)
 
             other = np.ones(lp.dim, dtype=bool)
             for v in ([i] if i == 0 else [i, i - 1]):
                 pos = lp.var_order.index(v)
                 other[pos * p:(pos + 1) * p] = False
             A, _, S = agent.rows
-            assert not (A[:, other].any() or S[:, other].any() or G[:, other].any())
-            assert not any(qc.Q[other].any() or qc.Q[:, other].any() or qc.b[other].any()
-                           for qc in quads)
+            assert not (A[:, other].any() or S[:, other].any())
 
             own_ok = max(rep.box[i].max(), rep.speed[i].max(), rep.safety[i].max()) <= 1e-11
             assert agent.feasible(x) == own_ok
@@ -383,8 +377,7 @@ def test_prox_active_safety_matches_grid_oracle():
     # the two-variable leading-agent subproblem is checked against a dense
     # grid search refined by Newton on the active constraint
     from platoonmpc.core import PlatoonState
-    from test_smallqcqp import grid_polish_oracle
-    from platoonmpc.smallqcqp import QuadConstraint
+    from test_smallqcqp import RankOneRow, grid_polish_oracle
 
     cfg = small_config(3, 1)
     # weak objective so the pull point dominates the proximal trade-off
@@ -403,9 +396,8 @@ def test_prox_active_safety_matches_grid_oracle():
     got = prox_local(lp, point, rho)
 
     cons = lp.constraints
-    a = np.array([1.0, 0.0])
-    quad = QuadConstraint(Q=2.0 * cons.quad * np.outer(a, a),
-                          b=np.concatenate([cons.own[0, 0], [0.0]]), c=float(cons.const[0, 0]))
+    quad = RankOneRow(quad=cons.quad, s=np.array([1.0, 0.0]),
+                      b=np.concatenate([cons.own[0, 0], [0.0]]), c=float(cons.const[0, 0]))
     P = lp.hessian + np.eye(2) / rho
     q = np.concatenate([lp.c_own, [0.0]]) - point / rho
     assert quad.value(np.linalg.solve(P, -q)) > 0  # safety genuinely active
