@@ -1,8 +1,9 @@
 """Effect of the constraint-free warm start on solver effort.
 
 On oscillating traffic at a five-stage horizon, seeding each step's solve
-from the projected constraint-free solution (computed distributedly with a
-closed-form proximal map) beats reusing the previous step's iterate.
+from the projected constraint-free solution (computed exactly by one
+elimination sweep down the vehicle chain and back) beats reusing the
+previous step's iterate.
 """
 
 import numpy as np
@@ -17,5 +18,5 @@ print(f"  previous-solution start: median {np.median(prev.iterations):.0f}, "
       f"mean {prev.iterations.mean():.0f}, max {prev.iterations.max()}")
 print(f"  warm-start projection:   median {np.median(warm.iterations):.0f}, "
       f"mean {warm.iterations.mean():.0f}, max {warm.iterations.max()}")
-print(f"  (warm-up preprocessing itself: median {np.median(warm.warmup_iterations):.0f} "
-      f"closed-form rounds per step)")
+print(f"  (warm-up sweep itself: median {np.median(warm.warmup_iterations):.0f} "
+      f"sequential neighbor-message rounds per step)")

@@ -12,15 +12,13 @@ reference (``solvers``), closed-loop stability analysis and weight design
 from .consensus import (AugmentedLayout, MessageFabric, SimulationFault, VehicleGraph,
                         exchange_round, fabric_project)
 from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
-                   accel_gaps, error_coords, error_step, first_diff, gaps_to_accel,
-                   initial_state, prefix_sum, prefix_sum_matrix, reference_config,
-                   step_dynamics)
+                   error_coords, initial_state, reference_config, step_dynamics)
 from .decomposition import (LocalHessian, PdDecomposition, StageBlocks, decompose_pd,
                             decompose_psd, stage_blocks)
 from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
                       run_scenario, scenario_builtin)
 from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,
-                      check_membership, eval_objective)
+                      check_membership)
 from .solvers import (LocalAgentProblem, ProxSolveError, SolveReport, SolverParams,
                       build_local_problems, default_params_for_horizon, prox_local,
                       project_local, solve_centralized, solve_dr, solve_three_op,

@@ -15,12 +15,9 @@ from .core import LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, re
 from .decomposition import decompose_pd, stage_blocks
 from .harness import ScenarioSpec, SafetyViolation, emit_results, run_scenario, scenario_builtin
 from .problem import build_qcqp, check_membership
-from .solvers import (build_local_problems, default_params_for_horizon,
+from .solvers import (SolverParams, build_local_problems, default_params_for_horizon,
                       solve_centralized, solve_variant)
 from .stability import default_weight_schedule, stability_report_json
-
-_SOLVER_KEYS = ("variant", "alpha", "rho", "gamma", "lam", "eta", "gamma0",
-                "tol", "max_iters", "warm_start")
 
 
 def _check_keys(section, raw, known):
@@ -55,7 +52,7 @@ def _load_config(path, horizon):
                                  np.asarray(w["q_ride"], dtype=float))
 
     s = raw.get("solver", {})
-    _check_keys("section 'solver'", s, _SOLVER_KEYS)
+    _check_keys("section 'solver'", s, [f.name for f in fields(SolverParams)])
     return cfg, weights, replace(default_params_for_horizon(cfg.horizon), **s)
 
 

@@ -1,5 +1,5 @@
-"""Platoon physics: configuration, state, leader motion profiles, and the
-prefix-sum / first-difference operator algebra used throughout the package.
+"""Platoon physics: configuration, state, error coordinates and leader
+motion profiles.
 
 All values are immutable after construction; every function here is pure.
 """
@@ -21,12 +21,6 @@ __all__ = [
     "initial_state",
     "step_dynamics",
     "error_coords",
-    "error_step",
-    "prefix_sum",
-    "first_diff",
-    "prefix_sum_matrix",
-    "accel_gaps",
-    "gaps_to_accel",
 ]
 
 
@@ -175,55 +169,6 @@ def step_dynamics(state: PlatoonState, u: np.ndarray, u0_next: float,
     x_new = state.x + tau * state.v + 0.5 * tau ** 2 * acc
     v_new = state.v + tau * acc
     return PlatoonState(x=x_new, v=v_new, u0=float(u0_next), k=state.k + 1)
-
-
-def error_step(err: ErrorState, w: np.ndarray, tau: float) -> ErrorState:
-    """One-step update of the error coordinates driven by the acceleration
-    gaps ``w`` (lead-minus-follow differences of the applied controls)."""
-    w = np.asarray(w, dtype=float)
-    z = err.gap_err + tau * err.rate_err + 0.5 * tau ** 2 * w
-    zp = err.rate_err + tau * w
-    return ErrorState(gap_err=z, rate_err=zp)
-
-
-# -- prefix-sum operator algebra ------------------------------------------
-
-def prefix_sum(vec: np.ndarray) -> np.ndarray:
-    """Cumulative sums: the dense lower-triangular all-ones matrix applied
-    in O(n)."""
-    return np.cumsum(np.asarray(vec, dtype=float))
-
-
-def first_diff(vec: np.ndarray) -> np.ndarray:
-    """First differences (first entry unchanged); inverse of prefix_sum."""
-    vec = np.asarray(vec, dtype=float)
-    out = vec.copy()
-    out[1:] = vec[1:] - vec[:-1]
-    return out
-
-
-def prefix_sum_matrix(n: int) -> np.ndarray:
-    """Dense lower-triangular all-ones matrix.
-
-    Exists for test oracles only; production paths use the O(n)
-    prefix-sum / first-difference forms.
-    """
-    return np.tril(np.ones((n, n)))
-
-
-def accel_gaps(u: np.ndarray, u0: float) -> np.ndarray:
-    """Differences of control input between adjacent vehicles,
-    ``w_i = u_{i-1} - u_i`` with the leader acceleration as ``u_0``."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    out[0] = u0 - u[0]
-    out[1:] = u[:-1] - u[1:]
-    return out
-
-
-def gaps_to_accel(w: np.ndarray, u0: float) -> np.ndarray:
-    """Invert accel_gaps: ``u = -cumsum(w) + u0``."""
-    return u0 - np.cumsum(np.asarray(w, dtype=float))
 
 
 # -- leader motion profiles -------------------------------------------------

@@ -9,7 +9,6 @@ are what every agent optimizes locally in the distributed solvers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,20 +120,6 @@ class PdDecomposition:
                 out[ia * p:(ia + 1) * p, ib * p:(ib + 1) * p] = \
                     part.matrix[a * p:(a + 1) * p, b * p:(b + 1) * p]
         return out
-
-    def to_debug_json(self) -> str:
-        return json.dumps({
-            "deltas": list(self.deltas),
-            "agents": [
-                {
-                    "agent": part.agent,
-                    "vehicles": list(part.vehicles),
-                    "lambda_min": part.lambda_min,
-                    "matrix": part.matrix.tolist(),
-                }
-                for part in self.parts
-            ],
-        })
 
 
 def _chain_vehicles(i: int, n: int) -> tuple:

@@ -86,7 +86,9 @@ class SimResult:
     include the initial state, so they have duration + 1 rows, while the
     control series has one row per applied step.  ``controls`` holds the
     realized accelerations (noise included), ``commanded`` the solver's
-    first-stage answer.  When the centralized oracle runs, ``oracle_first``
+    first-stage answer.  ``warmup_iterations`` counts the sequential fabric
+    rounds of the warm-up sweep, 2(n - 1) per step under the warm-up start
+    and zero otherwise.  When the centralized oracle runs, ``oracle_first``
     holds its applied stage and ``rel_errors`` the per-step relative error
     of the commanded stage against it (NaN where the oracle is numerically
     zero); the aggregated metric keeps only steps whose oracle magnitude
@@ -195,7 +197,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         prob = build_qcqp(state, cfg, weights, blocks=blocks)
         locals_ = build_local_problems(prob, dec, graph)
         if params.warm_start == "warmup-projection":
-            z0, wu_iters = warmup_initial_guess(locals_, graph, params)
+            z0, wu_iters = warmup_initial_guess(prob, locals_, graph)
             warmups[k] = wu_iters
         elif params.warm_start == "prev-solution" and z_prev is not None:
             z0 = z_prev

@@ -22,7 +22,6 @@ __all__ = [
     "QcqpProblem",
     "MembershipReport",
     "build_qcqp",
-    "eval_objective",
     "check_membership",
 ]
 
@@ -113,19 +112,6 @@ class QcqpProblem:
                 W[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = self.off[i].T
         return W
 
-    def hessian_matvec(self, u: np.ndarray) -> np.ndarray:
-        p, n = self.horizon, self.n
-        u = np.asarray(u, dtype=float).reshape(n, p)
-        out = np.zeros_like(u)
-        for i in range(n):
-            blk = self.diag[i] @ u[i]
-            if i + 1 < n:
-                blk = blk + self.off[i] @ u[i + 1]
-            if i > 0:
-                blk = blk + self.off[i - 1].T @ u[i - 1]
-            out[i] = blk
-        return out.ravel()
-
 
 def _linear_term(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedule) -> np.ndarray:
     """Vehicle-major linear term of the objective.
@@ -211,12 +197,6 @@ def build_qcqp(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedule,
         c=c,
         constraints=_constraint_set(state, cfg),
     )
-
-
-def eval_objective(prob: QcqpProblem, u: np.ndarray) -> float:
-    """Quadratic objective value (the state-only constant is dropped)."""
-    u = np.asarray(u, dtype=float)
-    return 0.5 * float(u @ prob.hessian_matvec(u)) + float(prob.c @ u)
 
 
 @dataclass(frozen=True)

@@ -10,17 +10,19 @@ until every agent's increment is small.  The schemes differ in that step:
   Euclidean projection onto the local constraint set.
 * ``solve_three_op_accel``: the same operators at a momentum point with an
   adaptive step size; the iterate error decays like O(1/(k+1)).
-* ``warmup_initial_guess``: the proximal step with the constraints dropped.
+
+The warm start ``warmup_initial_guess`` needs no loop: one elimination sweep
+along the chain and back (2(n - 1) sequential neighbor messages) solves the
+constraint-free program exactly; each agent then projects its block.
 
 Agents never read non-neighbor data: every cross-agent value moves through
-the consensus projection, which the message fabric can carry verbatim.  A
-centralized reference solver provides the "true" solution for accuracy
-metrics.
+the consensus projection or the sweep's relay, which the message fabric
+carries verbatim.  A centralized reference solver provides the "true"
+solution for accuracy metrics.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +80,6 @@ class SolverParams:
     tol: float = 1e-3
     max_iters: int = 5000
     warm_start: str = "prev-solution"
-    warmup_tol: float | None = None
 
     def __post_init__(self):
         if self.variant not in SOLVERS:
@@ -105,8 +106,7 @@ def default_params_for_horizon(p: int, variant: str = "dr") -> SolverParams:
         5: (0.8, 0.1, 1.25e-2),
     }
     alpha, rho, tol = table.get(p, table[5])
-    return SolverParams(variant=variant, alpha=alpha, rho=rho, tol=tol,
-                        warmup_tol=5e-4 if p == 1 else 1e-3)
+    return SolverParams(variant=variant, alpha=alpha, rho=rho, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -184,11 +184,9 @@ class _Agent:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.lp.hessian @ x + self.c_tilde
 
-    def unconstrained_prox(self, y: np.ndarray) -> np.ndarray:
-        return self.prox_mat @ (y - self.rho * self.c_tilde)
-
     def prox(self, y: np.ndarray) -> np.ndarray:
-        return self._constrained(self.unconstrained_prox(y), "prox subproblem",
+        return self._constrained(self.prox_mat @ (y - self.rho * self.c_tilde),
+                                 "prox subproblem",
                                  lambda: (self.lp.hessian + np.eye(self.d) / self.rho,
                                           self.c_tilde - y / self.rho))
 
@@ -250,26 +248,6 @@ class SolveReport:
     z_final: np.ndarray | None = None
     residual_trace: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "variant": self.variant,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "tol": self.tol,
-            "prox_fast": self.prox_fast,
-            "prox_full": self.prox_full,
-            "agent_prox_stats": [list(s) for s in self.agent_prox_stats],
-            "rel_error_vs_oracle": self.rel_error_vs_oracle,
-            "u_star": self.u_star.tolist(),
-        })
-
-    def save_residual_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,residual\n")
-            for it, r in enumerate(self.residual_trace, start=1):
-                fh.write(f"{it},{r!r}\n")
-
 
 def _setup(problems, graph, params):
     layout = AugmentedLayout(graph, problems[0].horizon)
@@ -280,8 +258,8 @@ def _setup(problems, graph, params):
     return layout, agents
 
 
-def _iterate(layout, agents, params, tol, step, z0=None, fabric=None, momentum=None):
-    """The iteration loop of every splitting scheme and of the warm-up.
+def _iterate(layout, agents, params, step, z0=None, fabric=None, momentum=None):
+    """The iteration loop of every splitting scheme.
 
     Each round projects onto the consensus subspace (through ``fabric``
     when given), maps every agent's own slice with ``step(i, sl, z, w)``,
@@ -293,7 +271,7 @@ def _iterate(layout, agents, params, tol, step, z0=None, fabric=None, momentum=N
         return _project(vec, layout) if fabric is None else fabric_project(vec, layout, fabric)
 
     slices = [layout.agent_slice(i) for i in range(len(agents))]
-    per_agent_tol = tol / len(agents)
+    per_agent_tol = params.tol / len(agents)
     z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
     w = project(z)
     trace = []  # one residual ||z_new - z|| per round
@@ -317,7 +295,7 @@ def _iterate(layout, agents, params, tol, step, z0=None, fabric=None, momentum=N
         residual=trace[-1] if trace else np.inf,
         converged=converged,
         variant=params.variant,
-        tol=tol,
+        tol=params.tol,
         prox_fast=sum(a.fast for a in agents),
         prox_full=sum(a.full for a in agents),
         agent_prox_stats=tuple((a.fast, a.full) for a in agents),
@@ -341,7 +319,7 @@ def solve_dr(problems, graph: VehicleGraph, params: SolverParams, z0=None,
         x = agents[i].prox(2.0 * w[sl] - z[sl])
         return z[sl] + two_alpha * (x - w[sl])
 
-    return _iterate(layout, agents, params, params.tol, step, z0, fabric)
+    return _iterate(layout, agents, params, step, z0, fabric)
 
 
 def accel_gamma_next(gamma: float, mut: float) -> float:
@@ -373,7 +351,7 @@ def solve_three_op(problems, graph: VehicleGraph, params: SolverParams, z0=None,
         x = agents[i].project(2.0 * wi - z[sl] - gamma * agents[i].gradient(wi))
         return z[sl] + lam * (x - wi)
 
-    return _iterate(layout, agents, params, params.tol, step, z0, fabric)
+    return _iterate(layout, agents, params, step, z0, fabric)
 
 
 def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0=None,
@@ -412,7 +390,7 @@ def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0
         wi = w[sl]
         return agents[i].project(wi - gam[1] * v[sl] - gam[1] * agents[i].gradient(wi))
 
-    return _iterate(layout, agents, params, params.tol, step, z0, fabric, momentum)
+    return _iterate(layout, agents, params, step, z0, fabric, momentum)
 
 
 SOLVERS = {
@@ -444,23 +422,39 @@ def solve_centralized(prob: QcqpProblem, tol: float = 1e-10, x0=None) -> np.ndar
     return res.x
 
 
-def warmup_initial_guess(problems, graph: VehicleGraph, params: SolverParams):
-    """Initial iterate from the constraint-free problem.
+def warmup_initial_guess(prob: QcqpProblem, problems, graph: VehicleGraph):
+    """Initial iterate from the exact constraint-free minimizer.
 
-    Runs the proximal splitting with every constraint set replaced by the
-    whole space, where the proximal map has the closed form
-    ``(rho W_i + I)^{-1} (y - rho c_i)``, then projects each agent's block
-    onto its constraint set once.  Returns (z0, iterations).
+    W is block tridiagonal along the chain, so the minimizer of 1/2 u'Wu + c'u
+    is one block elimination (Golub & Van Loan, *Matrix Computations*, 4th
+    ed., section 4.5).  Forward, vehicle i receives its predecessor's Schur
+    block and vector and keeps S_i = W_ii - B' S_{i-1}^{-1} B and
+    g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}, B = W_{i-1,i}.  Backward, it
+    receives u_{i+1} and solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).
+    Every message crosses one chain edge through a ``MessageFabric``; each
+    agent then projects its block onto its constraint set once.  Returns
+    (z0, sequential fabric rounds), the rounds being 2(n - 1).
     """
-    layout, agents = _setup(problems, graph, params)
-    wu_tol = params.warmup_tol if params.warmup_tol is not None else params.tol
-    two_alpha = 2.0 * params.alpha
+    n, fabric = prob.n, MessageFabric(graph)
 
-    def step(i, sl, z, w):
-        x = agents[i].unconstrained_prox(2.0 * w[sl] - z[sl])
-        return z[sl] + two_alpha * (x - w[sl])
+    def relay(src, dst, payload):
+        # a round in which only ``src`` speaks; every other message is None
+        outgoing = {i: dict.fromkeys(graph.neighbors(i)) for i in range(n)}
+        outgoing[src][dst] = payload
+        return fabric.exchange(outgoing)[dst][src]
 
-    report = _iterate(layout, agents, params, wu_tol, step)
-    w = _project(report.z_final, layout)
-    z0 = np.concatenate([agents[i].project(w[layout.agent_slice(i)]) for i in range(graph.n)])
-    return z0, report.iterations
+    S, g = [prob.diag[0]], [-prob.c_part(0)]
+    for i in range(1, n):
+        S_prev, g_prev = relay(i - 1, i, (S[-1], g[-1]))
+        B = prob.off[i - 1]
+        S.append(prob.diag[i] - B.T @ np.linalg.solve(S_prev, B))
+        g.append(-prob.c_part(i) - B.T @ np.linalg.solve(S_prev, g_prev))
+    u = [None] * (n - 1) + [np.linalg.solve(S[-1], g[-1])]
+    for i in range(n - 2, -1, -1):
+        u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ relay(i + 1, i, u[i + 1]))
+
+    layout = AugmentedLayout(graph, prob.horizon)
+    w = layout.scatter_controls(np.concatenate(u))
+    z0 = np.concatenate([project_local(lp, w[layout.agent_slice(i)])
+                         for i, lp in enumerate(problems)])
+    return z0, fabric.round

@@ -108,16 +108,6 @@ class ClosedLoopModel:
             out.extend(_eig_2x2(blk))
         return out
 
-    def block_permutation(self) -> np.ndarray:
-        """Permutation grouping (gap, rate) pairs per vehicle; conjugating
-        a_closed with it is exactly block diagonal."""
-        n = self.n
-        E = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            E[i, 2 * i] = 1.0
-            E[n + i, 2 * i + 1] = 1.0
-        return E
-
     def to_report_dict(self) -> dict:
         return {
             "horizon": self.horizon,

@@ -8,13 +8,25 @@ Hessians from dense permutation products, projections from least squares.
 import numpy as np
 import pytest
 
-from platoonmpc.core import (PlatoonConfig, PlatoonState, WeightSchedule, accel_gaps,
-                             error_coords, prefix_sum_matrix, reference_config)
+from platoonmpc.core import (PlatoonConfig, PlatoonState, WeightSchedule, error_coords,
+                             reference_config)
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def prefix_sum_matrix(n):
+    """Dense lower-triangular all-ones matrix (cumulative sums)."""
+    return np.tril(np.ones((n, n)))
+
+
+def accel_gaps(u, u0):
+    """Differences of control input between adjacent vehicles,
+    ``w_i = u_{i-1} - u_i`` with the leader acceleration as ``u_0``."""
+    u = np.asarray(u, dtype=float)
+    return np.concatenate([[u0], u[:-1]]) - u
 
 
 def random_weights(rng, n, p, lo=0.0, hi=5.0, ride_lo=0.5):

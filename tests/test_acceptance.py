@@ -237,6 +237,6 @@ def test_criterion_10_warm_start_ordering():
     med_warm = float(np.median(warm.iterations))
     ok = med_warm <= med_prev
     _line(10, ok, f"median iterations: warmup {med_warm:.0f} vs previous-solution "
-                  f"{med_prev:.0f} (warmup preprocessing median "
-                  f"{np.median(warm.warmup_iterations):.0f})")
+                  f"{med_prev:.0f} (warmup sweep median "
+                  f"{np.median(warm.warmup_iterations):.0f} sequential message rounds)")
     assert med_warm <= med_prev

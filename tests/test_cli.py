@@ -93,6 +93,7 @@ def test_custom_config_weights(tmp_path, capsys):
     ({"solver": {"tol": 1e-3, "parallel": True}}, "parallel"),
     ({"platoon": {"n": 10, "horizn": 2}}, "horizn"),
     ({"solvr": {"tol": 1e-3}, "weight": "default"}, "solvr, weight"),
+    ({"solver": {"warmup_tol": 1e-3}}, "warmup_tol"),
 ])
 def test_config_unknown_keys_rejected(tmp_path, cfg, named):
     path = tmp_path / "cfg.json"

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from platoonmpc.core import (LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
-                             accel_gaps, error_coords, error_step, first_diff,
-                             gaps_to_accel, initial_state, prefix_sum, prefix_sum_matrix,
-                             reference_config, step_dynamics)
+                             error_coords, initial_state, reference_config, step_dynamics)
 
-from conftest import small_config
+from conftest import accel_gaps, prefix_sum_matrix, small_config
 
 
 def test_zero_control_coasts():
@@ -38,10 +34,12 @@ def test_error_update_matches_position_arithmetic(rng):
     u = rng.uniform(-2, 1, 4)
     before = error_coords(state, cfg)
     after_direct = error_coords(step_dynamics(state, u, 0.0, tau=1.0), cfg)
+    # the error update the rollout oracle uses, driven by the acceleration gaps
     w = accel_gaps(u, state.u0)
-    after_update = error_step(before, w, tau=1.0)
-    np.testing.assert_allclose(after_update.gap_err, after_direct.gap_err, atol=1e-12)
-    np.testing.assert_allclose(after_update.rate_err, after_direct.rate_err, atol=1e-12)
+    gap_err = before.gap_err + before.rate_err + 0.5 * w
+    rate_err = before.rate_err + w
+    np.testing.assert_allclose(gap_err, after_direct.gap_err, atol=1e-12)
+    np.testing.assert_allclose(rate_err, after_direct.rate_err, atol=1e-12)
 
 
 def test_dynamics_superposition(rng):
@@ -70,22 +68,6 @@ def test_error_coords_equilibrium_and_arithmetic():
     np.testing.assert_allclose(err.gap_err, [1.0, 2.0])
 
 
-def test_prefix_ops_unit_vectors():
-    np.testing.assert_allclose(first_diff(np.ones(5)), np.eye(5)[0])
-    np.testing.assert_allclose(prefix_sum(np.eye(5)[0]), np.ones(5))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=2 ** 32 - 1))
-def test_prefix_ops_roundtrip_and_dense_oracle(n, seed):
-    v = np.random.default_rng(seed).normal(size=n)
-    np.testing.assert_allclose(first_diff(prefix_sum(v)), v, atol=1e-14)
-    np.testing.assert_allclose(prefix_sum(first_diff(v)), v, atol=1e-14)
-    S = prefix_sum_matrix(n)
-    np.testing.assert_allclose(prefix_sum(v), S @ v, atol=1e-13)
-    np.testing.assert_allclose(first_diff(v), np.linalg.solve(S, v), atol=1e-11)
-
-
 def test_accel_gap_identities(rng):
     np.testing.assert_allclose(accel_gaps(np.full(4, 0.3), 0.3), 0.0)
     np.testing.assert_allclose(accel_gaps(np.zeros(2), 1.0), [1.0, 0.0])
@@ -94,7 +76,6 @@ def test_accel_gap_identities(rng):
     w = accel_gaps(u, u0)
     S = prefix_sum_matrix(6)
     np.testing.assert_allclose(u, -S @ w + u0 * np.ones(6), atol=1e-14)
-    np.testing.assert_allclose(gaps_to_accel(w, u0), u, atol=1e-14)
 
 
 def test_config_validation():

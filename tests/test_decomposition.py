@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -61,6 +59,7 @@ def test_pd_decomposition_reconstructs_hessian(rng, n, p):
     W = dense_hessian_oracle(w, 1.0)
     total = sum(dec.embedded(i) for i in range(n))
     assert np.linalg.norm(total - W) <= 1e-10 * np.linalg.norm(W)
+    assert len(dec.parts) == n and len(dec.deltas) == n - 1
     for part in dec.parts:
         assert part.lambda_min > 0
 
@@ -103,10 +102,3 @@ def test_delta_fraction_validation(rng):
     sb = stage_blocks(random_weights(rng, 3, 1), tau=1.0)
     with pytest.raises(ValueError):
         decompose_pd(sb, delta_fraction=1.5)
-
-
-def test_debug_json(rng):
-    dec = decompose_pd(stage_blocks(random_weights(rng, 3, 2), tau=1.0))
-    payload = json.loads(dec.to_debug_json())
-    assert len(payload["agents"]) == 3
-    assert len(payload["deltas"]) == 2

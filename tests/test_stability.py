@@ -61,7 +61,11 @@ def test_block_diagonalization_and_radius_consistency(rng):
     cfg = small_config(6, 3)
     w = random_weights(rng, 6, 3, lo=0.1)
     m = build_closed_loop(cfg, w)
-    E = m.block_permutation()
+    # permutation grouping each vehicle's (gap, rate) pair
+    E = np.zeros((2 * cfg.n, 2 * cfg.n))
+    for i in range(cfg.n):
+        E[i, 2 * i] = 1.0
+        E[cfg.n + i, 2 * i + 1] = 1.0
     tilde = E.T @ m.a_closed @ E
     for i in range(cfg.n):
         np.testing.assert_allclose(tilde[2 * i:2 * i + 2, 2 * i:2 * i + 2],
