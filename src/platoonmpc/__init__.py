@@ -10,7 +10,7 @@ reference (``solvers``), closed-loop stability analysis and weight design
 """
 
 from .consensus import (AugmentedLayout, MessageFabric, SimulationFault, VehicleGraph,
-                        exchange_round, fabric_project)
+                        fabric_project)
 from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
                    error_coords, initial_state, reference_config, step_dynamics)
 from .decomposition import (LocalHessian, PdDecomposition, StageBlocks, decompose_pd,

@@ -108,7 +108,6 @@ def _cmd_solve_once(args):
     u_oracle = solve_centralized(prob)
     norm = float(np.linalg.norm(u_oracle))
     rel = float(np.linalg.norm(report.u_star - u_oracle) / norm) if norm > 1e-12 else 0.0
-    report.rel_error_vs_oracle = rel
     membership = check_membership(prob, report.u_star, tol=1e-6)
     print(json.dumps({
         "u_star": report.u_star.tolist(),

@@ -177,12 +177,11 @@ def step_dynamics(state: PlatoonState, u: np.ndarray, u0_next: float,
 class LeaderProfile:
     """Lead-vehicle acceleration profile on the sample grid.
 
-    kind is one of ``piecewise`` (constant-acceleration segments),
-    ``periodic`` (repeating pattern over a window) or ``trajectory``
-    (explicit per-step samples, e.g. loaded from a CSV file).
+    Built by ``piecewise`` (constant-acceleration segments), ``periodic``
+    (repeating pattern over a window), or ``from_samples``/``from_csv``
+    (explicit per-step samples).
     """
 
-    kind: str
     samples: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def accel_at(self, k: int) -> float:
@@ -204,7 +203,7 @@ class LeaderProfile:
             if not (0 <= k_first <= k_last < duration):
                 raise ValueError("segment out of range")
             samples[k_first:k_last + 1] = acc
-        return LeaderProfile(kind="piecewise", samples=samples)
+        return LeaderProfile(samples=samples)
 
     @staticmethod
     def periodic(pattern, k_first: int, k_last: int, duration: int) -> "LeaderProfile":
@@ -213,11 +212,11 @@ class LeaderProfile:
         samples = np.zeros(duration)
         for k in range(k_first, min(k_last, duration - 1) + 1):
             samples[k] = pattern[(k - k_first) % pattern.size]
-        return LeaderProfile(kind="periodic", samples=samples)
+        return LeaderProfile(samples=samples)
 
     @staticmethod
     def from_samples(samples) -> "LeaderProfile":
-        return LeaderProfile(kind="trajectory", samples=np.asarray(samples, dtype=float))
+        return LeaderProfile(samples=np.asarray(samples, dtype=float))
 
     @staticmethod
     def from_csv(path, tau: float) -> "LeaderProfile":
@@ -238,7 +237,7 @@ class LeaderProfile:
         duration = int(np.floor(times[-1] / tau)) + 1
         grid = np.arange(duration) * tau
         idx = np.searchsorted(times, grid, side="right") - 1
-        return LeaderProfile(kind="trajectory", samples=accels[np.clip(idx, 0, None)])
+        return LeaderProfile(samples=accels[np.clip(idx, 0, None)])
 
     def validate_speeds(self, v0_init: float, cfg: PlatoonConfig, duration: int) -> None:
         """Check the produced leader speeds stay within (v_min, v_max]."""

@@ -151,7 +151,7 @@ def _metrics(spec: ScenarioSpec, result: SimResult) -> dict:
 
 def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
                  weights: WeightSchedule | None = None,
-                 with_oracle: bool = False, oracle_tol: float = 1e-10) -> SimResult:
+                 with_oracle: bool = False) -> SimResult:
     """Run one closed-loop scenario.
 
     Builds the step program at every sample, solves it with the configured
@@ -212,7 +212,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         u_first = u_plan[:, 0].copy()
         commanded[k] = u_first
         if with_oracle:
-            u_oracle = solve_centralized(prob, tol=oracle_tol)
+            u_oracle = solve_centralized(prob)
             first = u_oracle.reshape(n, p)[:, 0]
             oracle_first[k] = first
             norm = np.linalg.norm(first)

@@ -121,7 +121,6 @@ class LocalAgentProblem:
     hessian: np.ndarray
     c_own: np.ndarray
     constraints: ConstraintSet
-    neighbors: tuple
 
     @property
     def horizon(self) -> int:
@@ -155,7 +154,6 @@ def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
             hessian=perm @ part.matrix @ perm.T,
             c_own=prob.c_part(i).copy(),
             constraints=prob.constraints,
-            neighbors=tuple(graph.neighbors(i)),
         ))
     return out
 
@@ -244,7 +242,6 @@ class SolveReport:
     prox_fast: int = 0
     prox_full: int = 0
     agent_prox_stats: tuple = ()
-    rel_error_vs_oracle: float | None = None
     z_final: np.ndarray | None = None
     residual_trace: list = field(default_factory=list)
 

@@ -97,8 +97,6 @@ class ClosedLoopModel:
     gain: np.ndarray
     forcing: np.ndarray
     vehicle_blocks: tuple
-    stage_hessians: tuple
-    stage_gains: tuple
     vehicle_radii: np.ndarray
     spectral_radius: float
 
@@ -129,7 +127,6 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
         raise ValueError("weight schedule shape does not match the configuration")
     n, p, tau = cfg.n, cfg.horizon, cfg.tau
     hess = stage_blocks(weights, tau).blocks
-    gains = []
     blocks = []
     radii = np.zeros(n)
     K1 = np.zeros(n)
@@ -143,7 +140,6 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
         blk = base + np.outer(lever, k_i)
         ev1, ev2 = _eig_2x2(blk)
         radii[i] = max(abs(ev1), abs(ev2))
-        gains.append(G)
         blocks.append(blk)
     gain = np.hstack([np.diag(K1), np.diag(K2)])
     a_closed = np.block([[np.eye(n), tau * np.eye(n)], [np.zeros((n, n)), np.eye(n)]]) \
@@ -157,8 +153,6 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
         gain=gain,
         forcing=forcing,
         vehicle_blocks=tuple(blocks),
-        stage_hessians=tuple(hess),
-        stage_gains=tuple(gains),
         vehicle_radii=radii,
         spectral_radius=float(radii.max()),
     )

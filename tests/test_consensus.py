@@ -1,10 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonmpc.consensus import (AugmentedLayout, MessageFabric, SimulationFault,
-                                  VehicleGraph, _project, exchange_round, fabric_project)
+                                  VehicleGraph, _project, fabric_project)
 
 
 def lstsq_projection_oracle(vec, layout):
@@ -25,10 +27,9 @@ def test_graph_validation():
     g = VehicleGraph.chain(4)
     assert g.neighbors(0) == [1]
     assert g.neighbors(2) == [1, 3]
+    assert g.neighbors(3) == [2]
     with pytest.raises(ValueError):
-        VehicleGraph(n=3, edges=frozenset({(0, 1)}))  # missing chain edge
-    with pytest.raises(ValueError):
-        VehicleGraph(n=3, edges=frozenset({(0, 1), (1, 2), (2, 5)}))
+        VehicleGraph.chain(1)
 
 
 def test_projection_fixed_point():
@@ -85,42 +86,56 @@ def test_fixed_points_are_exactly_consensus(rng):
     assert np.linalg.norm(_project(vec2, layout) - vec2) > 1e-3
 
 
-def test_exchange_round_topology_and_isolation():
+def test_exchange_topology_and_isolation():
     g = VehicleGraph.chain(6)
-    blocks = {i: (np.array([float(i)]), {j: np.array([10.0 * i + j]) for j in g.neighbors(i)})
-              for i in range(6)}
+    outgoing = {i: {j: np.array([10.0 * i + j]) for j in g.neighbors(i)} for i in range(6)}
     # plant a sentinel at agent 5
-    blocks[5] = (np.array([999.0]), {j: np.array([999.0]) for j in g.neighbors(5)})
-    received = exchange_round(blocks, g)
+    outgoing[5] = {j: np.array([999.0]) for j in g.neighbors(5)}
+    received = MessageFabric(g).exchange(outgoing)
     assert sorted(received[1].keys()) == [0, 2]
     assert sorted(received[2].keys()) == [1, 3]
     for agent in (0, 1, 2, 3):
-        seen = [float(v) for msg in received[agent].values() for part in msg for v in np.atleast_1d(part)]
+        seen = [float(v) for msg in received[agent].values() for v in np.atleast_1d(msg)]
         assert 999.0 not in seen
 
 
-def test_exchange_round_missing_post():
-    g = VehicleGraph.chain(3)
-    blocks = {0: (np.zeros(1), {1: np.zeros(1)}),
-              1: (np.zeros(1), {0: np.zeros(1)})}  # agent 1 forgot neighbor 2; agent 2 missing
+def test_exchange_missing_post():
+    fabric = MessageFabric(VehicleGraph.chain(3))
+    outgoing = {0: {1: np.zeros(1)},
+                1: {0: np.zeros(1)}}  # agent 1 forgot neighbor 2; agent 2 missing
     with pytest.raises(SimulationFault):
-        exchange_round(blocks, g)
-    blocks = {0: (np.zeros(1), {1: np.zeros(1)}),
-              1: (np.zeros(1), {0: np.zeros(1), 2: np.zeros(1)}),
-              2: (np.zeros(1), {0: np.zeros(1), 1: np.zeros(1)})}  # 2 messages non-neighbor 0
+        fabric.exchange(outgoing)
+    outgoing = {0: {1: np.zeros(1)},
+                1: {0: np.zeros(1), 2: np.zeros(1)},
+                2: {0: np.zeros(1), 1: np.zeros(1)}}  # 2 messages non-neighbor 0
     with pytest.raises(SimulationFault):
-        exchange_round(blocks, g)
+        fabric.exchange(outgoing)
 
 
-def test_fabric_projection_bit_identical(rng, tmp_path):
-    g = VehicleGraph.chain(5)
-    layout = AugmentedLayout(g, 3)
-    fabric = MessageFabric(g, trace_path=tmp_path / "rounds.jsonl")
+class CountingFabric(MessageFabric):
+    """A fabric that keeps every message posted to it."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.posts = []
+
+    def exchange(self, outgoing):
+        self.posts.extend(msg for box in outgoing.values() for msg in box.values())
+        return super().exchange(outgoing)
+
+
+CHAINS = list(product(range(2, 7), range(1, 6)))  # (n, p): both chain ends, every horizon
+
+
+@pytest.mark.parametrize("n,p", CHAINS, ids=[f"n{n}-p{p}" for n, p in CHAINS])
+def test_fabric_projection_bit_identical(rng, n, p):
+    g = VehicleGraph.chain(n)
+    layout = AugmentedLayout(g, p)
+    fabric = CountingFabric(g)
     v = rng.normal(size=layout.dim)
     direct = _project(v, layout)
     via_fabric = fabric_project(v, layout, fabric)
     assert np.array_equal(direct, via_fabric)  # bit-for-bit
-    fabric.close()
-    lines = (tmp_path / "rounds.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 2 * 2 * len(g.edges)  # two phases, two directions per edge
-
+    assert fabric.round == 2
+    assert len(fabric.posts) == 2 * 2 * (n - 1)  # two phases, two directions per edge
+    assert all(np.shape(msg) == (p,) for msg in fabric.posts)  # one block per message

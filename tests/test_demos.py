@@ -1,18 +1,29 @@
-"""The demos' package imports resolve, checked without running the demos."""
+"""The package imports of the demos and of the README's Python examples
+resolve, checked without running them."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "demos").glob("*.py")) + [ROOT / "README.md"]
+
+
+def python_source(path):
+    """A script's text, or the ```python blocks of a Markdown file."""
+    text = path.read_text()
+    if path.suffix != ".md":
+        return text
+    return "\n".join(re.findall(r"^```python\n(.*?)^```", text, re.M | re.S))
 
 
 def package_imports(path):
     """(module, name) for every ``from platoonmpc... import name`` in a file,
     and (module, None) for every ``import platoonmpc...``."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(ast.parse(python_source(path), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "platoonmpc":
             yield from ((node.module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
@@ -20,10 +31,10 @@ def package_imports(path):
                         if alias.name.split(".")[0] == "platoonmpc")
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_demo_imports_resolve(path):
     found = list(package_imports(path))
-    assert found, "demo imports nothing from the package"
+    assert found, f"{path.name} imports nothing from the package"
     for module, name in found:
         mod = importlib.import_module(module)
         assert name is None or hasattr(mod, name), f"{module} has no {name}"
