@@ -80,14 +80,15 @@ class AugmentedLayout:
         ]
         stage = np.arange(p)
 
-        def held(pairs):
-            return np.concatenate([self.positions[i][j] + stage for i, j in pairs])
+        def entries(starts):
+            # the p entries of each block starting at ``starts``, in order
+            return (np.array(starts)[:, None] + stage).ravel()
 
-        self.owner = np.concatenate([v * p + stage for order in self.var_order for v in order])
-        self.own = held((i, i) for i in range(n))
-        self.from_prev = held((j - 1, j) for j in range(1, n))
-        self.from_next = held((j + 1, j) for j in range(n - 1))
-        self.count = np.repeat([1.0 + graph.degree(j) for j in range(n)], p)
+        self.owner = entries([v * p for order in self.var_order for v in order])
+        self.own = entries([self.positions[i][i] for i in range(n)])
+        self.from_prev = entries([self.positions[j - 1][j] for j in range(1, n)])
+        self.from_next = entries([self.positions[j + 1][j] for j in range(n - 1)])
+        self.count = np.repeat([float(len(order)) for order in self.var_order], p)
 
     def agent_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i + 1])

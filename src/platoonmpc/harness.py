@@ -172,7 +172,8 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     blocks = stage_blocks(weights, cfg.tau)
     dec = decompose_pd(blocks)
     params = spec.solver
-    rng = np.random.default_rng(spec.seed)
+    # built only for noise: importing numpy.random alone costs about 5 MB
+    rng = np.random.default_rng(spec.seed) if spec.noise is not None else None
 
     n, p, T = cfg.n, cfg.horizon, spec.duration
     state = initial_state(cfg, speed=spec.v_init, u0=spec.leader.accel_at(0))

@@ -53,32 +53,40 @@ class ConstraintSet:
     prev: np.ndarray
     const: np.ndarray
 
-    def rows(self, i: int, dim: int, own: int, prev: int | None = None):
-        """Vehicle i's rows over ``dim`` columns whose own block starts at
-        column ``own`` and whose predecessor block starts at ``prev`` (None
-        when the layout has no predecessor block).
+    def rows(self, i, dim: int, own, prev):
+        """The rows of vehicles ``i`` (an index array), each over ``dim``
+        columns: vehicle ``i[k]``'s own block starts at column ``own[k]`` and
+        its predecessor's at ``prev[k]``, negative when the layout has no
+        predecessor block.
 
-        Returns ``(A, h, S)``: row k reads ``A[k] x - h[k] + quad (S[k] x)^2
-        <= 0``.  The rows are upper box, lower box, upper speed, lower speed
+        Returns ``(A, h, S)`` stacked over ``k``: row r of vehicle ``i[k]``
+        reads ``A[k, r] x - h[k, r] + quad (S[k, r] x)^2 <= 0``.  Each
+        vehicle's 5p rows are upper box, lower box, upper speed, lower speed
         (S zero on all four) and safety, p of each.
         """
-        p = self.own.shape[-1]
-        cols = slice(own, own + p)
-        L = np.tril(np.ones((p, p)))
-        T = self.tau * L
-        A = np.zeros((5 * p, dim))
-        A[:, cols] = np.concatenate([np.eye(p), -np.eye(p), T, -T, self.own[i]])
-        if prev is not None:
-            A[4 * p:, prev:prev + p] = self.prev[i]
-        h = np.empty(5 * p)
-        h[:p], h[p:2 * p], h[2 * p:3 * p], h[3 * p:4 * p], h[4 * p:] = \
-            self.a_max, -self.a_min, self.speed_hi[i], -self.speed_lo[i], -self.const[i]
-        S = np.zeros((5 * p, dim))
-        S[4 * p:, cols] = L
+        i = np.asarray(i)
+        m, p = i.size, self.own.shape[-1]
+        zero = np.zeros(m, dtype=int)
+        own, prev = zero + own, zero + prev
+        L = np.tri(p)
+        # fancy indices around a slice put (vehicle, column) first, rows last
+        k, cols = np.arange(m)[:, None], own[:, None] + np.arange(p)
+        A = np.zeros((m, 5 * p, dim))
+        A[k, :4 * p, cols] = np.concatenate([np.eye(p), -np.eye(p), self.tau * L,
+                                             -self.tau * L]).T
+        A[k, 4 * p:, cols] = self.own[i].transpose(0, 2, 1)
+        has = prev >= 0
+        A[k[has], 4 * p:, prev[has, None] + np.arange(p)] = self.prev[i[has]].transpose(0, 2, 1)
+        S = np.zeros((m, 5 * p, dim))
+        S[k, 4 * p:, cols] = L.T
+        h = np.empty((m, 5 * p))
+        h[:, :p], h[:, p:2 * p] = self.a_max, -self.a_min
+        h[:, 2 * p:3 * p], h[:, 3 * p:4 * p] = self.speed_hi[i, None], -self.speed_lo[i, None]
+        h[:, 4 * p:] = -self.const[i]
         return A, h, S
 
     def values(self, rows, x: np.ndarray) -> np.ndarray:
-        """Value of every row laid out by ``rows`` at ``x``."""
+        """Value of every row laid out by ``rows`` at ``x`` (stacked alike)."""
         return row_values(*rows, self.quad, x)
 
 
@@ -228,7 +236,6 @@ def check_membership(prob: QcqpProblem, u: np.ndarray, tol: float = 1e-8) -> Mem
     u = np.asarray(u, dtype=float).reshape(n, p)
     # each vehicle's rows over its own block and its predecessor's
     window = np.hstack([u, np.vstack([np.zeros((1, p)), u[:-1]])])
-    val = np.array([cons.values(cons.rows(i, 2 * p, 0, p), window[i])
-                    for i in range(n)]).reshape(n, 5, p)
+    val = cons.values(cons.rows(np.arange(n), 2 * p, 0, p), window).reshape(n, 5, p)
     return MembershipReport(box=np.maximum(val[:, 0], val[:, 1]),
                             speed=np.maximum(val[:, 2], val[:, 3]), safety=val[:, 4], tol=tol)

@@ -49,7 +49,11 @@ class QcqpResult:
 
 
 def row_values(A, h, S, quad, x):
-    """Value of every row ``A x - h + quad (S x)^2`` at ``x`` (<= 0 feasible)."""
+    """Value of every row ``A x - h + quad (S x)^2`` at ``x`` (<= 0 feasible),
+    for one row family, or for a stack of them with ``x`` stacked alike."""
+    if x.ndim > 1:  # each family times its own point; the 1-D form is the hot one
+        x = x[..., None]
+        return (A @ x)[..., 0] - h + quad * (S @ x)[..., 0] ** 2
     return A @ x - h + quad * (S @ x) ** 2
 
 

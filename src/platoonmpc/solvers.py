@@ -1,11 +1,17 @@
 """Distributed operator-splitting solvers for the per-step program.
 
 One loop, ``_iterate``, runs every scheme: a consensus projection over the
-vehicle graph, then an independent step by each agent on its own slice,
-until every agent's increment is small.  The schemes differ in that step:
+vehicle graph, then one batched step in which every agent maps its own
+slice, until every agent's increment is small.  Each agent's step reads
+only its own locally coupled data, so the n steps of a round are computed
+together: ``_AgentBatch`` pads the agents to a common width, stacks their
+Hessians, linear terms and constraint rows, and evaluates every closed-form
+candidate and every row at once.  Only an agent whose candidate breaks one
+of its rows solves its small QCQP with ``smallqcqp``.  The schemes differ
+in the candidate:
 
-* ``solve_dr``: relaxed proximal step; each agent solves a small strongly
-  convex QCQP, in closed form when its constraints are inactive.
+* ``solve_dr``: relaxed proximal step; each agent's candidate is the
+  unconstrained proximal point, kept when its constraints are inactive.
 * ``solve_three_op``: forward step on the smooth quadratic plus a
   Euclidean projection onto the local constraint set.
 * ``solve_three_op_accel``: the same operators at a momentum point with an
@@ -13,7 +19,8 @@ until every agent's increment is small.  The schemes differ in that step:
 
 The warm start ``warmup_initial_guess`` needs no loop: one elimination sweep
 along the chain and back (2(n - 1) sequential neighbor messages) solves the
-constraint-free program exactly; each agent then projects its block.
+constraint-free program exactly; one batched projection then puts each
+agent's block into its constraint set.
 
 Agents never read non-neighbor data: every cross-agent value moves through
 the consensus projection or the sweep's relay, which the message fabric
@@ -23,6 +30,7 @@ solution for accuracy metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +58,7 @@ __all__ = [
 ]
 
 _WARM_STARTS = ("prev-solution", "warmup-projection", "zero")
+_FEASIBLE_TOL = 1e-11  # a candidate whose rows all read at most this stands
 
 
 class ProxSolveError(RuntimeError):
@@ -86,12 +95,14 @@ class SolverParams:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not (0.0 < self.rho < np.inf):
+            raise ValueError("rho must be positive and finite")
         if not (0.0 < self.eta < 1.0):
             raise ValueError("eta must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (0.0 < self.tol < np.inf):
+            raise ValueError("tol must be positive and finite")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
         if self.warm_start not in _WARM_STARTS:
             raise ValueError(f"unknown warm start {self.warm_start!r}")
 
@@ -136,93 +147,127 @@ def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
     """Slice the step program into per-agent problems in augmented layout
     (own block first, neighbor copies in ascending index)."""
     p = prob.horizon
+    stage = np.arange(p)
     out = []
     for i in range(prob.n):
         part = dec.parts[i]
-        order = tuple([i] + graph.neighbors(i))
+        order = (i, *graph.neighbors(i))
         if set(order) != set(part.vehicles):
             raise ValueError(f"decomposition block of agent {i} does not match the graph")
-        # permute the block from ascending-vehicle order to own-first order
-        idx = [part.vehicles.index(v) for v in order]
-        m = len(order)
-        perm = np.zeros((m * p, m * p))
-        for a, b in enumerate(idx):
-            perm[a * p:(a + 1) * p, b * p:(b + 1) * p] = np.eye(p)
+        # the block lists its vehicles ascending; gather it in own-first order
+        cols = (np.array([part.vehicles.index(v) for v in order])[:, None] * p + stage).ravel()
         out.append(LocalAgentProblem(
             index=i,
             var_order=order,
-            hessian=perm @ part.matrix @ perm.T,
+            hessian=part.matrix[cols[:, None], cols],
             c_own=prob.c_part(i).copy(),
             constraints=prob.constraints,
         ))
     return out
 
 
-class _Agent:
-    """Cached per-agent machinery: constraint rows in local coordinates,
-    the factorized unconstrained prox map, and active-set warm starts."""
+class _AgentBatch:
+    """Every agent's step data, padded to the widest agent (D = 3p on a
+    chain of three or more) and stacked: Hessians ``H`` (n, D, D), linear
+    terms ``C`` (n, D) and constraint ``rows`` (n, 5p, D) laid out over
+    (own block, neighbor copies).  Padded coordinates are zero in every
+    stack and every point, so they add nothing to a product or a row value.
 
-    def __init__(self, lp: LocalAgentProblem, rho: float):
-        self.lp = lp
-        p, d = lp.horizon, lp.dim
-        self.d = d
-        self.c_tilde = np.zeros(d)
-        self.c_tilde[:p] = lp.c_own
+    ``prox`` and ``project`` map every agent's point at once: each agent's
+    closed-form candidate stands when it meets all the agent's rows (the
+    fast path); only the agents whose candidate breaks a row solve their
+    QCQP, warm-started from their last full solve of the same kind.  With
+    ``rho``, the proximal maps (rho H_i + I)^-1 are inverted in one call.
+    """
+
+    def __init__(self, problems, rho: float | None = None):
+        cons = problems[0].constraints
+        if any(lp.constraints is not cons for lp in problems):
+            raise ValueError("the agents of one solve must share the step's constraint set")
+        p = problems[0].horizon
+        dims = np.array([lp.dim for lp in problems])
+        n, D = dims.size, dims.max()
+        self.problems = problems
+        self.mask = np.arange(D) < dims[:, None]
+        self.H = np.zeros((n, D, D))
+        self.H[self.mask[:, :, None] & self.mask[:, None, :]] = \
+            np.concatenate([lp.hessian.ravel() for lp in problems])
+        self.C = np.zeros((n, D))
+        self.C[:, :p] = [lp.c_own for lp in problems]
+        prev = [lp.var_order.index(lp.index - 1) * p if lp.index - 1 in lp.var_order else -1
+                for lp in problems]
+        self.cons = cons
+        self.rows = cons.rows(np.array([lp.index for lp in problems]), D, 0, np.array(prev))
         self.rho = rho
-        self.prox_mat = np.linalg.inv(rho * lp.hessian + np.eye(d))
-        prev = lp.index - 1
-        prev_col = lp.var_order.index(prev) * p if prev in lp.var_order else None
-        self.rows = lp.constraints.rows(lp.index, d, 0, prev_col)
-        self.fast = self.full = 0
+        if rho is not None:
+            self.prox_mat = np.linalg.inv(rho * self.H + np.eye(D))
+        self.calls = 0
+        self.full = [0] * n
         self._warm = {}
 
-    def feasible(self, x, tol=1e-11) -> bool:
-        return self.lp.constraints.values(self.rows, x).max() <= tol
+    def pad(self, vec: np.ndarray) -> np.ndarray:
+        """A stacked-layout vector as the padded (n, D) stack."""
+        out = np.zeros(self.mask.shape)
+        out[self.mask] = vec
+        return out
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.lp.hessian @ x + self.c_tilde
+    def unpad(self, X: np.ndarray) -> np.ndarray:
+        return X[self.mask]
 
-    def prox(self, y: np.ndarray) -> np.ndarray:
-        return self._constrained(self.prox_mat @ (y - self.rho * self.c_tilde),
-                                 "prox subproblem",
-                                 lambda: (self.lp.hessian + np.eye(self.d) / self.rho,
-                                          self.c_tilde - y / self.rho))
+    def gradient(self, W: np.ndarray) -> np.ndarray:
+        return (self.H @ W[..., None])[..., 0] + self.C
 
-    def project(self, y: np.ndarray) -> np.ndarray:
-        return self._constrained(y.copy(), "projection", lambda: (np.eye(self.d), -y))
+    def prox(self, Y: np.ndarray) -> np.ndarray:
+        """Every agent's proximal step of its objective at Y[i]."""
+        X = (self.prox_mat @ (Y - self.rho * self.C)[..., None])[..., 0]
+        return self._constrained(X, "prox subproblem", lambda i, d: (
+            self.problems[i].hessian + np.eye(d) / self.rho, self.C[i, :d] - Y[i, :d] / self.rho))
 
-    def _constrained(self, x, kind, objective):
-        """``x`` itself when it meets the local constraints (the fast path),
-        else the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(),
-        warm-started from the last full solve of the same kind."""
-        if self.feasible(x):
-            self.fast += 1
-            return x
-        self.full += 1
-        P, q = objective()
-        x0, active = self._warm.get(kind, (None, None))
+    def project(self, Y: np.ndarray) -> np.ndarray:
+        """Every agent's Euclidean projection of Y[i] onto its constraint set."""
+        return self._constrained(Y.copy(), "projection", lambda i, d: (np.eye(d), -Y[i, :d]))
+
+    def feasible(self, X: np.ndarray) -> np.ndarray:
+        """Whether X[i] meets every row of agent i, per agent."""
+        return self.cons.values(self.rows, X).max(axis=1) <= _FEASIBLE_TOL
+
+    def _constrained(self, X, kind, objective):
+        """``X`` with each row i that breaks agent i's constraints replaced
+        by the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(i,
+        d_i)."""
+        self.calls += 1
+        for i in (~self.feasible(X)).nonzero()[0]:
+            d = self.problems[i].dim
+            X[i, :d] = self._solve(i, kind, *objective(i, d))
+        return X
+
+    def _solve(self, i, kind, P, q):
+        lp, (A, h, S) = self.problems[i], self.rows
+        self.full[i] += 1
+        x0, active = self._warm.get((i, kind), (None, None))
         try:
-            res = solve_qcqp(P, q, *self.rows, self.lp.constraints.quad, x0=x0,
-                             warm_active=active)
+            res = solve_qcqp(P, q, np.ascontiguousarray(A[i, :, :lp.dim]), h[i],
+                             np.ascontiguousarray(S[i, :, :lp.dim]), self.cons.quad,
+                             x0=x0, warm_active=active)
         except InfeasibleProblem as exc:
-            raise ProxSolveError(self.lp.index, f"{kind}: {exc}") from exc
+            raise ProxSolveError(lp.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":
-            raise ProxSolveError(self.lp.index,
+            raise ProxSolveError(lp.index,
                                  f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
-        self._warm[kind] = (res.x, res.active)
+        self._warm[i, kind] = (res.x, res.active)
         return res.x
 
 
 def prox_local(lp: LocalAgentProblem, point: np.ndarray, rho: float) -> np.ndarray:
     """Proximal step of one agent's objective over its constraint set."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
-    return _Agent(lp, rho).prox(np.asarray(point, dtype=float))
+    return _AgentBatch([lp], rho).prox(np.asarray(point, dtype=float)[None])[0]
 
 
 def project_local(lp: LocalAgentProblem, point: np.ndarray) -> np.ndarray:
     """Euclidean projection onto one agent's constraint set."""
-    return _Agent(lp, 1.0).project(np.asarray(point, dtype=float))
+    return _AgentBatch([lp]).project(np.asarray(point, dtype=float)[None])[0]
 
 
 @dataclass
@@ -246,46 +291,49 @@ class SolveReport:
     residual_trace: list = field(default_factory=list)
 
 
-def _setup(problems, graph, params):
+def _setup(problems, graph, rho=None):
     layout = AugmentedLayout(graph, problems[0].horizon)
-    agents = [_Agent(lp, params.rho) for lp in problems]
     for lp, order in zip(problems, layout.var_order):
         if tuple(order) != lp.var_order:
             raise ValueError("local problem layout does not match the graph")
-    return layout, agents
+    return layout, _AgentBatch(problems, rho)
 
 
-def _iterate(layout, agents, params, step, z0=None, fabric=None, momentum=None):
+def _iterate(layout, batch, params, step, z0=None, fabric=None, momentum=None):
     """The iteration loop of every splitting scheme.
 
     Each round projects onto the consensus subspace (through ``fabric``
-    when given), maps every agent's own slice with ``step(i, sl, z, w)``,
-    and stops once each agent's increment is at most tol/n.  The projected
+    when given), maps every agent's own slice at once with ``step(Z, W)``,
+    Z and W the padded stacks of the iterate and the projected point, and
+    stops once each agent's increment is at most tol/n.  The projected
     point is the current iterate, or ``momentum(z, w)`` when given, with
     ``w`` the previous projection.
     """
     def project(vec):
         return _project(vec, layout) if fabric is None else fabric_project(vec, layout, fabric)
 
-    slices = [layout.agent_slice(i) for i in range(len(agents))]
-    per_agent_tol = params.tol / len(agents)
+    starts = layout.offsets[:-1]
+    per_agent_tol = params.tol / len(starts)
     z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
     w = project(z)
+    Z = batch.pad(z)
     trace = []  # one residual ||z_new - z|| per round
     converged = False
     for _ in range(params.max_iters):
         if momentum is not None:
             w = project(momentum(z, w))
-        z_new = np.concatenate([step(i, sl, z, w) for i, sl in enumerate(slices)])
-        diffs = [np.linalg.norm(z_new[sl] - z[sl]) for sl in slices]
-        trace.append(float(np.linalg.norm(z_new - z)))
+        Z = step(Z, batch.pad(w))
+        z_new = batch.unpad(Z)
+        dz = z_new - z
+        trace.append(math.sqrt(dz @ dz))  # the flat norm, as np.linalg.norm sums it
         z = z_new
-        if max(diffs) <= per_agent_tol:
+        if np.sqrt(np.add.reduceat(dz * dz, starts)).max() <= per_agent_tol:
             converged = True
             break
         if momentum is None:
             w = project(z)
 
+    full = batch.full
     return SolveReport(
         u_star=layout.stack_controls(w),
         iterations=len(trace),
@@ -293,9 +341,9 @@ def _iterate(layout, agents, params, step, z0=None, fabric=None, momentum=None):
         converged=converged,
         variant=params.variant,
         tol=params.tol,
-        prox_fast=sum(a.fast for a in agents),
-        prox_full=sum(a.full for a in agents),
-        agent_prox_stats=tuple((a.fast, a.full) for a in agents),
+        prox_fast=batch.calls * len(full) - sum(full),
+        prox_full=sum(full),
+        agent_prox_stats=tuple((batch.calls - f, f) for f in full),
         z_final=z,
         residual_trace=trace,
     )
@@ -309,14 +357,13 @@ def solve_dr(problems, graph: VehicleGraph, params: SolverParams, z0=None,
     then every agent applies its proximal map to the reflected point and
     relaxes.  Agents stop once every local increment falls below tol/n.
     """
-    layout, agents = _setup(problems, graph, params)
+    layout, batch = _setup(problems, graph, params.rho)
     two_alpha = 2.0 * params.alpha
 
-    def step(i, sl, z, w):
-        x = agents[i].prox(2.0 * w[sl] - z[sl])
-        return z[sl] + two_alpha * (x - w[sl])
+    def step(Z, W):
+        return Z + two_alpha * (batch.prox(2.0 * W - Z) - W)
 
-    return _iterate(layout, agents, params, step, z0, fabric)
+    return _iterate(layout, batch, params, step, z0, fabric)
 
 
 def accel_gamma_next(gamma: float, mut: float) -> float:
@@ -326,6 +373,8 @@ def accel_gamma_next(gamma: float, mut: float) -> float:
 
 
 def _lipschitz(problems) -> float:
+    # from the unpadded blocks: a padded block's zero rows would add nothing
+    # here but would read as lambda_min = 0 in the strong-convexity modulus
     return max(float(np.linalg.norm(lp.hessian, 2)) for lp in problems)
 
 
@@ -333,7 +382,7 @@ def solve_three_op(problems, graph: VehicleGraph, params: SolverParams, z0=None,
                    fabric: MessageFabric | None = None) -> SolveReport:
     """Forward-backward style splitting with a gradient step on the smooth
     quadratic and a projection onto the local constraint sets."""
-    layout, agents = _setup(problems, graph, params)
+    layout, batch = _setup(problems, graph)
     L = _lipschitz(problems)
     gamma = params.gamma if params.gamma is not None else 1.9 / L
     if not (0.0 < gamma < 2.0 / L):
@@ -343,12 +392,10 @@ def solve_three_op(problems, graph: VehicleGraph, params: SolverParams, z0=None,
     if not (0.0 < lam < lam_bound):
         raise ValueError(f"lam must lie in (0, {lam_bound:.6g})")
 
-    def step(i, sl, z, w):
-        wi = w[sl]
-        x = agents[i].project(2.0 * wi - z[sl] - gamma * agents[i].gradient(wi))
-        return z[sl] + lam * (x - wi)
+    def step(Z, W):
+        return Z + lam * (batch.project(2.0 * W - Z - gamma * batch.gradient(W)) - W)
 
-    return _iterate(layout, agents, params, step, z0, fabric)
+    return _iterate(layout, batch, params, step, z0, fabric)
 
 
 def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0=None,
@@ -360,7 +407,7 @@ def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0
     where mu~ is a fraction of the strong-convexity modulus.  With mu~ = 0
     the recursion leaves gamma unchanged.  Each round projects the momentum
     point z + gamma_k v, v being the last projection's scaled offset."""
-    layout, agents = _setup(problems, graph, params)
+    layout, batch = _setup(problems, graph)
     L = _lipschitz(problems)
     mu = min(float(np.linalg.eigvalsh(lp.hessian).min()) for lp in problems)
     if mu <= 0:
@@ -382,12 +429,12 @@ def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0
         zv = z + gam[0] * v
         return zv
 
-    def step(i, sl, z, w):
-        v[sl] = (zv[sl] - w[sl]) / gam[0]
-        wi = w[sl]
-        return agents[i].project(wi - gam[1] * v[sl] - gam[1] * agents[i].gradient(wi))
+    def step(Z, W):
+        nonlocal v
+        v = (zv - batch.unpad(W)) / gam[0]
+        return batch.project(W - gam[1] * batch.pad(v) - gam[1] * batch.gradient(W))
 
-    return _iterate(layout, agents, params, step, z0, fabric, momentum)
+    return _iterate(layout, batch, params, step, z0, fabric, momentum)
 
 
 SOLVERS = {
@@ -403,10 +450,10 @@ def solve_variant(problems, graph, params, z0=None, **kw) -> SolveReport:
 
 def _centralized_constraints(prob: QcqpProblem):
     """Every vehicle's rows stacked over the vehicle-major columns."""
-    n, p, cons = prob.n, prob.horizon, prob.constraints
-    A, h, S = zip(*(cons.rows(i, n * p, i * p, (i - 1) * p if i else None)
-                    for i in range(n)))
-    return np.vstack(A), np.concatenate(h), np.vstack(S)
+    n, p = prob.n, prob.horizon
+    i = np.arange(n)
+    A, h, S = prob.constraints.rows(i, n * p, i * p, (i - 1) * p)
+    return A.reshape(-1, n * p), h.ravel(), S.reshape(-1, n * p)
 
 
 def solve_centralized(prob: QcqpProblem, tol: float = 1e-10, x0=None) -> np.ndarray:
@@ -429,7 +476,7 @@ def warmup_initial_guess(prob: QcqpProblem, problems, graph: VehicleGraph):
     g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}, B = W_{i-1,i}.  Backward, it
     receives u_{i+1} and solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).
     Every message crosses one chain edge through a ``MessageFabric``; each
-    agent then projects its block onto its constraint set once.  Returns
+    agent then projects its block onto its constraint set, all in one batch.  Returns
     (z0, sequential fabric rounds), the rounds being 2(n - 1).
     """
     n, fabric = prob.n, MessageFabric(graph)
@@ -450,8 +497,6 @@ def warmup_initial_guess(prob: QcqpProblem, problems, graph: VehicleGraph):
     for i in range(n - 2, -1, -1):
         u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ relay(i + 1, i, u[i + 1]))
 
-    layout = AugmentedLayout(graph, prob.horizon)
-    w = layout.scatter_controls(np.concatenate(u))
-    z0 = np.concatenate([project_local(lp, w[layout.agent_slice(i)])
-                         for i, lp in enumerate(problems)])
-    return z0, fabric.round
+    batch = _AgentBatch(problems)
+    w = AugmentedLayout(graph, prob.horizon).scatter_controls(np.concatenate(u))
+    return batch.unpad(batch.project(batch.pad(w))), fabric.round

@@ -2,7 +2,8 @@
 
 The oracles here never call the production assembly paths they check:
 objective values come from stepping the platoon forward stage by stage,
-Hessians from dense permutation products, projections from least squares.
+Hessians from dense permutation products, projections from least squares,
+and the splitting solvers' rounds from one unpadded step per agent.
 """
 
 import numpy as np
@@ -114,3 +115,110 @@ def dense_hessian_oracle(weights, tau):
 @pytest.fixture
 def ref_cfg():
     return reference_config()
+
+
+class PerAgentStep:
+    """Reference for the batched agent engine: one agent's step on its own
+    unpadded slice, as the solvers ran it before the batching.  Its rows are
+    laid out over its own dimension, its closed-form candidate comes from its
+    own inverted prox matrix, and only a candidate that breaks a row goes to
+    ``solve_qcqp``, warm-started per kind from the agent's last full solve."""
+
+    def __init__(self, lp, rho):
+        p, d = lp.horizon, lp.dim
+        self.lp, self.d, self.rho = lp, d, rho
+        self.c_tilde = np.zeros(d)
+        self.c_tilde[:p] = lp.c_own
+        self.prox_mat = np.linalg.inv(rho * lp.hessian + np.eye(d))
+        prev = lp.index - 1
+        prev_col = lp.var_order.index(prev) * p if prev in lp.var_order else -1
+        A, h, S = lp.constraints.rows(np.array([lp.index]), d, 0, prev_col)
+        self.rows = (A[0], h[0], S[0])
+        self.fast = self.full = 0
+        self._warm = {}
+
+    def gradient(self, x):
+        return self.lp.hessian @ x + self.c_tilde
+
+    def prox(self, y):
+        return self._constrained(self.prox_mat @ (y - self.rho * self.c_tilde), "prox subproblem",
+                                 lambda: (self.lp.hessian + np.eye(self.d) / self.rho,
+                                          self.c_tilde - y / self.rho))
+
+    def project(self, y):
+        return self._constrained(y.copy(), "projection", lambda: (np.eye(self.d), -y))
+
+    def _constrained(self, x, kind, objective):
+        from platoonmpc.smallqcqp import InfeasibleProblem, solve_qcqp
+        from platoonmpc.solvers import ProxSolveError
+
+        if self.lp.constraints.values(self.rows, x).max() <= 1e-11:
+            self.fast += 1
+            return x
+        self.full += 1
+        P, q = objective()
+        x0, active = self._warm.get(kind, (None, None))
+        try:
+            res = solve_qcqp(P, q, *self.rows, self.lp.constraints.quad, x0=x0,
+                             warm_active=active)
+        except InfeasibleProblem as exc:
+            raise ProxSolveError(self.lp.index, f"{kind}: {exc}") from exc
+        if res.status != "optimal":
+            raise ProxSolveError(self.lp.index,
+                                 f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
+        self._warm[kind] = (res.x, res.active)
+        return res.x
+
+
+def per_agent_solve(problems, graph, params, z0=None):
+    """The splitting loop with one ``PerAgentStep`` call per agent per
+    round, for every variant; returns (u_star, iterations, per-agent
+    (fast, full) counts).  Step sizes default as in the solvers."""
+    from platoonmpc.consensus import AugmentedLayout, _project
+    from platoonmpc.solvers import _lipschitz, accel_gamma_next
+
+    layout = AugmentedLayout(graph, problems[0].horizon)
+    agents = [PerAgentStep(lp, params.rho) for lp in problems]
+    slices = [layout.agent_slice(i) for i in range(len(agents))]
+    L = _lipschitz(problems)
+    accel = params.variant == "three-op-accel"
+    if params.variant == "dr":
+        def step(i, sl, z, w):
+            return z[sl] + 2.0 * params.alpha * (agents[i].prox(2.0 * w[sl] - z[sl]) - w[sl])
+    elif params.variant == "three-op":
+        gamma = params.gamma if params.gamma is not None else 1.9 / L
+        lam = params.lam if params.lam is not None else 0.999 * (2.0 - gamma * L / 2.0)
+
+        def step(i, sl, z, w):
+            wi = w[sl]
+            x = agents[i].project(2.0 * wi - z[sl] - gamma * agents[i].gradient(wi))
+            return z[sl] + lam * (x - wi)
+    else:
+        mut = params.eta * min(float(np.linalg.eigvalsh(lp.hessian).min()) for lp in problems)
+        gamma0 = params.gamma0 if params.gamma0 is not None else 1.9 / (L * (1.0 - params.eta))
+        gam, v = [gamma0, gamma0], None
+
+        def step(i, sl, z, w):
+            v[sl] = (zv[sl] - w[sl]) / gam[0]
+            wi = w[sl]
+            return agents[i].project(wi - gam[1] * v[sl] - gam[1] * agents[i].gradient(wi))
+
+    z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
+    w = _project(z, layout)
+    iterations = 0
+    for _ in range(params.max_iters):
+        if accel:
+            if v is None:
+                v = (z - w) / gamma0
+            gam[:] = gam[1], accel_gamma_next(gam[1], mut)
+            zv = z + gam[0] * v
+            w = _project(zv, layout)
+        z_new = np.concatenate([step(i, sl, z, w) for i, sl in enumerate(slices)])
+        diffs = [np.linalg.norm(z_new[sl] - z[sl]) for sl in slices]
+        z = z_new
+        iterations += 1
+        if max(diffs) <= params.tol / len(agents):
+            break
+        if not accel:
+            w = _project(z, layout)
+    return layout.stack_controls(w), iterations, tuple((a.fast, a.full) for a in agents)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,22 @@ def test_determinism_same_seed_same_files(tmp_path):
         emit_results(res, tmp_path / sub)
     for name in ("spacings.csv", "speeds.csv", "controls.csv", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_noise_free_run_leaves_numpy_random_unloaded():
+    # the noise generator is built only when the scenario has noise:
+    # loading numpy.random alone adds about 5 MB of resident memory
+    code = ("import sys\n"
+            "from dataclasses import replace\n"
+            "from platoonmpc.harness import run_scenario, scenario_builtin\n"
+            "run_scenario(replace(scenario_builtin('s1', p=1), duration=3))\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src,
+                                                                    os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_s2_consensus_motion():

@@ -8,12 +8,13 @@ from platoonmpc.core import initial_state
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import build_qcqp, check_membership
 from platoonmpc.smallqcqp import InfeasibleProblem
-from platoonmpc.solvers import (ProxSolveError, SolverParams, _Agent, accel_gamma_next,
-                                build_local_problems, default_params_for_horizon,
-                                prox_local, project_local, solve_centralized, solve_dr,
-                                solve_three_op, solve_three_op_accel, warmup_initial_guess)
+from platoonmpc.solvers import (SOLVERS, ProxSolveError, SolverParams, _AgentBatch,
+                                accel_gamma_next, build_local_problems,
+                                default_params_for_horizon, prox_local, project_local,
+                                solve_centralized, solve_dr, solve_three_op,
+                                solve_three_op_accel, warmup_initial_guess)
 
-from conftest import random_state, random_weights, small_config
+from conftest import per_agent_solve, random_state, random_weights, small_config
 
 from test_smallqcqp import box_qp_enumeration_oracle
 
@@ -45,6 +46,10 @@ def test_params_validation():
         SolverParams(variant="nope")
     with pytest.raises(ValueError):
         SolverParams(warm_start="guess")
+    for bad in ({"max_iters": 0}, {"max_iters": -3}, {"rho": float("nan")},
+                {"tol": float("nan")}):
+        with pytest.raises(ValueError):
+            SolverParams(**bad)
 
 
 def test_local_problem_layout(rng):
@@ -55,7 +60,7 @@ def test_local_problem_layout(rng):
 
     def prev_blocks(lp, p=2):
         # neighbor-copy blocks that the agent's safety rows read
-        safety = _Agent(lp, 1.0).rows[0][4 * p:]
+        safety = _AgentBatch([lp]).rows[0][0, 4 * p:]
         return [b for b in range(1, len(lp.var_order)) if safety[:, b * p:(b + 1) * p].any()]
 
     assert prev_blocks(locals_[0]) == []
@@ -66,37 +71,72 @@ def test_local_problem_layout(rng):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_agent_rows_are_local_and_match_membership(rng, n, p):
-    # agent i's rows, laid out over (own block, neighbor copies), are
-    # vehicle i's rows of the membership check, read nothing beyond its own
-    # block and its copy of the predecessor, and decide feasibility alike
+    # agent i's rows, laid out over (own block, neighbor copies) and padded,
+    # are vehicle i's rows of the membership check, read nothing beyond its
+    # own block and its copy of the predecessor, and decide feasibility alike
     _, prob, locals_, graph = make_instance(rng, n, p)
     layout = AugmentedLayout(graph, p)
-    agents = [_Agent(lp, 1.0) for lp in locals_]
+    batch = _AgentBatch(locals_)
+    A, _, S = batch.rows
     outcomes = set()
     for scale in (0.1, 1.0, 3.0):
         u = scale * rng.normal(size=n * p)
-        z = layout.scatter_controls(u)
+        Z = batch.pad(layout.scatter_controls(u))
         rep = check_membership(prob, u, tol=1e-11)
-        for i, (lp, agent) in enumerate(zip(locals_, agents)):
-            x = z[layout.agent_slice(i)]
-            val = prob.constraints.values(agent.rows, x).reshape(5, p)
+        values = prob.constraints.values(batch.rows, Z)
+        feasible = batch.feasible(Z)
+        for i, lp in enumerate(locals_):
+            val = values[i].reshape(5, p)
             np.testing.assert_allclose(val[0:2].max(axis=0), rep.box[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(val[2:4].max(axis=0), rep.speed[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(val[4], rep.safety[i], rtol=0, atol=1e-12)
 
-            other = np.ones(lp.dim, dtype=bool)
+            other = np.ones(A.shape[-1], dtype=bool)
             for v in ([i] if i == 0 else [i, i - 1]):
                 pos = lp.var_order.index(v)
                 other[pos * p:(pos + 1) * p] = False
-            A, _, S = agent.rows
-            assert not (A[:, other].any() or S[:, other].any())
+            assert not (A[i][:, other].any() or S[i][:, other].any())
 
             own_ok = max(rep.box[i].max(), rep.speed[i].max(), rep.safety[i].max()) <= 1e-11
-            assert agent.feasible(x) == own_ok
+            assert feasible[i] == own_ok
             outcomes.add(own_ok)
-        assert all(a.feasible(z[layout.agent_slice(i)]) for i, a in enumerate(agents)) \
-            == rep.feasible
+        assert feasible.all() == rep.feasible
     assert outcomes == {True, False}
+
+
+def test_batched_engine_matches_per_agent_oracle(rng):
+    # every variant against the per-agent loop it replaced, on draws whose
+    # exact solutions have binding box rows and binding safety rows
+    binding = {"box": 0, "safety": 0}
+    for n in (2, 3, 5, 10):
+        for p in range(1, 6):
+            cfg = small_config(n, p)
+            w = random_weights(rng, n, p)
+            state = random_state(rng, cfg, gap_jitter=6.0, speed_lo=24.0, speed_hi=27.0,
+                                 u0_mag=2.0)
+            prob = build_qcqp(state, cfg, w)
+            graph = VehicleGraph.chain(n)
+            locals_ = build_local_problems(prob, decompose_pd(stage_blocks(w, cfg.tau)), graph)
+            rep = check_membership(prob, solve_centralized(prob))
+            binding["box"] += bool((rep.box > -1e-8).any())
+            binding["safety"] += bool((rep.safety > -1e-8).any())
+            for variant, solve in SOLVERS.items():
+                params = default_params_for_horizon(p, variant)
+                case = (n, p, variant)
+                try:
+                    u, iterations, stats = per_agent_solve(locals_, graph, params)
+                except ProxSolveError as exc:
+                    # a subsolver failure (one draw here: n = 5, p = 3, DR,
+                    # agent 3's prox stuck at KKT residual 87) surfaces alike
+                    with pytest.raises(ProxSolveError) as err:
+                        solve(locals_, graph, params)
+                    assert str(err.value) == str(exc), case
+                    continue
+                got = solve(locals_, graph, params)
+                assert got.iterations == iterations, case
+                assert got.agent_prox_stats == stats, case
+                assert np.linalg.norm(got.u_star - u) <= 1e-12 * np.linalg.norm(u), case
+    assert binding["box"] >= 3 and binding["safety"] >= 3, binding
 
 
 def test_prox_identity_at_feasible_minimizer(rng):
@@ -147,14 +187,20 @@ def test_empty_local_set_raises_agent_error(rng):
     cons = locals_[1].constraints
     lo, hi = cons.speed_lo.copy(), cons.speed_hi.copy()
     lo[1], hi[1] = 5.0, -5.0
-    lp = dataclasses.replace(locals_[1],
-                             constraints=dataclasses.replace(cons, speed_lo=lo, speed_hi=hi))
+    cons = dataclasses.replace(cons, speed_lo=lo, speed_hi=hi)
+    crossed = [dataclasses.replace(lp, constraints=cons) for lp in locals_]
+    lp = crossed[1]
     point = np.zeros(lp.dim)
-    for call in (lambda: prox_local(lp, point, rho=0.3), lambda: project_local(lp, point)):
+    # inside the batched loop too, where the other agents' candidates stand
+    for call in (lambda: prox_local(lp, point, rho=0.3), lambda: project_local(lp, point),
+                 lambda: solve_dr(crossed, graph, default_params_for_horizon(2)),
+                 lambda: solve_three_op(crossed, graph, SolverParams(variant="three-op"))):
         with pytest.raises(ProxSolveError) as err:
             call()
         assert err.value.agent == lp.index
         assert isinstance(err.value.__cause__, InfeasibleProblem)
+    with pytest.raises(ValueError, match="share"):
+        solve_dr([locals_[0], lp, locals_[2]], graph, default_params_for_horizon(2))
 
 
 def test_dr_steady_platoon_stays_put(rng):
@@ -331,15 +377,13 @@ def test_termination_certificates(rng):
     rep = solve_dr(locals_, graph, params)
     assert rep.converged
     from platoonmpc.consensus import AugmentedLayout, _project
-    from platoonmpc.solvers import _Agent
     layout = AugmentedLayout(graph, 2)
     z = rep.z_final
     w = _project(z, layout)
     np.testing.assert_allclose(_project(w, layout), w, atol=1e-14)
     for i in range(graph.n):
         sl = layout.agent_slice(i)
-        agent = _Agent(locals_[i], params.rho)
-        drift = np.linalg.norm(agent.prox(2 * w[sl] - z[sl]) - w[sl])
+        drift = np.linalg.norm(prox_local(locals_[i], 2 * w[sl] - z[sl], params.rho) - w[sl])
         assert drift <= params.tol
 
 
