@@ -193,10 +193,10 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     speeds[0] = state.v
     margins[0] = _safety_margin(spacings[0], speeds[0], cfg)
 
-    z_prev = None
+    z_prev = warm = None
     for k in range(T):
         prob = build_qcqp(state, cfg, weights, blocks=blocks)
-        locals_ = build_local_problems(prob, dec, graph)
+        locals_ = build_local_problems(prob, dec, graph, warm=warm)
         if params.warm_start == "warmup-projection":
             z0, wu_iters = warmup_initial_guess(prob, locals_, graph)
             warmups[k] = wu_iters
@@ -208,7 +208,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         if not report.converged:
             raise RuntimeError(f"solver did not converge at step {k} "
                                f"(residual {report.residual:.3e})")
-        z_prev = report.z_final
+        z_prev, warm = report.z_final, report.warm
         u_plan = report.u_star.reshape(n, p)
         u_first = u_plan[:, 0].copy()
         commanded[k] = u_first

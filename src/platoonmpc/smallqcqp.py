@@ -10,10 +10,16 @@ any other is a convex rank-one quadratic.  This is the layout of
 variables (per-agent proximal steps and the centralized reference solve),
 so everything is dense and direct, vectorized over the rows.
 
-Strategy: an unconstrained fast path, then a warm active-set Newton
-attempt when the caller supplies a previous active set, then log-barrier
-continuation over all rows, and finally an active-set Newton polish that
-drives the KKT residual to solver precision.
+Strategy: an unconstrained fast path; then, when the caller supplies a
+previous active set, a primal active-set loop of Newton solves on the
+working rows from the caller's point.  Otherwise, or when that loop fails,
+log-barrier continuation over all rows from a strictly feasible point
+(phase one finds one from the start clipped into the box rows when the
+start is not) hands its point to the same active-set loop, the polish, once
+the barrier's active set has held for two continuation steps.  If the
+polish fails there, the continuation resumes to its full depth (m/eta <
+1e-10) and the polish, the barrier point and a polish with a wider budget
+are tried in turn.
 """
 
 from __future__ import annotations
@@ -78,81 +84,128 @@ class _Rows(NamedTuple):
         return _Rows(self.A[idx], self.h[idx], self.S[idx], self.quad)
 
 
-def _kkt_residual(P, q, x, rows, lam):
-    stat = P @ x + q + rows.grads(x).T @ lam
-    f = rows.values(x)
+def _stationarity(P, q, x, rows, lam):
+    """Gradient of the Lagrangian at (x, lam), over the rows with a nonzero
+    multiplier."""
+    on = np.flatnonzero(lam)
+    return P @ x + q + rows.take(on).grads(x).T @ lam[on]
+
+
+def _kkt_residual(stat, lam, f):
+    """Worst of stationarity, feasibility, complementarity and dual sign,
+    from the Lagrangian gradient ``stat``, the multipliers and the row
+    values."""
     feas = float(f.max(initial=0.0))
     comp = float(np.abs(lam * f).max(initial=0.0))
     dual = float((-lam).max(initial=0.0))
     return max(float(np.abs(stat).max()), feas, comp, dual)
 
 
-def _active_set_newton(P, q, rows, x, lam_map, max_iters=40, tol=None):
+def _active_set_newton(P, q, rows, x, keys, lam, tol, max_iters=40):
     """Newton on the stationarity + active-constraint equations.
 
-    ``lam_map`` maps a row index to a multiplier guess.  The step is damped
-    on the residual norm and stops once the residual is at most ``tol``
-    (default 1e-12 (1 + max|q|)).  Returns (x, lam_map, iterations).
+    ``keys`` are the working rows, ascending, and ``lam`` their multiplier
+    guesses.  The unknown is z = (x, lam) and the residual is K z + r, K the
+    KKT matrix of the objective and the rows' linear parts, plus the terms
+    of the quadratic parts, if any row has one.  The step is damped on the
+    residual norm and stops once the residual is at most ``tol``.  Returns
+    (x, lam, iterations, stationarity part of the final residual).
     """
-    if tol is None:
-        tol = 1e-12 * (1.0 + float(np.abs(q).max()))
     dim = x.size
-    keys = sorted(lam_map)
-    m = len(keys)
-    act = rows.take(keys)
+    A, h, S, quad = rows.take(keys)
+    curved = quad != 0.0 and S.any()
+    K = np.zeros((dim + len(keys),) * 2)
+    K[:dim, :dim] = P
+    K[:dim, dim:] = A.T
+    K[dim:, :dim] = A
+    r = np.concatenate([q, -h])
+    J = np.zeros_like(K) if curved else K  # the Jacobian, K itself when every row is linear
 
-    def residual(xx, ll):
-        grads = act.grads(xx)
-        return grads, P @ xx + q + grads.T @ ll, act.values(xx)
+    def residual(zz):
+        F = K @ zz + r
+        if not curved:
+            return F, float(F @ F), None
+        Sx = S @ zz[:dim]
+        F[:dim] += S.T @ (2.0 * quad * Sx * zz[dim:])
+        F[dim:] += quad * Sx * Sx
+        return F, float(F @ F), Sx
 
-    lam = np.array([lam_map[k] for k in keys])
+    z = np.concatenate([x, lam])
+    F, merit, Sx = residual(z)
     for it in range(max_iters):
-        grads, F1, F2 = residual(x, lam)
-        if max(float(np.abs(F1).max()), float(np.abs(F2).max(initial=0.0))) <= tol:
+        if float(np.abs(F).max()) <= tol:
             break
-        KKT = np.zeros((dim + m, dim + m))
-        KKT[:dim, :dim] = P + act.curvature(lam)
-        KKT[:dim, dim:] = grads.T
-        KKT[dim:, :dim] = grads
-        rhs = -np.concatenate([F1, F2])
+        if curved:
+            grads = A + (2.0 * quad * Sx)[:, None] * S
+            J[:dim, :dim] = P + 2.0 * quad * (S.T * z[dim:]) @ S
+            J[:dim, dim:] = grads.T
+            J[dim:, :dim] = grads
         try:
-            sol = np.linalg.solve(KKT, rhs)
+            dz = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        dx, dlam = sol[:dim], sol[dim:]
-        # damp on the residual norm
-        merit = float(F1 @ F1) + float(F2 @ F2)
+            dz = np.linalg.lstsq(J, -F, rcond=None)[0]
+        # damp on the residual norm; the accepted trial is the next iterate
         step = 1.0
         for _ in range(30):
-            _, F1t, F2t = residual(x + step * dx, lam + step * dlam)
-            if float(F1t @ F1t) + float(F2t @ F2t) <= merit * (1 - 1e-4 * step) or step < 1e-8:
+            z_t = z + step * dz
+            trial = residual(z_t)
+            if trial[1] <= merit * (1 - 1e-4 * step) or step < 1e-8:
                 break
             step *= 0.5
-        x = x + step * dx
-        lam = lam + step * dlam
-    return x, dict(zip(keys, lam)), it + 1
+        z, (F, merit, Sx) = z_t, trial
+    return z[:dim], z[dim:], it + 1, F[:dim]
+
+
+def _box_clip(rows, x):
+    """``x`` clipped into the box rows: the linear rows with one nonzero
+    coefficient, each an upper or a lower bound on one coordinate."""
+    single = (np.count_nonzero(rows.A, axis=1) == 1) & ~(rows.quad * rows.S).any(axis=1)
+    k = np.flatnonzero(single)
+    col = np.abs(rows.A[k]).argmax(axis=1)
+    coef = rows.A[k, col]
+    bound = rows.h[k] / coef
+    lo, hi = np.full(x.size, -np.inf), np.full(x.size, np.inf)
+    np.maximum.at(lo, col[coef < 0], bound[coef < 0])
+    np.minimum.at(hi, col[coef > 0], bound[coef > 0])
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _phase_one(rows, x0):
-    """Find a strictly feasible point by minimizing the worst violation."""
+    """Find a strictly feasible point by minimizing the worst violation.
+
+    The basic phase I of S. Boyd & L. Vandenberghe, *Convex Optimization*,
+    2004, section 11.4.1: minimize t subject to f_j(x) <= t by barrier
+    continuation on kappa t - sum log(t - f_j(x)), starting from ``x0``
+    clipped into the box rows with the first kappa scaled to the violation
+    (section 11.3.1), and stopping at the first x with every row strictly
+    negative.  Each Newton step, its curvature floored so that its
+    condition stays bounded, backtracks until that objective falls by a
+    fixed share of the predicted decrease (section 9.5), so each centering
+    converges from any start.
+    """
     dim = x0.size
-    x = x0.copy()
-    worst = float(rows.values(x).max())
+    x = _box_clip(rows, x0)
+    f = rows.values(x)
+    worst = float(f.max())
     t = worst + 1.0
-    kappa = 1.0
     scale = 1.0 + abs(worst)
+    kappa = rows.h.size / scale  # m / kappa about the gap to close
+
+    def phi(xx, tt):
+        gap = tt - rows.values(xx)
+        return kappa * tt - float(np.log(gap).sum()) if (gap > 0).all() else np.inf
+
     for _ in range(60):
         # Newton on kappa*t - sum log(t - f_j)
         for _ in range(50):
-            f = rows.values(x)
-            worst = float(f.max())
             if worst < -1e-7 * scale:
                 return x
             grads = rows.grads(x)
             inv = 1.0 / (t - f)
             KKT = np.zeros((dim + 1, dim + 1))
-            KKT[:dim, :dim] = 1e-12 * np.eye(dim) + (grads.T * (inv * inv)) @ grads \
-                + rows.curvature(inv)
+            H = (grads.T * (inv * inv)) @ grads + rows.curvature(inv)
+            # floor the curvature so that the directions no row bends stay finite
+            KKT[:dim, :dim] = H + (1e-12 + 1e-9 * np.trace(H) / dim) * np.eye(dim)
             KKT[:dim, dim] = KKT[dim, :dim] = -grads.T @ (inv * inv)
             KKT[dim, dim] = float(inv @ inv)
             rhs = -np.concatenate([grads.T @ inv, [kappa - inv.sum()]])
@@ -160,22 +213,25 @@ def _phase_one(rows, x0):
                 sol = np.linalg.solve(KKT, rhs)
             except np.linalg.LinAlgError:
                 sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+            decrement = float(rhs @ sol)
+            if decrement <= 1e-14 * (1.0 + abs(t)):
+                break
             dx, dt = sol[:dim], sol[dim]
-            # keep every log argument positive
-            step = 1.0
+            base, step = phi(x, t), 1.0
             for _ in range(60):
-                if np.all(t + step * dt - rows.values(x + step * dx) > 0):
+                if phi(x + step * dx, t + step * dt) <= base - 0.25 * step * decrement:
                     break
                 step *= 0.5
+            else:
+                break  # no descent left at this kappa
             x, t = x + step * dx, t + step * dt
-            if float(np.abs(sol).max()) * step < 1e-12:
-                break
+            f = rows.values(x)
+            worst = float(f.max())
         if worst < -1e-7 * scale:
             return x
         kappa *= 10.0
         if kappa > 1e12:
             break
-    worst = float(rows.values(x).max())
     if worst < 0:
         return x
     raise InfeasibleProblem(f"constraint set numerically empty (min worst violation {worst:.3e})")
@@ -184,8 +240,13 @@ def _phase_one(rows, x0):
 def _barrier(P, q, rows, x):
     """Central-path continuation from a strictly feasible point.
 
-    Returns (x, lam) with multipliers read off the barrier gradient at the
-    final weight.
+    Yields (x, lam, f, active): x, the multipliers read off the barrier
+    gradient, the row values and the active rows (those whose multiplier is
+    at least their slack), first once the active rows have held for two
+    continuation steps, and then, when resumed, at the end of the path,
+    m/eta < 1e-10.
+    A centering ends without moving where its line search finds no step
+    that lowers the barrier merit.
     """
     m = rows.h.size
 
@@ -196,6 +257,7 @@ def _barrier(P, q, rows, x):
         return eta * (0.5 * float(xx @ P @ xx) + float(q @ xx)) - float(np.log(-f).sum())
 
     eta = 1.0
+    held, prev = 0, None
     for _ in range(40):
         for _ in range(60):
             grads = rows.grads(x)
@@ -215,13 +277,22 @@ def _barrier(P, q, rows, x):
                 if phi(eta, x + step * dx) <= base - 0.25 * step * decrement:
                     break
                 step *= 0.5
+            else:
+                break  # no step lowers the merit: keep the point
             x = x + step * dx
             if step * float(np.abs(dx).max()) < 1e-14:
                 break
-        if m / eta < 1e-10:
-            break
+        f = rows.values(x)
+        lam = -1.0 / (eta * f)
+        active = np.flatnonzero(lam >= -f).tolist()
+        held = held + 1 if active == prev else 0
+        prev = active
+        done = m / eta < 1e-10
+        if done or held == 2:
+            yield x, lam, f, active
+        if done:
+            return
         eta *= 20.0
-    return x, -1.0 / (eta * rows.values(x))
 
 
 def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None,
@@ -251,39 +322,49 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
         return QcqpResult(x=x_unc, lam=np.zeros(m), kkt_residual=0.0, iterations=1,
                           status="optimal")
 
-    def finish(x, lam_map, iters):
-        lam = np.zeros(m)
-        lam[list(lam_map)] = list(lam_map.values())
-        res = _kkt_residual(P, q, x, rows, lam)
-        status = "optimal" if res <= kkt_tol else "inaccurate"
-        return QcqpResult(x=x, lam=lam, kkt_residual=res, iterations=iters, status=status,
-                          active=tuple(sorted(k for k, l in lam_map.items() if l > 0)))
+    def finish(x, lam, f, stat):
+        res = _kkt_residual(stat, lam, f)
+        return QcqpResult(x=x, lam=lam, kkt_residual=res, iterations=iterations,
+                          status="optimal" if res <= kkt_tol else "inaccurate",
+                          active=tuple(np.flatnonzero(lam > 0).tolist()))
 
-    def try_active_set(x_start, active, iters_budget=12, newton_tol=None):
+    newton_tol = 1e-12 * (1.0 + float(np.abs(q).max()))
+
+    def try_active_set(x, active, iters_budget=12, newton_tol=newton_tol):
         """Primal active-set loop: solve, then repair the working set."""
         nonlocal iterations
-        lam_map = {k: 0.0 for k in active}
-        x = x_start.copy()
+        keys = sorted(active)
+        lam = np.zeros(len(keys))
         for _ in range(iters_budget):
-            x, lam_map, its = _active_set_newton(P, q, rows, x, lam_map, tol=newton_tol)
+            x, lam, its, stat = _active_set_newton(P, q, rows, x, keys, lam, newton_tol)
             iterations += its
             # drop the most negative multiplier, if any
-            neg = [(lam, k) for k, lam in lam_map.items() if lam < -1e-10]
-            if neg:
-                lam_map.pop(min(neg)[1])
+            if lam.size and lam.min() < -1e-10:
+                j = int(lam.argmin())
+                del keys[j]
+                lam = np.delete(lam, j)
                 continue
-            # add the most violated row, if any
+            # add the most violated row, if any (the last of equals)
             f = rows.values(x)
-            viol = [(f[k], k) for k in np.flatnonzero(f > 1e-11).tolist() if k not in lam_map]
-            if viol:
-                lam_map[max(viol)[1]] = 0.0
+            viol = f > 1e-11
+            viol[keys] = False
+            if viol.any():
+                idx = np.flatnonzero(viol)
+                k = int(idx[f[idx] == f[idx].max()][-1])
+                j = int(np.searchsorted(keys, k))
+                keys.insert(j, k)
+                lam = np.insert(lam, j, 0.0)
                 continue
-            result = finish(x, {k: max(l, 0.0) for k, l in lam_map.items()}, iterations)
+            full = np.zeros(m)
+            full[keys] = np.maximum(lam, 0.0)
+            if lam.min(initial=0.0) < 0.0:  # a clipped multiplier moves the gradient
+                stat = _stationarity(P, q, x, rows, full)
+            result = finish(x, full, f, stat)
             return result if result.status == "optimal" else None
         return None
 
     if warm_active:
-        result = try_active_set(x0 if x0 is not None else x_unc, list(warm_active))
+        result = try_active_set(x0 if x0 is not None else x_unc, warm_active)
         if result is not None:
             return result
 
@@ -292,16 +373,13 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
         start = x0
     else:
         start = _phase_one(rows, x0 if x0 is not None else x_unc)
-    x, lam = _barrier(P, q, rows, start)
     iterations += 1
-
-    # polish: treat rows with multiplier above slack as active
-    active = np.flatnonzero(lam >= -rows.values(x)).tolist()
-    result = try_active_set(x, active)
-    if result is not None:
-        return result
+    for x, lam, f, active in _barrier(P, q, rows, start):
+        result = try_active_set(x, active)  # the polish
+        if result is not None:
+            return result
     # fall back to the barrier point with its approximate multipliers
-    fallback = finish(x, dict(enumerate(lam)), iterations)
+    fallback = finish(x, lam, f, _stationarity(P, q, x, rows, lam))
     if fallback.status == "optimal":
         return fallback
     # The polish adds one weakly violated row per pass, so an optimum with
@@ -309,6 +387,6 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
     # default stop, relative to max|q|, can sit above kkt_tol.  Retry with
     # room for every row and a stop below kkt_tol before settling for the
     # barrier point.
-    newton_tol = min(1e-12 * (1.0 + float(np.abs(q).max())), 0.1 * kkt_tol)
-    result = try_active_set(x, active, iters_budget=m, newton_tol=newton_tol)
+    result = try_active_set(x, active, iters_budget=m,
+                            newton_tol=min(newton_tol, 0.1 * kkt_tol))
     return result if result is not None else fallback

@@ -7,7 +7,8 @@ only its own locally coupled data, so the n steps of a round are computed
 together: ``_AgentBatch`` pads the agents to a common width, stacks their
 Hessians, linear terms and constraint rows, and evaluates every closed-form
 candidate and every row at once.  Only an agent whose candidate breaks one
-of its rows solves its small QCQP with ``smallqcqp``.  The schemes differ
+of its rows solves its small QCQP with ``smallqcqp``, starting from its own
+last full solve, which it keeps across control steps.  The schemes differ
 in the candidate:
 
 * ``solve_dr``: relaxed proximal step; each agent's candidate is the
@@ -125,13 +126,20 @@ class LocalAgentProblem:
     """Everything agent i knows: its Hessian block over (own, neighbor
     copies), its slice of the linear term, and the step's constraint set,
     of which it lays out and reads only its own rows (the safe-spacing
-    rows read its copy of the predecessor)."""
+    rows read its copy of the predecessor).
+
+    ``warm`` is the agent's memory of its last full subsolve of each kind
+    ("prox subproblem", "projection"): the point and the active rows, the
+    start of its next full solve of that kind.  Solvers read it and never
+    write it; the next step's problems take it from ``SolveReport.warm``.
+    """
 
     index: int
     var_order: tuple
     hessian: np.ndarray
     c_own: np.ndarray
     constraints: ConstraintSet
+    warm: dict = field(default_factory=dict)
 
     @property
     def horizon(self) -> int:
@@ -143,9 +151,11 @@ class LocalAgentProblem:
 
 
 def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
-                         graph: VehicleGraph) -> list:
+                         graph: VehicleGraph, warm=None) -> list:
     """Slice the step program into per-agent problems in augmented layout
-    (own block first, neighbor copies in ascending index)."""
+    (own block first, neighbor copies in ascending index).  ``warm``, one
+    entry per agent (a previous ``SolveReport.warm``), seeds each agent's
+    subsolver memory."""
     p = prob.horizon
     stage = np.arange(p)
     out = []
@@ -162,6 +172,7 @@ def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
             hessian=part.matrix[cols[:, None], cols],
             c_own=prob.c_part(i).copy(),
             constraints=prob.constraints,
+            warm=warm[i] if warm is not None else {},
         ))
     return out
 
@@ -176,8 +187,13 @@ class _AgentBatch:
     ``prox`` and ``project`` map every agent's point at once: each agent's
     closed-form candidate stands when it meets all the agent's rows (the
     fast path); only the agents whose candidate breaks a row solve their
-    QCQP, warm-started from their last full solve of the same kind.  With
-    ``rho``, the proximal maps (rho H_i + I)^-1 are inverted in one call.
+    QCQP, on the agent's own unpadded rows (sliced at its first full solve)
+    and warm-started from its last full solve of the same kind.  ``warm``
+    holds that memory per agent: seeded from the problems' ``warm``
+    (copied, so a solve never changes its inputs) and updated by every full
+    solve, it carries an agent's active set across rounds and, through
+    ``SolveReport.warm``, across control steps.  With ``rho``, the proximal
+    maps (rho H_i + I)^-1 are inverted in one call.
     """
 
     def __init__(self, problems, rho: float | None = None):
@@ -203,7 +219,8 @@ class _AgentBatch:
             self.prox_mat = np.linalg.inv(rho * self.H + np.eye(D))
         self.calls = 0
         self.full = [0] * n
-        self._warm = {}
+        self.warm = [dict(lp.warm) for lp in problems]
+        self._agent_rows = {}
 
     def pad(self, vec: np.ndarray) -> np.ndarray:
         """A stacked-layout vector as the padded (n, D) stack."""
@@ -242,19 +259,21 @@ class _AgentBatch:
         return X
 
     def _solve(self, i, kind, P, q):
-        lp, (A, h, S) = self.problems[i], self.rows
+        lp = self.problems[i]
         self.full[i] += 1
-        x0, active = self._warm.get((i, kind), (None, None))
+        rows = self._agent_rows.get(i)
+        if rows is None:
+            A, h, S = self.rows
+            rows = self._agent_rows[i] = (A[i, :, :lp.dim].copy(), h[i], S[i, :, :lp.dim].copy())
+        x0, active = self.warm[i].get(kind, (None, None))
         try:
-            res = solve_qcqp(P, q, np.ascontiguousarray(A[i, :, :lp.dim]), h[i],
-                             np.ascontiguousarray(S[i, :, :lp.dim]), self.cons.quad,
-                             x0=x0, warm_active=active)
+            res = solve_qcqp(P, q, *rows, self.cons.quad, x0=x0, warm_active=active)
         except InfeasibleProblem as exc:
             raise ProxSolveError(lp.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":
             raise ProxSolveError(lp.index,
                                  f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
-        self._warm[i, kind] = (res.x, res.active)
+        self.warm[i][kind] = (res.x, res.active)
         return res.x
 
 
@@ -275,7 +294,8 @@ class SolveReport:
     """Outcome of a distributed solve.
 
     ``agent_prox_stats[i]`` counts (closed-form fast path, full subsolver)
-    proximal evaluations of agent i.
+    proximal evaluations of agent i, and ``warm[i]`` is agent i's subsolver
+    memory after the solve (``LocalAgentProblem.warm`` of the next step).
     """
 
     u_star: np.ndarray
@@ -289,6 +309,7 @@ class SolveReport:
     agent_prox_stats: tuple = ()
     z_final: np.ndarray | None = None
     residual_trace: list = field(default_factory=list)
+    warm: tuple = ()
 
 
 def _setup(problems, graph, rho=None):
@@ -346,6 +367,7 @@ def _iterate(layout, batch, params, step, z0=None, fabric=None, momentum=None):
         agent_prox_stats=tuple((batch.calls - f, f) for f in full),
         z_final=z,
         residual_trace=trace,
+        warm=tuple(batch.warm),
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from platoonmpc.core import PlatoonState, reference_config
 from platoonmpc.problem import build_qcqp
-from platoonmpc.smallqcqp import InfeasibleProblem, solve_qcqp
+from platoonmpc.smallqcqp import InfeasibleProblem, _barrier, _Rows, row_values, solve_qcqp
 from platoonmpc.solvers import _centralized_constraints, solve_centralized
 from platoonmpc.stability import (DEFAULT_BASE_GAP_WEIGHTS, DEFAULT_BASE_RATE_WEIGHTS,
                                   DEFAULT_BASE_RIDE_WEIGHTS, default_weight_schedule,
@@ -251,3 +251,90 @@ def test_centralized_interleaved_rows_kkt_certificate(rng):
             # row kind within a vehicle's 5p rows: 0..3 box and speed, 4 safety
             mixed += {0, 4} <= {r % (5 * p) // p for r in res.active}
     assert mixed >= 3
+
+
+def vehicle_rows(p, dim, own0, h, prev0=None):
+    """One vehicle's 5p rows in ``solve_qcqp``'s form over ``dim`` columns,
+    its own controls first and its predecessor's copy next: the box, the
+    speed band (tau = 1), then the safe-spacing rows, whose own and
+    predecessor coefficients grow by one per stage of lag (own0 + k,
+    -(prev0 + k)) and whose S is the cumulative sum."""
+    L = np.tri(p)
+    lag = np.subtract.outer(np.arange(p), np.arange(p))
+    A = np.zeros((5 * p, dim))
+    A[:, :p] = np.vstack([np.eye(p), -np.eye(p), L, -L, np.where(lag >= 0, own0 + lag, 0.0)])
+    if prev0 is not None:
+        A[4 * p:, p:2 * p] = np.where(lag >= 0, -(prev0 + lag), 0.0)
+    S = np.zeros((5 * p, dim))
+    S[4 * p:, :p] = L
+    return A, np.asarray(h, dtype=float), S
+
+
+def test_phase_one_from_far_starts():
+    """The rows of scenario s1 at p = 5, step 50, agent 0 (own block and
+    its successor's copy).  The origin is strictly feasible (worst row
+    -1.35), yet phase one, started at the unconstrained minimizer -50 * 1
+    of P = I, q = 50 * 1, stalled at a worst violation of 1.869e+03 and
+    raised InfeasibleProblem.  Far projections onto the same set failed
+    alike."""
+    A, h, S = vehicle_rows(5, 10, 3.375,
+                           np.repeat([1.35, 8.0, 2.780000000000001, 15.0, 5.9375], 5))
+    assert (A @ np.zeros(10) - h).max() == -1.35
+    for q in [50.0 * np.ones(10)] + [-s * np.ones(10) for s in (10.0, -30.0, 100.0, -300.0)]:
+        res = solve_qcqp(np.eye(10), q, A, h, S, 0.0625)
+        from_origin = solve_qcqp(np.eye(10), q, A, h, S, 0.0625, x0=np.zeros(10))
+        assert res.status == "optimal" and res.kkt_residual <= 1e-9
+        np.testing.assert_allclose(res.x, from_origin.x, rtol=0, atol=1e-9)
+
+
+def test_barrier_from_a_far_feasible_point():
+    """Agent 3's first (cold) prox subproblem in the n = 5, p = 3 DR draw of
+    ``test_batched_engine_matches_per_agent_oracle``.  Phase one returned
+    the feasible point FAR (|x| = 27,659, reachable because the
+    predecessor copy only lowers the safety rows); from there the barrier's
+    line search found no acceptable step near the boundary, the step was
+    taken anyway, and the solve ended at the infeasible point with worst row
+    +87.07 (KKT residual 87.1), so the agent raised ProxSolveError."""
+    P = np.array([
+        [38.74035959228435, 19.51994357600183, 7.1521336523128065, -18.2292726214035,
+         -10.20860764231824, -4.138625998973532, -17.128361927064397, -9.31133593368359,
+         -3.013507653339275],
+        [19.51994357600183, 21.335321540168984, 5.807874981969301, -10.20860764231824,
+         -8.763411297135324, -3.44801218657153, -9.31133593368359, -9.189185199217219,
+         -2.3598627953977713],
+        [7.1521336523128065, 5.807874981969301, 9.836361227994667, -4.138625998973532,
+         -3.44801218657153, -4.005407808673565, -3.013507653339275, -2.3598627953977713,
+         -2.4482283755046588],
+        [-18.2292726214035, -10.20860764231824, -4.138625998973532, 21.636265003842087,
+         10.20860764231824, 4.138625998973532, 0.0, 0.0, 0.0],
+        [-10.20860764231824, -8.763411297135324, -3.44801218657153, 10.20860764231824,
+         12.170403679573916, 3.44801218657153, 0.0, 0.0, 0.0],
+        [-4.138625998973532, -3.44801218657153, -4.005407808673565, 4.138625998973532,
+         3.44801218657153, 7.412400191112155, 0.0, 0.0, 0.0],
+        [-17.128361927064397, -9.31133593368359, -3.013507653339275, 0.0, 0.0, 0.0,
+         20.437427921775583, 9.31133593368359, 3.013507653339275],
+        [-9.31133593368359, -9.189185199217219, -2.3598627953977713, 0.0, 0.0, 0.0,
+         9.31133593368359, 12.498251193928406, 2.3598627953977713],
+        [-3.013507653339275, -2.3598627953977713, -2.4482283755046588, 0.0, 0.0, 0.0,
+         3.013507653339275, 2.3598627953977713, 5.7572943702158454]])
+    q = np.array([-122.07399576927165, -63.74020385950888, -20.398484967071226,
+                  0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    speed = (2.577114930666397, 15.202885069333604)
+    A, h, S = vehicle_rows(3, 9, 3.4003606336667005,
+                           np.concatenate([np.repeat([1.35, 8.0, *speed], 3),
+                                           [9.193153990775171, 10.053062052215997,
+                                            10.912970113656824]]),
+                           prev0=0.5)
+    far = np.array([-2.8850612022798643, -1.0918690411153107, 0.021287395955523536,
+                    8361.180125380677, -23170.872076074964, 27658.800067857046,
+                    11.366106128104057, 6.27293086779636, 1.9583201615630046])
+    assert row_values(A, h, S, 0.0625, far).max() < 0
+    # the whole central path from there, resumed past the hand-off to the
+    # polish, stays strictly feasible
+    for x, *_ in _barrier(P, q, _Rows(A, h, S, 0.0625), far):
+        assert row_values(A, h, S, 0.0625, x).max() < 0
+    cold = solve_qcqp(P, q, A, h, S, 0.0625)
+    from_far = solve_qcqp(P, q, A, h, S, 0.0625, x0=far)
+    for res in (cold, from_far):
+        assert res.status == "optimal" and res.kkt_residual <= 1e-9
+    np.testing.assert_allclose(from_far.x, cold.x, rtol=0, atol=1e-9)
