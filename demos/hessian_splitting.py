@@ -9,7 +9,7 @@ definite.
 
 import numpy as np
 
-from platoonmpc import decompose_pd, decompose_psd, stage_blocks
+from platoonmpc import decompose_pd, stage_blocks
 from platoonmpc.stability import default_weight_schedule
 
 weights = default_weight_schedule(2)
@@ -35,7 +35,3 @@ for i in range(n):
         dense[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = -blocks.blocks[i + 1]
 rel = np.linalg.norm(W - dense) / np.linalg.norm(dense)
 print(f"  reconstruction error: {rel:.2e} (relative Frobenius)")
-
-psd = decompose_psd(blocks)
-print("\nsemidefinite split (no margin chain), smallest eigenvalues per block:")
-print(np.array2string(np.asarray([part.lambda_min for part in psd.parts]), precision=4))

@@ -13,8 +13,7 @@ from .consensus import (AugmentedLayout, MessageFabric, SimulationFault, Vehicle
                         fabric_project)
 from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
                    error_coords, initial_state, reference_config, step_dynamics)
-from .decomposition import (LocalHessian, PdDecomposition, StageBlocks, decompose_pd,
-                            decompose_psd, stage_blocks)
+from .decomposition import LocalHessian, PdDecomposition, StageBlocks, decompose_pd, stage_blocks
 from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
                       run_scenario, scenario_builtin)
 from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,

@@ -21,7 +21,6 @@ __all__ = [
     "PdDecomposition",
     "stage_blocks",
     "decompose_pd",
-    "decompose_psd",
 ]
 
 
@@ -204,31 +203,3 @@ def decompose_pd(sb: StageBlocks, delta_fraction: float = 0.5) -> PdDecompositio
                                   matrix=mat, lambda_min=lam))
     return PdDecomposition(parts=tuple(parts), deltas=deltas, horizon=p, n=n)
 
-
-def decompose_psd(sb: StageBlocks) -> PdDecomposition:
-    """Positive semidefinite splitting without the margin chain.
-
-    The construction is explicit: the first agent keeps its own stage
-    block, every other agent s keeps the rank-deficient difference
-    coupling with vehicle s-1.  Kept as a test oracle; the solvers always
-    use the positive definite path.
-    """
-    U = sb.blocks
-    n, p = sb.n, sb.horizon
-    parts = []
-    first = np.zeros((2 * p, 2 * p))
-    first[:p, :p] = U[0]
-    parts.append(LocalHessian(agent=0, vehicles=(0, 1), matrix=first,
-                              lambda_min=float(np.linalg.eigvalsh(first).min())))
-    for s in range(1, n - 1):
-        m = np.zeros((3 * p, 3 * p))
-        m[:p, :p] = U[s]
-        m[:p, p:2 * p] = -U[s]
-        m[p:2 * p, :p] = -U[s]
-        m[p:2 * p, p:2 * p] = U[s]
-        parts.append(LocalHessian(agent=s, vehicles=_chain_vehicles(s, n), matrix=m,
-                                  lambda_min=float(np.linalg.eigvalsh(m).min())))
-    last = np.block([[U[n - 1], -U[n - 1]], [-U[n - 1], U[n - 1]]])
-    parts.append(LocalHessian(agent=n - 1, vehicles=(n - 2, n - 1), matrix=last,
-                              lambda_min=float(np.linalg.eigvalsh(last).min())))
-    return PdDecomposition(parts=tuple(parts), deltas=(), horizon=p, n=n)

@@ -200,10 +200,8 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         if params.warm_start == "warmup-projection":
             z0, wu_iters = warmup_initial_guess(prob, locals_, graph)
             warmups[k] = wu_iters
-        elif params.warm_start == "prev-solution" and z_prev is not None:
-            z0 = z_prev
         else:
-            z0 = None
+            z0 = z_prev  # None at the first step: a zero start
         report = solve_variant(locals_, graph, params, z0=z0)
         if not report.converged:
             raise RuntimeError(f"solver did not converge at step {k} "

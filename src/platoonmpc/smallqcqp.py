@@ -10,16 +10,16 @@ any other is a convex rank-one quadratic.  This is the layout of
 variables (per-agent proximal steps and the centralized reference solve),
 so everything is dense and direct, vectorized over the rows.
 
-Strategy: an unconstrained fast path; then, when the caller supplies a
-previous active set, a primal active-set loop of Newton solves on the
-working rows from the caller's point.  Otherwise, or when that loop fails,
-log-barrier continuation over all rows from a strictly feasible point
-(phase one finds one from the start clipped into the box rows when the
-start is not) hands its point to the same active-set loop, the polish, once
-the barrier's active set has held for two continuation steps.  If the
-polish fails there, the continuation resumes to its full depth (m/eta <
-1e-10) and the polish, the barrier point and a polish with a wider budget
-are tried in turn.
+Strategy: without a start point, the unconstrained minimizer, returned when
+it is feasible and the start otherwise.  With a previous active set, a
+primal active-set loop of Newton solves on the working rows from the
+start.  Otherwise, or when that loop fails, one log-barrier central path
+serves twice: phase one follows it on the problem of the worst violation
+(from the start clipped into the box rows) to a strictly feasible point
+when the start is not one, and the barrier over all rows follows it from
+there.  The active-set loop, the polish, takes the barrier's point once
+its active set has held for two continuation steps, and again at the end
+of the path (m/eta < 1e-10), where the barrier point is the last answer.
 """
 
 from __future__ import annotations
@@ -170,85 +170,19 @@ def _box_clip(rows, x):
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def _phase_one(rows, x0):
-    """Find a strictly feasible point by minimizing the worst violation.
+def _central_path(P, q, rows, x, eta, growth, floor=False, inside=None):
+    """Log-barrier continuation from the strictly feasible point ``x``.
 
-    The basic phase I of S. Boyd & L. Vandenberghe, *Convex Optimization*,
-    2004, section 11.4.1: minimize t subject to f_j(x) <= t by barrier
-    continuation on kappa t - sum log(t - f_j(x)), starting from ``x0``
-    clipped into the box rows with the first kappa scaled to the violation
-    (section 11.3.1), and stopping at the first x with every row strictly
-    negative.  Each Newton step, its curvature floored so that its
-    condition stays bounded, backtracks until that objective falls by a
-    fixed share of the predicted decrease (section 9.5), so each centering
-    converges from any start.
+    Centers on eta (0.5 x'Px + q'x) - sum log(-f_j(x)) by damped Newton,
+    yields (x, eta) and grows eta by ``growth``, without end (S. Boyd &
+    L. Vandenberghe, *Convex Optimization*, 2004, section 11.3).  Each step
+    backtracks until the barrier objective falls by a fixed share of the
+    predicted decrease (section 9.5), and a centering ends without moving
+    where no step lowers it.  ``floor`` adds 1e-9 of the mean curvature to
+    the Hessian, for an objective that leaves some direction unbent; a
+    centering also ends once ``inside(x)`` holds.
     """
-    dim = x0.size
-    x = _box_clip(rows, x0)
-    f = rows.values(x)
-    worst = float(f.max())
-    t = worst + 1.0
-    scale = 1.0 + abs(worst)
-    kappa = rows.h.size / scale  # m / kappa about the gap to close
-
-    def phi(xx, tt):
-        gap = tt - rows.values(xx)
-        return kappa * tt - float(np.log(gap).sum()) if (gap > 0).all() else np.inf
-
-    for _ in range(60):
-        # Newton on kappa*t - sum log(t - f_j)
-        for _ in range(50):
-            if worst < -1e-7 * scale:
-                return x
-            grads = rows.grads(x)
-            inv = 1.0 / (t - f)
-            KKT = np.zeros((dim + 1, dim + 1))
-            H = (grads.T * (inv * inv)) @ grads + rows.curvature(inv)
-            # floor the curvature so that the directions no row bends stay finite
-            KKT[:dim, :dim] = H + (1e-12 + 1e-9 * np.trace(H) / dim) * np.eye(dim)
-            KKT[:dim, dim] = KKT[dim, :dim] = -grads.T @ (inv * inv)
-            KKT[dim, dim] = float(inv @ inv)
-            rhs = -np.concatenate([grads.T @ inv, [kappa - inv.sum()]])
-            try:
-                sol = np.linalg.solve(KKT, rhs)
-            except np.linalg.LinAlgError:
-                sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-            decrement = float(rhs @ sol)
-            if decrement <= 1e-14 * (1.0 + abs(t)):
-                break
-            dx, dt = sol[:dim], sol[dim]
-            base, step = phi(x, t), 1.0
-            for _ in range(60):
-                if phi(x + step * dx, t + step * dt) <= base - 0.25 * step * decrement:
-                    break
-                step *= 0.5
-            else:
-                break  # no descent left at this kappa
-            x, t = x + step * dx, t + step * dt
-            f = rows.values(x)
-            worst = float(f.max())
-        if worst < -1e-7 * scale:
-            return x
-        kappa *= 10.0
-        if kappa > 1e12:
-            break
-    if worst < 0:
-        return x
-    raise InfeasibleProblem(f"constraint set numerically empty (min worst violation {worst:.3e})")
-
-
-def _barrier(P, q, rows, x):
-    """Central-path continuation from a strictly feasible point.
-
-    Yields (x, lam, f, active): x, the multipliers read off the barrier
-    gradient, the row values and the active rows (those whose multiplier is
-    at least their slack), first once the active rows have held for two
-    continuation steps, and then, when resumed, at the end of the path,
-    m/eta < 1e-10.
-    A centering ends without moving where its line search finds no step
-    that lowers the barrier merit.
-    """
-    m = rows.h.size
+    dim = x.size
 
     def phi(eta, xx):
         f = rows.values(xx)
@@ -256,14 +190,16 @@ def _barrier(P, q, rows, x):
             return np.inf
         return eta * (0.5 * float(xx @ P @ xx) + float(q @ xx)) - float(np.log(-f).sum())
 
-    eta = 1.0
-    held, prev = 0, None
-    for _ in range(40):
+    while True:
         for _ in range(60):
+            if inside is not None and inside(x):
+                break
             grads = rows.grads(x)
             inv = -1.0 / rows.values(x)
             g = eta * (P @ x + q) + grads.T @ inv
             H = eta * P + (grads.T * (inv * inv)) @ grads + rows.curvature(inv)
+            if floor:
+                H += (1e-12 + 1e-9 * np.trace(H) / dim) * np.eye(dim)
             try:
                 dx = -np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
@@ -282,17 +218,41 @@ def _barrier(P, q, rows, x):
             x = x + step * dx
             if step * float(np.abs(dx).max()) < 1e-14:
                 break
-        f = rows.values(x)
-        lam = -1.0 / (eta * f)
-        active = np.flatnonzero(lam >= -f).tolist()
-        held = held + 1 if active == prev else 0
-        prev = active
-        done = m / eta < 1e-10
-        if done or held == 2:
-            yield x, lam, f, active
-        if done:
-            return
-        eta *= 20.0
+        yield x, eta
+        eta *= growth
+
+
+def _phase_one(rows, x0):
+    """Find a strictly feasible point by minimizing the worst violation.
+
+    The basic phase I of Boyd & Vandenberghe, section 11.4.1: the central
+    path of minimize t subject to f_j(x) <= t, from ``x0`` clipped into the
+    box rows with the first weight scaled to the violation (section
+    11.3.1), stopped at the first x with every row below -1e-7 of that
+    scale.  Its objective bends no coordinate that no row touches, hence
+    the curvature floor.
+    """
+    dim = x0.size
+    x = _box_clip(rows, x0)
+    worst = float(rows.values(x).max())
+    scale = 1.0 + abs(worst)
+
+    def inside(y):
+        return rows.values(y[:dim]).max() < -1e-7 * scale
+
+    lifted = _Rows(np.hstack([rows.A, -np.ones((rows.h.size, 1))]), rows.h,
+                   np.hstack([rows.S, np.zeros((rows.h.size, 1))]), rows.quad)
+    e_t = np.zeros(dim + 1)
+    e_t[dim] = 1.0
+    for y, eta in _central_path(np.zeros((dim + 1, dim + 1)), e_t, lifted,
+                                np.append(x, worst + 1.0), rows.h.size / scale, 10.0,
+                                floor=True, inside=inside):
+        if inside(y) or eta * 10.0 > 1e12:
+            break
+    worst = float(rows.values(y[:dim]).max())
+    if worst < 0:
+        return y[:dim]
+    raise InfeasibleProblem(f"constraint set numerically empty (min worst violation {worst:.3e})")
 
 
 def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None,
@@ -304,7 +264,8 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
     P, q : quadratic objective data, P symmetric positive definite.
     A, h, S, quad : the rows ``A[k] x - h[k] + quad (S[k] x)^2 <= 0``; no
         rows when ``A`` is None, all rows linear when ``S`` is None.
-    x0 : optional warm start point.
+    x0 : optional start point; without one the solve starts from the
+        unconstrained minimizer.
     warm_active : optional iterable of row indices tried as the initial
         active set before any barrier work.
     kkt_tol : target residual (stationarity, feasibility, complementarity).
@@ -317,10 +278,11 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
     m = h.size
     iterations = 0
 
-    x_unc = np.linalg.solve(P, -q)
-    if m == 0 or rows.values(x_unc).max() <= 0:
-        return QcqpResult(x=x_unc, lam=np.zeros(m), kkt_residual=0.0, iterations=1,
-                          status="optimal")
+    if x0 is None or m == 0:
+        x0 = np.linalg.solve(P, -q)
+        if rows.values(x0).max(initial=0.0) <= 0:
+            return QcqpResult(x=x0, lam=np.zeros(m), kkt_residual=0.0, iterations=1,
+                              status="optimal")
 
     def finish(x, lam, f, stat):
         res = _kkt_residual(stat, lam, f)
@@ -330,7 +292,7 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
 
     newton_tol = 1e-12 * (1.0 + float(np.abs(q).max()))
 
-    def try_active_set(x, active, iters_budget=12, newton_tol=newton_tol):
+    def try_active_set(x, active, iters_budget, newton_tol):
         """Primal active-set loop: solve, then repair the working set."""
         nonlocal iterations
         keys = sorted(active)
@@ -364,29 +326,30 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
         return None
 
     if warm_active:
-        result = try_active_set(x0 if x0 is not None else x_unc, warm_active)
+        result = try_active_set(x0, warm_active, 12, newton_tol)
         if result is not None:
             return result
 
     # barrier route
-    if x0 is not None and rows.values(x0).max() < -1e-9:
-        start = x0
-    else:
-        start = _phase_one(rows, x0 if x0 is not None else x_unc)
+    start = x0 if rows.values(x0).max() < -1e-9 else _phase_one(rows, x0)
     iterations += 1
-    for x, lam, f, active in _barrier(P, q, rows, start):
-        result = try_active_set(x, active)  # the polish
-        if result is not None:
-            return result
-    # fall back to the barrier point with its approximate multipliers
-    fallback = finish(x, lam, f, _stationarity(P, q, x, rows, lam))
-    if fallback.status == "optimal":
-        return fallback
     # The polish adds one weakly violated row per pass, so an optimum with
-    # many weakly active rows can outlast the default budget, and Newton's
-    # default stop, relative to max|q|, can sit above kkt_tol.  Retry with
-    # room for every row and a stop below kkt_tol before settling for the
-    # barrier point.
-    result = try_active_set(x, active, iters_budget=m,
-                            newton_tol=min(newton_tol, 0.1 * kkt_tol))
-    return result if result is not None else fallback
+    # many weakly active rows needs room for every row, and Newton's stop,
+    # relative to max|q|, must sit below kkt_tol.
+    polish_tol = min(newton_tol, 0.1 * kkt_tol)
+    held, prev = 0, None
+    for x, eta in _central_path(P, q, rows, start, 1.0, 20.0):
+        # the multipliers read off the barrier gradient, and the rows whose
+        # multiplier is at least their slack
+        f = rows.values(x)
+        lam = -1.0 / (eta * f)
+        active = np.flatnonzero(lam >= -f).tolist()
+        held = held + 1 if active == prev else 0
+        prev = active
+        done = m / eta < 1e-10
+        if done or held == 2:
+            result = try_active_set(x, active, m, polish_tol)
+            if result is not None:
+                return result
+        if done:
+            return finish(x, lam, f, _stationarity(P, q, x, rows, lam))

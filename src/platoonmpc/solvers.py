@@ -58,7 +58,7 @@ __all__ = [
     "warmup_initial_guess",
 ]
 
-_WARM_STARTS = ("prev-solution", "warmup-projection", "zero")
+_WARM_STARTS = ("prev-solution", "warmup-projection")
 _FEASIBLE_TOL = 1e-11  # a candidate whose rows all read at most this stands
 
 
@@ -302,8 +302,6 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
-    variant: str
-    tol: float
     prox_fast: int = 0
     prox_full: int = 0
     agent_prox_stats: tuple = ()
@@ -360,8 +358,6 @@ def _iterate(layout, batch, params, step, z0=None, fabric=None, momentum=None):
         iterations=len(trace),
         residual=trace[-1] if trace else np.inf,
         converged=converged,
-        variant=params.variant,
-        tol=params.tol,
         prox_fast=batch.calls * len(full) - sum(full),
         prox_full=sum(full),
         agent_prox_stats=tuple((batch.calls - f, f) for f in full),
@@ -478,10 +474,10 @@ def _centralized_constraints(prob: QcqpProblem):
     return A.reshape(-1, n * p), h.ravel(), S.reshape(-1, n * p)
 
 
-def solve_centralized(prob: QcqpProblem, tol: float = 1e-10, x0=None) -> np.ndarray:
-    """Reference solution of the full step program to tight KKT residual."""
+def solve_centralized(prob: QcqpProblem) -> np.ndarray:
+    """Reference solution of the full step program to KKT residual 1e-10."""
     res = solve_qcqp(prob.hessian_dense(), prob.c, *_centralized_constraints(prob),
-                     prob.constraints.quad, x0=x0, kkt_tol=tol)
+                     prob.constraints.quad, kkt_tol=1e-10)
     if res.status != "optimal":
         raise RuntimeError(
             f"centralized solve did not reach tolerance (KKT residual {res.kkt_residual:.2e})")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from platoonmpc.core import WeightSchedule
-from platoonmpc.decomposition import decompose_pd, decompose_psd, stage_blocks
+from platoonmpc.decomposition import decompose_pd, stage_blocks
 
 from conftest import dense_hessian_oracle, random_weights, small_config
 
@@ -62,18 +62,6 @@ def test_pd_decomposition_reconstructs_hessian(rng, n, p):
     assert len(dec.parts) == n and len(dec.deltas) == n - 1
     for part in dec.parts:
         assert part.lambda_min > 0
-
-
-def test_psd_decomposition_reconstructs_hessian(rng):
-    n, p = 5, 2
-    w = random_weights(rng, n, p)
-    sb = stage_blocks(w, tau=1.0)
-    dec = decompose_psd(sb)
-    W = dense_hessian_oracle(w, 1.0)
-    total = sum(dec.embedded(i) for i in range(n))
-    np.testing.assert_allclose(total, W, atol=1e-11)
-    for part in dec.parts:
-        assert part.lambda_min >= -1e-12
 
 
 def test_topology_respected(rng):

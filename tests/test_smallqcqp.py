@@ -6,7 +6,7 @@ import pytest
 
 from platoonmpc.core import PlatoonState, reference_config
 from platoonmpc.problem import build_qcqp
-from platoonmpc.smallqcqp import InfeasibleProblem, _barrier, _Rows, row_values, solve_qcqp
+from platoonmpc.smallqcqp import InfeasibleProblem, _central_path, _Rows, row_values, solve_qcqp
 from platoonmpc.solvers import _centralized_constraints, solve_centralized
 from platoonmpc.stability import (DEFAULT_BASE_GAP_WEIGHTS, DEFAULT_BASE_RATE_WEIGHTS,
                                   DEFAULT_BASE_RIDE_WEIGHTS, default_weight_schedule,
@@ -329,12 +329,45 @@ def test_barrier_from_a_far_feasible_point():
                     8361.180125380677, -23170.872076074964, 27658.800067857046,
                     11.366106128104057, 6.27293086779636, 1.9583201615630046])
     assert row_values(A, h, S, 0.0625, far).max() < 0
-    # the whole central path from there, resumed past the hand-off to the
-    # polish, stays strictly feasible
-    for x, *_ in _barrier(P, q, _Rows(A, h, S, 0.0625), far):
+    # the whole central path from there, past the hand-off to the polish
+    # and down to its end, m/eta < 1e-10, stays strictly feasible
+    for x, eta in _central_path(P, q, _Rows(A, h, S, 0.0625), far, 1.0, 20.0):
         assert row_values(A, h, S, 0.0625, x).max() < 0
+        if h.size / eta < 1e-10:
+            break
     cold = solve_qcqp(P, q, A, h, S, 0.0625)
     from_far = solve_qcqp(P, q, A, h, S, 0.0625, x0=far)
     for res in (cold, from_far):
         assert res.status == "optimal" and res.kkt_residual <= 1e-9
     np.testing.assert_allclose(from_far.x, cold.x, rtol=0, atol=1e-9)
+
+
+def random_qcqp(rng, q_scales=(1.0, 10.0, 100.0)):
+    """A random strictly convex QCQP in ``solve_qcqp``'s row form (quad 0.5)
+    whose origin is strictly interior: P = MM' + 0.1 I, box rows with
+    bounds in U(0.5, 3), up to 2d random linear rows and up to d rank-one
+    quadratic rows, each with h ~ U(0.1, 2)."""
+    d = int(rng.integers(2, 16))
+    M = rng.normal(size=(d, d))
+    q = rng.normal(size=d) * rng.choice(q_scales)
+    n_lin, n_quad = int(rng.integers(0, 2 * d + 1)), int(rng.integers(0, d + 1))
+    A = np.vstack([np.eye(d), -np.eye(d), rng.normal(size=(n_lin + n_quad, d))])
+    h = np.concatenate([rng.uniform(0.5, 3.0, 2 * d), rng.uniform(0.1, 2.0, n_lin + n_quad)])
+    S = np.zeros_like(A)
+    S[2 * d + n_lin:] = rng.normal(size=(n_quad, d))
+    return M @ M.T + 0.1 * np.eye(d), q, A, h, S
+
+
+def test_far_starts_on_random_qcqps():
+    """General random QCQPs, every other one started far outside its rows
+    (phase one from there): each solve is optimal and agrees with the
+    solve from the strictly interior origin."""
+    rng = np.random.default_rng(10)
+    for draw in range(200):
+        P, q, A, h, S = random_qcqp(rng)
+        far = rng.normal(size=q.size) * rng.choice([10.0, 30.0, 100.0, 300.0])
+        res = solve_qcqp(P, q, A, h, S, 0.5, x0=far if draw % 2 else None)
+        ref = solve_qcqp(P, q, A, h, S, 0.5, x0=np.zeros(q.size))
+        for r in (res, ref):
+            assert r.status == "optimal" and r.kkt_residual <= 1e-9, draw
+        np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-7, err_msg=str(draw))
