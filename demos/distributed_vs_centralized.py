@@ -8,7 +8,7 @@ accuracy yardstick.
 
 import numpy as np
 
-from platoonmpc import (SolverParams, VehicleGraph, build_local_problems, build_qcqp,
+from platoonmpc import (SolverParams, build_agent_stack, build_local_problems, build_qcqp,
                         decompose_pd, initial_state, reference_config, solve_centralized,
                         solve_dr, solve_three_op, solve_three_op_accel, stage_blocks,
                         step_dynamics)
@@ -22,9 +22,9 @@ state = initial_state(cfg, speed=25.0, u0=-2.0)
 state = step_dynamics(state, np.zeros(cfg.n), -2.0, cfg.tau)
 
 prob = build_qcqp(state, cfg, weights)
-dec = decompose_pd(stage_blocks(weights, cfg.tau))
-graph = VehicleGraph.chain(cfg.n)
-locals_ = build_local_problems(prob, dec, graph)
+stack = build_agent_stack(decompose_pd(stage_blocks(weights, cfg.tau)))
+graph = stack.layout.graph
+locals_ = build_local_problems(prob, stack)
 
 u_ref = solve_centralized(prob)
 print("centralized reference computed (tight KKT residual)\n")

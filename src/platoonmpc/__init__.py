@@ -18,10 +18,10 @@ from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_
                       run_scenario, scenario_builtin)
 from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,
                       check_membership)
-from .solvers import (LocalAgentProblem, ProxSolveError, SolveReport, SolverParams,
-                      build_local_problems, default_params_for_horizon, prox_local,
-                      project_local, solve_centralized, solve_dr, solve_three_op,
-                      solve_three_op_accel, solve_variant, warmup_initial_guess)
+from .solvers import (AgentStack, LocalProblems, ProxSolveError, SolveReport, SolverParams,
+                      build_agent_stack, build_local_problems, default_params_for_horizon,
+                      solve_centralized, solve_dr, solve_three_op, solve_three_op_accel,
+                      solve_variant, warmup_initial_guess)
 from .stability import (ClosedLoopModel, SchurMarginResult, build_closed_loop,
                         default_weight_schedule, eigen_bounds_check, gen_weight_schedule,
                         schur_margin, stability_report_json)

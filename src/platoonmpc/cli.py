@@ -10,13 +10,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .consensus import VehicleGraph
 from .core import LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, reference_config
 from .decomposition import decompose_pd, stage_blocks
 from .harness import ScenarioSpec, SafetyViolation, emit_results, run_scenario, scenario_builtin
 from .problem import build_qcqp, check_membership
-from .solvers import (SolverParams, build_local_problems, default_params_for_horizon,
-                      solve_centralized, solve_variant)
+from .solvers import (SolverParams, build_agent_stack, build_local_problems,
+                      default_params_for_horizon, solve_centralized, solve_variant)
 from .stability import default_weight_schedule, stability_report_json
 
 
@@ -101,10 +100,8 @@ def _cmd_solve_once(args):
     if state.n != cfg.n:
         raise SystemExit("state size does not match the configuration")
     prob = build_qcqp(state, cfg, weights)
-    graph = VehicleGraph.chain(cfg.n)
-    dec = decompose_pd(stage_blocks(weights, cfg.tau))
-    locals_ = build_local_problems(prob, dec, graph)
-    report = solve_variant(locals_, graph, params)
+    stack = build_agent_stack(decompose_pd(stage_blocks(weights, cfg.tau)))
+    report = solve_variant(build_local_problems(prob, stack), stack.layout.graph, params)
     u_oracle = solve_centralized(prob)
     norm = float(np.linalg.norm(u_oracle))
     rel = float(np.linalg.norm(report.u_star - u_oracle) / norm) if norm > 1e-12 else 0.0

@@ -124,7 +124,8 @@ class MessageFabric:
 
     Agents post one message per neighbor each round; the fabric delivers
     messages only along graph edges, so no agent can observe non-neighbor
-    data.  A missing message aborts the round.
+    data.  A missing message aborts the round.  ``send`` is a round in
+    which a single agent speaks to one neighbor.
     """
 
     def __init__(self, graph: VehicleGraph):
@@ -151,6 +152,15 @@ class MessageFabric:
                     raise SimulationFault(f"agent {i} attempted to message non-neighbor {j}")
         self.round += 1
         return {i: {j: outgoing[j][i] for j in g.neighbors(i)} for i in range(g.n)}
+
+    def send(self, src: int, dst: int, payload):
+        """One round in which only ``src`` speaks, to ``dst``; returns the
+        payload as ``dst`` receives it.  Raises SimulationFault unless
+        ``dst`` is a chain neighbor of ``src``."""
+        if dst not in self.graph.neighbors(src):
+            raise SimulationFault(f"agent {src} attempted to message non-neighbor {dst}")
+        self.round += 1
+        return payload
 
 
 def fabric_project(vec: np.ndarray, layout: AugmentedLayout, fabric: MessageFabric) -> np.ndarray:

@@ -129,17 +129,15 @@ def _chain_vehicles(i: int, n: int) -> tuple:
     return (i - 1, i, i + 1)
 
 
-def decompose_pd(sb: StageBlocks, delta_fraction: float = 0.5) -> PdDecomposition:
+def decompose_pd(sb: StageBlocks) -> PdDecomposition:
     """Split the Hessian into n positive definite locally coupled blocks.
 
     Each agent's block is half of the tridiagonal mass it shares with its
     chain neighbors; positive definiteness of the end pieces is then
-    propagated down the chain by moving a margin ``delta_s`` (a fraction of
-    the current smallest eigenvalue) from one block to the next.  The sum
-    of the embedded blocks equals the central Hessian exactly.
+    propagated down the chain by moving a margin ``delta_s`` (half the
+    current smallest eigenvalue) from one block to the next.  The sum of
+    the embedded blocks equals the central Hessian exactly.
     """
-    if not (0.0 < delta_fraction < 1.0):
-        raise ValueError("delta_fraction must lie in (0, 1)")
     U = sb.blocks
     n, p = sb.n, sb.horizon
     Ip = np.eye(p)
@@ -151,7 +149,7 @@ def decompose_pd(sb: StageBlocks, delta_fraction: float = 0.5) -> PdDecompositio
         W = np.block([[U[0] + U[1], -U[1]], [-U[1], U[1]]])
         half = 0.5 * W
         lam = float(np.linalg.eigvalsh(half).min())
-        d1 = delta_fraction * lam
+        d1 = 0.5 * lam
         mats = [half - d1 * np.eye(2 * p), half + d1 * np.eye(2 * p)]
         deltas = (d1,)
     else:
@@ -178,7 +176,7 @@ def decompose_pd(sb: StageBlocks, delta_fraction: float = 0.5) -> PdDecompositio
         lam = float(np.linalg.eigvalsh(breve[0]).min())
         if lam <= 0:
             raise RuntimeError("leading block is not positive definite")
-        d_prev = delta_fraction * lam
+        d_prev = 0.5 * lam
         deltas.append(d_prev)
         mats[0] = breve[0] - d_prev * np.eye(2 * p)
         for s in range(1, n - 1):
@@ -187,7 +185,7 @@ def decompose_pd(sb: StageBlocks, delta_fraction: float = 0.5) -> PdDecompositio
             if lam <= 0:
                 raise RuntimeError(f"intermediate block {s} lost positive definiteness; "
                                    f"margin chain broke (delta={d_prev:.3e})")
-            d_s = delta_fraction * lam
+            d_s = 0.5 * lam
             deltas.append(d_s)
             mats[s] = grave - d_s * tail_pad
             d_prev = d_s

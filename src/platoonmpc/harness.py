@@ -14,13 +14,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .consensus import VehicleGraph
 from .core import (LeaderProfile, PlatoonConfig, WeightSchedule, initial_state,
                    reference_config, step_dynamics)
 from .decomposition import decompose_pd, stage_blocks
 from .problem import build_qcqp
-from .solvers import (SolverParams, build_local_problems, default_params_for_horizon,
-                      solve_centralized, solve_variant, warmup_initial_guess)
+from .solvers import (SolverParams, build_agent_stack, build_local_problems,
+                      default_params_for_horizon, solve_centralized, solve_variant,
+                      warmup_initial_guess)
 from .stability import default_weight_schedule
 
 __all__ = [
@@ -168,9 +168,9 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     weights = weights if weights is not None else default_weight_schedule(cfg.horizon)
     spec.leader.validate_speeds(spec.v_init, cfg, spec.duration)
 
-    graph = VehicleGraph.chain(cfg.n)
     blocks = stage_blocks(weights, cfg.tau)
-    dec = decompose_pd(blocks)
+    stack = build_agent_stack(decompose_pd(blocks))
+    graph = stack.layout.graph
     params = spec.solver
     # built only for noise: importing numpy.random alone costs about 5 MB
     rng = np.random.default_rng(spec.seed) if spec.noise is not None else None
@@ -196,7 +196,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     z_prev = warm = None
     for k in range(T):
         prob = build_qcqp(state, cfg, weights, blocks=blocks)
-        locals_ = build_local_problems(prob, dec, graph, warm=warm)
+        locals_ = build_local_problems(prob, stack, warm=warm)
         if params.warm_start == "warmup-projection":
             z0, wu_iters = warmup_initial_guess(prob, locals_, graph)
             warmups[k] = wu_iters

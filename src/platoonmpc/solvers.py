@@ -4,12 +4,14 @@ One loop, ``_iterate``, runs every scheme: a consensus projection over the
 vehicle graph, then one batched step in which every agent maps its own
 slice, until every agent's increment is small.  Each agent's step reads
 only its own locally coupled data, so the n steps of a round are computed
-together: ``_AgentBatch`` pads the agents to a common width, stacks their
-Hessians, linear terms and constraint rows, and evaluates every closed-form
-candidate and every row at once.  Only an agent whose candidate breaks one
-of its rows solves its small QCQP with ``smallqcqp``, starting from its own
-last full solve, which it keeps across control steps.  The schemes differ
-in the candidate:
+together.  The data that never changes within a run, the chain layout and
+every agent's Hessian block padded to a common width and stacked, is built
+once per run as an ``AgentStack``; each control step adds only its linear
+terms, constraint rows and the agents' warm memory (``LocalProblems``).
+``_AgentBatch`` then evaluates every closed-form candidate and every row at
+once.  Only an agent whose candidate breaks one of its rows solves its
+small QCQP with ``smallqcqp``, starting from its own last full solve, which
+it keeps across control steps.  The schemes differ in the candidate:
 
 * ``solve_dr``: relaxed proximal step; each agent's candidate is the
   unconstrained proximal point, kept when its constraints are inactive.
@@ -24,7 +26,7 @@ constraint-free program exactly; one batched projection then puts each
 agent's block into its constraint set.
 
 Agents never read non-neighbor data: every cross-agent value moves through
-the consensus projection or the sweep's relay, which the message fabric
+the consensus projection or the sweep's messages, which the message fabric
 carries verbatim.  A centralized reference solver provides the "true"
 solution for accuracy metrics.
 """
@@ -44,13 +46,13 @@ from .smallqcqp import InfeasibleProblem, solve_qcqp
 __all__ = [
     "SolverParams",
     "SolveReport",
-    "LocalAgentProblem",
+    "AgentStack",
+    "LocalProblems",
     "ProxSolveError",
     "default_params_for_horizon",
+    "build_agent_stack",
     "build_local_problems",
     "accel_gamma_next",
-    "prox_local",
-    "project_local",
     "solve_dr",
     "solve_three_op",
     "solve_three_op_accel",
@@ -83,10 +85,7 @@ class SolverParams:
     variant: str = "dr"
     alpha: float = 0.95
     rho: float = 0.3
-    gamma: float | None = None
-    lam: float | None = None
     eta: float = 0.2
-    gamma0: float | None = None
     tol: float = 1e-3
     max_iters: int = 5000
     warm_start: str = "prev-solution"
@@ -121,68 +120,98 @@ def default_params_for_horizon(p: int, variant: str = "dr") -> SolverParams:
     return SolverParams(variant=variant, alpha=alpha, rho=rho, tol=tol)
 
 
-@dataclass(frozen=True)
-class LocalAgentProblem:
-    """Everything agent i knows: its Hessian block over (own, neighbor
-    copies), its slice of the linear term, and the step's constraint set,
-    of which it lays out and reads only its own rows (the safe-spacing
-    rows read its copy of the predecessor).
+class AgentStack:
+    """What the agents know for a whole run: the chain ``layout`` (each
+    agent's own block first, then its neighbors' copies in ascending index)
+    and every agent's Hessian block gathered in that order, padded to the
+    widest agent (D = 3p on a chain of three or more) and stacked as ``H``
+    (n, D, D).  ``mask`` marks each agent's real coordinates, ``prev`` the
+    column of its copy of the predecessor (-1 for the first vehicle), and
+    ``L`` and ``mu`` are the largest and smallest eigenvalues over the
+    unpadded blocks, from which the three-operator step sizes derive; the
+    blocks are positive definite, so ``mu`` is positive.
+    """
 
-    ``warm`` is the agent's memory of its last full subsolve of each kind
+    def __init__(self, layout: AugmentedLayout, blocks):
+        self.layout, self.n, self.p = layout, layout.graph.n, layout.p
+        D = max(layout.dims)
+        self.mask = np.arange(D) < np.array(layout.dims)[:, None]
+        self.H = np.zeros((self.n, D, D))
+        for Hi, block in zip(self.H, blocks):
+            Hi[:len(block), :len(block)] = block
+        self.prev = np.array([order.index(i - 1) * self.p if i else -1
+                              for i, order in enumerate(layout.var_order)])
+        self.L = max(float(np.linalg.norm(block, 2)) for block in blocks)
+        self.mu = min(float(np.linalg.eigvalsh(block).min()) for block in blocks)
+
+    def pad(self, vec: np.ndarray) -> np.ndarray:
+        """A stacked-layout vector as the padded (n, D) stack."""
+        out = np.zeros(self.mask.shape)
+        out[self.mask] = vec
+        return out
+
+    def unpad(self, X: np.ndarray) -> np.ndarray:
+        return X[self.mask]
+
+
+def build_agent_stack(dec: PdDecomposition) -> AgentStack:
+    """The run's agent stack from the Hessian split: each agent's block,
+    listed over its vehicles in ascending order, is gathered own-first."""
+    layout = AugmentedLayout(VehicleGraph.chain(dec.n), dec.horizon)
+    stage = np.arange(dec.horizon)
+    blocks = []
+    for part, order in zip(dec.parts, layout.var_order):
+        cols = (np.array([part.vehicles.index(v) for v in order])[:, None] * dec.horizon
+                + stage).ravel()
+        blocks.append(part.matrix[cols[:, None], cols])
+    return AgentStack(layout, blocks)
+
+
+@dataclass(frozen=True)
+class LocalProblems:
+    """One control step's agent data over a run's ``stack``: the padded
+    linear terms ``C`` (n, D), the step's constraint set and every agent's
+    rows laid out over (own block, neighbor copies), ``rows`` (n, 5p, D).
+    Padded coordinates are zero in every stack and every point, so they add
+    nothing to a product or a row value.
+
+    ``warm[i]`` is agent i's memory of its last full subsolve of each kind
     ("prox subproblem", "projection"): the point and the active rows, the
     start of its next full solve of that kind.  Solvers read it and never
     write it; the next step's problems take it from ``SolveReport.warm``.
     """
 
-    index: int
-    var_order: tuple
-    hessian: np.ndarray
-    c_own: np.ndarray
+    stack: AgentStack
+    C: np.ndarray
     constraints: ConstraintSet
-    warm: dict = field(default_factory=dict)
+    rows: tuple
+    warm: tuple
 
-    @property
-    def horizon(self) -> int:
-        return self.c_own.size
+    def gradient(self, W: np.ndarray) -> np.ndarray:
+        return (self.stack.H @ W[..., None])[..., 0] + self.C
 
-    @property
-    def dim(self) -> int:
-        return self.hessian.shape[0]
+    def feasible(self, X: np.ndarray) -> np.ndarray:
+        """Whether X[i] meets every row of agent i, per agent."""
+        return self.constraints.values(self.rows, X).max(axis=1) <= _FEASIBLE_TOL
 
 
-def build_local_problems(prob: QcqpProblem, dec: PdDecomposition,
-                         graph: VehicleGraph, warm=None) -> list:
-    """Slice the step program into per-agent problems in augmented layout
-    (own block first, neighbor copies in ascending index).  ``warm``, one
-    entry per agent (a previous ``SolveReport.warm``), seeds each agent's
-    subsolver memory."""
-    p = prob.horizon
-    stage = np.arange(p)
-    out = []
-    for i in range(prob.n):
-        part = dec.parts[i]
-        order = (i, *graph.neighbors(i))
-        if set(order) != set(part.vehicles):
-            raise ValueError(f"decomposition block of agent {i} does not match the graph")
-        # the block lists its vehicles ascending; gather it in own-first order
-        cols = (np.array([part.vehicles.index(v) for v in order])[:, None] * p + stage).ravel()
-        out.append(LocalAgentProblem(
-            index=i,
-            var_order=order,
-            hessian=part.matrix[cols[:, None], cols],
-            c_own=prob.c_part(i).copy(),
-            constraints=prob.constraints,
-            warm=warm[i] if warm is not None else {},
-        ))
-    return out
+def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> LocalProblems:
+    """The step program's per-agent data over the run's agent stack.
+    ``warm``, one entry per agent (a previous ``SolveReport.warm``), seeds
+    each agent's subsolver memory."""
+    n, p = stack.n, stack.p
+    if (prob.n, prob.horizon) != (n, p):
+        raise ValueError("the step program does not match the agent stack")
+    C = np.zeros(stack.mask.shape)
+    C[:, :p] = prob.c.reshape(n, p)
+    rows = prob.constraints.rows(np.arange(n), C.shape[1], 0, stack.prev)
+    return LocalProblems(stack, C, prob.constraints, rows,
+                         tuple(warm) if warm is not None else ({},) * n)
 
 
 class _AgentBatch:
-    """Every agent's step data, padded to the widest agent (D = 3p on a
-    chain of three or more) and stacked: Hessians ``H`` (n, D, D), linear
-    terms ``C`` (n, D) and constraint ``rows`` (n, 5p, D) laid out over
-    (own block, neighbor copies).  Padded coordinates are zero in every
-    stack and every point, so they add nothing to a product or a row value.
+    """One solve's state over a step's ``problems``: the fast and full
+    counts, the agents' warm memory and their unpadded rows.
 
     ``prox`` and ``project`` map every agent's point at once: each agent's
     closed-form candidate stands when it meets all the agent's rows (the
@@ -196,97 +225,55 @@ class _AgentBatch:
     maps (rho H_i + I)^-1 are inverted in one call.
     """
 
-    def __init__(self, problems, rho: float | None = None):
-        cons = problems[0].constraints
-        if any(lp.constraints is not cons for lp in problems):
-            raise ValueError("the agents of one solve must share the step's constraint set")
-        p = problems[0].horizon
-        dims = np.array([lp.dim for lp in problems])
-        n, D = dims.size, dims.max()
-        self.problems = problems
-        self.mask = np.arange(D) < dims[:, None]
-        self.H = np.zeros((n, D, D))
-        self.H[self.mask[:, :, None] & self.mask[:, None, :]] = \
-            np.concatenate([lp.hessian.ravel() for lp in problems])
-        self.C = np.zeros((n, D))
-        self.C[:, :p] = [lp.c_own for lp in problems]
-        prev = [lp.var_order.index(lp.index - 1) * p if lp.index - 1 in lp.var_order else -1
-                for lp in problems]
-        self.cons = cons
-        self.rows = cons.rows(np.array([lp.index for lp in problems]), D, 0, np.array(prev))
-        self.rho = rho
+    def __init__(self, problems: LocalProblems, graph: VehicleGraph, rho: float | None = None):
+        stack = problems.stack
+        if graph.n != stack.n:
+            raise ValueError(f"graph has {graph.n} vehicles, the agent stack {stack.n}")
+        self.problems, self.stack, self.rho = problems, stack, rho
         if rho is not None:
-            self.prox_mat = np.linalg.inv(rho * self.H + np.eye(D))
+            self.prox_mat = np.linalg.inv(rho * stack.H + np.eye(stack.H.shape[-1]))
         self.calls = 0
-        self.full = [0] * n
-        self.warm = [dict(lp.warm) for lp in problems]
+        self.full = [0] * stack.n
+        self.warm = [dict(w) for w in problems.warm]
         self._agent_rows = {}
-
-    def pad(self, vec: np.ndarray) -> np.ndarray:
-        """A stacked-layout vector as the padded (n, D) stack."""
-        out = np.zeros(self.mask.shape)
-        out[self.mask] = vec
-        return out
-
-    def unpad(self, X: np.ndarray) -> np.ndarray:
-        return X[self.mask]
-
-    def gradient(self, W: np.ndarray) -> np.ndarray:
-        return (self.H @ W[..., None])[..., 0] + self.C
 
     def prox(self, Y: np.ndarray) -> np.ndarray:
         """Every agent's proximal step of its objective at Y[i]."""
-        X = (self.prox_mat @ (Y - self.rho * self.C)[..., None])[..., 0]
+        C = self.problems.C
+        X = (self.prox_mat @ (Y - self.rho * C)[..., None])[..., 0]
         return self._constrained(X, "prox subproblem", lambda i, d: (
-            self.problems[i].hessian + np.eye(d) / self.rho, self.C[i, :d] - Y[i, :d] / self.rho))
+            self.stack.H[i, :d, :d] + np.eye(d) / self.rho, C[i, :d] - Y[i, :d] / self.rho))
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Every agent's Euclidean projection of Y[i] onto its constraint set."""
         return self._constrained(Y.copy(), "projection", lambda i, d: (np.eye(d), -Y[i, :d]))
-
-    def feasible(self, X: np.ndarray) -> np.ndarray:
-        """Whether X[i] meets every row of agent i, per agent."""
-        return self.cons.values(self.rows, X).max(axis=1) <= _FEASIBLE_TOL
 
     def _constrained(self, X, kind, objective):
         """``X`` with each row i that breaks agent i's constraints replaced
         by the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(i,
         d_i)."""
         self.calls += 1
-        for i in (~self.feasible(X)).nonzero()[0]:
-            d = self.problems[i].dim
-            X[i, :d] = self._solve(i, kind, *objective(i, d))
+        for i in (~self.problems.feasible(X)).nonzero()[0]:
+            d = self.stack.layout.dims[i]
+            X[i, :d] = self._solve(i, d, kind, *objective(i, d))
         return X
 
-    def _solve(self, i, kind, P, q):
-        lp = self.problems[i]
+    def _solve(self, i, d, kind, P, q):
         self.full[i] += 1
         rows = self._agent_rows.get(i)
         if rows is None:
-            A, h, S = self.rows
-            rows = self._agent_rows[i] = (A[i, :, :lp.dim].copy(), h[i], S[i, :, :lp.dim].copy())
+            A, h, S = self.problems.rows
+            rows = self._agent_rows[i] = (A[i, :, :d].copy(), h[i], S[i, :, :d].copy())
         x0, active = self.warm[i].get(kind, (None, None))
         try:
-            res = solve_qcqp(P, q, *rows, self.cons.quad, x0=x0, warm_active=active)
+            res = solve_qcqp(P, q, *rows, self.problems.constraints.quad, x0=x0,
+                             warm_active=active)
         except InfeasibleProblem as exc:
-            raise ProxSolveError(lp.index, f"{kind}: {exc}") from exc
+            raise ProxSolveError(i, f"{kind}: {exc}") from exc
         if res.status != "optimal":
-            raise ProxSolveError(lp.index,
-                                 f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
+            raise ProxSolveError(i, f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
         self.warm[i][kind] = (res.x, res.active)
         return res.x
-
-
-def prox_local(lp: LocalAgentProblem, point: np.ndarray, rho: float) -> np.ndarray:
-    """Proximal step of one agent's objective over its constraint set."""
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    return _AgentBatch([lp], rho).prox(np.asarray(point, dtype=float)[None])[0]
-
-
-def project_local(lp: LocalAgentProblem, point: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto one agent's constraint set."""
-    return _AgentBatch([lp]).project(np.asarray(point, dtype=float)[None])[0]
 
 
 @dataclass
@@ -295,7 +282,7 @@ class SolveReport:
 
     ``agent_prox_stats[i]`` counts (closed-form fast path, full subsolver)
     proximal evaluations of agent i, and ``warm[i]`` is agent i's subsolver
-    memory after the solve (``LocalAgentProblem.warm`` of the next step).
+    memory after the solve (``LocalProblems.warm`` of the next step).
     """
 
     u_star: np.ndarray
@@ -310,15 +297,7 @@ class SolveReport:
     warm: tuple = ()
 
 
-def _setup(problems, graph, rho=None):
-    layout = AugmentedLayout(graph, problems[0].horizon)
-    for lp, order in zip(problems, layout.var_order):
-        if tuple(order) != lp.var_order:
-            raise ValueError("local problem layout does not match the graph")
-    return layout, _AgentBatch(problems, rho)
-
-
-def _iterate(layout, batch, params, step, z0=None, fabric=None, momentum=None):
+def _iterate(batch, params, step, z0=None, fabric=None, momentum=None):
     """The iteration loop of every splitting scheme.
 
     Each round projects onto the consensus subspace (through ``fabric``
@@ -328,6 +307,9 @@ def _iterate(layout, batch, params, step, z0=None, fabric=None, momentum=None):
     point is the current iterate, or ``momentum(z, w)`` when given, with
     ``w`` the previous projection.
     """
+    stack = batch.stack
+    layout = stack.layout
+
     def project(vec):
         return _project(vec, layout) if fabric is None else fabric_project(vec, layout, fabric)
 
@@ -335,14 +317,14 @@ def _iterate(layout, batch, params, step, z0=None, fabric=None, momentum=None):
     per_agent_tol = params.tol / len(starts)
     z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
     w = project(z)
-    Z = batch.pad(z)
+    Z = stack.pad(z)
     trace = []  # one residual ||z_new - z|| per round
     converged = False
     for _ in range(params.max_iters):
         if momentum is not None:
             w = project(momentum(z, w))
-        Z = step(Z, batch.pad(w))
-        z_new = batch.unpad(Z)
+        Z = step(Z, stack.pad(w))
+        z_new = stack.unpad(Z)
         dz = z_new - z
         trace.append(math.sqrt(dz @ dz))  # the flat norm, as np.linalg.norm sums it
         z = z_new
@@ -367,7 +349,7 @@ def _iterate(layout, batch, params, step, z0=None, fabric=None, momentum=None):
     )
 
 
-def solve_dr(problems, graph: VehicleGraph, params: SolverParams, z0=None,
+def solve_dr(problems: LocalProblems, graph: VehicleGraph, params: SolverParams, z0=None,
              fabric: MessageFabric | None = None) -> SolveReport:
     """Relaxed proximal splitting over the consensus subspace.
 
@@ -375,13 +357,13 @@ def solve_dr(problems, graph: VehicleGraph, params: SolverParams, z0=None,
     then every agent applies its proximal map to the reflected point and
     relaxes.  Agents stop once every local increment falls below tol/n.
     """
-    layout, batch = _setup(problems, graph, params.rho)
+    batch = _AgentBatch(problems, graph, params.rho)
     two_alpha = 2.0 * params.alpha
 
     def step(Z, W):
         return Z + two_alpha * (batch.prox(2.0 * W - Z) - W)
 
-    return _iterate(layout, batch, params, step, z0, fabric)
+    return _iterate(batch, params, step, z0, fabric)
 
 
 def accel_gamma_next(gamma: float, mut: float) -> float:
@@ -390,34 +372,22 @@ def accel_gamma_next(gamma: float, mut: float) -> float:
     return -mut * gamma ** 2 + np.sqrt((mut * gamma ** 2) ** 2 + gamma ** 2)
 
 
-def _lipschitz(problems) -> float:
-    # from the unpadded blocks: a padded block's zero rows would add nothing
-    # here but would read as lambda_min = 0 in the strong-convexity modulus
-    return max(float(np.linalg.norm(lp.hessian, 2)) for lp in problems)
-
-
-def solve_three_op(problems, graph: VehicleGraph, params: SolverParams, z0=None,
-                   fabric: MessageFabric | None = None) -> SolveReport:
+def solve_three_op(problems: LocalProblems, graph: VehicleGraph, params: SolverParams,
+                   z0=None, fabric: MessageFabric | None = None) -> SolveReport:
     """Forward-backward style splitting with a gradient step on the smooth
     quadratic and a projection onto the local constraint sets."""
-    layout, batch = _setup(problems, graph)
-    L = _lipschitz(problems)
-    gamma = params.gamma if params.gamma is not None else 1.9 / L
-    if not (0.0 < gamma < 2.0 / L):
-        raise ValueError(f"gamma must lie in (0, {2.0 / L:.6g})")
-    lam_bound = 2.0 - gamma * L / 2.0
-    lam = params.lam if params.lam is not None else 0.999 * lam_bound
-    if not (0.0 < lam < lam_bound):
-        raise ValueError(f"lam must lie in (0, {lam_bound:.6g})")
+    batch = _AgentBatch(problems, graph)
+    gamma = 1.9 / problems.stack.L
+    lam = 0.999 * (2.0 - gamma * problems.stack.L / 2.0)
 
     def step(Z, W):
-        return Z + lam * (batch.project(2.0 * W - Z - gamma * batch.gradient(W)) - W)
+        return Z + lam * (batch.project(2.0 * W - Z - gamma * problems.gradient(W)) - W)
 
-    return _iterate(layout, batch, params, step, z0, fabric)
+    return _iterate(batch, params, step, z0, fabric)
 
 
-def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0=None,
-                         fabric: MessageFabric | None = None) -> SolveReport:
+def solve_three_op_accel(problems: LocalProblems, graph: VehicleGraph, params: SolverParams,
+                         z0=None, fabric: MessageFabric | None = None) -> SolveReport:
     """Accelerated variant with the adaptive step-size recursion
 
         gamma_{k+1} = -mu~ gamma_k^2 + sqrt((mu~ gamma_k^2)^2 + gamma_k^2),
@@ -425,16 +395,9 @@ def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0
     where mu~ is a fraction of the strong-convexity modulus.  With mu~ = 0
     the recursion leaves gamma unchanged.  Each round projects the momentum
     point z + gamma_k v, v being the last projection's scaled offset."""
-    layout, batch = _setup(problems, graph)
-    L = _lipschitz(problems)
-    mu = min(float(np.linalg.eigvalsh(lp.hessian).min()) for lp in problems)
-    if mu <= 0:
-        raise ValueError("acceleration needs strongly convex agent objectives")
-    mut = params.eta * mu
-    g_bound = 2.0 / (L * (1.0 - params.eta))
-    gamma0 = params.gamma0 if params.gamma0 is not None else 1.9 / (L * (1.0 - params.eta))
-    if not (0.0 < gamma0 < g_bound):
-        raise ValueError(f"gamma0 must lie in (0, {g_bound:.6g})")
+    batch, stack = _AgentBatch(problems, graph), problems.stack
+    mut = params.eta * stack.mu
+    gamma0 = 1.9 / (stack.L * (1.0 - params.eta))
 
     gam = [gamma0, gamma0]  # (gamma_k, gamma_{k+1}) of the current round
     v = zv = None
@@ -449,10 +412,10 @@ def solve_three_op_accel(problems, graph: VehicleGraph, params: SolverParams, z0
 
     def step(Z, W):
         nonlocal v
-        v = (zv - batch.unpad(W)) / gam[0]
-        return batch.project(W - gam[1] * batch.pad(v) - gam[1] * batch.gradient(W))
+        v = (zv - stack.unpad(W)) / gam[0]
+        return batch.project(W - gam[1] * stack.pad(v) - gam[1] * problems.gradient(W))
 
-    return _iterate(layout, batch, params, step, z0, fabric, momentum)
+    return _iterate(batch, params, step, z0, fabric, momentum)
 
 
 SOLVERS = {
@@ -484,7 +447,7 @@ def solve_centralized(prob: QcqpProblem) -> np.ndarray:
     return res.x
 
 
-def warmup_initial_guess(prob: QcqpProblem, problems, graph: VehicleGraph):
+def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: VehicleGraph):
     """Initial iterate from the exact constraint-free minimizer.
 
     W is block tridiagonal along the chain, so the minimizer of 1/2 u'Wu + c'u
@@ -493,28 +456,21 @@ def warmup_initial_guess(prob: QcqpProblem, problems, graph: VehicleGraph):
     block and vector and keeps S_i = W_ii - B' S_{i-1}^{-1} B and
     g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}, B = W_{i-1,i}.  Backward, it
     receives u_{i+1} and solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).
-    Every message crosses one chain edge through a ``MessageFabric``; each
-    agent then projects its block onto its constraint set, all in one batch.  Returns
-    (z0, sequential fabric rounds), the rounds being 2(n - 1).
+    Every message crosses one chain edge in a one-speaker fabric round
+    (``MessageFabric.send``); each agent then projects its block onto its
+    constraint set, all in one batch.  Returns (z0, fabric rounds), 2(n - 1).
     """
-    n, fabric = prob.n, MessageFabric(graph)
-
-    def relay(src, dst, payload):
-        # a round in which only ``src`` speaks; every other message is None
-        outgoing = {i: dict.fromkeys(graph.neighbors(i)) for i in range(n)}
-        outgoing[src][dst] = payload
-        return fabric.exchange(outgoing)[dst][src]
-
+    n, fabric, stack = prob.n, MessageFabric(graph), problems.stack
+    batch = _AgentBatch(problems, graph)
     S, g = [prob.diag[0]], [-prob.c_part(0)]
     for i in range(1, n):
-        S_prev, g_prev = relay(i - 1, i, (S[-1], g[-1]))
+        S_prev, g_prev = fabric.send(i - 1, i, (S[-1], g[-1]))
         B = prob.off[i - 1]
         S.append(prob.diag[i] - B.T @ np.linalg.solve(S_prev, B))
         g.append(-prob.c_part(i) - B.T @ np.linalg.solve(S_prev, g_prev))
     u = [None] * (n - 1) + [np.linalg.solve(S[-1], g[-1])]
     for i in range(n - 2, -1, -1):
-        u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ relay(i + 1, i, u[i + 1]))
+        u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ fabric.send(i + 1, i, u[i + 1]))
 
-    batch = _AgentBatch(problems)
-    w = AugmentedLayout(graph, prob.horizon).scatter_controls(np.concatenate(u))
-    return batch.unpad(batch.project(batch.pad(w))), fabric.round
+    w = stack.layout.scatter_controls(np.concatenate(u))
+    return stack.unpad(batch.project(stack.pad(w))), fabric.round

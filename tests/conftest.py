@@ -119,30 +119,34 @@ def ref_cfg():
 
 class PerAgentStep:
     """Reference for the batched agent engine: one agent's step on its own
-    unpadded slice, as the solvers ran it before the batching.  Its rows are
-    laid out over its own dimension, its closed-form candidate comes from its
-    own inverted prox matrix, and only a candidate that breaks a row goes to
-    ``solve_qcqp``, warm-started per kind from the agent's last full solve."""
+    unpadded slice, as the solvers ran it before the batching.  It reads
+    agent i's Hessian block and linear term from the step's problems, lays
+    its rows out over its own dimension, takes its closed-form candidate from
+    its own inverted prox matrix, and sends only a candidate that breaks a
+    row to ``solve_qcqp``, warm-started per kind from the agent's last full
+    solve."""
 
-    def __init__(self, lp, rho):
-        p, d = lp.horizon, lp.dim
-        self.lp, self.d, self.rho = lp, d, rho
-        self.c_tilde = np.zeros(d)
-        self.c_tilde[:p] = lp.c_own
-        self.prox_mat = np.linalg.inv(rho * lp.hessian + np.eye(d))
-        prev = lp.index - 1
-        prev_col = lp.var_order.index(prev) * p if prev in lp.var_order else -1
-        A, h, S = lp.constraints.rows(np.array([lp.index]), d, 0, prev_col)
+    def __init__(self, problems, i, rho):
+        layout = problems.stack.layout
+        p, d = layout.p, layout.dims[i]
+        self.index, self.d, self.rho = i, d, rho
+        self.cons = problems.constraints
+        self.hessian = problems.stack.H[i, :d, :d]
+        self.c_tilde = problems.C[i, :d]
+        self.prox_mat = np.linalg.inv(rho * self.hessian + np.eye(d))
+        order = layout.var_order[i]
+        prev_col = order.index(i - 1) * p if i - 1 in order else -1
+        A, h, S = self.cons.rows(np.array([i]), d, 0, prev_col)
         self.rows = (A[0], h[0], S[0])
         self.fast = self.full = 0
         self._warm = {}
 
     def gradient(self, x):
-        return self.lp.hessian @ x + self.c_tilde
+        return self.hessian @ x + self.c_tilde
 
     def prox(self, y):
         return self._constrained(self.prox_mat @ (y - self.rho * self.c_tilde), "prox subproblem",
-                                 lambda: (self.lp.hessian + np.eye(self.d) / self.rho,
+                                 lambda: (self.hessian + np.eye(self.d) / self.rho,
                                           self.c_tilde - y / self.rho))
 
     def project(self, y):
@@ -152,19 +156,18 @@ class PerAgentStep:
         from platoonmpc.smallqcqp import InfeasibleProblem, solve_qcqp
         from platoonmpc.solvers import ProxSolveError
 
-        if self.lp.constraints.values(self.rows, x).max() <= 1e-11:
+        if self.cons.values(self.rows, x).max() <= 1e-11:
             self.fast += 1
             return x
         self.full += 1
         P, q = objective()
         x0, active = self._warm.get(kind, (None, None))
         try:
-            res = solve_qcqp(P, q, *self.rows, self.lp.constraints.quad, x0=x0,
-                             warm_active=active)
+            res = solve_qcqp(P, q, *self.rows, self.cons.quad, x0=x0, warm_active=active)
         except InfeasibleProblem as exc:
-            raise ProxSolveError(self.lp.index, f"{kind}: {exc}") from exc
+            raise ProxSolveError(self.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":
-            raise ProxSolveError(self.lp.index,
+            raise ProxSolveError(self.index,
                                  f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
         self._warm[kind] = (res.x, res.active)
         return res.x
@@ -173,29 +176,30 @@ class PerAgentStep:
 def per_agent_solve(problems, graph, params, z0=None):
     """The splitting loop with one ``PerAgentStep`` call per agent per
     round, for every variant; returns (u_star, iterations, per-agent
-    (fast, full) counts).  Step sizes default as in the solvers."""
+    (fast, full) counts).  The step sizes are the solvers' derived ones,
+    from the extreme eigenvalues of the agents' unpadded blocks."""
     from platoonmpc.consensus import AugmentedLayout, _project
-    from platoonmpc.solvers import _lipschitz, accel_gamma_next
+    from platoonmpc.solvers import accel_gamma_next
 
-    layout = AugmentedLayout(graph, problems[0].horizon)
-    agents = [PerAgentStep(lp, params.rho) for lp in problems]
+    layout = AugmentedLayout(graph, problems.stack.p)
+    agents = [PerAgentStep(problems, i, params.rho) for i in range(graph.n)]
     slices = [layout.agent_slice(i) for i in range(len(agents))]
-    L = _lipschitz(problems)
+    L = max(float(np.linalg.norm(a.hessian, 2)) for a in agents)
     accel = params.variant == "three-op-accel"
     if params.variant == "dr":
         def step(i, sl, z, w):
             return z[sl] + 2.0 * params.alpha * (agents[i].prox(2.0 * w[sl] - z[sl]) - w[sl])
     elif params.variant == "three-op":
-        gamma = params.gamma if params.gamma is not None else 1.9 / L
-        lam = params.lam if params.lam is not None else 0.999 * (2.0 - gamma * L / 2.0)
+        gamma = 1.9 / L
+        lam = 0.999 * (2.0 - gamma * L / 2.0)
 
         def step(i, sl, z, w):
             wi = w[sl]
             x = agents[i].project(2.0 * wi - z[sl] - gamma * agents[i].gradient(wi))
             return z[sl] + lam * (x - wi)
     else:
-        mut = params.eta * min(float(np.linalg.eigvalsh(lp.hessian).min()) for lp in problems)
-        gamma0 = params.gamma0 if params.gamma0 is not None else 1.9 / (L * (1.0 - params.eta))
+        mut = params.eta * min(float(np.linalg.eigvalsh(a.hessian).min()) for a in agents)
+        gamma0 = 1.9 / (L * (1.0 - params.eta))
         gam, v = [gamma0, gamma0], None
 
         def step(i, sl, z, w):

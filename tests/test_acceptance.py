@@ -15,8 +15,9 @@ from platoonmpc.core import WeightSchedule, reference_config
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.harness import run_scenario, scenario_builtin
 from platoonmpc.problem import build_qcqp
-from platoonmpc.solvers import (SolverParams, build_local_problems, solve_centralized,
-                                solve_dr, solve_three_op, solve_three_op_accel)
+from platoonmpc.solvers import (SolverParams, build_agent_stack, build_local_problems,
+                                solve_centralized, solve_dr, solve_three_op,
+                                solve_three_op_accel)
 from platoonmpc.stability import build_closed_loop, default_weight_schedule
 
 from conftest import dense_hessian_oracle, random_state, random_weights, small_config
@@ -136,9 +137,9 @@ def test_criterion_5_oracle_equivalence_three_variants():
         w = random_weights(rng, n, p)
         state = random_state(rng, cfg)
         prob = build_qcqp(state, cfg, w)
-        dec = decompose_pd(stage_blocks(w, cfg.tau))
         graph = VehicleGraph.chain(n)
-        locals_ = build_local_problems(prob, dec, graph)
+        stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+        locals_ = build_local_problems(prob, stack)
         u_ref = solve_centralized(prob)
         nrm = max(np.linalg.norm(u_ref), 1e-12)
         for variant, fn in (("dr", solve_dr), ("three-op", solve_three_op),

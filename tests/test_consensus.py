@@ -97,6 +97,13 @@ def test_exchange_topology_and_isolation():
     for agent in (0, 1, 2, 3):
         seen = [float(v) for msg in received[agent].values() for v in np.atleast_1d(msg)]
         assert 999.0 not in seen
+    # a one-speaker round reaches a neighbor only, and a refused one counts no round
+    fabric = MessageFabric(g)
+    assert fabric.send(2, 3, "payload") == "payload" and fabric.round == 1
+    for src, dst in ((0, 2), (5, 0), (3, 3)):
+        with pytest.raises(SimulationFault):
+            fabric.send(src, dst, "payload")
+    assert fabric.round == 1
 
 
 def test_exchange_missing_post():

@@ -43,7 +43,7 @@ def test_three_agent_unit_chain_eigen_values():
     w = WeightSchedule(np.zeros((1, 3)), np.zeros((1, 3)), np.ones((1, 3)) / 1.0)
     sb = stage_blocks(w, tau=1.0)
     assert sb.blocks[0][0, 0] == pytest.approx(1.0)
-    dec = decompose_pd(sb, delta_fraction=0.5)
+    dec = decompose_pd(sb)
     lam_min_lead = (3 - np.sqrt(5)) / 4  # eigen-solve of the 2x2 half block
     assert dec.deltas[0] == pytest.approx(lam_min_lead / 2, rel=1e-12)
     lead = dec.parts[0].matrix
@@ -85,8 +85,3 @@ def test_scale_equivariance(rng):
     for a, b in zip(dec1.parts, dec2.parts):
         np.testing.assert_allclose(3.0 * a.matrix, b.matrix, rtol=1e-12)
 
-
-def test_delta_fraction_validation(rng):
-    sb = stage_blocks(random_weights(rng, 3, 1), tau=1.0)
-    with pytest.raises(ValueError):
-        decompose_pd(sb, delta_fraction=1.5)

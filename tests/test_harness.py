@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,28 @@ def test_determinism_same_seed_same_files(tmp_path):
         emit_results(res, tmp_path / sub)
     for name in ("spacings.csv", "speeds.csv", "controls.csv", "metrics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_agent_stack_built_once_per_run(monkeypatch):
+    # the Hessian stacking and its chain layout run once per scenario run,
+    # however many steps and solves (here with the warm-up start too)
+    import platoonmpc.harness as harness
+    import platoonmpc.solvers as solvers
+
+    counts = {"stack": 0, "layout": 0}
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "build_agent_stack", counted("stack", harness.build_agent_stack))
+    monkeypatch.setattr(solvers, "AugmentedLayout", counted("layout", solvers.AugmentedLayout))
+    spec = replace(scenario_builtin("s1", p=2, warm_start="warmup-projection"), duration=4)
+    res = run_scenario(spec)
+    assert (res.warmup_iterations > 0).all() and (res.iterations > 0).all()
+    assert counts == {"stack": 1, "layout": 1}
 
 
 def test_noise_free_run_leaves_numpy_random_unloaded():

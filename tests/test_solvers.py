@@ -9,10 +9,9 @@ from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import build_qcqp, check_membership
 from platoonmpc.smallqcqp import InfeasibleProblem
 from platoonmpc.solvers import (SOLVERS, ProxSolveError, SolverParams, _AgentBatch,
-                                accel_gamma_next, build_local_problems,
-                                default_params_for_horizon, prox_local, project_local,
-                                solve_centralized, solve_dr, solve_three_op,
-                                solve_three_op_accel, warmup_initial_guess)
+                                accel_gamma_next, build_agent_stack, build_local_problems,
+                                default_params_for_horizon, solve_centralized, solve_dr,
+                                solve_three_op, solve_three_op_accel, warmup_initial_guess)
 
 from conftest import per_agent_solve, random_state, random_weights, small_config
 
@@ -24,9 +23,25 @@ def make_instance(rng, n, p, steady=False):
     w = random_weights(rng, n, p)
     state = initial_state(cfg, speed=25.0, u0=0.0) if steady else random_state(rng, cfg)
     prob = build_qcqp(state, cfg, w)
-    dec = decompose_pd(stage_blocks(w, cfg.tau))
-    graph = VehicleGraph.chain(n)
-    return cfg, prob, build_local_problems(prob, dec, graph), graph
+    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+    return cfg, prob, build_local_problems(prob, stack), VehicleGraph.chain(n)
+
+
+def agent_map(problems, graph, i, point, rho=None):
+    """Agent i's proximal step at ``point`` (with ``rho``) or its projection
+    of ``point`` (without), from one batch in which every other agent maps
+    the origin."""
+    batch = _AgentBatch(problems, graph, rho)
+    Y = np.zeros(problems.stack.mask.shape)
+    d = problems.stack.layout.dims[i]
+    Y[i, :d] = point
+    return (batch.prox(Y) if rho is not None else batch.project(Y))[i, :d]
+
+
+def agent_block(problems, i):
+    """Agent i's unpadded Hessian block and linear term."""
+    d = problems.stack.layout.dims[i]
+    return problems.stack.H[i, :d, :d], problems.C[i, :d]
 
 
 def test_default_parameter_table():
@@ -53,19 +68,46 @@ def test_params_validation():
 
 
 def test_local_problem_layout(rng):
-    _, prob, locals_, graph = make_instance(rng, 4, 2)
-    assert locals_[0].var_order == (0, 1)
-    assert locals_[1].var_order == (1, 0, 2)
-    assert locals_[3].var_order == (3, 2)
+    _, prob, problems, graph = make_instance(rng, 4, 2)
+    var_order = problems.stack.layout.var_order
+    assert var_order[0] == [0, 1]
+    assert var_order[1] == [1, 0, 2]
+    assert var_order[3] == [3, 2]
 
-    def prev_blocks(lp, p=2):
+    def prev_blocks(i, p=2):
         # neighbor-copy blocks that the agent's safety rows read
-        safety = _AgentBatch([lp]).rows[0][0, 4 * p:]
-        return [b for b in range(1, len(lp.var_order)) if safety[:, b * p:(b + 1) * p].any()]
+        safety = problems.rows[0][i, 4 * p:]
+        return [b for b in range(1, len(var_order[i])) if safety[:, b * p:(b + 1) * p].any()]
 
-    assert prev_blocks(locals_[0]) == []
-    assert prev_blocks(locals_[1]) == [1]
-    assert prev_blocks(locals_[3]) == [1]
+    assert prev_blocks(0) == []
+    assert prev_blocks(1) == [1]
+    assert prev_blocks(3) == [1]
+    # the solvers and the warm start refuse a graph of another size
+    for call in (lambda g: solve_dr(problems, g, default_params_for_horizon(2)),
+                 lambda g: warmup_initial_guess(prob, problems, g)):
+        with pytest.raises(ValueError, match="vehicles"):
+            call(VehicleGraph.chain(5))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("p", [1, 3])
+def test_agent_stack_matches_embedded_blocks(rng, n, p):
+    # each stacked block is the agent's block of the embedded full-size
+    # matrix, gathered over its own vehicle first, then its neighbors
+    dec = decompose_pd(stage_blocks(random_weights(rng, n, p), tau=1.0))
+    stack = build_agent_stack(dec)
+    D = 3 * p if n > 2 else 2 * p
+    assert stack.H.shape == (n, D, D) and stack.mask.shape == (n, D)
+    blocks = []
+    for i, order in enumerate(stack.layout.var_order):
+        idx = np.concatenate([np.arange(v * p, (v + 1) * p) for v in order])
+        blocks.append(dec.embedded(i)[np.ix_(idx, idx)])
+        d = idx.size
+        assert stack.mask[i].sum() == d and stack.mask[i, :d].all()
+        assert np.array_equal(stack.H[i, :d, :d], blocks[-1])
+        assert not stack.H[i, d:].any() and not stack.H[i, :, d:].any()
+    assert stack.L == max(np.linalg.norm(b, 2) for b in blocks)
+    assert stack.mu == min(np.linalg.eigvalsh(b).min() for b in blocks)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -74,18 +116,17 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
     # agent i's rows, laid out over (own block, neighbor copies) and padded,
     # are vehicle i's rows of the membership check, read nothing beyond its
     # own block and its copy of the predecessor, and decide feasibility alike
-    _, prob, locals_, graph = make_instance(rng, n, p)
+    _, prob, problems, graph = make_instance(rng, n, p)
     layout = AugmentedLayout(graph, p)
-    batch = _AgentBatch(locals_)
-    A, _, S = batch.rows
+    A, _, S = problems.rows
     outcomes = set()
     for scale in (0.1, 1.0, 3.0):
         u = scale * rng.normal(size=n * p)
-        Z = batch.pad(layout.scatter_controls(u))
+        Z = problems.stack.pad(layout.scatter_controls(u))
         rep = check_membership(prob, u, tol=1e-11)
-        values = prob.constraints.values(batch.rows, Z)
-        feasible = batch.feasible(Z)
-        for i, lp in enumerate(locals_):
+        values = prob.constraints.values(problems.rows, Z)
+        feasible = problems.feasible(Z)
+        for i in range(n):
             val = values[i].reshape(5, p)
             np.testing.assert_allclose(val[0:2].max(axis=0), rep.box[i], rtol=0, atol=1e-12)
             np.testing.assert_allclose(val[2:4].max(axis=0), rep.speed[i], rtol=0, atol=1e-12)
@@ -93,7 +134,7 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
 
             other = np.ones(A.shape[-1], dtype=bool)
             for v in ([i] if i == 0 else [i, i - 1]):
-                pos = lp.var_order.index(v)
+                pos = problems.stack.layout.var_order[i].index(v)
                 other[pos * p:(pos + 1) * p] = False
             assert not (A[i][:, other].any() or S[i][:, other].any())
 
@@ -116,7 +157,8 @@ def test_batched_engine_matches_per_agent_oracle(rng):
                                  u0_mag=2.0)
             prob = build_qcqp(state, cfg, w)
             graph = VehicleGraph.chain(n)
-            locals_ = build_local_problems(prob, decompose_pd(stage_blocks(w, cfg.tau)), graph)
+            locals_ = build_local_problems(
+                prob, build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau))))
             rep = check_membership(prob, solve_centralized(prob))
             binding["box"] += bool((rep.box > -1e-8).any())
             binding["safety"] += bool((rep.safety > -1e-8).any())
@@ -132,67 +174,62 @@ def test_batched_engine_matches_per_agent_oracle(rng):
 
 
 def test_prox_identity_at_feasible_minimizer(rng):
-    _, prob, locals_, graph = make_instance(rng, 3, 1, steady=True)
-    lp = locals_[1]
+    _, prob, problems, graph = make_instance(rng, 3, 1, steady=True)
     # steady platoon: c = 0, so the origin is the unconstrained minimizer
     # and lies strictly inside the constraint set
-    out = prox_local(lp, np.zeros(lp.dim), rho=0.3)
+    out = agent_map(problems, graph, 1, np.zeros(3), rho=0.3)
     np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
 
 def test_prox_closed_form_when_inactive(rng):
-    _, prob, locals_, graph = make_instance(rng, 3, 2, steady=True)
-    lp = locals_[1]
-    point = 0.1 * rng.normal(size=lp.dim)
+    _, prob, problems, graph = make_instance(rng, 3, 2, steady=True)
+    H, c = agent_block(problems, 1)
+    point = 0.1 * rng.normal(size=6)
     rho = 0.3
-    expected = -np.linalg.inv(rho * lp.hessian + np.eye(lp.dim)) @ \
-        (rho * np.concatenate([lp.c_own, np.zeros(lp.dim - lp.horizon)]) - point)
-    got = prox_local(lp, point, rho)
+    expected = -np.linalg.inv(rho * H + np.eye(6)) @ (rho * c - point)
+    got = agent_map(problems, graph, 1, point, rho)
     np.testing.assert_allclose(got, expected, atol=1e-9)
 
 
 def test_prox_with_active_box_matches_kkt(rng):
-    _, prob, locals_, graph = make_instance(rng, 3, 1)
-    lp = locals_[0]
+    _, prob, problems, graph = make_instance(rng, 3, 1)
+    H, c = agent_block(problems, 0)
     # pull far beyond the acceleration box so the bound becomes active
     point = np.array([50.0, 0.0])
     rho = 0.5
-    out = prox_local(lp, point, rho)
-    assert out[0] <= lp.constraints.a_max + 1e-9
+    out = agent_map(problems, graph, 0, point, rho)
+    assert out[0] <= problems.constraints.a_max + 1e-9
     # KKT: the projected gradient must vanish on the inactive face
-    grad = lp.hessian @ out + np.concatenate([lp.c_own, np.zeros(lp.dim - 1)]) \
-        + (out - point) / rho
+    grad = H @ out + c + (out - point) / rho
     assert abs(grad[1]) <= 1e-7
     assert grad[0] <= 0  # pushes against the upper bound
 
 
 def test_project_local_noop_inside(rng):
-    _, prob, locals_, graph = make_instance(rng, 3, 2, steady=True)
-    lp = locals_[2]
-    y = 0.01 * rng.normal(size=lp.dim)
-    np.testing.assert_allclose(project_local(lp, y), y)
+    _, prob, problems, graph = make_instance(rng, 3, 2, steady=True)
+    y = 0.01 * rng.normal(size=4)
+    np.testing.assert_allclose(agent_map(problems, graph, 2, y), y)
 
 
 def test_empty_local_set_raises_agent_error(rng):
     # crossed speed bounds leave no feasible point; the failure names the agent
-    _, prob, locals_, graph = make_instance(rng, 3, 2)
-    cons = locals_[1].constraints
+    _, prob, problems, graph = make_instance(rng, 3, 2)
+    cons = prob.constraints
     lo, hi = cons.speed_lo.copy(), cons.speed_hi.copy()
     lo[1], hi[1] = 5.0, -5.0
-    cons = dataclasses.replace(cons, speed_lo=lo, speed_hi=hi)
-    crossed = [dataclasses.replace(lp, constraints=cons) for lp in locals_]
-    lp = crossed[1]
-    point = np.zeros(lp.dim)
+    crossed_prob = dataclasses.replace(
+        prob, constraints=dataclasses.replace(cons, speed_lo=lo, speed_hi=hi))
+    crossed = build_local_problems(crossed_prob, problems.stack)
+    point = np.zeros(6)
     # inside the batched loop too, where the other agents' candidates stand
-    for call in (lambda: prox_local(lp, point, rho=0.3), lambda: project_local(lp, point),
+    for call in (lambda: agent_map(crossed, graph, 1, point, rho=0.3),
+                 lambda: agent_map(crossed, graph, 1, point),
                  lambda: solve_dr(crossed, graph, default_params_for_horizon(2)),
                  lambda: solve_three_op(crossed, graph, SolverParams(variant="three-op"))):
         with pytest.raises(ProxSolveError) as err:
             call()
-        assert err.value.agent == lp.index
+        assert err.value.agent == 1
         assert isinstance(err.value.__cause__, InfeasibleProblem)
-    with pytest.raises(ValueError, match="share"):
-        solve_dr([locals_[0], lp, locals_[2]], graph, default_params_for_horizon(2))
 
 
 def test_dr_steady_platoon_stays_put(rng):
@@ -229,19 +266,6 @@ def test_three_op_agrees_with_dr(rng):
     repa = solve_three_op_accel(locals_, graph, pa)
     assert repa.converged
     assert np.linalg.norm(repa.u_star - u_dr) / np.linalg.norm(u_dr) <= 1e-4
-
-
-def test_three_op_step_size_validation(rng):
-    _, prob, locals_, graph = make_instance(rng, 3, 1)
-    L = max(np.linalg.norm(lp.hessian, 2) for lp in locals_)
-    with pytest.raises(ValueError):
-        solve_three_op(locals_, graph, SolverParams(variant="three-op", gamma=2.0 / L))
-    with pytest.raises(ValueError):
-        solve_three_op(locals_, graph, SolverParams(variant="three-op", lam=2.5))
-    with pytest.raises(ValueError):
-        solve_three_op_accel(locals_, graph,
-                             SolverParams(variant="three-op-accel", eta=0.2,
-                                          gamma0=2.0 / (L * 0.8)))
 
 
 def test_accel_gamma_recursion_fixed_point():
@@ -373,10 +397,11 @@ def test_termination_certificates(rng):
     z = rep.z_final
     w = _project(z, layout)
     np.testing.assert_allclose(_project(w, layout), w, atol=1e-14)
+    stack = locals_.stack
+    X = _AgentBatch(locals_, graph, params.rho).prox(stack.pad(2 * w - z))
     for i in range(graph.n):
         sl = layout.agent_slice(i)
-        drift = np.linalg.norm(prox_local(locals_[i], 2 * w[sl] - z[sl], params.rho) - w[sl])
-        assert drift <= params.tol
+        assert np.linalg.norm(stack.unpad(X)[sl] - w[sl]) <= params.tol
 
 
 def test_residuals_eventually_decrease(rng):
@@ -413,10 +438,9 @@ def test_accuracy_level_after_leader_brake():
     state = initial_state(cfg, speed=25.0, u0=-2.0)
     state = step_dynamics(state, np.zeros(10), -2.0, cfg.tau)
     prob = build_qcqp(state, cfg, w)
-    dec = decompose_pd(stage_blocks(w, cfg.tau))
-    graph = VehicleGraph.chain(10)
-    locals_ = build_local_problems(prob, dec, graph)
-    rep = solve_dr(locals_, graph, default_params_for_horizon(1))
+    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+    rep = solve_dr(build_local_problems(prob, stack), stack.layout.graph,
+                   default_params_for_horizon(1))
     u_ref = solve_centralized(prob)
     rel = np.linalg.norm(rep.u_star - u_ref) / np.linalg.norm(u_ref)
     assert rel <= 5e-3  # reported level is a few 1e-4
@@ -437,19 +461,20 @@ def test_prox_active_safety_matches_grid_oracle():
     state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
                          v=np.full(4, 25.0), u0=0.0)
     prob = build_qcqp(state, cfg, w)
-    dec = decompose_pd(stage_blocks(w, cfg.tau))
-    lp = build_local_problems(prob, dec, VehicleGraph.chain(3))[0]
-    assert lp.dim == 2
+    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+    problems = build_local_problems(prob, stack)
+    H, c = agent_block(problems, 0)
+    assert H.shape == (2, 2)
 
     rho = 5.0
     point = np.array([4.0, 1.0])  # accelerating into the tight gap
-    got = prox_local(lp, point, rho)
+    got = agent_map(problems, VehicleGraph.chain(3), 0, point, rho)
 
-    cons = lp.constraints
+    cons = problems.constraints
     quad = RankOneRow(quad=cons.quad, s=np.array([1.0, 0.0]),
                       b=np.concatenate([cons.own[0, 0], [0.0]]), c=float(cons.const[0, 0]))
-    P = lp.hessian + np.eye(2) / rho
-    q = np.concatenate([lp.c_own, [0.0]]) - point / rho
+    P = H + np.eye(2) / rho
+    q = c - point / rho
     assert quad.value(np.linalg.solve(P, -q)) > 0  # safety genuinely active
     oracle = grid_polish_oracle(P, q, quad)
     np.testing.assert_allclose(got, oracle, atol=1e-6)
@@ -458,13 +483,13 @@ def test_prox_active_safety_matches_grid_oracle():
 def test_prox_stationarity_normal_cone(rng):
     # the prox objective's gradient at the returned point must point out of
     # the feasible set: a small gradient step projects straight back
-    _, prob, locals_, graph = make_instance(rng, 3, 1)
-    lp = locals_[0]
+    _, prob, problems, graph = make_instance(rng, 3, 1)
+    H, c = agent_block(problems, 0)
     point = np.array([50.0, 0.0])  # forces the acceleration bound active
     rho = 0.5
-    x = prox_local(lp, point, rho)
-    grad = lp.hessian @ x + np.concatenate([lp.c_own, np.zeros(lp.dim - 1)]) + (x - point) / rho
-    back = project_local(lp, x - 1e-4 * grad)
+    x = agent_map(problems, graph, 0, point, rho)
+    grad = H @ x + c + (x - point) / rho
+    back = agent_map(problems, graph, 0, x - 1e-4 * grad)
     assert np.linalg.norm(back - x) <= 1e-7
 
 
@@ -476,23 +501,23 @@ def test_carried_warm_state_is_read_only(rng):
     w = random_weights(rng, 5, 3)
     state = random_state(rng, cfg, gap_jitter=6.0, speed_lo=24.0, speed_hi=27.0, u0_mag=2.0)
     prob = build_qcqp(state, cfg, w)
-    dec = decompose_pd(stage_blocks(w, cfg.tau))
+    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
     graph = VehicleGraph.chain(5)
     params = default_params_for_horizon(3)
-    first = solve_dr(build_local_problems(prob, dec, graph), graph, params)
+    first = solve_dr(build_local_problems(prob, stack), graph, params)
     assert first.prox_full > 0
-    locals_ = build_local_problems(prob, dec, graph, warm=first.warm)
-    before = [{kind: (x.copy(), active) for kind, (x, active) in lp.warm.items()}
-              for lp in locals_]
+    locals_ = build_local_problems(prob, stack, warm=first.warm)
+    before = [{kind: (x.copy(), active) for kind, (x, active) in warm.items()}
+              for warm in locals_.warm]
     assert any(before)
 
     direct = solve_dr(locals_, graph, params)
     via_fabric = solve_dr(locals_, graph, params, fabric=MessageFabric(graph))
     assert direct.prox_full > 0
     assert direct.u_star.tobytes() == via_fabric.u_star.tobytes()
-    for lp, seen in zip(locals_, before):
-        assert lp.warm.keys() == seen.keys()
-        for kind, (x, active) in lp.warm.items():
+    for warm, seen in zip(locals_.warm, before):
+        assert warm.keys() == seen.keys()
+        for kind, (x, active) in warm.items():
             assert x.tobytes() == seen[kind][0].tobytes() and active == seen[kind][1]
 
 
