@@ -198,7 +198,8 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         prob = build_qcqp(state, cfg, weights, blocks=blocks)
         locals_ = build_local_problems(prob, stack, warm=warm)
         if params.warm_start == "warmup-projection":
-            z0, wu_iters = warmup_initial_guess(prob, locals_, graph)
+            z0, wu_iters, warm = warmup_initial_guess(prob, locals_, graph)
+            locals_ = replace(locals_, warm=warm)
             warmups[k] = wu_iters
         else:
             z0 = z_prev  # None at the first step: a zero start

@@ -20,6 +20,11 @@ when the start is not one, and the barrier over all rows follows it from
 there.  The active-set loop, the polish, takes the barrier's point once
 its active set has held for two continuation steps, and again at the end
 of the path (m/eta < 1e-10), where the barrier point is the last answer.
+
+The Newton solve on the working rows and the test of its point work on a
+stack of problems padded to common sizes, one batched linear solve per
+Newton step: ``warm_pass`` runs them over many problems' warm active sets
+at once (a round of a distributed solver), ``solve_qcqp`` on a stack of one.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["QcqpResult", "InfeasibleProblem", "row_values", "solve_qcqp"]
+__all__ = ["QcqpResult", "InfeasibleProblem", "row_values", "solve_qcqp", "warm_pass"]
 
 
 class InfeasibleProblem(RuntimeError):
@@ -80,80 +85,119 @@ class _Rows(NamedTuple):
         """Weighted sum of the row Hessians, ``2 quad S' diag(w) S``."""
         return 2.0 * self.quad * (self.S.T * w) @ self.S
 
-    def take(self, idx):
-        return _Rows(self.A[idx], self.h[idx], self.S[idx], self.quad)
-
-
-def _stationarity(P, q, x, rows, lam):
-    """Gradient of the Lagrangian at (x, lam), over the rows with a nonzero
-    multiplier."""
-    on = np.flatnonzero(lam)
-    return P @ x + q + rows.take(on).grads(x).T @ lam[on]
-
 
 def _kkt_residual(stat, lam, f):
-    """Worst of stationarity, feasibility, complementarity and dual sign,
-    from the Lagrangian gradient ``stat``, the multipliers and the row
-    values."""
-    feas = float(f.max(initial=0.0))
-    comp = float(np.abs(lam * f).max(initial=0.0))
-    dual = float((-lam).max(initial=0.0))
-    return max(float(np.abs(stat).max()), feas, comp, dual)
+    """Worst of stationarity, feasibility and complementarity, per problem of
+    a stack, from the Lagrangian gradient, multipliers >= 0 and row values."""
+    return np.maximum(np.maximum(np.abs(stat).max(-1), f.max(-1, initial=0.0)),
+                      np.abs(lam * f).max(-1, initial=0.0))
 
 
 def _active_set_newton(P, q, rows, x, keys, lam, tol, max_iters=40):
-    """Newton on the stationarity + active-constraint equations.
-
-    ``keys`` are the working rows, ascending, and ``lam`` their multiplier
-    guesses.  The unknown is z = (x, lam) and the residual is K z + r, K the
-    KKT matrix of the objective and the rows' linear parts, plus the terms
-    of the quadratic parts, if any row has one.  The step is damped on the
-    residual norm and stops once the residual is at most ``tol``.  Returns
-    (x, lam, iterations, stationarity part of the final residual).
-    """
-    dim = x.size
-    A, h, S, quad = rows.take(keys)
-    curved = quad != 0.0 and S.any()
-    K = np.zeros((dim + len(keys),) * 2)
-    K[:dim, :dim] = P
-    K[:dim, dim:] = A.T
-    K[dim:, :dim] = A
-    r = np.concatenate([q, -h])
-    J = np.zeros_like(K) if curved else K  # the Jacobian, K itself when every row is linear
+    """Newton on the stationarity + active-constraint equations of a stack
+    of problems: problem j is (P[j], q[j]) over its rows in ``rows``, with
+    working rows ``keys[j]``, ascending, and their multiplier guesses
+    ``lam[j]``.  The unknown is z = (x, lam) and the residual is K z + r, K
+    the KKT matrix of the objective and the working rows' linear parts, plus
+    the terms of the quadratic parts, if any row has one.  A key of -1 pads
+    the working rows to a common count with a zero row and the equation
+    lam = 0, so each step is one batched solve.  Each problem's step is
+    damped on its own residual norm, and it stops once that is at most its
+    ``tol``.  Returns (x, lam, steps of the slowest problem plus one, the
+    stationarity part of the residual)."""
+    k, dim = x.shape
+    a = keys.shape[1]
+    at = np.arange(k)[:, None]
+    A, h, S = rows.A[at, keys], rows.h[at, keys], rows.S[at, keys]
+    pad = keys < 0
+    padded = np.count_nonzero(pad) > 0
+    if padded:
+        A[pad], h[pad], S[pad] = 0.0, 0.0, 0.0
+    quad = rows.quad
+    curved = quad != 0.0 and np.count_nonzero(S) > 0
+    St = S.transpose(0, 2, 1)
+    K = np.zeros((k, dim + a, dim + a))
+    K[:, :dim, :dim] = P
+    K[:, :dim, dim:] = A.transpose(0, 2, 1)
+    K[:, dim:, :dim] = A
+    if padded:
+        K[:, np.arange(dim, dim + a), np.arange(dim, dim + a)] = pad
+    r = np.concatenate([q, -h], axis=1)
 
     def residual(zz):
-        F = K @ zz + r
+        F = (K @ zz[..., None])[..., 0] + r
         if not curved:
-            return F, float(F @ F), None
-        Sx = S @ zz[:dim]
-        F[:dim] += S.T @ (2.0 * quad * Sx * zz[dim:])
-        F[dim:] += quad * Sx * Sx
-        return F, float(F @ F), Sx
+            return F, (F * F).sum(axis=1), None
+        Sx = (S @ zz[:, :dim, None])[..., 0]
+        F[:, :dim] += (St @ (2.0 * quad * Sx * zz[:, dim:])[..., None])[..., 0]
+        F[:, dim:] += quad * Sx * Sx
+        return F, (F * F).sum(axis=1), Sx
 
-    z = np.concatenate([x, lam])
+    z = np.concatenate([x, lam], axis=1)
     F, merit, Sx = residual(z)
+    J = K.copy() if curved else K  # the Jacobian, K itself when every row is linear
     for it in range(max_iters):
-        if float(np.abs(F).max()) <= tol:
+        live = np.abs(F).max(axis=1) > tol
+        if not np.count_nonzero(live):  # cheaper than live.any() on a small mask
             break
         if curved:
-            grads = A + (2.0 * quad * Sx)[:, None] * S
-            J[:dim, :dim] = P + 2.0 * quad * (S.T * z[dim:]) @ S
-            J[:dim, dim:] = grads.T
-            J[dim:, :dim] = grads
+            grads = A + (2.0 * quad * Sx)[..., None] * S
+            J[:, :dim, :dim] = P + 2.0 * quad * (St * z[:, None, dim:]) @ S
+            J[:, :dim, dim:] = grads.transpose(0, 2, 1)
+            J[:, dim:, :dim] = grads
         try:
-            dz = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(J, -F, rcond=None)[0]
-        # damp on the residual norm; the accepted trial is the next iterate
-        step = 1.0
-        for _ in range(30):
-            z_t = z + step * dz
-            trial = residual(z_t)
-            if trial[1] <= merit * (1 - 1e-4 * step) or step < 1e-8:
+            dz = np.linalg.solve(J, -F[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # a singular system: least squares, one by one
+            dz = np.array([np.linalg.lstsq(Jj, -Fj, rcond=None)[0] for Jj, Fj in zip(J, F)])
+        # damp each step on its own residual norm, halving down to 2**-27; a
+        # converged problem takes step 0, a problem whose trial passes keeps
+        # its step, and the last trial is the next iterate
+        step = live * 1.0
+        for _ in range(28):
+            z_t = z + step[:, None] * dz
+            F_t, merit_t, Sx_t = residual(z_t)
+            ok = merit_t <= merit * (1 - 1e-4 * step)
+            if np.count_nonzero(ok) == k:
                 break
-            step *= 0.5
-        z, (F, merit, Sx) = z_t, trial
-    return z[:dim], z[dim:], it + 1, F[:dim]
+            step[~ok] *= 0.5
+        z, F, merit, Sx = z_t, F_t, merit_t, Sx_t
+    return z[:, :dim], z[:, dim:], it + 1, F[:, :dim]
+
+
+def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
+    """The test of a Newton solve's point, per problem of a stack: no
+    multiplier below -1e-10, no row off the working set above 1e-11, and a
+    KKT residual within ``kkt_tol`` at the multipliers clipped at zero.
+    Returns (passed, row values, clipped multipliers, KKT residual)."""
+    k, m = rows.h.shape
+    at = np.arange(k)[:, None]
+    f = row_values(*rows, x)
+    low = lam.min(axis=1, initial=0.0)
+    full = np.maximum(lam, 0.0)
+    clipped = low < 0.0
+    if np.count_nonzero(clipped):  # a clipped multiplier moves the gradient
+        A, S = rows.A[at, keys], rows.S[at, keys]
+        grads = A + 2.0 * rows.quad * (S @ x[..., None]) * S
+        again = (P @ x[..., None])[..., 0] + q
+        again += (grads.transpose(0, 2, 1) @ full[..., None])[..., 0]
+        stat = np.where(clipped[:, None], again, stat)
+    res = _kkt_residual(stat, full, f[at, keys])
+    off = np.concatenate([f, np.zeros((k, 1))], axis=1)  # padding keys hit the last column
+    off[at, keys] = -np.inf
+    passed = (low >= -1e-10) & (off.max(axis=1) <= 1e-11) & (res <= kkt_tol)
+    return passed, f, full, res
+
+
+def warm_pass(P, q, rows, x, keys, kkt_tol=1e-9):
+    """The warm path of ``solve_qcqp`` for a stack of problems, without its
+    repairs: one Newton solve on each problem's working rows ``keys[j]``
+    (ascending, padded with -1) from ``x[j]`` and its test.  ``rows`` is a
+    ``_Rows`` of stacked arrays.  Returns (x, multipliers of the working
+    rows, passed); a problem that passes has ``solve_qcqp``'s result."""
+    tol = 1e-12 * (1.0 + np.abs(q).max(axis=1))
+    x, lam, _, stat = _active_set_newton(P, q, rows, x, keys, np.zeros(keys.shape), tol)
+    passed, _, full, _ = _accept(P, q, rows, x, keys, lam, stat, kkt_tol)
+    return x, full, passed
 
 
 def _box_clip(rows, x):
@@ -284,45 +328,40 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
             return QcqpResult(x=x0, lam=np.zeros(m), kkt_residual=0.0, iterations=1,
                               status="optimal")
 
-    def finish(x, lam, f, stat):
-        res = _kkt_residual(stat, lam, f)
-        return QcqpResult(x=x, lam=lam, kkt_residual=res, iterations=iterations,
+    def finish(x, lam, f, res):
+        return QcqpResult(x=x, lam=lam, kkt_residual=float(res), iterations=iterations,
                           status="optimal" if res <= kkt_tol else "inaccurate",
                           active=tuple(np.flatnonzero(lam > 0).tolist()))
 
     newton_tol = 1e-12 * (1.0 + float(np.abs(q).max()))
+    one = P[None], q[None], _Rows(A[None], h[None], rows.S[None], quad)
 
     def try_active_set(x, active, iters_budget, newton_tol):
-        """Primal active-set loop: solve, then repair the working set."""
+        """Primal active-set loop on the problem as a stack of one: solve,
+        then repair the working set."""
         nonlocal iterations
         keys = sorted(active)
-        lam = np.zeros(len(keys))
+        x, lam = x[None], np.zeros((1, len(keys)))
         for _ in range(iters_budget):
-            x, lam, its, stat = _active_set_newton(P, q, rows, x, keys, lam, newton_tol)
+            stack = np.array([keys], dtype=int)
+            x, lam, its, stat = _active_set_newton(*one, x, stack, lam, newton_tol)
             iterations += its
-            # drop the most negative multiplier, if any
-            if lam.size and lam.min() < -1e-10:
+            passed, f, full, res = _accept(*one, x, stack, lam, stat, kkt_tol)
+            if passed[0]:
+                return finish(x[0], np.bincount(keys, full[0], m), f[0], res[0])
+            if lam.min(initial=0.0) < -1e-10:  # drop the most negative multiplier
                 j = int(lam.argmin())
                 del keys[j]
-                lam = np.delete(lam, j)
+                lam = np.delete(lam, j, axis=1)
                 continue
-            # add the most violated row, if any (the last of equals)
-            f = rows.values(x)
-            viol = f > 1e-11
-            viol[keys] = False
-            if viol.any():
-                idx = np.flatnonzero(viol)
-                k = int(idx[f[idx] == f[idx].max()][-1])
-                j = int(np.searchsorted(keys, k))
-                keys.insert(j, k)
-                lam = np.insert(lam, j, 0.0)
-                continue
-            full = np.zeros(m)
-            full[keys] = np.maximum(lam, 0.0)
-            if lam.min(initial=0.0) < 0.0:  # a clipped multiplier moves the gradient
-                stat = _stationarity(P, q, x, rows, full)
-            result = finish(x, full, f, stat)
-            return result if result.status == "optimal" else None
+            off = f[0].copy()
+            off[keys] = -np.inf
+            if off.max() <= 1e-11:
+                return None
+            row = m - 1 - int(off[::-1].argmax())  # the most violated row, the last of equals
+            j = int(np.searchsorted(keys, row))
+            keys.insert(j, row)
+            lam = np.insert(lam, j, 0.0, axis=1)
         return None
 
     if warm_active:
@@ -352,4 +391,4 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
             if result is not None:
                 return result
         if done:
-            return finish(x, lam, f, _stationarity(P, q, x, rows, lam))
+            return finish(x, lam, f, _kkt_residual(P @ x + q + rows.grads(x).T @ lam, lam, f))

@@ -5,13 +5,16 @@ vehicle graph, then one batched step in which every agent maps its own
 slice, until every agent's increment is small.  Each agent's step reads
 only its own locally coupled data, so the n steps of a round are computed
 together.  The data that never changes within a run, the chain layout and
-every agent's Hessian block padded to a common width and stacked, is built
-once per run as an ``AgentStack``; each control step adds only its linear
-terms, constraint rows and the agents' warm memory (``LocalProblems``).
-``_AgentBatch`` then evaluates every closed-form candidate and every row at
-once.  Only an agent whose candidate breaks one of its rows solves its
-small QCQP with ``smallqcqp``, starting from its own last full solve, which
-it keeps across control steps.  The schemes differ in the candidate:
+every agent's Hessian block padded to a common width and stacked, with the
+proximal maps at each weight rho, is built once per run as an
+``AgentStack``; each control step adds only its linear terms, constraint
+rows and the agents' warm memory (``LocalProblems``).  ``_AgentBatch``
+then evaluates every closed-form candidate and every row at once.  Only an
+agent whose candidate breaks one of its rows solves its small QCQP with
+``smallqcqp``, starting from its own last full solve, which it keeps
+across control steps; the agents of a round that hold such a warm active
+set try it together in one stacked Newton solve, the rest one at a time.
+The schemes differ in the candidate:
 
 * ``solve_dr``: relaxed proximal step; each agent's candidate is the
   unconstrained proximal point, kept when its constraints are inactive.
@@ -41,7 +44,7 @@ import numpy as np
 from .consensus import AugmentedLayout, MessageFabric, VehicleGraph, _project, fabric_project
 from .decomposition import PdDecomposition
 from .problem import ConstraintSet, QcqpProblem
-from .smallqcqp import InfeasibleProblem, solve_qcqp
+from .smallqcqp import InfeasibleProblem, _Rows, solve_qcqp, warm_pass
 
 __all__ = [
     "SolverParams",
@@ -143,6 +146,14 @@ class AgentStack:
                               for i, order in enumerate(layout.var_order)])
         self.L = max(float(np.linalg.norm(block, 2)) for block in blocks)
         self.mu = min(float(np.linalg.eigvalsh(block).min()) for block in blocks)
+        self._prox = {}
+
+    def prox(self, rho: float):
+        """The stacked (rho H_i + I)^-1 and H_i + I/rho, built once per rho."""
+        if rho not in self._prox:
+            eye = np.eye(self.H.shape[-1])
+            self._prox[rho] = np.linalg.inv(rho * self.H + eye), self.H + eye / rho
+        return self._prox[rho]
 
     def pad(self, vec: np.ndarray) -> np.ndarray:
         """A stacked-layout vector as the padded (n, D) stack."""
@@ -176,9 +187,10 @@ class LocalProblems:
     nothing to a product or a row value.
 
     ``warm[i]`` is agent i's memory of its last full subsolve of each kind
-    ("prox subproblem", "projection"): the point and the active rows, the
-    start of its next full solve of that kind.  Solvers read it and never
-    write it; the next step's problems take it from ``SolveReport.warm``.
+    ("prox subproblem", "projection"): the point, padded like ``C``, and
+    the active rows, the start of its next full solve of that kind.  Solvers
+    read it and never write it; the next step's problems take it from
+    ``SolveReport.warm``.
     """
 
     stack: AgentStack
@@ -221,8 +233,10 @@ class _AgentBatch:
     holds that memory per agent: seeded from the problems' ``warm``
     (copied, so a solve never changes its inputs) and updated by every full
     solve, it carries an agent's active set across rounds and, through
-    ``SolveReport.warm``, across control steps.  With ``rho``, the proximal
-    maps (rho H_i + I)^-1 are inverted in one call.
+    ``SolveReport.warm``, across control steps.  A round's failing agents
+    that hold a warm active set of the kind try it in one stacked Newton
+    solve (``smallqcqp.warm_pass``); the rest call ``solve_qcqp`` one at a
+    time.  With ``rho``, the proximal maps come from the stack.
     """
 
     def __init__(self, problems: LocalProblems, graph: VehicleGraph, rho: float | None = None):
@@ -231,48 +245,72 @@ class _AgentBatch:
             raise ValueError(f"graph has {graph.n} vehicles, the agent stack {stack.n}")
         self.problems, self.stack, self.rho = problems, stack, rho
         if rho is not None:
-            self.prox_mat = np.linalg.inv(rho * stack.H + np.eye(stack.H.shape[-1]))
+            self.prox_mat, self.prox_hess = stack.prox(rho)
         self.calls = 0
         self.full = [0] * stack.n
         self.warm = [dict(w) for w in problems.warm]
         self._agent_rows = {}
+        self._eye = np.broadcast_to(np.eye(stack.H.shape[-1]), stack.H.shape)
 
     def prox(self, Y: np.ndarray) -> np.ndarray:
         """Every agent's proximal step of its objective at Y[i]."""
         C = self.problems.C
         X = (self.prox_mat @ (Y - self.rho * C)[..., None])[..., 0]
-        return self._constrained(X, "prox subproblem", lambda i, d: (
-            self.stack.H[i, :d, :d] + np.eye(d) / self.rho, C[i, :d] - Y[i, :d] / self.rho))
+        return self._constrained(X, "prox subproblem", lambda i: (
+            self.prox_hess[i], C[i] - Y[i] / self.rho))
 
     def project(self, Y: np.ndarray) -> np.ndarray:
         """Every agent's Euclidean projection of Y[i] onto its constraint set."""
-        return self._constrained(Y.copy(), "projection", lambda i, d: (np.eye(d), -Y[i, :d]))
+        return self._constrained(Y.copy(), "projection", lambda i: (self._eye[i], -Y[i]))
 
     def _constrained(self, X, kind, objective):
         """``X`` with each row i that breaks agent i's constraints replaced
-        by the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(i,
-        d_i)."""
+        by the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(i)
+        stacked and padded for the agents ``i``."""
         self.calls += 1
-        for i in (~self.problems.feasible(X)).nonzero()[0]:
-            d = self.stack.layout.dims[i]
-            X[i, :d] = self._solve(i, d, kind, *objective(i, d))
+        failing = (~self.problems.feasible(X)).nonzero()[0].tolist()
+        held = [i for i in failing if self.warm[i].get(kind, (None, ()))[1]]
+        taken = self._warm_pass(X, kind, objective, held) if held else ()
+        for i in failing:
+            self.full[i] += 1
+            if i not in taken:
+                d = self.stack.layout.dims[i]
+                (P,), (q,) = objective([i])
+                X[i, :d] = self._solve(i, kind, P[:d, :d], q[:d])
         return X
 
-    def _solve(self, i, d, kind, P, q):
-        self.full[i] += 1
+    def _warm_pass(self, X, kind, objective, agents):
+        """Try the ``agents``' warm active sets in one stacked Newton solve;
+        write the passing agents' points and memory, and return them."""
+        memory = [self.warm[i][kind] for i in agents]
+        A, h, S = self.problems.rows
+        rows = _Rows(A[agents], h[agents], S[agents], self.problems.constraints.quad)
+        a = max(len(on) for _, on in memory)
+        keys = np.array([on + (-1,) * (a - len(on)) for _, on in memory])
+        x, lam, ok = warm_pass(*objective(agents), rows, np.array([x for x, _ in memory]), keys)
+        taken = [i for i, passed in zip(agents, ok.tolist()) if passed]
+        X[taken] = x = x[ok]
+        for i, xi, on in zip(taken, x, np.where(lam[ok] > 0, keys[ok], -1).tolist()):
+            self.warm[i][kind] = (xi, tuple(k for k in on if k >= 0))
+        return taken
+
+    def _solve(self, i, kind, P, q):
+        d = len(q)
         rows = self._agent_rows.get(i)
         if rows is None:
             A, h, S = self.problems.rows
             rows = self._agent_rows[i] = (A[i, :, :d].copy(), h[i], S[i, :, :d].copy())
-        x0, active = self.warm[i].get(kind, (None, None))
+        x, active = self.warm[i].get(kind, (None, None))
         try:
-            res = solve_qcqp(P, q, *rows, self.problems.constraints.quad, x0=x0,
-                             warm_active=active)
+            res = solve_qcqp(P, q, *rows, self.problems.constraints.quad,
+                             x0=None if x is None else x[:d], warm_active=active)
         except InfeasibleProblem as exc:
             raise ProxSolveError(i, f"{kind}: {exc}") from exc
         if res.status != "optimal":
             raise ProxSolveError(i, f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
-        self.warm[i][kind] = (res.x, res.active)
+        x = np.zeros(self.stack.mask.shape[1])
+        x[:d] = res.x
+        self.warm[i][kind] = (x, res.active)
         return res.x
 
 
@@ -458,7 +496,9 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: Vehi
     receives u_{i+1} and solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).
     Every message crosses one chain edge in a one-speaker fabric round
     (``MessageFabric.send``); each agent then projects its block onto its
-    constraint set, all in one batch.  Returns (z0, fabric rounds), 2(n - 1).
+    constraint set, all in one batch, warm-started from ``problems.warm``.
+    Returns z0, the fabric rounds, 2(n - 1), and the agents' memory after
+    the projection, which seeds the step's solve.
     """
     n, fabric, stack = prob.n, MessageFabric(graph), problems.stack
     batch = _AgentBatch(problems, graph)
@@ -473,4 +513,4 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: Vehi
         u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ fabric.send(i + 1, i, u[i + 1]))
 
     w = stack.layout.scatter_controls(np.concatenate(u))
-    return stack.unpad(batch.project(stack.pad(w))), fabric.round
+    return stack.unpad(batch.project(stack.pad(w))), fabric.round, tuple(batch.warm)

@@ -117,6 +117,42 @@ def test_agent_stack_built_once_per_run(monkeypatch):
     assert counts == {"stack": 1, "layout": 1}
 
 
+def test_warmup_memory_seeds_the_solve(monkeypatch):
+    # under the warm-up start each step's solve starts from the agents'
+    # memory after the warm-up projection, and that memory reaches the next
+    # step's warm-up: only an agent's first full projection starts cold
+    import platoonmpc.harness as harness
+    import platoonmpc.solvers as solvers
+
+    returned, seen, cold, in_warmup = [], [], [], [False]
+    warmup, solve, qcqp = harness.warmup_initial_guess, harness.solve_variant, solvers.solve_qcqp
+
+    def recorded_warmup(*args):
+        in_warmup[0] = True
+        out = warmup(*args)
+        in_warmup[0] = False
+        returned.append(out[2])
+        return out
+
+    def recorded_solve(problems, *args, **kwargs):
+        seen.append(problems.warm)
+        return solve(problems, *args, **kwargs)
+
+    def recorded_qcqp(*args, **kwargs):
+        if in_warmup[0]:
+            cold.append(not kwargs["warm_active"])
+        return qcqp(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "warmup_initial_guess", recorded_warmup)
+    monkeypatch.setattr(harness, "solve_variant", recorded_solve)
+    monkeypatch.setattr(solvers, "solve_qcqp", recorded_qcqp)
+    spec = scenario_builtin("s1", p=5, warm_start="warmup-projection")
+    run_scenario(spec)
+    assert len(seen) == len(returned) == spec.duration
+    assert all(s is r for s, r in zip(seen, returned))
+    assert 0 < sum(cold) <= 10
+
+
 def test_noise_free_run_leaves_numpy_random_unloaded():
     # the noise generator is built only when the scenario has noise:
     # loading numpy.random alone adds about 5 MB of resident memory

@@ -6,7 +6,8 @@ import pytest
 
 from platoonmpc.core import PlatoonState, reference_config
 from platoonmpc.problem import build_qcqp
-from platoonmpc.smallqcqp import InfeasibleProblem, _central_path, _Rows, row_values, solve_qcqp
+from platoonmpc.smallqcqp import (InfeasibleProblem, _accept, _central_path, _Rows, row_values,
+                                  solve_qcqp, warm_pass)
 from platoonmpc.solvers import _centralized_constraints, solve_centralized
 from platoonmpc.stability import (DEFAULT_BASE_GAP_WEIGHTS, DEFAULT_BASE_RATE_WEIGHTS,
                                   DEFAULT_BASE_RIDE_WEIGHTS, default_weight_schedule,
@@ -371,3 +372,124 @@ def test_far_starts_on_random_qcqps():
         for r in (res, ref):
             assert r.status == "optimal" and r.kkt_residual <= 1e-9, draw
         np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-7, err_msg=str(draw))
+
+
+def newton_one(P, q, A, h, S, quad, x, tol, max_iters=40):
+    """Reference: one problem's Newton solve on its working rows (A, h, S)
+    from (x, 0), with the dense KKT system and the per-problem damping
+    loop written out; returns (x, lam)."""
+    dim, a = x.size, h.size
+    z = np.concatenate([x, np.zeros(a)])
+
+    def residual(zz):
+        xx, lam = zz[:dim], zz[dim:]
+        Sx = S @ xx
+        F = np.concatenate([P @ xx + q + A.T @ lam + S.T @ (2.0 * quad * Sx * lam),
+                            A @ xx - h + quad * Sx * Sx])
+        return F, float(F @ F)
+
+    F, merit = residual(z)
+    for _ in range(max_iters):
+        if np.abs(F).max() <= tol:
+            break
+        xx, lam = z[:dim], z[dim:]
+        grads = A + (2.0 * quad * (S @ xx))[:, None] * S
+        J = np.block([[P + 2.0 * quad * (S.T * lam) @ S, grads.T], [grads, np.zeros((a, a))]])
+        dz = np.linalg.solve(J, -F)
+        step = 1.0
+        for _ in range(30):
+            trial = residual(z + step * dz)
+            if trial[1] <= merit * (1 - 1e-4 * step) or step < 1e-8:
+                break
+            step *= 0.5
+        z = z + step * dz
+        F, merit = trial
+    return z[:dim], z[dim:]
+
+
+def agent_like_stack(rng, k, p, curved):
+    """k problems padded to 3p variables with 4 + 2p rows each: two box
+    rows, two general linear rows and 2p rows that are rank-one quadratic
+    when ``curved``.  Each problem has 2p or 3p real variables and 0 to 4
+    working rows (keys padded with -1), no more than its variables, active
+    at a point x* with multipliers there that are mostly positive; the
+    other rows are slack or violated at x*, and the start is x* moved a
+    little."""
+    D, m, quad = 3 * p, 4 + 2 * p, 0.5
+    P, q = np.tile(np.eye(D), (k, 1, 1)), np.zeros((k, D))
+    A, S, h = np.zeros((k, m, D)), np.zeros((k, m, D)), np.zeros((k, m))
+    x0, work, dims = np.zeros((k, D)), np.zeros((k, m), dtype=bool), []
+    for j in range(k):
+        d = int(rng.choice([2 * p, 3 * p]))
+        dims.append(d)
+        P[j, :d, :d] = rand_spd(rng, d, 0.2)
+        c0, c1 = rng.choice(d, size=2, replace=False)
+        A[j, 0, c0], A[j, 1, c1] = 1.0, -1.0
+        A[j, 2:, :d] = rng.normal(size=(m - 2, d))
+        if curved:
+            S[j, 4:, :d] = rng.normal(size=(m - 4, d)) / d
+        x_star = rng.normal(size=D) * (np.arange(D) < d)
+        on = rng.choice(m, size=rng.integers(0, min(4, d) + 1), replace=False)
+        work[j, on] = True
+        values = A[j] @ x_star + quad * (S[j] @ x_star) ** 2
+        h[j] = values + np.where(work[j], 0.0, rng.uniform(-0.05, 1.0, m))
+        lam = np.where(work[j], rng.uniform(-0.1, 2.0, m), 0.0)
+        grads = A[j] + (2.0 * quad * (S[j] @ x_star))[:, None] * S[j]
+        q[j] = -(P[j] @ x_star + grads.T @ lam)
+        x0[j] = x_star + 0.01 * rng.normal(size=D) * (np.arange(D) < d)
+    a = work.sum(axis=1).max()
+    keys = np.array([list(np.flatnonzero(row)) + [-1] * (a - row.sum()) for row in work], dtype=int)
+    return P, q, _Rows(A, h, S, quad), x0, keys.reshape(k, a), dims
+
+
+def test_stacked_newton_matches_single_problems():
+    """The stacked warm pass, on stacks of 1 to 10 problems with 2p or 3p
+    real variables and 0 to 4 working rows, linear and curved: each
+    problem's Newton point and multipliers match the reference solve of
+    that problem alone, unpadded, within 1e-12, and its accept decision
+    matches the active-set test written out for that problem."""
+    rng = np.random.default_rng(12)
+    seen = {"accepted": 0, "rejected": 0, "no rows": 0}
+    for draw in range(60):
+        k, p = int(rng.integers(1, 11)), int(rng.integers(1, 6))
+        P, q, rows, x0, stacked, dims = agent_like_stack(rng, k, p, curved=draw % 3 != 0)
+        x, lam, accepted = warm_pass(P, q, rows, x0, stacked)
+        for j, d in enumerate(dims):
+            keys = stacked[j][stacked[j] >= 0]
+            seen["no rows"] += not keys.size
+            A, h, S = rows.A[j, :, :d], rows.h[j], rows.S[j, :, :d]
+            tol = 1e-12 * (1.0 + np.abs(q[j]).max())
+            x_ref, lam_ref = newton_one(P[j, :d, :d], q[j, :d], A[keys], h[keys], S[keys],
+                                        rows.quad, x0[j, :d], tol)
+            case = (draw, j)
+            np.testing.assert_allclose(x[j, :d], x_ref, rtol=0, atol=1e-12, err_msg=str(case))
+            assert not x[j, d:].any(), case
+            np.testing.assert_allclose(lam[j, :keys.size], np.maximum(lam_ref, 0.0), rtol=0,
+                                       atol=1e-12, err_msg=str(case))
+            assert not lam[j, keys.size:].any(), case
+            full = np.zeros(h.size)
+            full[keys] = lam_ref
+            # the test: no negative multiplier, no other row violated, and
+            # the KKT residual at the clipped multipliers within 1e-9
+            f = A @ x_ref - h + rows.quad * (S @ x_ref) ** 2
+            clip = np.maximum(full, 0.0)
+            grads = A + (2.0 * rows.quad * (S @ x_ref))[:, None] * S
+            stat = P[j, :d, :d] @ x_ref + q[j, :d] + grads.T @ clip
+            kkt = max(np.abs(stat).max(), f.max(initial=0.0), np.abs(clip * f).max())
+            passed = (full.min() >= -1e-10 and np.delete(f, keys).max() <= 1e-11
+                      and kkt <= 1e-9)
+            assert accepted[j] == passed, case
+            seen["accepted" if passed else "rejected"] += 1
+    assert min(seen.values()) >= 10, seen
+    # the rule's edges on one row x <= 1 in one variable, working: its own
+    # value up to the KKT tolerance is no violation; a multiplier below
+    # -1e-10, a stationarity residual above kkt_tol or a second violated
+    # row fails the test
+    P, q = np.eye(1)[None], np.array([[-2.0]])
+    one = _Rows(np.array([[[1.0], [1.0]]]), np.array([[1.0, 5.0]]), np.zeros((1, 2, 1)), 0.0)
+    x, keys, zero = np.array([[1.0 + 1e-10]]), np.array([[0]]), np.zeros((1, 1))
+    for lam, stat, rows, passed in ((1.0, 0.0, one, True), (-1e-9, 0.0, one, False),
+                                    (1.0, 1e-6, one, False),
+                                    (1.0, 0.0, one._replace(h=np.array([[1.0, 1.0]])), False)):
+        got = _accept(P, q, rows, x, keys, np.array([[lam]]), zero + stat, 1e-9)[0]
+        assert got.tolist() == [passed], (lam, stat)

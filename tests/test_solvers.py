@@ -346,7 +346,7 @@ def test_nonconvergence_reported(rng):
 
 def test_warmup_feasible_unconstrained_optimum(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    z0, wu_iters = warmup_initial_guess(prob, locals_, graph)
+    z0, wu_iters, _ = warmup_initial_guess(prob, locals_, graph)
     u_ref = solve_centralized(prob)
     W = prob.hessian_dense()
     interior = np.linalg.solve(W, -prob.c)
@@ -362,7 +362,7 @@ def test_warmup_feasible_unconstrained_optimum(rng):
 
 def test_warmup_zero_state(rng):
     _, prob, locals_, graph = make_instance(rng, 3, 1, steady=True)
-    z0, _ = warmup_initial_guess(prob, locals_, graph)
+    z0, _, _ = warmup_initial_guess(prob, locals_, graph)
     np.testing.assert_allclose(z0, 0.0, atol=1e-12)
 
 
@@ -373,7 +373,7 @@ def test_warmup_is_exact_chain_solve(rng):
     for n in (2, 3, 5, 10):
         for p in range(1, 6):
             _, prob, locals_, graph = make_instance(rng, n, p)
-            z0, rounds = warmup_initial_guess(prob, locals_, graph)
+            z0, rounds, _ = warmup_initial_guess(prob, locals_, graph)
             assert rounds == 2 * (n - 1)
             u = np.linalg.solve(prob.hessian_dense(), -prob.c)
             if check_membership(prob, u).feasible:
@@ -524,31 +524,93 @@ def test_carried_warm_state_is_read_only(rng):
 def test_warm_started_steps_match_cold_solves(monkeypatch):
     # scenario s1 at p = 5 through the brake, hold and acceleration: every
     # full solve that starts from the agent's previous step (its point and
-    # active set) agrees with a cold solve of the same subproblem
+    # active set), in the stacked warm pass or in solve_qcqp, agrees with a
+    # cold solve of the same subproblem
     import platoonmpc.solvers as solvers
     from platoonmpc.harness import run_scenario, scenario_builtin
-    from platoonmpc.smallqcqp import solve_qcqp
+    from platoonmpc.smallqcqp import solve_qcqp, warm_pass
 
-    calls, made_at, step = [], {}, [-1]
+    made, carried = set(), []  # the bytes of the points made in this step
 
-    def recorded(*args, **kwargs):
+    def fresh(x0):  # an agent keeps its first 2p or 3p coordinates, p = 5
+        return any(x0[:d].tobytes() in made for d in (10, 15))
+
+    def recorded_solve(*args, **kwargs):
         res = solve_qcqp(*args, **kwargs)
-        calls.append((step[0], args, kwargs, res))
-        made_at[id(res.x)] = step[0]
+        if kwargs["warm_active"] and not fresh(kwargs["x0"]):
+            assert res.status == "optimal" and res.kkt_residual <= 1e-9
+            carried.append((args, res.x))
+        made.add(res.x.tobytes())
         return res
 
+    def recorded_pass(P, q, rows, x0, keys):
+        x, lam, accepted = warm_pass(P, q, rows, x0, keys)
+        for j in accepted.nonzero()[0]:
+            if not fresh(x0[j]):
+                carried.append(((P[j], q[j], rows.A[j], rows.h[j], rows.S[j], rows.quad), x[j]))
+            made.update(x[j, :d].tobytes() for d in (10, 15))
+        return x, lam, accepted
+
     def counted(*args, **kwargs):
-        step[0] += 1
+        made.clear()
         return build_qcqp(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "solve_qcqp", recorded)
+    monkeypatch.setattr(solvers, "solve_qcqp", recorded_solve)
+    monkeypatch.setattr(solvers, "warm_pass", recorded_pass)
     monkeypatch.setattr("platoonmpc.harness.build_qcqp", counted)
     run_scenario(dataclasses.replace(scenario_builtin("s1", p=5), duration=110))
-    carried = [(args, res) for k, args, kwargs, res in calls
-               if kwargs["warm_active"] and made_at[id(kwargs["x0"])] < k]
     assert len(carried) >= 20
-    for args, warm in carried:
+    for args, x in carried:
         cold = solve_qcqp(*args)
-        for res in (warm, cold):
-            assert res.status == "optimal" and res.kkt_residual <= 1e-9
-        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-10)
+        assert cold.status == "optimal" and cold.kkt_residual <= 1e-9
+        np.testing.assert_allclose(x, cold.x, rtol=0, atol=1e-10)
+
+
+def test_stale_warm_sets_fall_back(rng, monkeypatch):
+    # one proximal round in which every agent breaks its upper box rows and
+    # holds a warm active set from the round before: the stacked pass takes
+    # the current sets, rejects the stale ones, whose agents solve on their
+    # own, and every agent's point matches a cold solve of its subproblem
+    import platoonmpc.solvers as solvers
+    from platoonmpc.smallqcqp import solve_qcqp, warm_pass
+
+    n, p, rho = 5, 3, 0.1
+    cfg, prob, problems, graph = make_instance(rng, n, p)
+    stack = problems.stack
+    Y = stack.pad(stack.layout.scatter_controls(np.full(n * p, 3.0 * cfg.a_max)))
+    first = _AgentBatch(problems, graph, rho)
+    first.prox(Y)
+    assert first.full == [1] * n
+    stale = {1, 3}
+    lower_box = tuple(range(p, 2 * p))  # rows the push above a_max leaves slack
+    warm = [{kind: (x, lower_box if i in stale else active) for kind, (x, active) in w.items()}
+            for i, w in enumerate(first.warm)]
+    Y = Y + 1e-3 * stack.pad(rng.normal(size=stack.layout.dim))
+
+    passes, solved = [], []
+
+    def recorded_pass(*args):
+        out = warm_pass(*args)
+        passes.append(out[2])
+        return out
+
+    def recorded_solve(*args, **kwargs):
+        solved.append(kwargs["warm_active"])
+        return solve_qcqp(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "warm_pass", recorded_pass)
+    monkeypatch.setattr(solvers, "solve_qcqp", recorded_solve)
+    batch = _AgentBatch(build_local_problems(prob, stack, warm=warm), graph, rho)
+    X = batch.prox(Y)
+    assert len(passes) == 1
+    assert passes[0].tolist() == [i not in stale for i in range(n)]
+    assert solved == [lower_box] * len(stale)
+    A, h, S = batch.problems.rows
+    for i in range(n):
+        d = stack.layout.dims[i]
+        q = batch.problems.C[i, :d] - Y[i, :d] / rho
+        cold = solve_qcqp(stack.H[i, :d, :d] + np.eye(d) / rho, q, A[i, :, :d], h[i], S[i, :, :d],
+                          prob.constraints.quad)
+        assert cold.status == "optimal"
+        np.testing.assert_allclose(X[i, :d], cold.x, rtol=0, atol=1e-10, err_msg=str(i))
+        assert batch.warm[i]["prox subproblem"][1] == cold.active, i
