@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = ["QcqpResult", "InfeasibleProblem", "row_values", "solve_qcqp", "warm_pass"]
+KKT_TOL = 1e-9  # the KKT residual a solve must reach, unless the caller sets its own
 
 
 class InfeasibleProblem(RuntimeError):
@@ -169,8 +170,7 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
     multiplier below -1e-10, no row off the working set above 1e-11, and a
     KKT residual within ``kkt_tol`` at the multipliers clipped at zero.
     Returns (passed, row values, clipped multipliers, KKT residual)."""
-    k, m = rows.h.shape
-    at = np.arange(k)[:, None]
+    at = np.arange(len(x))[:, None]
     f = row_values(*rows, x)
     low = lam.min(axis=1, initial=0.0)
     full = np.maximum(lam, 0.0)
@@ -181,22 +181,22 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
         again = (P @ x[..., None])[..., 0] + q
         again += (grads.transpose(0, 2, 1) @ full[..., None])[..., 0]
         stat = np.where(clipped[:, None], again, stat)
-    res = _kkt_residual(stat, full, f[at, keys])
-    off = np.concatenate([f, np.zeros((k, 1))], axis=1)  # padding keys hit the last column
+    off = np.concatenate([f, np.zeros_like(f[:, :1])], axis=1)  # padding keys read 0
+    res = _kkt_residual(stat, full, off[at, keys])
     off[at, keys] = -np.inf
     passed = (low >= -1e-10) & (off.max(axis=1) <= 1e-11) & (res <= kkt_tol)
     return passed, f, full, res
 
 
-def warm_pass(P, q, rows, x, keys, kkt_tol=1e-9):
+def warm_pass(P, q, rows, x, keys):
     """The warm path of ``solve_qcqp`` for a stack of problems, without its
     repairs: one Newton solve on each problem's working rows ``keys[j]``
     (ascending, padded with -1) from ``x[j]`` and its test.  ``rows`` is a
     ``_Rows`` of stacked arrays.  Returns (x, multipliers of the working
-    rows, passed); a problem that passes has ``solve_qcqp``'s result."""
+    rows, passed); a passing problem has ``solve_qcqp``'s result at KKT_TOL."""
     tol = 1e-12 * (1.0 + np.abs(q).max(axis=1))
     x, lam, _, stat = _active_set_newton(P, q, rows, x, keys, np.zeros(keys.shape), tol)
-    passed, _, full, _ = _accept(P, q, rows, x, keys, lam, stat, kkt_tol)
+    passed, _, full, _ = _accept(P, q, rows, x, keys, lam, stat, KKT_TOL)
     return x, full, passed
 
 
@@ -300,7 +300,7 @@ def _phase_one(rows, x0):
 
 
 def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None,
-               kkt_tol: float = 1e-9) -> QcqpResult:
+               kkt_tol: float = KKT_TOL) -> QcqpResult:
     """Solve the QCQP to a target KKT residual.
 
     Parameters

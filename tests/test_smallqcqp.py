@@ -493,3 +493,8 @@ def test_stacked_newton_matches_single_problems():
                                     (1.0, 0.0, one._replace(h=np.array([[1.0, 1.0]])), False)):
         got = _accept(P, q, rows, x, keys, np.array([[lam]]), zero + stat, 1e-9)[0]
         assert got.tolist() == [passed], (lam, stat)
+    # a padding key reads no row: with the last row violated by 4 off the
+    # working set, the KKT residual is still the working row's alone
+    passed, _, _, res = _accept(P, q, one._replace(h=np.array([[1.0, -3.0]])), x,
+                                np.array([[0, -1]]), np.array([[1.0, 0.0]]), zero, 1e-9)
+    assert passed.tolist() == [False] and res[0] < 1e-9, res
