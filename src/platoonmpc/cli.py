@@ -19,15 +19,19 @@ from .solvers import (SolverParams, build_agent_stack, build_local_problems,
 from .stability import default_weight_schedule, stability_report_json
 
 
-def _check_keys(section, raw, known):
+def _check_keys(section, raw, known, required=()):
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise SystemExit(f"config {section} has unknown key(s): {', '.join(unknown)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise SystemExit(f"config {section} lacks key(s): {', '.join(missing)}")
 
 
 def _load_config(path, horizon):
     """Config JSON mirrors PlatoonConfig + WeightSchedule + SolverParams;
-    every section is optional (reference setup otherwise); unknown keys fail."""
+    every section is optional (reference setup otherwise); unknown keys fail,
+    and so does a weights section without all three weights."""
     raw = {}
     if path:
         with open(path) as fh:
@@ -46,9 +50,9 @@ def _load_config(path, horizon):
                              "supply weights in the config for other sizes")
         weights = default_weight_schedule(cfg.horizon)
     else:
-        weights = WeightSchedule(np.asarray(w["q_gap"], dtype=float),
-                                 np.asarray(w["q_rate"], dtype=float),
-                                 np.asarray(w["q_ride"], dtype=float))
+        names = [f.name for f in fields(WeightSchedule)]
+        _check_keys("section 'weights'", w, names, required=names)
+        weights = WeightSchedule(**w)
 
     s = raw.get("solver", {})
     _check_keys("section 'solver'", s, [f.name for f in fields(SolverParams)])

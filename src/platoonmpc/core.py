@@ -221,7 +221,8 @@ class LeaderProfile:
     @staticmethod
     def from_csv(path, tau: float) -> "LeaderProfile":
         """Load a trajectory file with header ``t,accel`` and one row per
-        step; samples are resampled onto the tau grid by zero-order hold."""
+        step, ``t`` finite and strictly increasing; samples are resampled
+        onto the tau grid by zero-order hold."""
         times, accels = [], []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -234,6 +235,8 @@ class LeaderProfile:
             raise ValueError("trajectory CSV is empty")
         times = np.asarray(times)
         accels = np.asarray(accels)
+        if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+            raise ValueError("trajectory CSV times must be finite and strictly increasing")
         duration = int(np.floor(times[-1] / tau)) + 1
         grid = np.arange(duration) * tau
         idx = np.searchsorted(times, grid, side="right") - 1

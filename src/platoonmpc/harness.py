@@ -352,20 +352,14 @@ def emit_results(result: SimResult, out_dir) -> list:
     n = result.spacings.shape[1]
     paths = []
 
-    path = os.path.join(out_dir, "spacings.csv")
-    rows = [np.concatenate([[k], result.spacings[k]]) for k in range(result.spacings.shape[0])]
-    _write_csv(path, ["k"] + [f"s_{i}_{i+1}" for i in range(n)], rows)
-    paths.append(path)
-
-    path = os.path.join(out_dir, "speeds.csv")
-    rows = [np.concatenate([[k], result.speeds[k]]) for k in range(result.speeds.shape[0])]
-    _write_csv(path, ["k"] + [f"v_{i}" for i in range(n + 1)], rows)
-    paths.append(path)
-
-    path = os.path.join(out_dir, "controls.csv")
-    rows = [np.concatenate([[k], result.controls[k]]) for k in range(result.controls.shape[0])]
-    _write_csv(path, ["k"] + [f"u_{i+1}" for i in range(n)], rows)
-    paths.append(path)
+    for name, series, columns in (
+            ("spacings", result.spacings, [f"s_{i}_{i+1}" for i in range(n)]),
+            ("speeds", result.speeds, [f"v_{i}" for i in range(n + 1)]),
+            ("controls", result.controls, [f"u_{i+1}" for i in range(n)])):
+        path = os.path.join(out_dir, f"{name}.csv")
+        _write_csv(path, ["k"] + columns,
+                   [np.concatenate([[k], row]) for k, row in enumerate(series)])
+        paths.append(path)
 
     path = os.path.join(out_dir, "metrics.json")
     payload = dict(result.metrics)

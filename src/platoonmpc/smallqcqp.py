@@ -11,20 +11,19 @@ variables (per-agent proximal steps and the centralized reference solve),
 so everything is dense and direct, vectorized over the rows.
 
 Strategy: without a start point, the unconstrained minimizer, returned when
-it is feasible and the start otherwise.  With a previous active set, a
-primal active-set loop of Newton solves on the working rows from the
-start.  Otherwise, or when that loop fails, one log-barrier central path
+it is feasible and the start otherwise.  Then one log-barrier central path
 serves twice: phase one follows it on the problem of the worst violation
 (from the start clipped into the box rows) to a strictly feasible point
 when the start is not one, and the barrier over all rows follows it from
-there.  The active-set loop, the polish, takes the barrier's point once
-its active set has held for two continuation steps, and again at the end
-of the path (m/eta < 1e-10), where the barrier point is the last answer.
+there.  The primal active-set loop, the polish, takes the barrier's point
+once its active set has held for two continuation steps, and again at the
+end of the path (m/eta < 1e-10), where the barrier point is the last answer.
 
-The Newton solve on the working rows and the test of its point work on a
-stack of problems padded to common sizes, one batched linear solve per
-Newton step: ``warm_pass`` runs them over many problems' warm active sets
-at once (a round of a distributed solver), ``solve_qcqp`` on a stack of one.
+``active_set_loop`` runs over a stack of problems padded to common sizes:
+each pass is one batched Newton solve on the working rows of the problems
+still open and one test, and each problem that fails repairs its working
+rows.  A distributed solver's round sends its agents' warm active sets
+through it together; the polish sends the barrier's rows as a stack of one.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["QcqpResult", "InfeasibleProblem", "row_values", "solve_qcqp", "warm_pass"]
+__all__ = ["QcqpResult", "InfeasibleProblem", "active_set_loop", "row_values", "solve_qcqp"]
 KKT_TOL = 1e-9  # the KKT residual a solve must reach, unless the caller sets its own
 
 
@@ -49,7 +48,7 @@ class QcqpResult:
 
     ``lam[k]`` is the multiplier of row k, in the caller's row order, and
     ``active`` the ascending indices of the rows with a positive multiplier
-    (a valid ``warm_active`` for a nearby solve).
+    (working rows from which ``active_set_loop`` can start a nearby solve).
     """
 
     x: np.ndarray
@@ -169,7 +168,8 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
     """The test of a Newton solve's point, per problem of a stack: no
     multiplier below -1e-10, no row off the working set above 1e-11, and a
     KKT residual within ``kkt_tol`` at the multipliers clipped at zero.
-    Returns (passed, row values, clipped multipliers, KKT residual)."""
+    Returns (passed, the row values off the working set, -inf on it, with a
+    last column for the padding keys, clipped multipliers, KKT residual)."""
     at = np.arange(len(x))[:, None]
     f = row_values(*rows, x)
     low = lam.min(axis=1, initial=0.0)
@@ -185,19 +185,54 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
     res = _kkt_residual(stat, full, off[at, keys])
     off[at, keys] = -np.inf
     passed = (low >= -1e-10) & (off.max(axis=1) <= 1e-11) & (res <= kkt_tol)
-    return passed, f, full, res
+    return passed, off, full, res
 
 
-def warm_pass(P, q, rows, x, keys):
-    """The warm path of ``solve_qcqp`` for a stack of problems, without its
-    repairs: one Newton solve on each problem's working rows ``keys[j]``
-    (ascending, padded with -1) from ``x[j]`` and its test.  ``rows`` is a
-    ``_Rows`` of stacked arrays.  Returns (x, multipliers of the working
-    rows, passed); a passing problem has ``solve_qcqp``'s result at KKT_TOL."""
-    tol = 1e-12 * (1.0 + np.abs(q).max(axis=1))
-    x, lam, _, stat = _active_set_newton(P, q, rows, x, keys, np.zeros(keys.shape), tol)
-    passed, _, full, _ = _accept(P, q, rows, x, keys, lam, stat, KKT_TOL)
-    return x, full, passed
+def active_set_loop(P, q, rows, x, keys, budget, newton_tol, kkt_tol):
+    """The primal active-set loop over a stack of problems: problem j is
+    (P[j], q[j]) over its rows in ``rows``, a ``_Rows`` of stacked arrays,
+    from ``x[j]`` with working rows ``keys[j]`` (ascending, padded with -1).
+    Each pass runs one Newton solve of the problems still open, from their
+    last points and multipliers, to ``newton_tol`` (per problem or one for
+    all), and one test at ``kkt_tol``.  A problem that fails drops its most
+    negative multiplier, or else adds its most violated row off the working
+    set, the last of equal rows, or else gives up, as it does when still
+    open after ``budget`` passes.  Returns (x, the multipliers of the last
+    working rows clipped at zero, those rows, passed, KKT residual, Newton
+    iterations)."""
+    x, lam, its, stat = _active_set_newton(P, q, rows, x, keys, np.zeros(keys.shape), newton_tol)
+    passed, off, full, res = _accept(P, q, rows, x, keys, lam, stat, kkt_tol)
+    if np.count_nonzero(passed) == len(x):
+        return x, full, keys, passed, res, its
+    k, m = len(x), off.shape[1] - 1
+    out_keys, out_lam = np.full((k, m), -1), np.zeros((k, m))
+    out_keys[:, :keys.shape[1]], out_lam[:, :keys.shape[1]] = keys, full
+    tol = np.broadcast_to(newton_tol, (k,))
+    idx = np.flatnonzero(~passed)
+    keys, lam, off = keys[idx], lam[idx], off[idx]
+    for _ in range(budget - 1):
+        drop = lam.min(axis=1, initial=0.0) < -1e-10
+        add = m - 1 - off[:, m - 1::-1].argmax(axis=1)
+        keys = np.concatenate([keys, np.where(drop, -1, add)[:, None]], axis=1)
+        lam = np.concatenate([lam, np.zeros((len(lam), 1))], axis=1)
+        worst = lam.argmin(axis=1)[drop]
+        keys[drop, worst], lam[drop, worst] = -1, 0.0
+        live = drop | (off.max(axis=1) > 1e-11)  # the others give up
+        idx, keys, lam = idx[live], keys[live], lam[live]
+        if not idx.size:
+            break
+        order = np.argsort(np.where(keys < 0, m, keys), axis=1, kind="stable")
+        width = np.count_nonzero(keys >= 0, axis=1).max()
+        keys, lam = (np.take_along_axis(a, order[:, :width], 1) for a in (keys, lam))
+        one = P[idx], q[idx], _Rows(rows.A[idx], rows.h[idx], rows.S[idx], rows.quad)
+        x[idx], lam, step_its, stat = _active_set_newton(*one, x[idx], keys, lam, tol[idx])
+        ok, off, full, res[idx] = _accept(*one, x[idx], keys, lam, stat, kkt_tol)
+        its += step_its
+        passed[idx] = ok
+        out_keys[idx, :width], out_keys[idx, width:] = keys, -1
+        out_lam[idx, :width], out_lam[idx, width:] = full, 0.0
+        idx, keys, lam, off = idx[~ok], keys[~ok], lam[~ok], off[~ok]
+    return x, out_lam, out_keys, passed, res, its
 
 
 def _box_clip(rows, x):
@@ -299,7 +334,7 @@ def _phase_one(rows, x0):
     raise InfeasibleProblem(f"constraint set numerically empty (min worst violation {worst:.3e})")
 
 
-def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None,
+def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None,
                kkt_tol: float = KKT_TOL) -> QcqpResult:
     """Solve the QCQP to a target KKT residual.
 
@@ -310,8 +345,6 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
         rows when ``A`` is None, all rows linear when ``S`` is None.
     x0 : optional start point; without one the solve starts from the
         unconstrained minimizer.
-    warm_active : optional iterable of row indices tried as the initial
-        active set before any barrier work.
     kkt_tol : target residual (stationarity, feasibility, complementarity).
     """
     P = np.asarray(P, dtype=float)
@@ -328,46 +361,10 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
             return QcqpResult(x=x0, lam=np.zeros(m), kkt_residual=0.0, iterations=1,
                               status="optimal")
 
-    def finish(x, lam, f, res):
+    def finish(x, lam, res):
         return QcqpResult(x=x, lam=lam, kkt_residual=float(res), iterations=iterations,
                           status="optimal" if res <= kkt_tol else "inaccurate",
                           active=tuple(np.flatnonzero(lam > 0).tolist()))
-
-    newton_tol = 1e-12 * (1.0 + float(np.abs(q).max()))
-    one = P[None], q[None], _Rows(A[None], h[None], rows.S[None], quad)
-
-    def try_active_set(x, active, iters_budget, newton_tol):
-        """Primal active-set loop on the problem as a stack of one: solve,
-        then repair the working set."""
-        nonlocal iterations
-        keys = sorted(active)
-        x, lam = x[None], np.zeros((1, len(keys)))
-        for _ in range(iters_budget):
-            stack = np.array([keys], dtype=int)
-            x, lam, its, stat = _active_set_newton(*one, x, stack, lam, newton_tol)
-            iterations += its
-            passed, f, full, res = _accept(*one, x, stack, lam, stat, kkt_tol)
-            if passed[0]:
-                return finish(x[0], np.bincount(keys, full[0], m), f[0], res[0])
-            if lam.min(initial=0.0) < -1e-10:  # drop the most negative multiplier
-                j = int(lam.argmin())
-                del keys[j]
-                lam = np.delete(lam, j, axis=1)
-                continue
-            off = f[0].copy()
-            off[keys] = -np.inf
-            if off.max() <= 1e-11:
-                return None
-            row = m - 1 - int(off[::-1].argmax())  # the most violated row, the last of equals
-            j = int(np.searchsorted(keys, row))
-            keys.insert(j, row)
-            lam = np.insert(lam, j, 0.0, axis=1)
-        return None
-
-    if warm_active:
-        result = try_active_set(x0, warm_active, 12, newton_tol)
-        if result is not None:
-            return result
 
     # barrier route
     start = x0 if rows.values(x0).max() < -1e-9 else _phase_one(rows, x0)
@@ -375,7 +372,8 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
     # The polish adds one weakly violated row per pass, so an optimum with
     # many weakly active rows needs room for every row, and Newton's stop,
     # relative to max|q|, must sit below kkt_tol.
-    polish_tol = min(newton_tol, 0.1 * kkt_tol)
+    polish_tol = min(1e-12 * (1.0 + float(np.abs(q).max())), 0.1 * kkt_tol)
+    one = P[None], q[None], _Rows(A[None], h[None], rows.S[None], quad)
     held, prev = 0, None
     for x, eta in _central_path(P, q, rows, start, 1.0, 20.0):
         # the multipliers read off the barrier gradient, and the rows whose
@@ -387,8 +385,12 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None, warm_active=None
         prev = active
         done = m / eta < 1e-10
         if done or held == 2:
-            result = try_active_set(x, active, m, polish_tol)
-            if result is not None:
-                return result
+            xs, full, keys, passed, res, its = active_set_loop(
+                *one, x[None], np.array([active], dtype=int), m, polish_tol, kkt_tol)
+            iterations += its
+            if passed[0]:
+                lam = np.zeros(m + 1)  # padding keys hit the last entry
+                lam[keys[0]] = full[0]
+                return finish(xs[0], lam[:m], res[0])
         if done:
-            return finish(x, lam, f, _kkt_residual(P @ x + q + rows.grads(x).T @ lam, lam, f))
+            return finish(x, lam, _kkt_residual(P @ x + q + rows.grads(x).T @ lam, lam, f))

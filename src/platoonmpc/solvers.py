@@ -11,9 +11,8 @@ proximal maps at each weight rho, is built once per run as an
 rows and the agents' warm memory (``LocalProblems``).  ``_AgentBatch``
 then evaluates every closed-form candidate and every row at once.  Only an
 agent whose candidate breaks one of its rows solves its small QCQP with
-``smallqcqp``, starting from its own last full solve, which it keeps
-across control steps; the agents of a round that hold such a warm active
-set try it together in one stacked Newton solve, the rest one at a time.
+``smallqcqp``, from its own last full solve, which it keeps across control
+steps: the agents of a round run one stacked active-set loop together.
 The schemes differ in the candidate:
 
 * ``solve_dr``: relaxed proximal step; each agent's candidate is the
@@ -44,7 +43,7 @@ import numpy as np
 from .consensus import AugmentedLayout, MessageFabric, VehicleGraph, _project, fabric_project
 from .decomposition import PdDecomposition
 from .problem import ConstraintSet, QcqpProblem
-from .smallqcqp import InfeasibleProblem, _Rows, solve_qcqp, warm_pass
+from .smallqcqp import KKT_TOL, InfeasibleProblem, _Rows, active_set_loop, solve_qcqp
 
 __all__ = [
     "SolverParams",
@@ -223,20 +222,20 @@ def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> Loc
 
 class _AgentBatch:
     """One solve's state over a step's ``problems``: the fast and full
-    counts, the agents' warm memory and their unpadded rows.
+    counts and the agents' warm memory.
 
     ``prox`` and ``project`` map every agent's point at once: each agent's
     closed-form candidate stands when it meets all the agent's rows (the
     fast path); only the agents whose candidate breaks a row solve their
-    QCQP, on the agent's own unpadded rows (sliced at its first full solve)
-    and warm-started from its last full solve of the same kind.  ``warm``
-    holds that memory per agent: seeded from the problems' ``warm``
-    (copied, so a solve never changes its inputs) and updated by every full
-    solve, it carries an agent's active set across rounds and, through
+    QCQP.  ``warm`` holds each agent's last full solve of each kind, its
+    point and active rows: seeded from the problems' ``warm`` (copied, so
+    a solve never changes its inputs) and updated by every full solve, it
+    carries an agent's active set across rounds and, through
     ``SolveReport.warm``, across control steps.  A round's failing agents
-    that hold a warm active set of the kind try it in one stacked Newton
-    solve (``smallqcqp.warm_pass``); the rest call ``solve_qcqp`` one at a
-    time.  With ``rho``, the proximal maps come from the stack.
+    that hold memory of the kind run it through one stacked active-set loop
+    (``smallqcqp.active_set_loop``); an agent that holds none calls
+    ``solve_qcqp`` cold, and one whose loop gives up calls it from its warm
+    point.  With ``rho``, the proximal maps come from the stack.
     """
 
     def __init__(self, problems: LocalProblems, graph: VehicleGraph, rho: float | None = None):
@@ -249,7 +248,6 @@ class _AgentBatch:
         self.calls = 0
         self.full = [0] * stack.n
         self.warm = [dict(w) for w in problems.warm]
-        self._agent_rows = {}
         self._eye = np.broadcast_to(np.eye(stack.H.shape[-1]), stack.H.shape)
 
     def prox(self, Y: np.ndarray) -> np.ndarray:
@@ -269,49 +267,46 @@ class _AgentBatch:
         stacked and padded for the agents ``i``."""
         self.calls += 1
         failing = (~self.problems.feasible(X)).nonzero()[0].tolist()
-        held = [i for i in failing if self.warm[i].get(kind, (None, ()))[1]]
-        taken = self._warm_pass(X, kind, objective, held) if held else ()
+        held = [i for i in failing if kind in self.warm[i]]
+        taken = self._warm_loop(X, kind, objective, held) if held else ()
         for i in failing:
             self.full[i] += 1
             if i not in taken:
-                d = self.stack.layout.dims[i]
-                (P,), (q,) = objective([i])
-                X[i, :d] = self._solve(i, kind, P[:d, :d], q[:d])
+                self._solve(X, i, kind, objective)
         return X
 
-    def _warm_pass(self, X, kind, objective, agents):
-        """Try the ``agents``' warm active sets in one stacked Newton solve;
+    def _warm_loop(self, X, kind, objective, agents):
+        """Run the ``agents``' warm active sets through one stacked loop;
         write the passing agents' points and memory, and return them."""
         memory = [self.warm[i][kind] for i in agents]
         A, h, S = self.problems.rows
         rows = _Rows(A[agents], h[agents], S[agents], self.problems.constraints.quad)
         a = max(len(on) for _, on in memory)
-        keys = np.array([on + (-1,) * (a - len(on)) for _, on in memory])
-        x, lam, ok = warm_pass(*objective(agents), rows, np.array([x for x, _ in memory]), keys)
+        keys = np.array([on + (-1,) * (a - len(on)) for _, on in memory], dtype=int)
+        P, q = objective(agents)
+        x, lam, keys, ok, _, _ = active_set_loop(
+            P, q, rows, np.array([x for x, _ in memory]), keys, 12,
+            1e-12 * (1.0 + np.abs(q).max(axis=1)), KKT_TOL)
         taken = [i for i, passed in zip(agents, ok.tolist()) if passed]
         X[taken] = x = x[ok]
         for i, xi, on in zip(taken, x, np.where(lam[ok] > 0, keys[ok], -1).tolist()):
             self.warm[i][kind] = (xi, tuple(k for k in on if k >= 0))
         return taken
 
-    def _solve(self, i, kind, P, q):
-        d = len(q)
-        rows = self._agent_rows.get(i)
-        if rows is None:
-            A, h, S = self.problems.rows
-            rows = self._agent_rows[i] = (A[i, :, :d].copy(), h[i], S[i, :, :d].copy())
-        x, active = self.warm[i].get(kind, (None, None))
+    def _solve(self, X, i, kind, objective):
+        d = self.stack.layout.dims[i]
+        (P,), (q,) = objective([i])
+        A, h, S = self.problems.rows
+        x = self.warm[i].get(kind, (None,))[0]
         try:
-            res = solve_qcqp(P, q, *rows, self.problems.constraints.quad,
-                             x0=None if x is None else x[:d], warm_active=active)
+            res = solve_qcqp(P[:d, :d], q[:d], A[i, :, :d], h[i], S[i, :, :d],
+                             self.problems.constraints.quad, x0=None if x is None else x[:d])
         except InfeasibleProblem as exc:
             raise ProxSolveError(i, f"{kind}: {exc}") from exc
         if res.status != "optimal":
             raise ProxSolveError(i, f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
-        x = np.zeros(self.stack.mask.shape[1])
-        x[:d] = res.x
-        self.warm[i][kind] = (x, res.active)
-        return res.x
+        X[i, :d] = res.x
+        self.warm[i][kind] = (X[i].copy(), res.active)
 
 
 @dataclass

@@ -123,8 +123,9 @@ class PerAgentStep:
     agent i's Hessian block and linear term from the step's problems, lays
     its rows out over its own dimension, takes its closed-form candidate from
     its own inverted prox matrix, and sends only a candidate that breaks a
-    row to ``solve_qcqp``, warm-started per kind from the agent's last full
-    solve."""
+    row to its full solve: the active-set loop on a stack of one from the
+    agent's last full solve of the kind, and ``solve_qcqp`` from that point
+    when the loop gives up, or from no point when there is none."""
 
     def __init__(self, problems, i, rho):
         layout = problems.stack.layout
@@ -153,7 +154,8 @@ class PerAgentStep:
         return self._constrained(y.copy(), "projection", lambda: (np.eye(self.d), -y))
 
     def _constrained(self, x, kind, objective):
-        from platoonmpc.smallqcqp import InfeasibleProblem, solve_qcqp
+        from platoonmpc.smallqcqp import (KKT_TOL, InfeasibleProblem, _Rows, active_set_loop,
+                                          solve_qcqp)
         from platoonmpc.solvers import ProxSolveError
 
         if self.cons.values(self.rows, x).max() <= 1e-11:
@@ -162,8 +164,15 @@ class PerAgentStep:
         self.full += 1
         P, q = objective()
         x0, active = self._warm.get(kind, (None, None))
+        if x0 is not None:  # the warm active set, as a stack of one
+            x, lam, keys, passed, _, _ = active_set_loop(
+                P[None], q[None], _Rows(*(r[None] for r in self.rows), self.cons.quad), x0[None],
+                np.array([active], dtype=int), 12, 1e-12 * (1.0 + np.abs(q).max()), KKT_TOL)
+            if passed[0]:
+                self._warm[kind] = (x[0], tuple(keys[0][lam[0] > 0].tolist()))
+                return x[0]
         try:
-            res = solve_qcqp(P, q, *self.rows, self.cons.quad, x0=x0, warm_active=active)
+            res = solve_qcqp(P, q, *self.rows, self.cons.quad, x0=x0)
         except InfeasibleProblem as exc:
             raise ProxSolveError(self.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":

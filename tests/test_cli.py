@@ -94,6 +94,9 @@ def test_custom_config_weights(tmp_path, capsys):
     ({"platoon": {"n": 10, "horizn": 2}}, "horizn"),
     ({"solvr": {"tol": 1e-3}, "weight": "default"}, "solvr, weight"),
     ({"solver": {"warmup_tol": 1e-3}}, "warmup_tol"),
+    ({"weights": {"q_gap": [[1.0] * 10], "q_rate": [[1.0] * 10]}}, "lacks key.*q_ride"),
+    ({"weights": {"q_gap": [[1.0] * 10], "q_rate": [[1.0] * 10], "q_ride": [[1.0] * 10],
+                  "q_rde": [[1.0] * 10]}}, "unknown key.*q_rde"),
 ])
 def test_config_unknown_keys_rejected(tmp_path, cfg, named):
     path = tmp_path / "cfg.json"

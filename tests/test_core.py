@@ -117,6 +117,12 @@ def test_leader_profiles(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("time,a\n0,1\n")
         LeaderProfile.from_csv(bad, tau=1.0)
+    # times out of order, repeated or not finite: the hold would drop rows
+    for times in ("0,2,1", "0,1,1", "0,nan,2", "0,1,inf"):
+        bad = tmp_path / "unordered.csv"
+        bad.write_text("t,accel\n" + "".join(f"{t},0.5\n" for t in times.split(",")))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            LeaderProfile.from_csv(bad, tau=1.0)
 
 
 def test_leader_speed_validation():

@@ -140,7 +140,7 @@ def test_warmup_memory_seeds_the_solve(monkeypatch):
 
     def recorded_qcqp(*args, **kwargs):
         if in_warmup[0]:
-            cold.append(not kwargs["warm_active"])
+            cold.append(kwargs["x0"] is None)
         return qcqp(*args, **kwargs)
 
     monkeypatch.setattr(harness, "warmup_initial_guess", recorded_warmup)

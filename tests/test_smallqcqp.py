@@ -6,8 +6,8 @@ import pytest
 
 from platoonmpc.core import PlatoonState, reference_config
 from platoonmpc.problem import build_qcqp
-from platoonmpc.smallqcqp import (InfeasibleProblem, _accept, _central_path, _Rows, row_values,
-                                  solve_qcqp, warm_pass)
+from platoonmpc.smallqcqp import (KKT_TOL, InfeasibleProblem, _accept, _central_path, _Rows,
+                                  active_set_loop, row_values, solve_qcqp)
 from platoonmpc.solvers import _centralized_constraints, solve_centralized
 from platoonmpc.stability import (DEFAULT_BASE_GAP_WEIGHTS, DEFAULT_BASE_RATE_WEIGHTS,
                                   DEFAULT_BASE_RIDE_WEIGHTS, default_weight_schedule,
@@ -166,9 +166,14 @@ def test_warm_active_set_reuse(rng):
     G = np.vstack([np.eye(3), -np.eye(3)])
     h = 0.3 * np.ones(6)
     first = solve_qcqp(P, q, G, h)
-    again = solve_qcqp(P, q + 1e-3, G, h, x0=first.x, warm_active=first.active)
-    assert again.status == "optimal"
-    np.testing.assert_allclose(again.x, solve_qcqp(P, q + 1e-3, G, h).x, atol=1e-8)
+    # the nearby problem from the first solve's point and active rows, as a
+    # stack of one through the active-set loop
+    moved = q + 1e-3
+    x, _, _, passed, res, _ = active_set_loop(
+        P[None], moved[None], _Rows(G[None], h[None], np.zeros((1, *G.shape)), 0.0), first.x[None],
+        np.array([first.active], dtype=int), 12, 1e-12 * (1.0 + np.abs(moved).max()), KKT_TOL)
+    assert passed[0] and res[0] <= 1e-9
+    np.testing.assert_allclose(x[0], solve_qcqp(P, moved, G, h).x, atol=1e-8)
 
 
 def test_infeasible_detection():
@@ -374,12 +379,12 @@ def test_far_starts_on_random_qcqps():
         np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-7, err_msg=str(draw))
 
 
-def newton_one(P, q, A, h, S, quad, x, tol, max_iters=40):
+def newton_one(P, q, A, h, S, quad, x, tol, lam=None, max_iters=40):
     """Reference: one problem's Newton solve on its working rows (A, h, S)
-    from (x, 0), with the dense KKT system and the per-problem damping
-    loop written out; returns (x, lam)."""
+    from (x, lam), lam zero when not given, with the dense KKT system and
+    the per-problem damping loop written out; returns (x, lam)."""
     dim, a = x.size, h.size
-    z = np.concatenate([x, np.zeros(a)])
+    z = np.concatenate([x, np.zeros(a) if lam is None else lam])
 
     def residual(zz):
         xx, lam = zz[:dim], zz[dim:]
@@ -443,8 +448,9 @@ def agent_like_stack(rng, k, p, curved):
 
 
 def test_stacked_newton_matches_single_problems():
-    """The stacked warm pass, on stacks of 1 to 10 problems with 2p or 3p
-    real variables and 0 to 4 working rows, linear and curved: each
+    """One pass of the stacked active-set loop (a budget of one), on stacks
+    of 1 to 10 problems with 2p or 3p real variables and 0 to 4 working
+    rows, linear and curved: each
     problem's Newton point and multipliers match the reference solve of
     that problem alone, unpadded, within 1e-12, and its accept decision
     matches the active-set test written out for that problem."""
@@ -453,7 +459,8 @@ def test_stacked_newton_matches_single_problems():
     for draw in range(60):
         k, p = int(rng.integers(1, 11)), int(rng.integers(1, 6))
         P, q, rows, x0, stacked, dims = agent_like_stack(rng, k, p, curved=draw % 3 != 0)
-        x, lam, accepted = warm_pass(P, q, rows, x0, stacked)
+        x, lam, _, accepted, _, _ = active_set_loop(P, q, rows, x0, stacked, 1,
+                                                    1e-12 * (1.0 + np.abs(q).max(axis=1)), KKT_TOL)
         for j, d in enumerate(dims):
             keys = stacked[j][stacked[j] >= 0]
             seen["no rows"] += not keys.size
@@ -498,3 +505,94 @@ def test_stacked_newton_matches_single_problems():
     passed, _, _, res = _accept(P, q, one._replace(h=np.array([[1.0, -3.0]])), x,
                                 np.array([[0, -1]]), np.array([[1.0, 0.0]]), zero, 1e-9)
     assert passed.tolist() == [False] and res[0] < 1e-9, res
+
+
+def loop_one(P, q, A, h, S, quad, x, keys, budget, tol):
+    """Reference: one problem's primal active-set loop, unpadded, with the
+    test and the repairs written out.  Each pass is a Newton solve on the
+    working rows from the last point and multipliers, then the test; a
+    failing problem drops its most negative multiplier, or else adds its
+    most violated row off the working set (the last of equal rows), or else
+    gives up.  Returns (x, multipliers of the last working rows clipped at
+    zero, those rows, passed, the repairs made in order)."""
+    keys, lam, events = list(keys), np.zeros(len(keys)), []
+    for done in range(1, budget + 1):
+        if len(keys) > x.size:  # dependent working rows: no reference to compare with
+            return x, lam, keys, False, events + ["dependent"]
+        x, lam = newton_one(P, q, A[keys], h[keys], S[keys], quad, x, tol, lam)
+        f = A @ x - h + quad * (S @ x) ** 2
+        full = np.zeros(h.size)
+        full[keys] = lam
+        clip = np.maximum(full, 0.0)
+        grads = A + (2.0 * quad * (S @ x))[:, None] * S
+        kkt = max(np.abs(P @ x + q + grads.T @ clip).max(), f.max(initial=0.0),
+                  np.abs(clip * f).max())
+        off = f.copy()
+        off[keys] = -np.inf
+        last = (x, np.maximum(lam, 0.0), list(keys))
+        if full.min() >= -1e-10 and off.max() <= 1e-11 and kkt <= 1e-9:
+            return (*last, True, events)
+        if done == budget:
+            events.append("budget")
+        elif lam.min(initial=0.0) < -1e-10:
+            j = int(lam.argmin())
+            del keys[j]
+            lam = np.delete(lam, j)
+            events.append("drop")
+            continue
+        elif off.max() > 1e-11:
+            row = int(np.flatnonzero(off == off.max())[-1])
+            j = sum(k < row for k in keys)
+            keys.insert(j, row)
+            lam = np.insert(lam, j, 0.0)
+            events.append("add")
+            continue
+        else:
+            events.append("give up")
+        return (*last, False, events)
+
+
+def test_stacked_loop_matches_single_problems():
+    """The stacked active-set loop with its repairs, on seeded stacks whose
+    problems drop multipliers, add rows past the stack's first width, start
+    from empty working rows, give up with nothing to repair, and run out of
+    passes: each problem's point and multipliers match the reference loop of
+    that problem alone, unpadded, within 1e-12, with the same final working
+    rows and the same pass flag."""
+    rng = np.random.default_rng(14)
+    seen = dict.fromkeys(["passed", "drop", "add", "give up", "budget", "widened", "empty"], 0)
+    dependent = 0
+    for draw in range(80):
+        k, p = int(rng.integers(1, 11)), int(rng.integers(1, 6))
+        P, q, rows, x0, stacked, dims = agent_like_stack(rng, k, p, curved=draw % 3 != 0)
+        budget = int(rng.choice([2, 3, 12]))
+        if draw % 4 == 0:  # every problem with a working row starts from its first row alone
+            stacked = np.where(np.arange(stacked.shape[1]) < 1, stacked, -1)[:, :1]
+        # a loose Newton stop leaves some curved problems short of the KKT
+        # target with nothing to repair: they give up
+        tol = (1e-4 if draw % 5 == 0 else 1e-12) * (1.0 + np.abs(q).max(axis=1))
+        x, lam, keys, passed, _, _ = active_set_loop(P, q, rows, x0, stacked, budget, tol, KKT_TOL)
+        for j, d in enumerate(dims):
+            start = stacked[j][stacked[j] >= 0]
+            A, h, S = rows.A[j, :, :d], rows.h[j], rows.S[j, :, :d]
+            x_ref, lam_ref, keys_ref, passed_ref, events = loop_one(
+                P[j, :d, :d], q[j, :d], A, h, S, rows.quad, x0[j, :d], start, budget, tol[j])
+            case = (draw, j, events)
+            if "dependent" in events:
+                dependent += 1
+                continue
+            assert passed[j] == passed_ref, case
+            assert keys[j][keys[j] >= 0].tolist() == keys_ref, case
+            # padding stays zero up to the least-squares solve that a
+            # problem with dependent rows brings on its whole pass
+            np.testing.assert_allclose(x[j], np.append(x_ref, np.zeros(x[j].size - d)), rtol=0,
+                                       atol=1e-12, err_msg=str(case))
+            np.testing.assert_allclose(lam[j][keys[j] >= 0], lam_ref, rtol=0, atol=1e-12,
+                                       err_msg=str(case))
+            assert not lam[j][keys[j] < 0].any(), case
+            seen["passed"] += passed_ref
+            for event in set(events):
+                seen[event] += 1
+            seen["widened"] += len(keys_ref) > stacked.shape[1]
+            seen["empty"] += not start.size and bool(events)
+    assert min(seen.values()) >= 20 and dependent <= 10, (seen, dependent)

@@ -524,11 +524,11 @@ def test_carried_warm_state_is_read_only(rng):
 def test_warm_started_steps_match_cold_solves(monkeypatch):
     # scenario s1 at p = 5 through the brake, hold and acceleration: every
     # full solve that starts from the agent's previous step (its point and
-    # active set), in the stacked warm pass or in solve_qcqp, agrees with a
-    # cold solve of the same subproblem
+    # active set), in the stacked active-set loop or in solve_qcqp after the
+    # loop gives up, agrees with a cold solve of the same subproblem
     import platoonmpc.solvers as solvers
     from platoonmpc.harness import run_scenario, scenario_builtin
-    from platoonmpc.smallqcqp import solve_qcqp, warm_pass
+    from platoonmpc.smallqcqp import active_set_loop, solve_qcqp
 
     made, carried = set(), []  # the bytes of the points made in this step
 
@@ -537,26 +537,27 @@ def test_warm_started_steps_match_cold_solves(monkeypatch):
 
     def recorded_solve(*args, **kwargs):
         res = solve_qcqp(*args, **kwargs)
-        if kwargs["warm_active"] and not fresh(kwargs["x0"]):
+        if kwargs["x0"] is not None and not fresh(kwargs["x0"]):
             assert res.status == "optimal" and res.kkt_residual <= 1e-9
             carried.append((args, res.x))
         made.add(res.x.tobytes())
         return res
 
-    def recorded_pass(P, q, rows, x0, keys):
-        x, lam, accepted = warm_pass(P, q, rows, x0, keys)
+    def recorded_loop(P, q, rows, x0, *args):
+        out = active_set_loop(P, q, rows, x0, *args)
+        x, accepted = out[0], out[3]
         for j in accepted.nonzero()[0]:
             if not fresh(x0[j]):
                 carried.append(((P[j], q[j], rows.A[j], rows.h[j], rows.S[j], rows.quad), x[j]))
             made.update(x[j, :d].tobytes() for d in (10, 15))
-        return x, lam, accepted
+        return out
 
     def counted(*args, **kwargs):
         made.clear()
         return build_qcqp(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "solve_qcqp", recorded_solve)
-    monkeypatch.setattr(solvers, "warm_pass", recorded_pass)
+    monkeypatch.setattr(solvers, "active_set_loop", recorded_loop)
     monkeypatch.setattr("platoonmpc.harness.build_qcqp", counted)
     run_scenario(dataclasses.replace(scenario_builtin("s1", p=5), duration=110))
     assert len(carried) >= 20
@@ -566,13 +567,14 @@ def test_warm_started_steps_match_cold_solves(monkeypatch):
         np.testing.assert_allclose(x, cold.x, rtol=0, atol=1e-10)
 
 
-def test_stale_warm_sets_fall_back(rng, monkeypatch):
+def test_stale_warm_sets_are_repaired_in_the_stack(rng, monkeypatch):
     # one proximal round in which every agent breaks its upper box rows and
-    # holds a warm active set from the round before: the stacked pass takes
-    # the current sets, rejects the stale ones, whose agents solve on their
-    # own, and every agent's point matches a cold solve of its subproblem
+    # holds a warm active set from the round before: the stacked loop's
+    # first pass takes the current sets and rejects the stale ones, its
+    # repairs then take those too, no agent calls solve_qcqp, and every
+    # agent's point matches a cold solve of its subproblem
     import platoonmpc.solvers as solvers
-    from platoonmpc.smallqcqp import solve_qcqp, warm_pass
+    from platoonmpc.smallqcqp import active_set_loop, solve_qcqp
 
     n, p, rho = 5, 3, 0.1
     cfg, prob, problems, graph = make_instance(rng, n, p)
@@ -587,24 +589,25 @@ def test_stale_warm_sets_fall_back(rng, monkeypatch):
             for i, w in enumerate(first.warm)]
     Y = Y + 1e-3 * stack.pad(rng.normal(size=stack.layout.dim))
 
-    passes, solved = [], []
+    loops, solved = [], []
 
-    def recorded_pass(*args):
-        out = warm_pass(*args)
-        passes.append(out[2])
+    def recorded_loop(P, q, rows, x0, keys, budget, *tols):
+        one_pass = active_set_loop(P, q, rows, x0, keys, 1, *tols)[3]
+        out = active_set_loop(P, q, rows, x0, keys, budget, *tols)
+        loops.append((one_pass, out[3]))
         return out
 
     def recorded_solve(*args, **kwargs):
-        solved.append(kwargs["warm_active"])
+        solved.append(kwargs["x0"])
         return solve_qcqp(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "warm_pass", recorded_pass)
+    monkeypatch.setattr(solvers, "active_set_loop", recorded_loop)
     monkeypatch.setattr(solvers, "solve_qcqp", recorded_solve)
     batch = _AgentBatch(build_local_problems(prob, stack, warm=warm), graph, rho)
     X = batch.prox(Y)
-    assert len(passes) == 1
-    assert passes[0].tolist() == [i not in stale for i in range(n)]
-    assert solved == [lower_box] * len(stale)
+    assert len(loops) == 1
+    assert loops[0][0].tolist() == [i not in stale for i in range(n)]
+    assert loops[0][1].all() and not solved
     A, h, S = batch.problems.rows
     for i in range(n):
         d = stack.layout.dims[i]
