@@ -17,7 +17,7 @@ import numpy as np
 from .core import (LeaderProfile, PlatoonConfig, WeightSchedule, initial_state,
                    reference_config, step_dynamics)
 from .decomposition import decompose_pd, stage_blocks
-from .problem import build_qcqp
+from .problem import StepTemplate, build_qcqp
 from .solvers import (SolverParams, build_agent_stack, build_local_problems,
                       default_params_for_horizon, solve_centralized, solve_variant,
                       warmup_initial_guess)
@@ -154,11 +154,12 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
                  with_oracle: bool = False) -> SimResult:
     """Run one closed-loop scenario.
 
-    Builds the step program at every sample, solves it with the configured
-    distributed engine (receding horizon: only the first stage of each
-    vehicle's plan is applied), optionally compares each step against the
-    centralized reference, and raises SafetyViolation if any realized
-    spacing breaks the safe-distance bound.
+    Builds the step program at every sample over the run's state-free
+    ``StepTemplate``, solves it with the configured distributed engine
+    (receding horizon: only the first stage of each vehicle's plan is
+    applied), optionally compares each step against the centralized
+    reference, and raises SafetyViolation if any realized spacing breaks
+    the safe-distance bound.
     """
     cfg = cfg if cfg is not None else reference_config(horizon=spec.horizon)
     if cfg.horizon != spec.horizon:
@@ -169,6 +170,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     spec.leader.validate_speeds(spec.v_init, cfg, spec.duration)
 
     blocks = stage_blocks(weights, cfg.tau)
+    template = StepTemplate(cfg, weights, blocks)
     stack = build_agent_stack(decompose_pd(blocks))
     graph = stack.layout.graph
     params = spec.solver
@@ -195,7 +197,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
 
     z_prev = warm = None
     for k in range(T):
-        prob = build_qcqp(state, cfg, weights, blocks=blocks)
+        prob = build_qcqp(state, template=template)
         locals_ = build_local_problems(prob, stack, warm=warm)
         if params.warm_start == "warmup-projection":
             z0, wu_iters, warm = warmup_initial_guess(prob, locals_, graph)

@@ -1,15 +1,18 @@
-"""Per-step assembly of the constrained MPC program.
+"""Assembly of the constrained MPC program: a per-run part, a per-step part.
 
 At every sample step the receding-horizon controller minimizes a strongly
 convex quadratic in the stacked per-vehicle controls, subject to box and
 speed-band rows per vehicle plus one convex quadratic safety constraint per
-vehicle and stage.  This module builds that program from the measured
-platoon state; nothing here iterates or communicates.
+vehicle and stage; nothing here iterates or communicates.  ``StepTemplate``
+builds what the state does not change once per run: the Hessian blocks and
+their chain's Schur blocks, the linear term's stage coefficients, the
+safety rows' fixed coefficients and a row skeleton per layout.
+``build_qcqp`` adds what the measured state sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .smallqcqp import row_values
 __all__ = [
     "ConstraintSet",
     "QcqpProblem",
+    "StepTemplate",
     "MembershipReport",
     "build_qcqp",
     "check_membership",
@@ -52,6 +56,7 @@ class ConstraintSet:
     own: np.ndarray
     prev: np.ndarray
     const: np.ndarray
+    layouts: dict = field(default_factory=dict, compare=False, repr=False)  # a run's skeletons
 
     def rows(self, i, dim: int, own, prev):
         """The rows of vehicles ``i`` (an index array), each over ``dim``
@@ -62,23 +67,28 @@ class ConstraintSet:
         Returns ``(A, h, S)`` stacked over ``k``: row r of vehicle ``i[k]``
         reads ``A[k, r] x - h[k, r] + quad (S[k, r] x)^2 <= 0``.  Each
         vehicle's 5p rows are upper box, lower box, upper speed, lower speed
-        (S zero on all four) and safety, p of each.
+        (S zero on all four) and safety, p of each.  A layout's skeleton (A
+        less the own safety coefficients, and S) is laid out once per run and
+        shared, read-only, like ``prev``.
         """
         i = np.asarray(i)
         m, p = i.size, self.own.shape[-1]
         zero = np.zeros(m, dtype=int)
         own, prev = zero + own, zero + prev
-        L = np.tri(p)
         # fancy indices around a slice put (vehicle, column) first, rows last
         k, cols = np.arange(m)[:, None], own[:, None] + np.arange(p)
-        A = np.zeros((m, 5 * p, dim))
-        A[k, :4 * p, cols] = np.concatenate([np.eye(p), -np.eye(p), self.tau * L,
-                                             -self.tau * L]).T
+        key = (dim, i.tobytes(), own.tobytes(), prev.tobytes())
+        if key not in self.layouts:
+            L, has = np.tri(p), prev >= 0
+            A, S = np.zeros((m, 5 * p, dim)), np.zeros((m, 5 * p, dim))
+            A[k, :4 * p, cols] = np.concatenate([np.eye(p), -np.eye(p), self.tau * L,
+                                                 -self.tau * L]).T
+            A[k[has], 4 * p:, prev[has, None] + np.arange(p)] = self.prev[i[has]].transpose(0, 2, 1)
+            S[k, 4 * p:, cols] = L.T
+            A.flags.writeable = S.flags.writeable = False
+            self.layouts[key] = A, S
+        A, S = self.layouts[key][0].copy(), self.layouts[key][1]
         A[k, 4 * p:, cols] = self.own[i].transpose(0, 2, 1)
-        has = prev >= 0
-        A[k[has], 4 * p:, prev[has, None] + np.arange(p)] = self.prev[i[has]].transpose(0, 2, 1)
-        S = np.zeros((m, 5 * p, dim))
-        S[k, 4 * p:, cols] = L.T
         h = np.empty((m, 5 * p))
         h[:, :p], h[:, p:2 * p] = self.a_max, -self.a_min
         h[:, 2 * p:3 * p], h[:, 3 * p:4 * p] = self.speed_hi[i, None], -self.speed_lo[i, None]
@@ -95,19 +105,18 @@ class QcqpProblem:
     """One step's convex program in stacked vehicle-major controls.
 
     The Hessian is stored as its block-tridiagonal pieces (``diag[i]`` and
-    ``off[i]`` coupling vehicles i, i+1); ``c`` is partitioned per vehicle.
+    ``off[i]`` coupling vehicles i, i+1), with the Schur blocks of its forward
+    elimination, ``schur[i] = diag[i] - off[i-1]' schur[i-1]^-1 off[i-1]``;
+    ``c`` is partitioned per vehicle.
     """
 
     n: int
     horizon: int
     diag: tuple
     off: tuple
+    schur: tuple
     c: np.ndarray
     constraints: ConstraintSet
-
-    def c_part(self, i: int) -> np.ndarray:
-        p = self.horizon
-        return self.c[i * p:(i + 1) * p]
 
     def hessian_dense(self) -> np.ndarray:
         """Assemble the full Hessian (test/oracle path only)."""
@@ -121,90 +130,87 @@ class QcqpProblem:
         return W
 
 
-def _linear_term(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedule) -> np.ndarray:
+class StepTemplate:
+    """The state-free part of a run's step programs, from the configuration,
+    the weights and (optionally precomputed) stage blocks.  ``gap[r, s]``
+    and ``rate[s]`` weigh stage s+1's gap and rate errors in the linear
+    term's stage-(r+1) entry."""
+
+    def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule,
+                 blocks: StageBlocks | None = None):
+        if weights.horizon != cfg.horizon or weights.n != cfg.n:
+            raise ValueError("weight schedule shape does not match the configuration")
+        p, tau = cfg.horizon, cfg.tau
+        diag, off = assemble_hessian_blocks(blocks or stage_blocks(weights, tau))
+        schur = [diag[0]]
+        for D, B in zip(diag[1:], off):
+            schur.append(D - B.T @ np.linalg.solve(schur[-1], B))
+        self.cfg, self.diag, self.off, self.schur = cfg, tuple(diag), tuple(off), tuple(schur)
+        stage = np.arange(1, p + 1)
+        self.stage_tau, self.e1 = stage * tau, np.eye(1, cfg.n)[0]
+        self.half_sq = 0.5 * tau ** 2 * stage ** 2
+        self.gap = (0.5 * tau ** 2 * (2 * (stage - stage[:, None]) + 1))[..., None] * weights.q_gap
+        self.rate = tau * weights.q_rate
+        # kappa[s-1, j] = (2(s - j) - 1) / 2 weighs control j in the stage-s position
+        kappa = np.tril((2 * (stage[:, None] - np.arange(p)) - 1) / 2.0)
+        self.tril, self.own = np.tril(np.ones((p, p))), tau ** 2 * kappa
+        self.lead = tau ** 2 * kappa.sum(axis=1)
+        self.prev = np.repeat((-tau ** 2 * kappa)[None], cfg.n, axis=0)
+        self.prev[0] = 0.0
+        self.quad = -tau ** 2 / (2.0 * cfg.a_min)
+        self.layouts = {}
+        for a in (*diag, *off, *schur, self.prev):  # the arrays every step shares
+            a.flags.writeable = False
+
+
+def _linear_term(state: PlatoonState, t: StepTemplate) -> np.ndarray:
     """Vehicle-major linear term of the objective.
 
     Built stage by stage from the predicted gap and rate errors under the
     frozen leader acceleration, then mapped through the transposed
     first-difference operator; only adjacent vehicles' measurements enter
-    each vehicle's slice.
+    each vehicle's slice.  Stage s's errors join stages 1..s in ascending s.
     """
-    p, n, tau = cfg.horizon, cfg.n, cfg.tau
-    err = error_coords(state, cfg)
-    z, zp = err.gap_err, err.rate_err
-    u0 = state.u0
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-
-    d = [z + s * tau * zp + 0.5 * tau ** 2 * s ** 2 * u0 * e1 for s in range(1, p + 1)]
-    f = [zp + tau * s * u0 * e1 for s in range(1, p + 1)]
-
-    c = np.zeros(n * p)
-    for stage in range(1, p + 1):
-        m = np.zeros(n)
-        for s in range(stage, p + 1):
-            m += 0.5 * tau ** 2 * (2 * (s - stage) + 1) * weights.q_gap[s - 1] * d[s - 1] \
-                + tau * weights.q_rate[s - 1] * f[s - 1]
-        # transposed first-difference: row j reads m[j] - m[j+1]
-        g = -(m - np.concatenate([m[1:], [0.0]]))
-        c[(stage - 1)::p] = g
-    return c
+    err = error_coords(state, t.cfg)
+    z, zp, e1, st = err.gap_err, err.rate_err, t.e1, t.stage_tau[:, None]
+    d = z + st * zp + t.half_sq[:, None] * state.u0 * e1
+    rate = t.rate * (zp + st * state.u0 * e1)
+    m = np.zeros(d.shape)
+    for s in range(len(d)):
+        m[:s + 1] += t.gap[:s + 1, s] * d[s] + rate[s]
+    # transposed first-difference: row j reads m[j] - m[j+1]
+    return (-(m - np.concatenate([m[:, 1:], np.zeros((len(m), 1))], axis=1))).T.ravel()
 
 
-def _constraint_set(state: PlatoonState, cfg: PlatoonConfig) -> ConstraintSet:
+def _constraint_set(state: PlatoonState, t: StepTemplate) -> ConstraintSet:
     """Box, speed-band and safe-spacing rows of every vehicle."""
-    p, tau = cfg.horizon, cfg.tau
-    stage = np.arange(1, p + 1)
-    # kappa[s-1, j] = (2(s - j) - 1) / 2 weighs control j in the stage-s position
-    kappa = np.tril((2 * (stage[:, None] - np.arange(p)) - 1) / 2.0)
+    cfg, tau = t.cfg, t.cfg.tau
     v, v_prev = state.v[1:], state.v[:-1]
     coef = cfg.reaction * tau - tau * (v - cfg.v_min) / cfg.a_min
     # float_power squares through libm pow, like a scalar ``**``; an array's
     # ``** 2`` multiplies and can round the last bit differently
-    const = -(state.x[:-1] - state.x[1:])[:, None] - stage * tau * (v_prev - v)[:, None] \
+    const = -(state.x[:-1] - state.x[1:])[:, None] - t.stage_tau * (v_prev - v)[:, None] \
         + cfg.veh_len + (cfg.reaction * v)[:, None] \
         - (np.float_power(v - cfg.v_min, 2) / (2.0 * cfg.a_min))[:, None]
     # The leader prediction freezes its current acceleration, so the first
     # vehicle's predecessor contribution is a constant.
-    const[0] -= tau ** 2 * kappa.sum(axis=1) * state.u0
-    prev = np.repeat((-tau ** 2 * kappa)[None], cfg.n, axis=0)
-    prev[0] = 0.0
-    return ConstraintSet(
-        tau=tau,
-        a_min=cfg.a_min,
-        a_max=cfg.a_max,
-        speed_lo=cfg.v_min - v,
-        speed_hi=cfg.v_max - v,
-        quad=-tau ** 2 / (2.0 * cfg.a_min),
-        own=coef[:, None, None] * np.tril(np.ones((p, p))) + tau ** 2 * kappa,
-        prev=prev,
-        const=const,
-    )
+    const[0] -= t.lead * state.u0
+    return ConstraintSet(tau=tau, a_min=cfg.a_min, a_max=cfg.a_max, speed_lo=cfg.v_min - v,
+                         speed_hi=cfg.v_max - v, quad=t.quad,
+                         own=coef[:, None, None] * t.tril + t.own, prev=t.prev, const=const,
+                         layouts=t.layouts)
 
 
-def build_qcqp(state: PlatoonState, cfg: PlatoonConfig, weights: WeightSchedule,
-               blocks: StageBlocks | None = None) -> QcqpProblem:
-    """Assemble the step's convex program from the measured state.
-
-    ``blocks`` may carry precomputed stage-coupling Hessians (they depend
-    only on the weights and sample time, not on the state).
-    """
-    if weights.horizon != cfg.horizon or weights.n != cfg.n:
-        raise ValueError("weight schedule shape does not match the configuration")
+def build_qcqp(state: PlatoonState, cfg: PlatoonConfig | None = None,
+               weights: WeightSchedule | None = None, template=None) -> QcqpProblem:
+    """Assemble the step's convex program from the measured state over a
+    run's ``template``, or over one built here from ``cfg`` and ``weights``."""
+    t = template if template is not None else StepTemplate(cfg, weights)
     if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.v))):
         raise ValueError("state must be finite")
-    if blocks is None:
-        blocks = stage_blocks(weights, cfg.tau)
-    diag, off = assemble_hessian_blocks(blocks)
-    c = _linear_term(state, cfg, weights)
-    return QcqpProblem(
-        n=cfg.n,
-        horizon=cfg.horizon,
-        diag=tuple(diag),
-        off=tuple(off),
-        c=c,
-        constraints=_constraint_set(state, cfg),
-    )
+    return QcqpProblem(n=t.cfg.n, horizon=t.cfg.horizon, diag=t.diag, off=t.off,
+                       schur=t.schur, c=_linear_term(state, t),
+                       constraints=_constraint_set(state, t))
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,16 @@ class _Rows(NamedTuple):
         return 2.0 * self.quad * (self.S.T * w) @ self.S
 
 
+def _solve(J, b):
+    """J^-1 b by LU, for one system or a stack; lstsq only for a singular one."""
+    try:
+        return np.linalg.solve(J, b)
+    except np.linalg.LinAlgError:
+        if J.ndim > 2:
+            return np.array([_solve(Jj, bj) for Jj, bj in zip(J, b)])
+        return np.linalg.lstsq(J, b, rcond=None)[0]
+
+
 def _kkt_residual(stat, lam, f):
     """Worst of stationarity, feasibility and complementarity, per problem of
     a stack, from the Lagrangian gradient, multipliers >= 0 and row values."""
@@ -145,10 +155,7 @@ def _active_set_newton(P, q, rows, x, keys, lam, tol, max_iters=40):
             J[:, :dim, :dim] = P + 2.0 * quad * (St * z[:, None, dim:]) @ S
             J[:, :dim, dim:] = grads.transpose(0, 2, 1)
             J[:, dim:, :dim] = grads
-        try:
-            dz = np.linalg.solve(J, -F[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # a singular system: least squares, one by one
-            dz = np.array([np.linalg.lstsq(Jj, -Fj, rcond=None)[0] for Jj, Fj in zip(J, F)])
+        dz = _solve(J, -F[..., None])[..., 0]
         # damp each step on its own residual norm, halving down to 2**-27; a
         # converged problem takes step 0, a problem whose trial passes keeps
         # its step, and the last trial is the next iterate
@@ -196,10 +203,11 @@ def active_set_loop(P, q, rows, x, keys, budget, newton_tol, kkt_tol):
     last points and multipliers, to ``newton_tol`` (per problem or one for
     all), and one test at ``kkt_tol``.  A problem that fails drops its most
     negative multiplier, or else adds its most violated row off the working
-    set, the last of equal rows, or else gives up, as it does when still
-    open after ``budget`` passes.  Returns (x, the multipliers of the last
-    working rows clipped at zero, those rows, passed, KKT residual, Newton
-    iterations)."""
+    set, the last of equal rows, if its gradient is independent of theirs
+    (Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 16.5), or
+    else gives up, as it does when still open after ``budget`` passes.
+    Returns (x, the multipliers of the last working rows clipped at zero,
+    those rows, passed, KKT residual, Newton iterations)."""
     x, lam, its, stat = _active_set_newton(P, q, rows, x, keys, np.zeros(keys.shape), newton_tol)
     passed, off, full, res = _accept(P, q, rows, x, keys, lam, stat, kkt_tol)
     if np.count_nonzero(passed) == len(x):
@@ -218,6 +226,14 @@ def active_set_loop(P, q, rows, x, keys, budget, newton_tol, kkt_tol):
         worst = lam.argmin(axis=1)[drop]
         keys[drop, worst], lam[drop, worst] = -1, 0.0
         live = drop | (off.max(axis=1) > 1e-11)  # the others give up
+        grow = np.flatnonzero(live & ~drop)
+        if grow.size:  # the rank of the working and added rows' gradients at x
+            at, on = idx[grow, None], keys[grow]
+            S = rows.S[at, on] * (on >= 0)[..., None]
+            sv = np.linalg.svd(rows.A[at, on] * (on >= 0)[..., None] + 2.0 * rows.quad
+                               * (S @ x[at[:, 0], :, None]) * S, compute_uv=False)
+            rank = np.count_nonzero(sv > 1e-12 * sv[:, :1], axis=1)
+            live[grow[rank < np.count_nonzero(on >= 0, axis=1)]] = False
         idx, keys, lam = idx[live], keys[live], lam[live]
         if not idx.size:
             break
@@ -279,10 +295,7 @@ def _central_path(P, q, rows, x, eta, growth, floor=False, inside=None):
             H = eta * P + (grads.T * (inv * inv)) @ grads + rows.curvature(inv)
             if floor:
                 H += (1e-12 + 1e-9 * np.trace(H) / dim) * np.eye(dim)
-            try:
-                dx = -np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                dx = -np.linalg.lstsq(H, g, rcond=None)[0]
+            dx = -_solve(H, g)
             decrement = -float(g @ dx)
             if decrement <= 2e-13 * (1 + eta):
                 break

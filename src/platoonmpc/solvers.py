@@ -201,9 +201,12 @@ class LocalProblems:
     def gradient(self, W: np.ndarray) -> np.ndarray:
         return (self.stack.H @ W[..., None])[..., 0] + self.C
 
-    def feasible(self, X: np.ndarray) -> np.ndarray:
-        """Whether X[i] meets every row of agent i, per agent."""
-        return self.constraints.values(self.rows, X).max(axis=1) <= _FEASIBLE_TOL
+    def failing(self, X: np.ndarray) -> list:
+        """The agents i whose X[i] breaks a row (NaN does); one max finds none."""
+        values = self.constraints.values(self.rows, X)
+        if values.max() <= _FEASIBLE_TOL:
+            return []
+        return (~(values.max(axis=1) <= _FEASIBLE_TOL)).nonzero()[0].tolist()
 
 
 def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> LocalProblems:
@@ -245,6 +248,7 @@ class _AgentBatch:
         self.problems, self.stack, self.rho = problems, stack, rho
         if rho is not None:
             self.prox_mat, self.prox_hess = stack.prox(rho)
+            self.rho_C = rho * problems.C
         self.calls = 0
         self.full = [0] * stack.n
         self.warm = [dict(w) for w in problems.warm]
@@ -253,7 +257,7 @@ class _AgentBatch:
     def prox(self, Y: np.ndarray) -> np.ndarray:
         """Every agent's proximal step of its objective at Y[i]."""
         C = self.problems.C
-        X = (self.prox_mat @ (Y - self.rho * C)[..., None])[..., 0]
+        X = (self.prox_mat @ (Y - self.rho_C)[..., None])[..., 0]
         return self._constrained(X, "prox subproblem", lambda i: (
             self.prox_hess[i], C[i] - Y[i] / self.rho))
 
@@ -266,7 +270,7 @@ class _AgentBatch:
         by the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(i)
         stacked and padded for the agents ``i``."""
         self.calls += 1
-        failing = (~self.problems.feasible(X)).nonzero()[0].tolist()
+        failing = self.problems.failing(X)
         held = [i for i in failing if kind in self.warm[i]]
         taken = self._warm_loop(X, kind, objective, held) if held else ()
         for i in failing:
@@ -361,7 +365,7 @@ def _iterate(batch, params, step, z0=None, fabric=None, momentum=None):
         dz = z_new - z
         trace.append(math.sqrt(dz @ dz))  # the flat norm, as np.linalg.norm sums it
         z = z_new
-        if np.sqrt(np.add.reduceat(dz * dz, starts)).max() <= per_agent_tol:
+        if math.sqrt(np.add.reduceat(dz * dz, starts).max()) <= per_agent_tol:
             converged = True
             break
         if momentum is None:
@@ -485,24 +489,24 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: Vehi
 
     W is block tridiagonal along the chain, so the minimizer of 1/2 u'Wu + c'u
     is one block elimination (Golub & Van Loan, *Matrix Computations*, 4th
-    ed., section 4.5).  Forward, vehicle i receives its predecessor's Schur
-    block and vector and keeps S_i = W_ii - B' S_{i-1}^{-1} B and
-    g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}, B = W_{i-1,i}.  Backward, it
-    receives u_{i+1} and solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).
-    Every message crosses one chain edge in a one-speaker fabric round
-    (``MessageFabric.send``); each agent then projects its block onto its
-    constraint set, all in one batch, warm-started from ``problems.warm``.
+    ed., section 4.5).  Its Schur blocks S_i = W_ii - B' S_{i-1}^{-1} B,
+    B = W_{i-1,i}, read no state: each run computes them once (``prob.schur``).
+    Forward, vehicle i receives g_{i-1}, p floats, and keeps
+    g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}.  Backward, it receives u_{i+1} and
+    solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).  Every message crosses
+    one chain edge in a one-speaker fabric round (``MessageFabric.send``);
+    each agent then projects its block onto its constraint set, all in one
+    batch, warm-started from ``problems.warm``.
     Returns z0, the fabric rounds, 2(n - 1), and the agents' memory after
     the projection, which seeds the step's solve.
     """
     n, fabric, stack = prob.n, MessageFabric(graph), problems.stack
     batch = _AgentBatch(problems, graph)
-    S, g = [prob.diag[0]], [-prob.c_part(0)]
+    S, c = prob.schur, prob.c.reshape(n, -1)
+    g = [-c[0]]
     for i in range(1, n):
-        S_prev, g_prev = fabric.send(i - 1, i, (S[-1], g[-1]))
-        B = prob.off[i - 1]
-        S.append(prob.diag[i] - B.T @ np.linalg.solve(S_prev, B))
-        g.append(-prob.c_part(i) - B.T @ np.linalg.solve(S_prev, g_prev))
+        g_prev = fabric.send(i - 1, i, g[-1])
+        g.append(-c[i] - prob.off[i - 1].T @ np.linalg.solve(S[i - 1], g_prev))
     u = [None] * (n - 1) + [np.linalg.solve(S[-1], g[-1])]
     for i in range(n - 2, -1, -1):
         u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ fabric.send(i + 1, i, u[i + 1]))

@@ -2,8 +2,9 @@
 
 ``perfbench/workload.py`` measures each layer by rebinding names in
 ``harness`` and ``solvers`` (``solvers.solve_qcqp``, ``solvers._project``,
-``harness.solve_variant``, ...).  A rename there would otherwise surface only
-when the benchmark runs; one traced pass of ``s1-p5`` catches it here."""
+``harness.solve_variant``, ...).  A rename there, or a step program built
+outside ``build_qcqp`` and ``build_local_problems``, would otherwise surface
+only when the benchmark runs; one traced pass of ``s1-p5`` catches it here."""
 
 import json
 import os
@@ -27,3 +28,6 @@ def test_traced_workload_hooks_fire(tmp_path):
     assert out["error"] is None
     assert out["hooks_once_per_step"] is True
     assert out["crosscheck"]["ok"] is True, out["crosscheck"]
+    # the step program is built through the two hooked names, once per step
+    assert out["layers"]["problem.build_qcqp.calls"] == out["steps"]
+    assert out["layers"]["solvers.build_local_problems.us"] is not None

@@ -6,10 +6,11 @@ import pytest
 from platoonmpc.consensus import AugmentedLayout, MessageFabric, VehicleGraph
 from platoonmpc.core import initial_state
 from platoonmpc.decomposition import decompose_pd, stage_blocks
-from platoonmpc.problem import build_qcqp, check_membership
+from platoonmpc.problem import StepTemplate, build_qcqp, check_membership
 from platoonmpc.smallqcqp import InfeasibleProblem
 from platoonmpc.solvers import (SOLVERS, ProxSolveError, SolverParams, _AgentBatch,
-                                accel_gamma_next, build_agent_stack, build_local_problems,
+                                _centralized_constraints, accel_gamma_next, build_agent_stack,
+                                build_local_problems,
                                 default_params_for_horizon, solve_centralized, solve_dr,
                                 solve_three_op, solve_three_op_accel, warmup_initial_guess)
 
@@ -125,7 +126,7 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
         Z = problems.stack.pad(layout.scatter_controls(u))
         rep = check_membership(prob, u, tol=1e-11)
         values = prob.constraints.values(problems.rows, Z)
-        feasible = problems.feasible(Z)
+        failing = problems.failing(Z)
         for i in range(n):
             val = values[i].reshape(5, p)
             np.testing.assert_allclose(val[0:2].max(axis=0), rep.box[i], rtol=0, atol=1e-12)
@@ -139,10 +140,61 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
             assert not (A[i][:, other].any() or S[i][:, other].any())
 
             own_ok = max(rep.box[i].max(), rep.speed[i].max(), rep.safety[i].max()) <= 1e-11
-            assert feasible[i] == own_ok
+            assert (i in failing) != own_ok
             outcomes.add(own_ok)
-        assert feasible.all() == rep.feasible
+        assert (not failing) == rep.feasible
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", [1, 5])
+def test_template_steps_do_not_alias(rng, p):
+    # two steps with different states from one run's template: building the
+    # second (its agent rows, membership and centralized rows too) changes
+    # no array of the first, and each equals a fresh template's build
+    n = 5
+    cfg, w = small_config(n, p), random_weights(rng, n, p)
+    blocks = stage_blocks(w, cfg.tau)
+    stack = build_agent_stack(decompose_pd(blocks))
+    template = StepTemplate(cfg, w, blocks)
+    states = [random_state(rng, cfg, u0_mag=2.0) for _ in range(2)]
+
+    def arrays(prob, local):
+        cons = prob.constraints
+        return [prob.c, local.C, *local.rows, *prob.diag, *prob.off, *prob.schur] + [
+            np.asarray(getattr(cons, f.name)) for f in dataclasses.fields(cons) if f.compare]
+
+    first = build_qcqp(states[0], template=template)
+    first_local = build_local_problems(first, stack)
+    seen = [a.copy() for a in arrays(first, first_local)]
+    second = build_qcqp(states[1], template=template)
+    second_local = build_local_problems(second, stack)
+    check_membership(second, rng.normal(size=n * p))
+    _centralized_constraints(second)
+    assert second.c.tobytes() != first.c.tobytes()
+    assert second_local.rows[0].tobytes() != first_local.rows[0].tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(first, first_local), seen))
+    for state, prob, local in zip(states, (first, second), (first_local, second_local)):
+        fresh = build_qcqp(state, cfg, w)
+        fresh_local = build_local_problems(fresh, stack)
+        for now, again in zip(arrays(prob, local), arrays(fresh, fresh_local), strict=True):
+            assert now.tobytes() == again.tobytes()
+
+
+def test_all_standing_round_skips_the_full_path(rng):
+    # a round in which every candidate stands counts a call and no full
+    # solve; a NaN row value still sends its agent to the full path
+    n = 4
+    _, prob, problems, graph = make_instance(rng, n, 2, steady=True)
+    X = np.zeros(problems.stack.mask.shape)
+    assert problems.failing(X) == []
+    batch, sent = _AgentBatch(problems, graph), []
+    batch._solve = lambda X, i, kind, objective: sent.append(i)
+    batch.project(X)
+    assert batch.calls == 1 and batch.full == [0] * n and not sent
+    X[2, 1] = np.nan
+    assert problems.failing(X) == [2]
+    batch.project(X)
+    assert batch.calls == 2 and batch.full == [0, 0, 1, 0] and sent == [2]
 
 
 def test_batched_engine_matches_per_agent_oracle(rng):
@@ -381,6 +433,25 @@ def test_warmup_is_exact_chain_solve(rng):
                 assert np.linalg.norm(z0 - ref) <= 1e-10 * np.linalg.norm(ref)
                 checked += 1
     assert checked >= 3
+
+
+def test_warmup_messages_carry_p_floats(rng, monkeypatch):
+    # the Schur blocks are the run's: forward, each vehicle sends its
+    # successor g_i alone, p floats; backward, u_{i+1}, p floats
+    sent, send = [], MessageFabric.send
+
+    def recorded(fabric, src, dst, payload):
+        sent.append((src, dst, payload.shape))
+        return send(fabric, src, dst, payload)
+
+    monkeypatch.setattr(MessageFabric, "send", recorded)
+    for n, p in ((2, 1), (5, 3), (10, 5)):
+        _, prob, locals_, graph = make_instance(rng, n, p)
+        sent.clear()
+        _, rounds, _ = warmup_initial_guess(prob, locals_, graph)
+        assert rounds == 2 * (n - 1)
+        assert sent == ([(i - 1, i, (p,)) for i in range(1, n)]
+                        + [(i + 1, i, (p,)) for i in range(n - 2, -1, -1)])
 
 
 def test_termination_certificates(rng):
