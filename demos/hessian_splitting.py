@@ -14,11 +14,11 @@ from platoonmpc.stability import default_weight_schedule
 
 weights = default_weight_schedule(2)
 blocks = stage_blocks(weights, tau=1.0)
-print(f"stage-coupling blocks: {blocks.n} vehicles, {blocks.horizon}x{blocks.horizon} each")
-print("vehicle 1 block:\n", np.array2string(blocks.blocks[0], precision=2))
+n, p = len(blocks), blocks.shape[1]
+print(f"stage-coupling blocks: {n} vehicles, {p}x{p} each")
+print("vehicle 1 block:\n", np.array2string(blocks[0], precision=2))
 
 dec = decompose_pd(blocks)
-n, p = dec.n, dec.horizon
 W = sum(dec.embedded(i) for i in range(n))
 print(f"\npositive definite split into {n} agent blocks")
 print(f"  margin chain deltas: {np.array2string(np.asarray(dec.deltas), precision=4)}")
@@ -27,11 +27,11 @@ print(f"  smallest block eigenvalues: "
 
 # exactness: the embedded blocks sum back to the full Hessian
 dense = np.zeros((n * p, n * p))
-diag_blocks = [blocks.blocks[i] + (blocks.blocks[i + 1] if i + 1 < n else 0) for i in range(n)]
+diag_blocks = [blocks[i] + (blocks[i + 1] if i + 1 < n else 0) for i in range(n)]
 for i in range(n):
     dense[i * p:(i + 1) * p, i * p:(i + 1) * p] = diag_blocks[i]
     if i + 1 < n:
-        dense[i * p:(i + 1) * p, (i + 1) * p:(i + 2) * p] = -blocks.blocks[i + 1]
-        dense[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = -blocks.blocks[i + 1]
+        dense[i * p:(i + 1) * p, (i + 1) * p:(i + 2) * p] = -blocks[i + 1]
+        dense[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = -blocks[i + 1]
 rel = np.linalg.norm(W - dense) / np.linalg.norm(dense)
 print(f"  reconstruction error: {rel:.2e} (relative Frobenius)")

@@ -2,18 +2,19 @@
 
 The package covers the whole pipeline: platoon physics and error
 coordinates (``core``), per-step assembly of the constrained program
-(``problem``), splitting of the coupled Hessian into per-vehicle blocks
-(``decomposition``), the consensus subspace and simulated message fabric
-(``consensus``), distributed operator-splitting solvers with a centralized
-reference (``solvers``), closed-loop stability analysis and weight design
-(``stability``), and scenario simulation (``harness``).
+(``problem``), the prediction model and the split of the coupled Hessian
+into per-vehicle blocks (``decomposition``), the consensus subspace and
+simulated message fabric (``consensus``), distributed operator-splitting
+solvers with a centralized reference (``solvers``), closed-loop stability
+analysis and weight design (``stability``), and scenario simulation
+(``harness``).
 """
 
 from .consensus import (AugmentedLayout, MessageFabric, SimulationFault, VehicleGraph,
                         fabric_project)
 from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
                    error_coords, initial_state, reference_config, step_dynamics)
-from .decomposition import LocalHessian, PdDecomposition, StageBlocks, decompose_pd, stage_blocks
+from .decomposition import LocalHessian, PdDecomposition, decompose_pd, prediction, stage_blocks
 from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
                       run_scenario, scenario_builtin)
 from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,

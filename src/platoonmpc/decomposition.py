@@ -1,10 +1,16 @@
-"""Splitting of the coupled objective Hessian into per-vehicle blocks.
+"""One vehicle pair's prediction model, and the split of the coupled
+objective Hessian into per-vehicle blocks.
 
-The central quadratic cost couples all vehicles through prefix sums of the
-acceleration-gap variables.  After the change of variables, the Hessian is
-block tridiagonal and can be written as a sum of n small positive definite
-pieces, each touching only a vehicle and its chain neighbors.  Those pieces
-are what every agent optimizes locally in the distributed solvers.
+Every predicted quantity of the program, the stage-coupling blocks here,
+the linear term and the safety rows in ``problem`` and the closed-loop
+gains in ``stability``, derives from one pair of matrices, ``prediction``:
+how the acceleration gaps move a vehicle pair's gap error and closing rate
+over the horizon.  The central quadratic cost couples all vehicles through
+prefix sums of the acceleration-gap variables.  After the change of
+variables, the Hessian is block tridiagonal and can be written as a sum of
+n small positive definite pieces, each touching only a vehicle and its
+chain neighbors.  Those pieces are what every agent optimizes locally in
+the distributed solvers.
 """
 
 from __future__ import annotations
@@ -13,77 +19,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .consensus import VehicleGraph
 from .core import WeightSchedule
 
 __all__ = [
-    "StageBlocks",
     "LocalHessian",
     "PdDecomposition",
+    "prediction",
     "stage_blocks",
     "decompose_pd",
 ]
 
 
-@dataclass(frozen=True)
-class StageBlocks:
-    """Per-vehicle stage-coupling Hessians.
+def prediction(p: int, tau: float):
+    """The condensed prediction (Φ, T) of one vehicle pair over p stages.
 
-    ``blocks[i]`` is the symmetric p-by-p matrix of stage couplings for
-    vehicle i; the full objective Hessian is assembled from sums and
-    differences of these.
+    A change du in the pair's acceleration gaps moves the stage-s gap error
+    by ``(Φ du)[s]`` and the closing rate by ``tau * (T du)[s]``:
+    Φ[s, j] = tau^2 (2(s - j) + 1) / 2 for j <= s (0-based), and T is the
+    lower-triangular all-ones matrix.  Both are read-only.
     """
-
-    blocks: tuple
-    tau: float
-
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def horizon(self) -> int:
-        return self.blocks[0].shape[0]
+    s = np.arange(p)
+    phi = np.tril(tau ** 2 * (2 * (s[:, None] - s) + 1) / 2.0)
+    T = np.tri(p)
+    phi.flags.writeable = T.flags.writeable = False
+    return phi, T
 
 
-def stage_blocks(weights: WeightSchedule, tau: float) -> StageBlocks:
-    """Build the per-vehicle stage-coupling blocks from the weights.
+def _weighed(M: np.ndarray, q: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Stage s's share ``M[s]' q[s, i] N[s]`` for every vehicle i, stacked
+    (p, n, ., .); summed over the stages it is ``M' diag(q[:, i]) N``, and
+    exactly symmetric when M is N."""
+    return np.einsum("sr,st,si->sirt", M, N, q)
 
-    Entry (r, t) of vehicle i's block collects every stage s >= max(r, t)
-    with the kinematic coefficients of a double integrator, plus the ride
-    weight on the diagonal.  Raises if a block fails to be positive
-    definite, which signals a weight schedule violating the sign rules.
+
+def stage_blocks(weights: WeightSchedule, tau: float) -> np.ndarray:
+    """The per-vehicle stage-coupling blocks, stacked (n, p, p) and read-only:
+    ``U_i = Φ' diag(q_gap,i) Φ + tau^2 (T' diag(q_rate,i) T + diag(q_ride,i))``.
+
+    Raises if a block fails to be positive definite, which signals a weight
+    schedule violating the sign rules.
     """
-    p, n = weights.horizon, weights.n
-    qg, qr, qw = weights.q_gap, weights.q_rate, weights.q_ride
-    blocks = []
-    for i in range(n):
-        U = np.zeros((p, p))
-        for r in range(1, p + 1):
-            for t in range(r, p + 1):
-                acc = 0.0
-                for s in range(t, p + 1):
-                    acc += (tau ** 4 / 4.0) * (2 * (s - r) + 1) * (2 * (s - t) + 1) * qg[s - 1, i] \
-                        + tau ** 2 * qr[s - 1, i]
-                U[r - 1, t - 1] = acc
-                U[t - 1, r - 1] = acc
-            U[r - 1, r - 1] += tau ** 2 * qw[r - 1, i]
-        if np.linalg.eigvalsh(U).min() <= 0:
+    (phi, T), eye = prediction(weights.horizon, tau), np.eye(weights.horizon)
+    # summed stage by stage, ride weights last: every entry rounds in one fixed order
+    U = (_weighed(phi, weights.q_gap, phi) + tau ** 2 * _weighed(T, weights.q_rate, T)).sum(0) \
+        + tau ** 2 * _weighed(eye, weights.q_ride, eye).sum(0)
+    for i, lam in enumerate(np.linalg.eigvalsh(U).min(axis=1)):
+        if lam <= 0:
             raise ValueError(f"stage block for vehicle {i} is not positive definite")
-        blocks.append(U)
-    return StageBlocks(blocks=tuple(blocks), tau=tau)
-
-
-def assemble_hessian_blocks(sb: StageBlocks):
-    """Block-tridiagonal Hessian: returns (diag, off) lists of p-by-p blocks.
-
-    diag[i] couples vehicle i with itself, off[i] couples vehicles i and
-    i+1.  Cost is O(n p^2); the dense route survives only in test oracles.
-    """
-    U = sb.blocks
-    n = sb.n
-    diag = [U[i] + (U[i + 1] if i + 1 < n else 0.0) for i in range(n)]
-    off = [-U[i + 1] for i in range(n - 1)]
-    return diag, off
+    U.flags.writeable = False
+    return U
 
 
 @dataclass(frozen=True)
@@ -95,7 +80,6 @@ class LocalHessian:
     block of size p*len(vehicles).
     """
 
-    agent: int
     vehicles: tuple
     matrix: np.ndarray
     lambda_min: float
@@ -121,83 +105,51 @@ class PdDecomposition:
         return out
 
 
-def _chain_vehicles(i: int, n: int) -> tuple:
-    if i == 0:
-        return (0, 1)
-    if i == n - 1:
-        return (n - 2, n - 1)
-    return (i - 1, i, i + 1)
+def decompose_pd(U: np.ndarray) -> PdDecomposition:
+    """Split the Hessian of the stacked stage blocks ``U`` into n positive
+    definite locally coupled blocks.
 
-
-def decompose_pd(sb: StageBlocks) -> PdDecomposition:
-    """Split the Hessian into n positive definite locally coupled blocks.
-
-    Each agent's block is half of the tridiagonal mass it shares with its
-    chain neighbors; positive definiteness of the end pieces is then
-    propagated down the chain by moving a margin ``delta_s`` (half the
-    current smallest eigenvalue) from one block to the next.  The sum of
-    the embedded blocks equals the central Hessian exactly.
+    Agent i holds vehicle i and its chain neighbors.  The Hessian is a sum
+    of terms: U_0 on vehicle 0, and U_j on the edge (j - 1, j), which weighs
+    the acceleration gap u_{j-1} - u_j.  Each term goes half to each of the
+    two agents that see all its vehicles.  Positive definiteness is then
+    propagated down the chain: each agent hands a margin ``delta`` (half its
+    current smallest eigenvalue) on the vehicle pair it shares with the
+    next agent to that agent.  The sum of the embedded blocks equals the
+    central Hessian exactly.
     """
-    U = sb.blocks
-    n, p = sb.n, sb.horizon
-    Ip = np.eye(p)
-    Z = np.zeros((p, p))
+    n, p = len(U), U.shape[1]
+    graph = VehicleGraph.chain(n)
+    vehicles = [tuple(sorted([a, *graph.neighbors(a)])) for a in range(n)]
+    mats = [np.zeros((p * len(v), p * len(v))) for v in vehicles]
 
-    if n == 2:
-        # Two-vehicle chain: both agents see the whole Hessian; split it in
-        # half and shift the margin once.
-        W = np.block([[U[0] + U[1], -U[1]], [-U[1], U[1]]])
-        half = 0.5 * W
-        lam = float(np.linalg.eigvalsh(half).min())
-        d1 = 0.5 * lam
-        mats = [half - d1 * np.eye(2 * p), half + d1 * np.eye(2 * p)]
-        deltas = (d1,)
-    else:
-        breve = {}
-        breve[0] = 0.5 * np.block([[U[0] + U[1], -U[1]], [-U[1], U[1]]])
-        breve[1] = 0.5 * np.block([
-            [U[0] + U[1], -U[1], Z],
-            [-U[1], U[1] + U[2], -U[2]],
-            [Z, -U[2], U[2]],
-        ])
-        for s in range(2, n - 1):
-            breve[s] = 0.5 * np.block([
-                [U[s], -U[s], Z],
-                [-U[s], U[s] + U[s + 1], -U[s + 1]],
-                [Z, -U[s + 1], U[s + 1]],
-            ])
-        breve[n - 1] = 0.5 * np.block([[U[n - 1], -U[n - 1]], [-U[n - 1], U[n - 1]]])
+    def window(a, vs):  # agent a's coordinates of the consecutive vehicles vs
+        start = vehicles[a].index(vs[0]) * p
+        return slice(start, start + len(vs) * p)
 
-        lead_pad = np.diag(np.r_[np.ones(2 * p), np.zeros(p)])
-        tail_pad = np.diag(np.r_[np.zeros(p), np.ones(2 * p)])
+    for j, half in enumerate(0.5 * U):
+        vs, d = ((j - 1, j), np.array([1.0, -1.0])) if j else ((0,), np.ones(1))
+        # the Kronecker product d d' (x) half, without np.kron's overhead
+        term = (np.outer(d, d)[:, None, :, None] * half[:, None]).reshape(len(d) * p, -1)
+        for a in (max(j - 1, 0), max(j, 1)):  # the two agents that hold all of vs
+            w = window(a, vs)
+            mats[a][w, w] += term
 
-        mats = [None] * n
-        deltas = []
-        lam = float(np.linalg.eigvalsh(breve[0]).min())
+    deltas = []
+    for a in range(n - 1):
+        lam = float(np.linalg.eigvalsh(mats[a]).min())
         if lam <= 0:
-            raise RuntimeError("leading block is not positive definite")
-        d_prev = 0.5 * lam
-        deltas.append(d_prev)
-        mats[0] = breve[0] - d_prev * np.eye(2 * p)
-        for s in range(1, n - 1):
-            grave = breve[s] + d_prev * lead_pad
-            lam = float(np.linalg.eigvalsh(grave).min())
-            if lam <= 0:
-                raise RuntimeError(f"intermediate block {s} lost positive definiteness; "
-                                   f"margin chain broke (delta={d_prev:.3e})")
-            d_s = 0.5 * lam
-            deltas.append(d_s)
-            mats[s] = grave - d_s * tail_pad
-            d_prev = d_s
-        mats[n - 1] = breve[n - 1] + d_prev * np.eye(2 * p)
-        deltas = tuple(deltas)
+            raise RuntimeError(f"block {a} lost positive definiteness; margin chain broke "
+                               f"(delta={deltas[-1] if deltas else 0.0:.3e})")
+        deltas.append(0.5 * lam)
+        for b, sign in ((a, -1.0), (a + 1, 1.0)):
+            w = window(b, (a, a + 1))  # the vehicle pair agents a and a + 1 share
+            mats[b][w, w] += sign * deltas[-1] * np.eye(2 * p)
 
     parts = []
     for i, mat in enumerate(mats):
         lam = float(np.linalg.eigvalsh(mat).min())
         if lam <= 0:
             raise RuntimeError(f"agent {i} block is not positive definite (lambda_min={lam:.3e})")
-        parts.append(LocalHessian(agent=i, vehicles=_chain_vehicles(i, n),
-                                  matrix=mat, lambda_min=lam))
-    return PdDecomposition(parts=tuple(parts), deltas=deltas, horizon=p, n=n)
-
+        parts.append(LocalHessian(vehicles=vehicles[i], matrix=mat, lambda_min=lam))
+    return PdDecomposition(parts=tuple(parts), deltas=tuple(deltas), horizon=p, n=n)

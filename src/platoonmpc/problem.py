@@ -5,8 +5,8 @@ convex quadratic in the stacked per-vehicle controls, subject to box and
 speed-band rows per vehicle plus one convex quadratic safety constraint per
 vehicle and stage; nothing here iterates or communicates.  ``StepTemplate``
 builds what the state does not change once per run: the Hessian blocks and
-their chain's Schur blocks, the linear term's stage coefficients, the
-safety rows' fixed coefficients and a row skeleton per layout.
+their chain's Schur blocks, the prediction (Φ, T) from which the linear
+term and the safety rows are read, and a row skeleton per layout.
 ``build_qcqp`` adds what the measured state sets.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PlatoonConfig, PlatoonState, WeightSchedule, error_coords
-from .decomposition import StageBlocks, assemble_hessian_blocks, stage_blocks
+from .decomposition import prediction, stage_blocks
 from .smallqcqp import row_values
 
 __all__ = [
@@ -104,17 +104,18 @@ class ConstraintSet:
 class QcqpProblem:
     """One step's convex program in stacked vehicle-major controls.
 
-    The Hessian is stored as its block-tridiagonal pieces (``diag[i]`` and
-    ``off[i]`` coupling vehicles i, i+1), with the Schur blocks of its forward
-    elimination, ``schur[i] = diag[i] - off[i-1]' schur[i-1]^-1 off[i-1]``;
-    ``c`` is partitioned per vehicle.
+    The Hessian is stored as its block-tridiagonal pieces, stacked: ``diag``
+    (n, p, p) and ``off`` (n - 1, p, p), ``off[i]`` coupling vehicles i and
+    i+1, with the Schur blocks of its forward elimination,
+    ``schur[i] = diag[i] - off[i-1]' schur[i-1]^-1 off[i-1]``; ``c`` is
+    partitioned per vehicle.
     """
 
     n: int
     horizon: int
-    diag: tuple
-    off: tuple
-    schur: tuple
+    diag: np.ndarray
+    off: np.ndarray
+    schur: np.ndarray
     c: np.ndarray
     constraints: ConstraintSet
 
@@ -132,52 +133,46 @@ class QcqpProblem:
 
 class StepTemplate:
     """The state-free part of a run's step programs, from the configuration,
-    the weights and (optionally precomputed) stage blocks.  ``gap[r, s]``
-    and ``rate[s]`` weigh stage s+1's gap and rate errors in the linear
-    term's stage-(r+1) entry."""
+    the weights and (optionally precomputed) stacked stage blocks: the
+    Hessian's block-tridiagonal pieces and Schur blocks, the prediction
+    (Φ, T) and what the linear term and the safety rows read of it.  Every
+    array it builds is read-only."""
 
-    def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule,
-                 blocks: StageBlocks | None = None):
+    def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule, blocks=None):
         if weights.horizon != cfg.horizon or weights.n != cfg.n:
             raise ValueError("weight schedule shape does not match the configuration")
-        p, tau = cfg.horizon, cfg.tau
-        diag, off = assemble_hessian_blocks(blocks or stage_blocks(weights, tau))
-        schur = [diag[0]]
-        for D, B in zip(diag[1:], off):
-            schur.append(D - B.T @ np.linalg.solve(schur[-1], B))
-        self.cfg, self.diag, self.off, self.schur = cfg, tuple(diag), tuple(off), tuple(schur)
-        stage = np.arange(1, p + 1)
-        self.stage_tau, self.e1 = stage * tau, np.eye(1, cfg.n)[0]
-        self.half_sq = 0.5 * tau ** 2 * stage ** 2
-        self.gap = (0.5 * tau ** 2 * (2 * (stage - stage[:, None]) + 1))[..., None] * weights.q_gap
-        self.rate = tau * weights.q_rate
-        # kappa[s-1, j] = (2(s - j) - 1) / 2 weighs control j in the stage-s position
-        kappa = np.tril((2 * (stage[:, None] - np.arange(p)) - 1) / 2.0)
-        self.tril, self.own = np.tril(np.ones((p, p))), tau ** 2 * kappa
-        self.lead = tau ** 2 * kappa.sum(axis=1)
-        self.prev = np.repeat((-tau ** 2 * kappa)[None], cfg.n, axis=0)
+        U = blocks if blocks is not None else stage_blocks(weights, cfg.tau)
+        diag, off = U.copy(), -U[1:]
+        diag[:-1] += U[1:]
+        schur = diag.copy()
+        for i in range(1, cfg.n):
+            schur[i] -= off[i - 1].T @ np.linalg.solve(schur[i - 1], off[i - 1])
+        self.cfg, self.weights, self.diag, self.off, self.schur = cfg, weights, diag, off, schur
+        self.phi, self.T = prediction(cfg.horizon, cfg.tau)
+        # a constant unit acceleration gap moves the gap error by Φ·1, the rate by tau T·1
+        self.lead, self.reach = self.phi.sum(axis=1), cfg.tau * self.T.sum(axis=1)
+        self.prev = np.repeat(-self.phi[None], cfg.n, axis=0)
         self.prev[0] = 0.0
-        self.quad = -tau ** 2 / (2.0 * cfg.a_min)
+        self.quad = -cfg.tau ** 2 / (2.0 * cfg.a_min)
         self.layouts = {}
-        for a in (*diag, *off, *schur, self.prev):  # the arrays every step shares
+        for a in (diag, off, schur, self.lead, self.reach, self.prev):  # shared by every step
             a.flags.writeable = False
 
 
 def _linear_term(state: PlatoonState, t: StepTemplate) -> np.ndarray:
     """Vehicle-major linear term of the objective.
 
-    Built stage by stage from the predicted gap and rate errors under the
-    frozen leader acceleration, then mapped through the transposed
+    ``m = Φ'(q_gap * d) + tau T'(q_rate * r)`` per vehicle, d and r the
+    predicted gap and rate errors with no control applied (the leader keeps
+    its frozen acceleration), then mapped through the transposed
     first-difference operator; only adjacent vehicles' measurements enter
-    each vehicle's slice.  Stage s's errors join stages 1..s in ascending s.
+    each vehicle's slice.
     """
     err = error_coords(state, t.cfg)
-    z, zp, e1, st = err.gap_err, err.rate_err, t.e1, t.stage_tau[:, None]
-    d = z + st * zp + t.half_sq[:, None] * state.u0 * e1
-    rate = t.rate * (zp + st * state.u0 * e1)
-    m = np.zeros(d.shape)
-    for s in range(len(d)):
-        m[:s + 1] += t.gap[:s + 1, s] * d[s] + rate[s]
+    leader = np.eye(1, t.cfg.n)[0] * state.u0
+    d = err.gap_err + t.reach[:, None] * err.rate_err + t.lead[:, None] * leader
+    r = err.rate_err + t.reach[:, None] * leader
+    m = t.phi.T @ (t.weights.q_gap * d) + t.cfg.tau * (t.T.T @ (t.weights.q_rate * r))
     # transposed first-difference: row j reads m[j] - m[j+1]
     return (-(m - np.concatenate([m[:, 1:], np.zeros((len(m), 1))], axis=1))).T.ravel()
 
@@ -189,7 +184,7 @@ def _constraint_set(state: PlatoonState, t: StepTemplate) -> ConstraintSet:
     coef = cfg.reaction * tau - tau * (v - cfg.v_min) / cfg.a_min
     # float_power squares through libm pow, like a scalar ``**``; an array's
     # ``** 2`` multiplies and can round the last bit differently
-    const = -(state.x[:-1] - state.x[1:])[:, None] - t.stage_tau * (v_prev - v)[:, None] \
+    const = -(state.x[:-1] - state.x[1:])[:, None] - t.reach * (v_prev - v)[:, None] \
         + cfg.veh_len + (cfg.reaction * v)[:, None] \
         - (np.float_power(v - cfg.v_min, 2) / (2.0 * cfg.a_min))[:, None]
     # The leader prediction freezes its current acceleration, so the first
@@ -197,7 +192,7 @@ def _constraint_set(state: PlatoonState, t: StepTemplate) -> ConstraintSet:
     const[0] -= t.lead * state.u0
     return ConstraintSet(tau=tau, a_min=cfg.a_min, a_max=cfg.a_max, speed_lo=cfg.v_min - v,
                          speed_hi=cfg.v_max - v, quad=t.quad,
-                         own=coef[:, None, None] * t.tril + t.own, prev=t.prev, const=const,
+                         own=coef[:, None, None] * t.T + t.phi, prev=t.prev, const=const,
                          layouts=t.layouts)
 
 

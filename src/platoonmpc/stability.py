@@ -2,10 +2,11 @@
 
 With diagonal weights the closed loop decouples, under a fixed
 permutation, into independent 2x2 maps per vehicle acting on its gap error
-and closing rate.  This module builds those maps for any horizon, computes
-spectral radii, checks the analytic eigenvalue characterization available
-for a one-step horizon, probes how far the tail-stage weights can grow
-before stability is lost, and generates decaying weight schedules.
+and closing rate, with gains read off the stage blocks and the prediction
+(Φ, T).  This module builds those maps for any horizon, computes spectral
+radii, checks the analytic eigenvalue characterization available for a
+one-step horizon, probes how far the tail-stage weights can grow before
+stability is lost, and generates decaying weight schedules.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PlatoonConfig, WeightSchedule
-from .decomposition import stage_blocks
+from .decomposition import _weighed, prediction, stage_blocks
 
 __all__ = [
     "ClosedLoopModel",
@@ -53,20 +54,6 @@ DEFAULT_KAPPA_RIDE = 0.0194
 DEFAULT_DECAY_ETA = 4.0
 
 
-def _stage_gain_blocks(weights: WeightSchedule, tau: float, i: int) -> np.ndarray:
-    """p-by-2 map from (gap error, closing rate) to the stage gradients of
-    vehicle i's unconstrained objective."""
-    p = weights.horizon
-    G = np.zeros((p, 2))
-    for r in range(1, p + 1):
-        for s in range(r, p + 1):
-            a = weights.q_gap[s - 1, i]
-            b = weights.q_rate[s - 1, i]
-            G[r - 1, 0] += tau ** 2 * (2 * (s - r) + 1) / 2.0 * a
-            G[r - 1, 1] += tau ** 3 * s * (2 * (s - r) + 1) / 2.0 * a + tau * b
-    return G
-
-
 def _eig_2x2(A: np.ndarray):
     """Eigenvalues of a real 2x2 matrix from trace and determinant."""
     tr = A[0, 0] + A[1, 1]
@@ -83,9 +70,8 @@ def _eig_2x2(A: np.ndarray):
 class ClosedLoopModel:
     """Unconstrained closed loop in error coordinates.
 
-    ``a_closed`` maps stacked (gap errors, closing rates); ``gain`` gives
-    the optimal acceleration gaps from that state and ``forcing`` the
-    response to the leader's acceleration (nonzero only for the first
+    ``a_closed`` maps stacked (gap errors, closing rates); ``forcing`` gives
+    the response to the leader's acceleration (nonzero only for the first
     vehicle).  ``vehicle_blocks`` are the decoupled 2x2 maps whose radii
     determine the spectral radius.
     """
@@ -94,7 +80,6 @@ class ClosedLoopModel:
     horizon: int
     tau: float
     a_closed: np.ndarray
-    gain: np.ndarray
     forcing: np.ndarray
     vehicle_blocks: tuple
     vehicle_radii: np.ndarray
@@ -120,37 +105,31 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
     """Closed-loop maps of the constraint-free receding-horizon controller.
 
     Per vehicle, the optimal first-stage acceleration gap is a linear
-    feedback read off the stage-coupling Hessian and the gap/rate gain
-    block; the full map then follows from the error dynamics.
+    feedback read off the stage-coupling Hessian U_i and the gain block
+    ``G_i = Φ' diag(q_gap,i) [1, (s+1) tau] + tau T' diag(q_rate,i) [0, 1]``,
+    solved for every vehicle at once; the full map then follows from the
+    error dynamics.
     """
     if weights.horizon != cfg.horizon or weights.n != cfg.n:
         raise ValueError("weight schedule shape does not match the configuration")
     n, p, tau = cfg.n, cfg.horizon, cfg.tau
-    hess = stage_blocks(weights, tau).blocks
-    blocks = []
-    radii = np.zeros(n)
-    K1 = np.zeros(n)
-    K2 = np.zeros(n)
+    hess = stage_blocks(weights, tau)
+    phi, T = prediction(p, tau)
+    G = (_weighed(phi, weights.q_gap, np.column_stack([np.ones(p), tau * T.sum(axis=1)]))
+         + tau * _weighed(T, weights.q_rate, np.outer(np.ones(p), [0.0, 1.0]))).sum(0)
+    K1, K2 = -np.linalg.solve(hess, G)[:, 0].T
     base = np.array([[1.0, tau], [0.0, 1.0]])
-    lever = np.array([tau ** 2 / 2.0, tau])
-    for i in range(n):
-        G = _stage_gain_blocks(weights, tau, i)
-        k_i = -np.linalg.solve(hess[i], G)[0]
-        K1[i], K2[i] = k_i
-        blk = base + np.outer(lever, k_i)
-        ev1, ev2 = _eig_2x2(blk)
-        radii[i] = max(abs(ev1), abs(ev2))
-        blocks.append(blk)
+    lever = np.array([phi[0, 0], tau])  # one step's (gap, rate) response to the applied gap
+    blocks = [base + np.outer(lever, k_i) for k_i in zip(K1, K2)]
+    radii = np.array([max(abs(ev) for ev in _eig_2x2(blk)) for blk in blocks])
     gain = np.hstack([np.diag(K1), np.diag(K2)])
-    a_closed = np.block([[np.eye(n), tau * np.eye(n)], [np.zeros((n, n)), np.eye(n)]]) \
-        + np.vstack([tau ** 2 / 2.0 * np.eye(n), tau * np.eye(n)]) @ gain
+    a_closed = np.kron(base, np.eye(n)) + np.kron(lever[:, None], np.eye(n)) @ gain
     ride_first = tau ** 2 * weights.q_ride[:, 0]
     forcing = np.zeros(n)
     forcing[0] = float(np.linalg.solve(hess[0], ride_first)[0])
     return ClosedLoopModel(
         n=n, horizon=p, tau=tau,
         a_closed=a_closed,
-        gain=gain,
         forcing=forcing,
         vehicle_blocks=tuple(blocks),
         vehicle_radii=radii,

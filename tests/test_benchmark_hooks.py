@@ -4,24 +4,29 @@
 ``harness`` and ``solvers`` (``solvers.solve_qcqp``, ``solvers._project``,
 ``harness.solve_variant``, ...).  A rename there, or a step program built
 outside ``build_qcqp`` and ``build_local_problems``, would otherwise surface
-only when the benchmark runs; one traced pass of ``s1-p5`` catches it here."""
+only when the benchmark runs; one traced pass of each benchmark workload
+catches it here."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_traced_workload_hooks_fire(tmp_path):
+@pytest.mark.parametrize("workload", ["s1-p1", "s1-p5", "s3-p1-warmup"])
+def test_traced_workload_hooks_fire(tmp_path, workload):
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "workload.py"), "--mode", "traced",
-         "--workload", "s1-p5", "--seed", "1", "--spans", str(tmp_path / "spans.jsonl")],
+         "--workload", workload, "--seed", "1", "--spans", str(tmp_path / "spans.jsonl")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -31,3 +36,14 @@ def test_traced_workload_hooks_fire(tmp_path):
     # the step program is built through the two hooked names, once per step
     assert out["layers"]["problem.build_qcqp.calls"] == out["steps"]
     assert out["layers"]["solvers.build_local_problems.us"] is not None
+    # a layer whose span never fires reads null, and a null metric fails the
+    # benchmark run: smallqcqp's reads null once the solves make full-path
+    # steps but never call solve_qcqp
+    listed = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    absent = [name for name in listed if name in out["layers"]
+              and not (isinstance(out["layers"][name], (int, float))
+                       and math.isfinite(out["layers"][name]))]
+    assert not absent, (
+        f"{workload}: per-layer metrics {absent} are not finite numbers; ROADMAP item 1's span "
+        "of smallqcqp.active_set_loop must land before any change removes the last cold "
+        "solve_qcqp call")

@@ -150,7 +150,8 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
 def test_template_steps_do_not_alias(rng, p):
     # two steps with different states from one run's template: building the
     # second (its agent rows, membership and centralized rows too) changes
-    # no array of the first, and each equals a fresh template's build
+    # no array of the first nor the run's stage blocks and prediction, which
+    # are read-only, and each step equals a fresh template's build
     n = 5
     cfg, w = small_config(n, p), random_weights(rng, n, p)
     blocks = stage_blocks(w, cfg.tau)
@@ -163,16 +164,19 @@ def test_template_steps_do_not_alias(rng, p):
         return [prob.c, local.C, *local.rows, *prob.diag, *prob.off, *prob.schur] + [
             np.asarray(getattr(cons, f.name)) for f in dataclasses.fields(cons) if f.compare]
 
+    shared = [blocks, template.phi, template.T]
+    assert not any(a.flags.writeable for a in shared)
     first = build_qcqp(states[0], template=template)
     first_local = build_local_problems(first, stack)
-    seen = [a.copy() for a in arrays(first, first_local)]
+    seen = [a.copy() for a in arrays(first, first_local) + shared]
     second = build_qcqp(states[1], template=template)
     second_local = build_local_problems(second, stack)
     check_membership(second, rng.normal(size=n * p))
     _centralized_constraints(second)
     assert second.c.tobytes() != first.c.tobytes()
     assert second_local.rows[0].tobytes() != first_local.rows[0].tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(first, first_local), seen))
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(arrays(first, first_local) + shared, seen, strict=True))
     for state, prob, local in zip(states, (first, second), (first_local, second_local)):
         fresh = build_qcqp(state, cfg, w)
         fresh_local = build_local_problems(fresh, stack)

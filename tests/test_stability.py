@@ -48,7 +48,7 @@ def test_two_stage_determinant_identity(rng):
         a2, b2, z2 = rng.uniform(0.0, 2.0, 3)
         w = WeightSchedule(np.array([[a1], [a2]]), np.array([[b1], [b2]]),
                            np.array([[z1], [max(z2, 1e-9)]]))
-        H = stage_blocks(w, tau).blocks[0]
+        H = stage_blocks(w, tau)[0]
         d2 = tau ** 2 / 4 * a2 + b2 + max(z2, 1e-9)
         alpha_p = d2 * a1 + a2 * (2 * b2 + 3 * max(z2, 1e-9))
         beta_p = d2 * b1 + tau ** 2 / 2 * a2 * b2 + max(z2, 1e-9) * (1.5 * tau ** 2 * a2 + b2)
