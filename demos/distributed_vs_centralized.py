@@ -8,10 +8,9 @@ accuracy yardstick.
 
 import numpy as np
 
-from platoonmpc import (SolverParams, build_agent_stack, build_local_problems, build_qcqp,
-                        decompose_pd, initial_state, reference_config, solve_centralized,
-                        solve_dr, solve_three_op, solve_three_op_accel, stage_blocks,
-                        step_dynamics)
+from platoonmpc import (SolverParams, build_local_problems, build_qcqp, decompose_pd,
+                        initial_state, reference_config, solve_centralized, solve_dr,
+                        solve_three_op, solve_three_op_accel, stage_blocks, step_dynamics)
 from platoonmpc.stability import default_weight_schedule
 
 cfg = reference_config(horizon=2)
@@ -22,7 +21,7 @@ state = initial_state(cfg, speed=25.0, u0=-2.0)
 state = step_dynamics(state, np.zeros(cfg.n), -2.0, cfg.tau)
 
 prob = build_qcqp(state, cfg, weights)
-stack = build_agent_stack(decompose_pd(stage_blocks(weights, cfg.tau)))
+stack = decompose_pd(stage_blocks(weights, cfg.tau))
 graph = stack.layout.graph
 locals_ = build_local_problems(prob, stack)
 

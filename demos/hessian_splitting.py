@@ -18,12 +18,11 @@ n, p = len(blocks), blocks.shape[1]
 print(f"stage-coupling blocks: {n} vehicles, {p}x{p} each")
 print("vehicle 1 block:\n", np.array2string(blocks[0], precision=2))
 
-dec = decompose_pd(blocks)
-W = sum(dec.embedded(i) for i in range(n))
+stack = decompose_pd(blocks)
+W = sum(stack.embedded(i) for i in range(n))
 print(f"\npositive definite split into {n} agent blocks")
-print(f"  margin chain deltas: {np.array2string(np.asarray(dec.deltas), precision=4)}")
-print(f"  smallest block eigenvalues: "
-      f"{np.array2string(np.asarray([part.lambda_min for part in dec.parts]), precision=4)}")
+print(f"  margin chain deltas: {np.array2string(np.asarray(stack.deltas), precision=4)}")
+print(f"  smallest block eigenvalues: {np.array2string(stack.lambda_min, precision=4)}")
 
 # exactness: the embedded blocks sum back to the full Hessian
 dense = np.zeros((n * p, n * p))

@@ -14,15 +14,15 @@ from .consensus import (AugmentedLayout, MessageFabric, SimulationFault, Vehicle
                         fabric_project)
 from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
                    error_coords, initial_state, reference_config, step_dynamics)
-from .decomposition import LocalHessian, PdDecomposition, decompose_pd, prediction, stage_blocks
+from .decomposition import AgentStack, decompose_pd, prediction, stage_blocks
 from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
                       run_scenario, scenario_builtin)
 from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,
                       check_membership)
-from .solvers import (AgentStack, LocalProblems, ProxSolveError, SolveReport, SolverParams,
-                      build_agent_stack, build_local_problems, default_params_for_horizon,
-                      solve_centralized, solve_dr, solve_three_op, solve_three_op_accel,
-                      solve_variant, warmup_initial_guess)
+from .solvers import (LocalProblems, ProxSolveError, SolveReport, SolverParams,
+                      build_local_problems, default_params_for_horizon, solve_centralized,
+                      solve_dr, solve_three_op, solve_three_op_accel, solve_variant,
+                      warmup_initial_guess)
 from .stability import (ClosedLoopModel, SchurMarginResult, build_closed_loop,
                         default_weight_schedule, eigen_bounds_check, gen_weight_schedule,
                         schur_margin, stability_report_json)

@@ -12,10 +12,11 @@ import numpy as np
 
 from .core import LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, reference_config
 from .decomposition import decompose_pd, stage_blocks
-from .harness import ScenarioSpec, SafetyViolation, emit_results, run_scenario, scenario_builtin
-from .problem import build_qcqp, check_membership
-from .solvers import (SolverParams, build_agent_stack, build_local_problems,
-                      default_params_for_horizon, solve_centralized, solve_variant)
+from .harness import (BUILTIN_SCENARIOS, ScenarioSpec, SafetyViolation, emit_results,
+                      run_scenario, scenario_builtin)
+from .problem import StepTemplate, build_qcqp, check_membership
+from .solvers import (SOLVERS, SolverParams, build_local_problems, default_params_for_horizon,
+                      solve_centralized, solve_variant)
 from .stability import default_weight_schedule, stability_report_json
 
 
@@ -64,7 +65,7 @@ def _cmd_simulate(args):
     params.variant = args.variant
     if args.warmup:
         params.warm_start = "warmup-projection"
-    if args.scenario in ("s1", "s2", "s3-synthetic"):
+    if args.scenario in BUILTIN_SCENARIOS:
         spec = scenario_builtin(args.scenario, p=cfg.horizon, variant=args.variant,
                                 seed=args.seed, noise=args.noise,
                                 warm_start=params.warm_start)
@@ -103,8 +104,9 @@ def _cmd_solve_once(args):
                          u0=float(raw.get("u0", 0.0)), k=int(raw.get("k", 0)))
     if state.n != cfg.n:
         raise SystemExit("state size does not match the configuration")
-    prob = build_qcqp(state, cfg, weights)
-    stack = build_agent_stack(decompose_pd(stage_blocks(weights, cfg.tau)))
+    blocks = stage_blocks(weights, cfg.tau)
+    prob = build_qcqp(state, template=StepTemplate(cfg, weights, blocks))
+    stack = decompose_pd(blocks)
     report = solve_variant(build_local_problems(prob, stack), stack.layout.graph, params)
     u_oracle = solve_centralized(prob)
     norm = float(np.linalg.norm(u_oracle))
@@ -130,10 +132,10 @@ def main(argv=None) -> int:
 
     sim = sub.add_parser("simulate", help="run a closed-loop scenario")
     sim.add_argument("--scenario", required=True,
-                     help="s1 | s2 | s3-synthetic | file")
+                     help=" | ".join((*BUILTIN_SCENARIOS, "file")))
     sim.add_argument("--horizon", type=int, default=1)
     sim.add_argument("--variant", default="dr",
-                     choices=["dr", "three-op", "three-op-accel"])
+                     choices=list(SOLVERS))
     sim.add_argument("--config", default=None, help="JSON config file")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--noise", action="store_true")
@@ -154,7 +156,7 @@ def main(argv=None) -> int:
     once.add_argument("--config", default=None)
     once.add_argument("--horizon", type=int, default=1)
     once.add_argument("--variant", default="dr",
-                      choices=["dr", "three-op", "three-op-accel"])
+                      choices=list(SOLVERS))
     once.set_defaults(fn=_cmd_solve_once)
 
     args = parser.parse_args(argv)

@@ -1,10 +1,11 @@
 """Consensus machinery over the platoon's communication chain.
 
 Every agent keeps its own control block plus one copy of each chain
-neighbor's block.  The consensus subspace is where all copies agree with
-their owners; its orthogonal projection is a per-owner average.  A bulk
-synchronous message fabric simulates the exchanges so the solvers can run
-without any centralized gather.
+neighbor's block, padded to a common width (``AugmentedLayout``).  The
+consensus subspace is where all copies agree with their owners; its
+orthogonal projection is a per-owner average.  A bulk synchronous message
+fabric simulates the exchanges so the solvers can run without any
+centralized gather.
 """
 
 from __future__ import annotations
@@ -48,17 +49,24 @@ class VehicleGraph:
         return len(self.neighbors(i))
 
 
-class AugmentedLayout:
-    """Deterministic flat layout of the stacked per-agent variables.
+_ZERO = np.zeros(1)  # what an owner index of -1 (padding) reads
 
-    Agent i's segment holds its own p-block first, then copies of each
-    neighbor's block in ascending neighbor index.  The fixed ordering pins
-    serialization and floating-point summation order across runs.
+
+class AugmentedLayout:
+    """The agents' padded stack, raveled: the layout of the iterate and of
+    every per-agent vector.
+
+    Agent i's segment starts at i * ``width`` (the widest agent's count) and
+    holds its own p-block first, then copies of each neighbor's block in
+    ascending neighbor index, then padding, 0 in every vector this module
+    returns.  The fixed ordering pins serialization and floating-point
+    summation order across runs.
 
     One set of index arrays states the layout, the embedding and the
     consensus projection:
 
-    * ``owner``: the vehicle-major control index held at each stacked entry;
+    * ``owner``: the vehicle-major control index held at each stacked entry,
+      -1 on padding;
     * ``own``: the stacked entries of the owners' blocks, vehicle-major;
     * ``from_prev``: the entries of the copy of vehicle j held by j - 1, j >= 1;
     * ``from_next``: the entries of the copy of vehicle j held by j + 1, j <= n - 2;
@@ -71,27 +79,28 @@ class AugmentedLayout:
         n = graph.n
         self.var_order = [[i] + graph.neighbors(i) for i in range(n)]
         self.dims = [p * len(v) for v in self.var_order]
-        self.offsets = np.concatenate([[0], np.cumsum(self.dims)]).astype(int)
-        self.dim = int(self.offsets[-1])
+        self.width = max(self.dims)
+        self.dim = n * self.width
         # positions[i][j] = start of agent i's block for vehicle j
-        self.positions = [
-            {v: self.offsets[i] + a * p for a, v in enumerate(order)}
-            for i, order in enumerate(self.var_order)
-        ]
+        self.positions = [{v: i * self.width + a * p for a, v in enumerate(order)}
+                          for i, order in enumerate(self.var_order)]
         stage = np.arange(p)
 
         def entries(starts):
             # the p entries of each block starting at ``starts``, in order
             return (np.array(starts)[:, None] + stage).ravel()
 
-        self.owner = entries([v * p for order in self.var_order for v in order])
+        held = entries([start for at in self.positions for start in at.values()])
+        self.owner = np.full(self.dim, -1)
+        self.owner[held] = entries([v * p for order in self.var_order for v in order])
         self.own = entries([self.positions[i][i] for i in range(n)])
         self.from_prev = entries([self.positions[j - 1][j] for j in range(1, n)])
         self.from_next = entries([self.positions[j + 1][j] for j in range(n - 1)])
         self.count = np.repeat([float(len(order)) for order in self.var_order], p)
 
     def agent_slice(self, i: int) -> slice:
-        return slice(self.offsets[i], self.offsets[i + 1])
+        """Agent i's entries, padding excluded."""
+        return slice(i * self.width, i * self.width + self.dims[i])
 
     def block(self, vec: np.ndarray, i: int, j: int | None = None) -> np.ndarray:
         """Agent i's own block, or its copy of vehicle j when j is given."""
@@ -105,7 +114,7 @@ class AugmentedLayout:
     def scatter_controls(self, u: np.ndarray) -> np.ndarray:
         """Embed a vehicle-major control vector consistently (all copies
         equal owners); the result lies in the consensus subspace."""
-        return np.asarray(u, dtype=float)[self.owner]
+        return np.concatenate((np.asarray(u, dtype=float), _ZERO))[self.owner]
 
 
 def _project(vec: np.ndarray, layout: AugmentedLayout) -> np.ndarray:
@@ -116,7 +125,7 @@ def _project(vec: np.ndarray, layout: AugmentedLayout) -> np.ndarray:
     avg[p:] += vec[layout.from_prev]
     avg[:-p] += vec[layout.from_next]
     avg /= layout.count
-    return avg[layout.owner]
+    return np.concatenate((avg, _ZERO))[layout.owner]
 
 
 class MessageFabric:
@@ -182,4 +191,5 @@ def fabric_project(vec: np.ndarray, layout: AugmentedLayout, fabric: MessageFabr
         avg.append(acc / (1 + g.degree(j)))
     got = fabric.exchange({i: dict.fromkeys(g.neighbors(i), avg[i]) for i in range(g.n)})
     return np.concatenate([blk for i in range(g.n)
-                           for blk in [avg[i]] + [got[i][j] for j in g.neighbors(i)]])
+                           for blk in [avg[i]] + [got[i][j] for j in g.neighbors(i)]
+                           + [np.zeros(layout.width - layout.dims[i])]])

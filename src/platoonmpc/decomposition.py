@@ -1,5 +1,5 @@
 """One vehicle pair's prediction model, and the split of the coupled
-objective Hessian into per-vehicle blocks.
+objective Hessian into the agents' padded stack of blocks.
 
 Every predicted quantity of the program, the stage-coupling blocks here,
 the linear term and the safety rows in ``problem`` and the closed-loop
@@ -9,22 +9,20 @@ over the horizon.  The central quadratic cost couples all vehicles through
 prefix sums of the acceleration-gap variables.  After the change of
 variables, the Hessian is block tridiagonal and can be written as a sum of
 n small positive definite pieces, each touching only a vehicle and its
-chain neighbors.  Those pieces are what every agent optimizes locally in
-the distributed solvers.
+chain neighbors.  ``decompose_pd`` returns them as the run's ``AgentStack``,
+laid out and padded like the consensus iterate: what every agent
+optimizes locally in the distributed solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .consensus import VehicleGraph
+from .consensus import AugmentedLayout, VehicleGraph
 from .core import WeightSchedule
 
 __all__ = [
-    "LocalHessian",
-    "PdDecomposition",
+    "AgentStack",
     "prediction",
     "stage_blocks",
     "decompose_pd",
@@ -71,43 +69,50 @@ def stage_blocks(weights: WeightSchedule, tau: float) -> np.ndarray:
     return U
 
 
-@dataclass(frozen=True)
-class LocalHessian:
-    """One agent's positive definite piece of the objective Hessian.
-
-    ``vehicles`` lists the vehicle indices the block couples, in ascending
-    order; ``matrix`` is the corresponding symmetric positive definite
-    block of size p*len(vehicles).
+class AgentStack:
+    """What the agents know for a whole run, as ``decompose_pd`` returns it:
+    the chain ``layout`` and every agent's Hessian block gathered over it,
+    padded to the layout's ``width`` and stacked as ``H`` (n, width, width).
+    ``prev`` is the column of each agent's copy of its predecessor (-1 for
+    the first vehicle), ``deltas`` the margins handed down the chain,
+    ``lambda_min`` each block's smallest eigenvalue, and ``L`` and ``mu``
+    the largest and smallest eigenvalues over the blocks, from which the
+    three-operator step sizes derive.
     """
 
-    vehicles: tuple
-    matrix: np.ndarray
-    lambda_min: float
+    def __init__(self, layout: AugmentedLayout, blocks, deltas):
+        self.layout, self.n, self.p = layout, layout.graph.n, layout.p
+        self.H = np.zeros((self.n, layout.width, layout.width))
+        for Hi, block in zip(self.H, blocks):
+            Hi[:len(block), :len(block)] = block
+        self.prev = np.array([order.index(i - 1) * self.p if i else -1
+                              for i, order in enumerate(layout.var_order)])
+        self.deltas = tuple(deltas)
+        self.lambda_min = np.array([np.linalg.eigvalsh(block).min() for block in blocks])
+        self.L = max(float(np.linalg.norm(block, 2)) for block in blocks)
+        self.mu = float(self.lambda_min.min())
+        self._prox = {}
 
-
-@dataclass(frozen=True)
-class PdDecomposition:
-    parts: tuple
-    deltas: tuple
-    horizon: int
-    n: int
+    def prox(self, rho: float):
+        """The stacked (rho H_i + I)^-1 and H_i + I/rho, built once per rho."""
+        if rho not in self._prox:
+            eye = np.eye(self.H.shape[-1])
+            self._prox[rho] = np.linalg.inv(rho * self.H + eye), self.H + eye / rho
+        return self._prox[rho]
 
     def embedded(self, agent: int) -> np.ndarray:
-        """Agent's block embedded into the full (np x np) matrix; sum over
+        """Agent's block embedded into the full (np x np) matrix; the sum over
         agents reproduces the central Hessian (test oracle path)."""
-        p = self.horizon
-        out = np.zeros((self.n * p, self.n * p))
-        part = self.parts[agent]
-        for a, ia in enumerate(part.vehicles):
-            for b, ib in enumerate(part.vehicles):
-                out[ia * p:(ia + 1) * p, ib * p:(ib + 1) * p] = \
-                    part.matrix[a * p:(a + 1) * p, b * p:(b + 1) * p]
-        return out
+        m, width = self.n * self.p, self.layout.width
+        idx = self.layout.owner[agent * width:(agent + 1) * width]  # padding: -1, cut below
+        out = np.zeros((m + 1, m + 1))
+        out[np.ix_(idx, idx)] = self.H[agent]
+        return out[:m, :m]
 
 
-def decompose_pd(U: np.ndarray) -> PdDecomposition:
+def decompose_pd(U: np.ndarray) -> AgentStack:
     """Split the Hessian of the stacked stage blocks ``U`` into n positive
-    definite locally coupled blocks.
+    definite locally coupled blocks, returned as the run's agent stack.
 
     Agent i holds vehicle i and its chain neighbors.  The Hessian is a sum
     of terms: U_0 on vehicle 0, and U_j on the edge (j - 1, j), which weighs
@@ -115,12 +120,13 @@ def decompose_pd(U: np.ndarray) -> PdDecomposition:
     two agents that see all its vehicles.  Positive definiteness is then
     propagated down the chain: each agent hands a margin ``delta`` (half its
     current smallest eigenvalue) on the vehicle pair it shares with the
-    next agent to that agent.  The sum of the embedded blocks equals the
-    central Hessian exactly.
+    next agent to that agent.  The split runs over each agent's vehicles in
+    ascending order; the blocks are then gathered own vehicle first.  The
+    sum of the embedded blocks equals the central Hessian exactly.
     """
     n, p = len(U), U.shape[1]
-    graph = VehicleGraph.chain(n)
-    vehicles = [tuple(sorted([a, *graph.neighbors(a)])) for a in range(n)]
+    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    vehicles = [sorted(order) for order in layout.var_order]
     mats = [np.zeros((p * len(v), p * len(v))) for v in vehicles]
 
     def window(a, vs):  # agent a's coordinates of the consecutive vehicles vs
@@ -146,10 +152,10 @@ def decompose_pd(U: np.ndarray) -> PdDecomposition:
             w = window(b, (a, a + 1))  # the vehicle pair agents a and a + 1 share
             mats[b][w, w] += sign * deltas[-1] * np.eye(2 * p)
 
-    parts = []
-    for i, mat in enumerate(mats):
-        lam = float(np.linalg.eigvalsh(mat).min())
+    cols = [np.r_[tuple(window(a, (v,)) for v in order)]
+            for a, order in enumerate(layout.var_order)]
+    stack = AgentStack(layout, [mat[np.ix_(c, c)] for mat, c in zip(mats, cols)], deltas)
+    for i, lam in enumerate(stack.lambda_min):
         if lam <= 0:
             raise RuntimeError(f"agent {i} block is not positive definite (lambda_min={lam:.3e})")
-        parts.append(LocalHessian(vehicles=vehicles[i], matrix=mat, lambda_min=lam))
-    return PdDecomposition(parts=tuple(parts), deltas=tuple(deltas), horizon=p, n=n)
+    return stack

@@ -18,9 +18,8 @@ from .core import (LeaderProfile, PlatoonConfig, WeightSchedule, initial_state,
                    reference_config, step_dynamics)
 from .decomposition import decompose_pd, stage_blocks
 from .problem import StepTemplate, build_qcqp
-from .solvers import (SolverParams, build_agent_stack, build_local_problems,
-                      default_params_for_horizon, solve_centralized, solve_variant,
-                      warmup_initial_guess)
+from .solvers import (SolverParams, build_local_problems, default_params_for_horizon,
+                      solve_centralized, solve_variant, warmup_initial_guess)
 from .stability import default_weight_schedule
 
 __all__ = [
@@ -171,7 +170,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
 
     blocks = stage_blocks(weights, cfg.tau)
     template = StepTemplate(cfg, weights, blocks)
-    stack = build_agent_stack(decompose_pd(blocks))
+    stack = decompose_pd(blocks)
     graph = stack.layout.graph
     params = spec.solver
     # built only for noise: importing numpy.random alone costs about 5 MB

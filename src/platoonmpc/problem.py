@@ -153,10 +153,11 @@ class StepTemplate:
         self.lead, self.reach = self.phi.sum(axis=1), cfg.tau * self.T.sum(axis=1)
         self.prev = np.repeat(-self.phi[None], cfg.n, axis=0)
         self.prev[0] = 0.0
+        self.leader = np.eye(1, cfg.n)[0]  # the leader's acceleration enters vehicle 0 only
         self.quad = -cfg.tau ** 2 / (2.0 * cfg.a_min)
         self.layouts = {}
-        for a in (diag, off, schur, self.lead, self.reach, self.prev):  # shared by every step
-            a.flags.writeable = False
+        for a in (diag, off, schur, self.lead, self.reach, self.prev, self.leader):
+            a.flags.writeable = False  # shared by every step
 
 
 def _linear_term(state: PlatoonState, t: StepTemplate) -> np.ndarray:
@@ -169,7 +170,7 @@ def _linear_term(state: PlatoonState, t: StepTemplate) -> np.ndarray:
     each vehicle's slice.
     """
     err = error_coords(state, t.cfg)
-    leader = np.eye(1, t.cfg.n)[0] * state.u0
+    leader = t.leader * state.u0
     d = err.gap_err + t.reach[:, None] * err.rate_err + t.lead[:, None] * leader
     r = err.rate_err + t.reach[:, None] * leader
     m = t.phi.T @ (t.weights.q_gap * d) + t.cfg.tau * (t.T.T @ (t.weights.q_rate * r))

@@ -6,9 +6,10 @@ slice, until every agent's increment is small.  Each agent's step reads
 only its own locally coupled data, so the n steps of a round are computed
 together.  The data that never changes within a run, the chain layout and
 every agent's Hessian block padded to a common width and stacked, with the
-proximal maps at each weight rho, is built once per run as an
-``AgentStack``; each control step adds only its linear terms, constraint
-rows and the agents' warm memory (``LocalProblems``).  ``_AgentBatch``
+proximal maps at each weight rho, is the ``AgentStack`` that
+``decompose_pd`` returns once per run, and the iterate is that stack
+raveled; each control step adds only its linear terms, constraint rows and
+the agents' warm memory (``LocalProblems``).  ``_AgentBatch``
 then evaluates every closed-form candidate and every row at once.  Only an
 agent whose candidate breaks one of its rows solves its small QCQP with
 ``smallqcqp``, from its own last full solve, which it keeps across control
@@ -40,19 +41,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import AugmentedLayout, MessageFabric, VehicleGraph, _project, fabric_project
-from .decomposition import PdDecomposition
+from .consensus import MessageFabric, VehicleGraph, _project, fabric_project
+from .decomposition import AgentStack
 from .problem import ConstraintSet, QcqpProblem
 from .smallqcqp import KKT_TOL, InfeasibleProblem, _Rows, active_set_loop, solve_qcqp
 
 __all__ = [
     "SolverParams",
     "SolveReport",
-    "AgentStack",
     "LocalProblems",
     "ProxSolveError",
     "default_params_for_horizon",
-    "build_agent_stack",
     "build_local_problems",
     "accel_gamma_next",
     "solve_dr",
@@ -122,61 +121,6 @@ def default_params_for_horizon(p: int, variant: str = "dr") -> SolverParams:
     return SolverParams(variant=variant, alpha=alpha, rho=rho, tol=tol)
 
 
-class AgentStack:
-    """What the agents know for a whole run: the chain ``layout`` (each
-    agent's own block first, then its neighbors' copies in ascending index)
-    and every agent's Hessian block gathered in that order, padded to the
-    widest agent (D = 3p on a chain of three or more) and stacked as ``H``
-    (n, D, D).  ``mask`` marks each agent's real coordinates, ``prev`` the
-    column of its copy of the predecessor (-1 for the first vehicle), and
-    ``L`` and ``mu`` are the largest and smallest eigenvalues over the
-    unpadded blocks, from which the three-operator step sizes derive; the
-    blocks are positive definite, so ``mu`` is positive.
-    """
-
-    def __init__(self, layout: AugmentedLayout, blocks):
-        self.layout, self.n, self.p = layout, layout.graph.n, layout.p
-        D = max(layout.dims)
-        self.mask = np.arange(D) < np.array(layout.dims)[:, None]
-        self.H = np.zeros((self.n, D, D))
-        for Hi, block in zip(self.H, blocks):
-            Hi[:len(block), :len(block)] = block
-        self.prev = np.array([order.index(i - 1) * self.p if i else -1
-                              for i, order in enumerate(layout.var_order)])
-        self.L = max(float(np.linalg.norm(block, 2)) for block in blocks)
-        self.mu = min(float(np.linalg.eigvalsh(block).min()) for block in blocks)
-        self._prox = {}
-
-    def prox(self, rho: float):
-        """The stacked (rho H_i + I)^-1 and H_i + I/rho, built once per rho."""
-        if rho not in self._prox:
-            eye = np.eye(self.H.shape[-1])
-            self._prox[rho] = np.linalg.inv(rho * self.H + eye), self.H + eye / rho
-        return self._prox[rho]
-
-    def pad(self, vec: np.ndarray) -> np.ndarray:
-        """A stacked-layout vector as the padded (n, D) stack."""
-        out = np.zeros(self.mask.shape)
-        out[self.mask] = vec
-        return out
-
-    def unpad(self, X: np.ndarray) -> np.ndarray:
-        return X[self.mask]
-
-
-def build_agent_stack(dec: PdDecomposition) -> AgentStack:
-    """The run's agent stack from the Hessian split: each agent's block,
-    listed over its vehicles in ascending order, is gathered own-first."""
-    layout = AugmentedLayout(VehicleGraph.chain(dec.n), dec.horizon)
-    stage = np.arange(dec.horizon)
-    blocks = []
-    for part, order in zip(dec.parts, layout.var_order):
-        cols = (np.array([part.vehicles.index(v) for v in order])[:, None] * dec.horizon
-                + stage).ravel()
-        blocks.append(part.matrix[cols[:, None], cols])
-    return AgentStack(layout, blocks)
-
-
 @dataclass(frozen=True)
 class LocalProblems:
     """One control step's agent data over a run's ``stack``: the padded
@@ -216,7 +160,7 @@ def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> Loc
     n, p = stack.n, stack.p
     if (prob.n, prob.horizon) != (n, p):
         raise ValueError("the step program does not match the agent stack")
-    C = np.zeros(stack.mask.shape)
+    C = np.zeros(stack.H.shape[:2])
     C[:, :p] = prob.c.reshape(n, p)
     rows = prob.constraints.rows(np.arange(n), C.shape[1], 0, stack.prev)
     return LocalProblems(stack, C, prob.constraints, rows,
@@ -339,29 +283,27 @@ def _iterate(batch, params, step, z0=None, fabric=None, momentum=None):
 
     Each round projects onto the consensus subspace (through ``fabric``
     when given), maps every agent's own slice at once with ``step(Z, W)``,
-    Z and W the padded stacks of the iterate and the projected point, and
-    stops once each agent's increment is at most tol/n.  The projected
-    point is the current iterate, or ``momentum(z, w)`` when given, with
-    ``w`` the previous projection.
+    Z and W the iterate (padding 0, whatever ``z0`` holds there) and the
+    projected point reshaped to the agents' padded stack, and stops once
+    each agent's increment is at most tol/n.  The projected point is the
+    current iterate, or ``momentum(z, w)`` when given, with ``w`` the
+    previous projection.
     """
-    stack = batch.stack
-    layout = stack.layout
+    layout = batch.stack.layout
 
     def project(vec):
         return _project(vec, layout) if fabric is None else fabric_project(vec, layout, fabric)
 
-    starts = layout.offsets[:-1]
+    starts = np.arange(0, layout.dim, layout.width)
     per_agent_tol = params.tol / len(starts)
-    z = np.zeros(layout.dim) if z0 is None else np.asarray(z0, dtype=float).copy()
+    z = np.zeros(layout.dim) if z0 is None else np.where(layout.owner < 0, 0.0, z0)
     w = project(z)
-    Z = stack.pad(z)
     trace = []  # one residual ||z_new - z|| per round
     converged = False
     for _ in range(params.max_iters):
         if momentum is not None:
             w = project(momentum(z, w))
-        Z = step(Z, stack.pad(w))
-        z_new = stack.unpad(Z)
+        z_new = step(z.reshape(-1, layout.width), w.reshape(-1, layout.width)).ravel()
         dz = z_new - z
         trace.append(math.sqrt(dz @ dz))  # the flat norm, as np.linalg.norm sums it
         z = z_new
@@ -449,8 +391,8 @@ def solve_three_op_accel(problems: LocalProblems, graph: VehicleGraph, params: S
 
     def step(Z, W):
         nonlocal v
-        v = (zv - stack.unpad(W)) / gam[0]
-        return batch.project(W - gam[1] * stack.pad(v) - gam[1] * problems.gradient(W))
+        v = (zv - W.ravel()) / gam[0]
+        return batch.project(W - gam[1] * v.reshape(W.shape) - gam[1] * problems.gradient(W))
 
     return _iterate(batch, params, step, z0, fabric, momentum)
 
@@ -512,4 +454,4 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: Vehi
         u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ fabric.send(i + 1, i, u[i + 1]))
 
     w = stack.layout.scatter_controls(np.concatenate(u))
-    return stack.unpad(batch.project(stack.pad(w))), fabric.round, tuple(batch.warm)
+    return batch.project(w.reshape(n, -1)).ravel(), fabric.round, tuple(batch.warm)

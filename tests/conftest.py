@@ -226,7 +226,9 @@ def per_agent_solve(problems, graph, params, z0=None):
             gam[:] = gam[1], accel_gamma_next(gam[1], mut)
             zv = z + gam[0] * v
             w = _project(zv, layout)
-        z_new = np.concatenate([step(i, sl, z, w) for i, sl in enumerate(slices)])
+        z_new = np.zeros(layout.dim)
+        for i, sl in enumerate(slices):
+            z_new[sl] = step(i, sl, z, w)
         diffs = [np.linalg.norm(z_new[sl] - z[sl]) for sl in slices]
         z = z_new
         iterations += 1

@@ -15,9 +15,8 @@ from platoonmpc.core import WeightSchedule, reference_config
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.harness import run_scenario, scenario_builtin
 from platoonmpc.problem import build_qcqp
-from platoonmpc.solvers import (SolverParams, build_agent_stack, build_local_problems,
-                                solve_centralized, solve_dr, solve_three_op,
-                                solve_three_op_accel)
+from platoonmpc.solvers import (SolverParams, build_local_problems, solve_centralized, solve_dr,
+                                solve_three_op, solve_three_op_accel)
 from platoonmpc.stability import build_closed_loop, default_weight_schedule
 
 from conftest import dense_hessian_oracle, random_state, random_weights, small_config
@@ -138,7 +137,7 @@ def test_criterion_5_oracle_equivalence_three_variants():
         state = random_state(rng, cfg)
         prob = build_qcqp(state, cfg, w)
         graph = VehicleGraph.chain(n)
-        stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+        stack = decompose_pd(stage_blocks(w, cfg.tau))
         locals_ = build_local_problems(prob, stack)
         u_ref = solve_centralized(prob)
         nrm = max(np.linalg.norm(u_ref), 1e-12)
@@ -166,7 +165,7 @@ def test_criterion_6_decomposition_exactness():
         W = dense_hessian_oracle(w, 1.0)
         total = sum(dec.embedded(i) for i in range(n))
         worst_rel = max(worst_rel, np.linalg.norm(total - W) / np.linalg.norm(W))
-        min_lam = min(min_lam, min(part.lambda_min for part in dec.parts))
+        min_lam = min(min_lam, dec.lambda_min.min())
     ok = worst_rel <= 1e-10 and min_lam > 0
     _line(6, ok, f"worst reconstruction {worst_rel:.2e}, min block eigenvalue {min_lam:.2e}")
     assert worst_rel <= 1e-10

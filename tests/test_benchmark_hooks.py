@@ -36,6 +36,9 @@ def test_traced_workload_hooks_fire(tmp_path, workload):
     # the step program is built through the two hooked names, once per step
     assert out["layers"]["problem.build_qcqp.calls"] == out["steps"]
     assert out["layers"]["solvers.build_local_problems.us"] is not None
+    # the stage blocks and the Hessian split (with the agents' stack) once per run
+    names = [json.loads(line)["name"] for line in (tmp_path / "spans.jsonl").open()]
+    assert [names.count(f"decomposition.{f}") for f in ("stage_blocks", "decompose_pd")] == [1, 1]
     # a layer whose span never fires reads null, and a null metric fails the
     # benchmark run: smallqcqp's reads null once the solves make full-path
     # steps but never call solve_qcqp

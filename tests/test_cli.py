@@ -42,7 +42,19 @@ def test_simulate_trajectory_file(tmp_path, capsys):
     assert rc == 0
 
 
-def test_solve_once_with_oracle_diff(tmp_path, capsys):
+def test_solve_once_with_oracle_diff(tmp_path, capsys, monkeypatch):
+    # the step program and the Hessian split share one set of stage blocks
+    import platoonmpc.cli as cli
+    import platoonmpc.problem as problem
+
+    built, stage_blocks = [], cli.stage_blocks
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return stage_blocks(*args, **kwargs)
+
+    for module in (cli, problem):
+        monkeypatch.setattr(module, "stage_blocks", counted)
     state = {
         "x": list(np.arange(0.0, -11 * 50.0, -50.0)[:11] + np.linspace(0, 0.5, 11)),
         "v": [25.0] * 11,
@@ -59,6 +71,7 @@ def test_solve_once_with_oracle_diff(tmp_path, capsys):
     assert payload["converged"] is True
     assert payload["rel_error_vs_oracle"] <= 1e-2
     assert payload["feasible"] is True
+    assert len(built) == 1
 
 
 def test_simulate_failure_exit_code(tmp_path, capsys):

@@ -35,7 +35,7 @@ def test_graph_validation():
 def test_projection_fixed_point():
     g = VehicleGraph.chain(3)
     layout = AugmentedLayout(g, 2)
-    assert layout.dim == 2 * (2 + 3 + 2)
+    assert layout.dim == 3 * layout.width == 3 * 2 * 3  # three agents, padded to 3p
     u = np.arange(6.0)
     vec = layout.scatter_controls(u)
     np.testing.assert_allclose(_project(vec, layout), vec)
@@ -132,6 +132,23 @@ class CountingFabric(MessageFabric):
 
 
 CHAINS = list(product(range(2, 7), range(1, 6)))  # (n, p): both chain ends, every horizon
+
+
+@pytest.mark.parametrize("n,p", CHAINS, ids=[f"n{n}-p{p}" for n, p in CHAINS])
+def test_padded_entries_are_zero(rng, n, p):
+    # the two chain ends hold one neighbor's copy, so on three or more
+    # vehicles each pads its segment with p entries; whatever an input holds
+    # there, every vector the layout hands back reads exactly 0
+    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    width = layout.width
+    pad = layout.owner < 0
+    ends = [] if n == 2 else [*range(2 * p, width), *range(n * width - p, n * width)]
+    assert np.flatnonzero(pad).tolist() == ends
+    v = rng.normal(size=layout.dim)
+    assert (v[pad] != 0).all()
+    for out in (_project(v, layout), fabric_project(v, layout, MessageFabric(layout.graph)),
+                layout.scatter_controls(rng.normal(size=n * p))):
+        assert out.shape == (layout.dim,) and (out[pad] == 0).all()
 
 
 @pytest.mark.parametrize("n,p", CHAINS, ids=[f"n{n}-p{p}" for n, p in CHAINS])

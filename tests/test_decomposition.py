@@ -68,7 +68,7 @@ def test_three_agent_unit_chain_eigen_values():
     dec = decompose_pd(U)
     lam_min_lead = (3 - np.sqrt(5)) / 4  # eigen-solve of the 2x2 half block
     assert dec.deltas[0] == pytest.approx(lam_min_lead / 2, rel=1e-12)
-    lead = dec.parts[0].matrix
+    lead = dec.H[0, :2, :2]
     np.testing.assert_allclose(lead + dec.deltas[0] * np.eye(2),
                                0.5 * np.array([[2.0, -1.0], [-1.0, 1.0]]), atol=1e-14)
 
@@ -80,21 +80,20 @@ def test_pd_decomposition_reconstructs_hessian(rng, n, p):
     W = dense_hessian_oracle(w, 1.0)
     total = sum(dec.embedded(i) for i in range(n))
     assert np.linalg.norm(total - W) <= 1e-10 * np.linalg.norm(W)
-    assert len(dec.parts) == n and len(dec.deltas) == n - 1
-    for part in dec.parts:
-        assert part.lambda_min > 0
+    assert len(dec.H) == n and len(dec.deltas) == n - 1
+    assert (dec.lambda_min > 0).all()
 
 
 def test_topology_respected(rng):
     n, p = 6, 2
     dec = decompose_pd(stage_blocks(random_weights(rng, n, p), tau=1.0))
-    for i, part in enumerate(dec.parts):
+    for i, vehicles in enumerate(dec.layout.var_order):
         allowed = {j for j in (i - 1, i, i + 1) if 0 <= j < n}
-        assert set(part.vehicles) <= allowed
+        assert set(vehicles) <= allowed
         emb = dec.embedded(i)
         for a in range(n):
             for b in range(n):
-                if a not in part.vehicles or b not in part.vehicles:
+                if a not in vehicles or b not in vehicles:
                     assert np.all(emb[a * p:(a + 1) * p, b * p:(b + 1) * p] == 0.0)
 
 
@@ -103,8 +102,7 @@ def test_scale_equivariance(rng):
     w = random_weights(rng, n, p)
     dec1 = decompose_pd(stage_blocks(w, tau=1.0))
     dec2 = decompose_pd(stage_blocks(w.scaled(3.0), tau=1.0))
-    for a, b in zip(dec1.parts, dec2.parts):
-        np.testing.assert_allclose(3.0 * a.matrix, b.matrix, rtol=1e-12)
+    np.testing.assert_allclose(3.0 * dec1.H, dec2.H, rtol=1e-12)
 
 
 
@@ -121,7 +119,7 @@ def test_margin_chain_breaks_on_long_platoons(n, p, broken):
         stability.DEFAULT_KAPPA_RATE, stability.DEFAULT_KAPPA_RIDE)
     if broken is None:
         dec = decompose_pd(stage_blocks(w, tau=1.0))
-        assert min(part.lambda_min for part in dec.parts) > 0
+        assert dec.lambda_min.min() > 0
     else:
         with pytest.raises(RuntimeError, match=f"block {broken} .*margin chain broke"):
             decompose_pd(stage_blocks(w, tau=1.0))

@@ -98,8 +98,8 @@ def test_determinism_same_seed_same_files(tmp_path):
 def test_agent_stack_built_once_per_run(monkeypatch):
     # the Hessian stacking and its chain layout run once per scenario run,
     # however many steps and solves (here with the warm-up start too)
+    import platoonmpc.decomposition as decomposition
     import platoonmpc.harness as harness
-    import platoonmpc.solvers as solvers
 
     counts = {"stack": 0, "layout": 0}
 
@@ -109,8 +109,9 @@ def test_agent_stack_built_once_per_run(monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(harness, "build_agent_stack", counted("stack", harness.build_agent_stack))
-    monkeypatch.setattr(solvers, "AugmentedLayout", counted("layout", solvers.AugmentedLayout))
+    monkeypatch.setattr(harness, "decompose_pd", counted("stack", harness.decompose_pd))
+    monkeypatch.setattr(decomposition, "AugmentedLayout",
+                        counted("layout", decomposition.AugmentedLayout))
     spec = replace(scenario_builtin("s1", p=2, warm_start="warmup-projection"), duration=4)
     res = run_scenario(spec)
     assert (res.warmup_iterations > 0).all() and (res.iterations > 0).all()

@@ -9,8 +9,7 @@ from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import StepTemplate, build_qcqp, check_membership
 from platoonmpc.smallqcqp import InfeasibleProblem
 from platoonmpc.solvers import (SOLVERS, ProxSolveError, SolverParams, _AgentBatch,
-                                _centralized_constraints, accel_gamma_next, build_agent_stack,
-                                build_local_problems,
+                                _centralized_constraints, accel_gamma_next, build_local_problems,
                                 default_params_for_horizon, solve_centralized, solve_dr,
                                 solve_three_op, solve_three_op_accel, warmup_initial_guess)
 
@@ -24,7 +23,7 @@ def make_instance(rng, n, p, steady=False):
     w = random_weights(rng, n, p)
     state = initial_state(cfg, speed=25.0, u0=0.0) if steady else random_state(rng, cfg)
     prob = build_qcqp(state, cfg, w)
-    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+    stack = decompose_pd(stage_blocks(w, cfg.tau))
     return cfg, prob, build_local_problems(prob, stack), VehicleGraph.chain(n)
 
 
@@ -33,7 +32,7 @@ def agent_map(problems, graph, i, point, rho=None):
     of ``point`` (without), from one batch in which every other agent maps
     the origin."""
     batch = _AgentBatch(problems, graph, rho)
-    Y = np.zeros(problems.stack.mask.shape)
+    Y = np.zeros(problems.stack.H.shape[:2])
     d = problems.stack.layout.dims[i]
     Y[i, :d] = point
     return (batch.prox(Y) if rho is not None else batch.project(Y))[i, :d]
@@ -93,22 +92,22 @@ def test_local_problem_layout(rng):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("p", [1, 3])
 def test_agent_stack_matches_embedded_blocks(rng, n, p):
-    # each stacked block is the agent's block of the embedded full-size
-    # matrix, gathered over its own vehicle first, then its neighbors
-    dec = decompose_pd(stage_blocks(random_weights(rng, n, p), tau=1.0))
-    stack = build_agent_stack(dec)
+    # each stacked block sits in the embedded full-size matrix over its own
+    # vehicle first, then its neighbors, and is zero beyond the agent's
+    # coordinates; the extreme eigenvalues come from the unpadded blocks
+    stack = decompose_pd(stage_blocks(random_weights(rng, n, p), tau=1.0))
     D = 3 * p if n > 2 else 2 * p
-    assert stack.H.shape == (n, D, D) and stack.mask.shape == (n, D)
+    assert stack.H.shape == (n, D, D) and stack.layout.width == D
     blocks = []
     for i, order in enumerate(stack.layout.var_order):
         idx = np.concatenate([np.arange(v * p, (v + 1) * p) for v in order])
-        blocks.append(dec.embedded(i)[np.ix_(idx, idx)])
         d = idx.size
-        assert stack.mask[i].sum() == d and stack.mask[i, :d].all()
-        assert np.array_equal(stack.H[i, :d, :d], blocks[-1])
+        blocks.append(stack.H[i, :d, :d])
+        assert np.array_equal(stack.embedded(i)[np.ix_(idx, idx)], blocks[-1])
         assert not stack.H[i, d:].any() and not stack.H[i, :, d:].any()
     assert stack.L == max(np.linalg.norm(b, 2) for b in blocks)
     assert stack.mu == min(np.linalg.eigvalsh(b).min() for b in blocks)
+    assert stack.lambda_min.tolist() == [np.linalg.eigvalsh(b).min() for b in blocks]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -123,7 +122,7 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
     outcomes = set()
     for scale in (0.1, 1.0, 3.0):
         u = scale * rng.normal(size=n * p)
-        Z = problems.stack.pad(layout.scatter_controls(u))
+        Z = layout.scatter_controls(u).reshape(n, -1)
         rep = check_membership(prob, u, tol=1e-11)
         values = prob.constraints.values(problems.rows, Z)
         failing = problems.failing(Z)
@@ -150,12 +149,13 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
 def test_template_steps_do_not_alias(rng, p):
     # two steps with different states from one run's template: building the
     # second (its agent rows, membership and centralized rows too) changes
-    # no array of the first nor the run's stage blocks and prediction, which
-    # are read-only, and each step equals a fresh template's build
+    # no array of the first nor the run's stage blocks, prediction and
+    # leader column, which are read-only, and each step equals a fresh
+    # template's build
     n = 5
     cfg, w = small_config(n, p), random_weights(rng, n, p)
     blocks = stage_blocks(w, cfg.tau)
-    stack = build_agent_stack(decompose_pd(blocks))
+    stack = decompose_pd(blocks)
     template = StepTemplate(cfg, w, blocks)
     states = [random_state(rng, cfg, u0_mag=2.0) for _ in range(2)]
 
@@ -164,7 +164,7 @@ def test_template_steps_do_not_alias(rng, p):
         return [prob.c, local.C, *local.rows, *prob.diag, *prob.off, *prob.schur] + [
             np.asarray(getattr(cons, f.name)) for f in dataclasses.fields(cons) if f.compare]
 
-    shared = [blocks, template.phi, template.T]
+    shared = [blocks, template.phi, template.T, template.leader]
     assert not any(a.flags.writeable for a in shared)
     first = build_qcqp(states[0], template=template)
     first_local = build_local_problems(first, stack)
@@ -189,7 +189,7 @@ def test_all_standing_round_skips_the_full_path(rng):
     # solve; a NaN row value still sends its agent to the full path
     n = 4
     _, prob, problems, graph = make_instance(rng, n, 2, steady=True)
-    X = np.zeros(problems.stack.mask.shape)
+    X = np.zeros(problems.stack.H.shape[:2])
     assert problems.failing(X) == []
     batch, sent = _AgentBatch(problems, graph), []
     batch._solve = lambda X, i, kind, objective: sent.append(i)
@@ -214,7 +214,7 @@ def test_batched_engine_matches_per_agent_oracle(rng):
             prob = build_qcqp(state, cfg, w)
             graph = VehicleGraph.chain(n)
             locals_ = build_local_problems(
-                prob, build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau))))
+                prob, decompose_pd(stage_blocks(w, cfg.tau)))
             rep = check_membership(prob, solve_centralized(prob))
             binding["box"] += bool((rep.box > -1e-8).any())
             binding["safety"] += bool((rep.safety > -1e-8).any())
@@ -390,6 +390,25 @@ def test_fabric_driver_bit_identical_every_variant(rng, monkeypatch):
         assert fabric.round == 2 * projections, variant
 
 
+@pytest.mark.parametrize("n,p", [(3, 1), (5, 3)])
+def test_padded_entries_stay_zero(rng, n, p):
+    # the iterate lives in the agents' padded stack: the warm-up start and
+    # every variant's z_final read exactly 0 on every padded entry, and a
+    # start whose padded entries are not zero solves as if they were
+    _, prob, locals_, graph = make_instance(rng, n, p)
+    pad = locals_.stack.layout.owner < 0
+    assert pad.sum() == 2 * p
+    z0, _, _ = warmup_initial_guess(prob, locals_, graph)
+    assert (z0[pad] == 0).all()
+    dirty = rng.normal(size=pad.size)
+    for variant, solve in SOLVERS.items():
+        params = dataclasses.replace(default_params_for_horizon(p, variant), max_iters=50)
+        for start in (None, z0, dirty):
+            assert (solve(locals_, graph, params, z0=start).z_final[pad] == 0).all(), variant
+        assert (solve(locals_, graph, params, z0=dirty).z_final.tobytes()
+                == solve(locals_, graph, params, z0=np.where(pad, 0.0, dirty)).z_final.tobytes())
+
+
 def test_nonconvergence_reported(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2)
     params = default_params_for_horizon(2)
@@ -472,11 +491,10 @@ def test_termination_certificates(rng):
     z = rep.z_final
     w = _project(z, layout)
     np.testing.assert_allclose(_project(w, layout), w, atol=1e-14)
-    stack = locals_.stack
-    X = _AgentBatch(locals_, graph, params.rho).prox(stack.pad(2 * w - z))
+    X = _AgentBatch(locals_, graph, params.rho).prox((2 * w - z).reshape(graph.n, -1)).ravel()
     for i in range(graph.n):
         sl = layout.agent_slice(i)
-        assert np.linalg.norm(stack.unpad(X)[sl] - w[sl]) <= params.tol
+        assert np.linalg.norm(X[sl] - w[sl]) <= params.tol
 
 
 def test_residuals_eventually_decrease(rng):
@@ -513,7 +531,7 @@ def test_accuracy_level_after_leader_brake():
     state = initial_state(cfg, speed=25.0, u0=-2.0)
     state = step_dynamics(state, np.zeros(10), -2.0, cfg.tau)
     prob = build_qcqp(state, cfg, w)
-    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+    stack = decompose_pd(stage_blocks(w, cfg.tau))
     rep = solve_dr(build_local_problems(prob, stack), stack.layout.graph,
                    default_params_for_horizon(1))
     u_ref = solve_centralized(prob)
@@ -536,7 +554,7 @@ def test_prox_active_safety_matches_grid_oracle():
     state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
                          v=np.full(4, 25.0), u0=0.0)
     prob = build_qcqp(state, cfg, w)
-    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+    stack = decompose_pd(stage_blocks(w, cfg.tau))
     problems = build_local_problems(prob, stack)
     H, c = agent_block(problems, 0)
     assert H.shape == (2, 2)
@@ -576,7 +594,7 @@ def test_carried_warm_state_is_read_only(rng):
     w = random_weights(rng, 5, 3)
     state = random_state(rng, cfg, gap_jitter=6.0, speed_lo=24.0, speed_hi=27.0, u0_mag=2.0)
     prob = build_qcqp(state, cfg, w)
-    stack = build_agent_stack(decompose_pd(stage_blocks(w, cfg.tau)))
+    stack = decompose_pd(stage_blocks(w, cfg.tau))
     graph = VehicleGraph.chain(5)
     params = default_params_for_horizon(3)
     first = solve_dr(build_local_problems(prob, stack), graph, params)
@@ -654,7 +672,7 @@ def test_stale_warm_sets_are_repaired_in_the_stack(rng, monkeypatch):
     n, p, rho = 5, 3, 0.1
     cfg, prob, problems, graph = make_instance(rng, n, p)
     stack = problems.stack
-    Y = stack.pad(stack.layout.scatter_controls(np.full(n * p, 3.0 * cfg.a_max)))
+    Y = stack.layout.scatter_controls(np.full(n * p, 3.0 * cfg.a_max)).reshape(n, -1)
     first = _AgentBatch(problems, graph, rho)
     first.prox(Y)
     assert first.full == [1] * n
@@ -662,7 +680,9 @@ def test_stale_warm_sets_are_repaired_in_the_stack(rng, monkeypatch):
     lower_box = tuple(range(p, 2 * p))  # rows the push above a_max leaves slack
     warm = [{kind: (x, lower_box if i in stale else active) for kind, (x, active) in w.items()}
             for i, w in enumerate(first.warm)]
-    Y = Y + 1e-3 * stack.pad(rng.normal(size=stack.layout.dim))
+    noise, real = np.zeros(stack.layout.dim), stack.layout.owner >= 0
+    noise[real] = rng.normal(size=real.sum())
+    Y = Y + 1e-3 * noise.reshape(n, -1)
 
     loops, solved = [], []
 
