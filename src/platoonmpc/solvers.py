@@ -10,10 +10,14 @@ proximal maps at each weight rho, is the ``AgentStack`` that
 ``decompose_pd`` returns once per run, and the iterate is that stack
 raveled; each control step adds only its linear terms, constraint rows and
 the agents' warm memory (``LocalProblems``).  ``_AgentBatch``
-then evaluates every closed-form candidate and every row at once.  Only an
-agent whose candidate breaks one of its rows solves its small QCQP with
-``smallqcqp``, from its own last full solve, which it keeps across control
-steps: the agents of a round run one stacked active-set loop together.
+then evaluates every closed-form candidate at once, and every row only when
+a candidate has left the ball its last check certified: a check in which
+every candidate stands also bounds how far the candidates may move before
+any row could break (safe screening, El Ghaoui, Viallon & Rabbani, 2012).
+Only an agent whose candidate breaks one of its rows solves its small QCQP
+with ``smallqcqp``, from its own last full solve, which it keeps across
+control steps: the agents of a round run one stacked active-set loop
+together.
 The schemes differ in the candidate:
 
 * ``solve_dr``: relaxed proximal step; each agent's candidate is the
@@ -146,11 +150,27 @@ class LocalProblems:
         return (self.stack.H @ W[..., None])[..., 0] + self.C
 
     def failing(self, X: np.ndarray) -> list:
-        """The agents i whose X[i] breaks a row (NaN does); one max finds none."""
+        """The agents i whose X[i] breaks a row (NaN does); one max finds none.
+        Every row of every agent is evaluated, so ``_AgentBatch`` calls this
+        only for candidates outside the ball its last check certified."""
         values = self.constraints.values(self.rows, X)
         if values.max() <= _FEASIBLE_TOL:
             return []
         return (~(values.max(axis=1) <= _FEASIBLE_TOL)).nonzero()[0].tolist()
+
+    def radii(self, X: np.ndarray) -> np.ndarray:
+        """Each row's certified radius about X, (n, 5p): with v the row's
+        value at X, g its gradient norm there and c = quad |s|^2, the row
+        obeys row(X + d) <= v + g |d| + c |d|^2 exactly, so it stays at or
+        below v/2 for |d| <= 2 sigma / (g + sqrt(g^2 + 4 c sigma)),
+        sigma = -v/2.  A row at or above 0 certifies nothing: radius 0."""
+        A, _, S = self.rows
+        quad = self.constraints.quad
+        sigma = np.maximum(-0.5 * self.constraints.values(self.rows, X), 0.0)
+        G = A + 2.0 * quad * (S @ X[..., None]) * S
+        g = np.sqrt(np.einsum("...k,...k", G, G))
+        den = g + np.sqrt(g * g + 4.0 * quad * np.einsum("...k,...k", S, S) * sigma)
+        return np.divide(2.0 * sigma, den, out=np.zeros_like(den), where=den > 0)
 
 
 def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> LocalProblems:
@@ -169,15 +189,22 @@ def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> Loc
 
 class _AgentBatch:
     """One solve's state over a step's ``problems``: the fast and full
-    counts and the agents' warm memory.
+    counts, the certified ball and the agents' warm memory.
 
     ``prox`` and ``project`` map every agent's point at once: each agent's
     closed-form candidate stands when it meets all the agent's rows (the
     fast path); only the agents whose candidate breaks a row solve their
-    QCQP.  ``warm`` holds each agent's last full solve of each kind, its
-    point and active rows: seeded from the problems' ``warm`` (copied, so
-    a solve never changes its inputs) and updated by every full solve, it
-    carries an agent's active set across rounds and, through
+    QCQP.  A round whose rows were evaluated and all stand keeps its
+    candidates and their smallest row radius (``LocalProblems.radii``) as
+    the ``ball``.  A later round whose candidates lie within it in total,
+    sum_i |X_i - anchor_i|^2 <= r^2, stands without evaluating a row; a
+    round with a failing agent drops the ball.  Every decision is the one
+    that evaluating the rows would make: within the ball each row stays at
+    or below half its anchor value, below 0 by far more than the rounding
+    of its evaluation.  ``warm`` holds each agent's last full solve of each
+    kind, its point and active rows: seeded from the problems' ``warm``
+    (copied, so a solve never changes its inputs) and updated by every full
+    solve, it carries an agent's active set across rounds and, through
     ``SolveReport.warm``, across control steps.  A round's failing agents
     that hold memory of the kind run it through one stacked active-set loop
     (``smallqcqp.active_set_loop``); an agent that holds none calls
@@ -196,6 +223,7 @@ class _AgentBatch:
         self.calls = 0
         self.full = [0] * stack.n
         self.warm = [dict(w) for w in problems.warm]
+        self.ball = None  # (anchor, squared radius) of the last all-standing check
         self._eye = np.broadcast_to(np.eye(stack.H.shape[-1]), stack.H.shape)
 
     def prox(self, Y: np.ndarray) -> np.ndarray:
@@ -214,7 +242,12 @@ class _AgentBatch:
         by the minimizer of 1/2 x'Px + q'x over them, (P, q) = objective(i)
         stacked and padded for the agents ``i``."""
         self.calls += 1
+        if self.ball is not None:
+            d = (X - self.ball[0]).ravel()
+            if d @ d <= self.ball[1]:  # every row stands (a NaN is never inside)
+                return X
         failing = self.problems.failing(X)
+        self.ball = None if failing else (X.copy(), self.problems.radii(X).min() ** 2)
         held = [i for i in failing if kind in self.warm[i]]
         taken = self._warm_loop(X, kind, objective, held) if held else ()
         for i in failing:

@@ -5,7 +5,8 @@
 ``harness.solve_variant``, ...).  A rename there, or a step program built
 outside ``build_qcqp`` and ``build_local_problems``, would otherwise surface
 only when the benchmark runs; one traced pass of each benchmark workload
-catches it here."""
+catches it here.  The result line is parsed as strict JSON, so a NaN or
+Infinity fails here rather than as a malformed benchmark line."""
 
 import json
 import math
@@ -20,6 +21,11 @@ ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def reject_constant(name):
+    """Strict JSON: a NaN or Infinity in the result line is a malformed benchmark line."""
+    raise ValueError(f"non-finite constant {name} in the benchmark's result line")
+
+
 @pytest.mark.parametrize("workload", ["s1-p1", "s1-p5", "s3-p1-warmup"])
 def test_traced_workload_hooks_fire(tmp_path, workload):
     env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
@@ -29,7 +35,7 @@ def test_traced_workload_hooks_fire(tmp_path, workload):
          "--workload", workload, "--seed", "1", "--spans", str(tmp_path / "spans.jsonl")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=reject_constant)
     assert out["error"] is None
     assert out["hooks_once_per_step"] is True
     assert out["crosscheck"]["ok"] is True, out["crosscheck"]

@@ -8,10 +8,11 @@ from platoonmpc.core import initial_state
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import StepTemplate, build_qcqp, check_membership
 from platoonmpc.smallqcqp import InfeasibleProblem
-from platoonmpc.solvers import (SOLVERS, ProxSolveError, SolverParams, _AgentBatch,
-                                _centralized_constraints, accel_gamma_next, build_local_problems,
-                                default_params_for_horizon, solve_centralized, solve_dr,
-                                solve_three_op, solve_three_op_accel, warmup_initial_guess)
+from platoonmpc.solvers import (SOLVERS, LocalProblems, ProxSolveError, SolverParams,
+                                _AgentBatch, _centralized_constraints, accel_gamma_next,
+                                build_local_problems, default_params_for_horizon,
+                                solve_centralized, solve_dr, solve_three_op,
+                                solve_three_op_accel, warmup_initial_guess)
 
 from conftest import per_agent_solve, random_state, random_weights, small_config
 
@@ -199,6 +200,101 @@ def test_all_standing_round_skips_the_full_path(rng):
     assert problems.failing(X) == [2]
     batch.project(X)
     assert batch.calls == 2 and batch.full == [0, 0, 1, 0] and sent == [2]
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+def test_certified_radius_keeps_rows_at_half_their_value(rng, p):
+    # about a standing candidate, every row stays at or below half its value
+    # on and inside the sphere of its own certified radius (along the row's
+    # gradient, along its curvature direction and at random), and every row
+    # of the agent within the agent's ball, the smallest of its radii
+    n = 4
+    _, _, problems, _ = make_instance(rng, n, p)
+    A, h, S = problems.rows
+    dims, quad = problems.stack.layout.dims, problems.constraints.quad
+    standing = 0
+    for scale in (0.05, 0.3, 1.0):
+        X = np.zeros(problems.stack.H.shape[:2])
+        for i, d in enumerate(dims):
+            X[i, :d] = scale * rng.normal(size=d)
+        values, radii = problems.constraints.values(problems.rows, X), problems.radii(X)
+        for i in np.flatnonzero(values.max(axis=1) < 0):
+            standing += 1
+            v, rows = values[i], (A[i], h[i], S[i])
+            G = A[i] + 2.0 * quad * (S[i] @ X[i])[:, None] * S[i]
+            random = rng.normal(size=(16, X.shape[1]))
+            random[:, dims[i]:] = 0.0
+            random /= np.linalg.norm(random, axis=1, keepdims=True)
+            for j in range(len(v)):
+                toward = [u / np.linalg.norm(u) for u in (G[j], S[i, j]) if u.any()]
+                unit = np.vstack(toward + [-u for u in toward] + [random])
+                for r, checked in ((radii[i, j], [j]), (radii[i].min(), slice(None))):
+                    for t in (1.0, rng.uniform(size=(len(unit), 1))):  # on, inside
+                        at = problems.constraints.values(rows, X[i] + t * r * unit)
+                        assert (at[:, checked] <= v[checked] / 2 + 1e-12).all(), (i, j)
+    assert standing >= 4, standing
+
+
+def count_evaluations(monkeypatch):
+    """A list that grows by one at every ``LocalProblems.failing`` call."""
+    evaluated, failing = [], LocalProblems.failing
+    monkeypatch.setattr(LocalProblems, "failing",
+                        lambda self, X: evaluated.append(1) or failing(self, X))
+    return evaluated
+
+
+def test_steady_dr_solve_evaluates_rows_in_few_rounds(rng, monkeypatch):
+    # candidates that keep standing stay inside their certified ball, so the
+    # rows are evaluated in a fraction of the rounds
+    _, _, problems, graph = make_instance(rng, 5, 1)
+    evaluated = count_evaluations(monkeypatch)
+    rep = solve_dr(problems, graph, default_params_for_horizon(1))
+    assert rep.converged and rep.prox_full == 0 and rep.iterations >= 50
+    assert len(evaluated) <= rep.iterations / 4, (len(evaluated), rep.iterations)
+
+
+def test_candidate_leaving_the_ball_is_evaluated_again(rng, monkeypatch):
+    # inside the ball a round counts its call and evaluates no row; just
+    # outside, or with a NaN, or after a failing round dropped the ball,
+    # the rows are evaluated again, and decide as they would have
+    n = 4
+    _, _, problems, graph = make_instance(rng, n, 3, steady=True)
+    evaluated = count_evaluations(monkeypatch)
+    batch, sent = _AgentBatch(problems, graph), []
+    batch._solve = lambda X, i, kind, objective: sent.append(i)
+    anchor = np.zeros(problems.stack.H.shape[:2])
+    anchor[:, :3] = 0.01 * rng.normal(size=(n, 3))
+    radius = problems.radii(anchor).min()
+    step = np.zeros_like(anchor)
+    step[1, :3] = rng.normal(size=3)
+    step /= np.linalg.norm(step)
+
+    def run(X):
+        before = len(evaluated)
+        assert np.array_equal(batch.project(X), X, equal_nan=True)
+        return len(evaluated) > before
+
+    assert run(anchor) and radius > 0.1
+    assert not run(anchor + 0.5 * radius * step)
+    assert not run(anchor + (1 - 1e-9) * radius * step)
+    moved = anchor + (1 + 1e-9) * radius * step
+    assert run(moved) and not run(moved)  # evaluated, and the ball moved there
+    with_nan = moved.copy()
+    with_nan[2, 0] = np.nan
+    assert run(with_nan) and sent == [2]
+    assert run(moved) and not run(moved)  # the failing round dropped the ball
+    far = moved.copy()
+    far[0, 0] = 50.0
+    assert run(far) and sent == [2, 0]
+    assert run(moved)
+    # a candidate that stands only by the 1e-11 tolerance certifies no ball
+    # beyond itself: 4e-12 further out its box row reads 1.3e-11 and fails
+    edge = moved.copy()
+    edge[0, 0] = problems.constraints.a_min - 9e-12
+    assert run(edge) and not run(edge)
+    edge[0, 0] -= 4e-12
+    assert run(edge) and sent == [2, 0, 0]
+    assert batch.calls == 13 and batch.full == [2, 0, 1, 0]
 
 
 def test_batched_engine_matches_per_agent_oracle(rng):
