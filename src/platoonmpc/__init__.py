@@ -10,8 +10,7 @@ analysis and weight design (``stability``), and scenario simulation
 (``harness``).
 """
 
-from .consensus import (AugmentedLayout, MessageFabric, SimulationFault, VehicleGraph,
-                        fabric_project)
+from .consensus import AugmentedLayout, MessageFabric, SimulationFault, VehicleGraph
 from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
                    error_coords, initial_state, reference_config, step_dynamics)
 from .decomposition import AgentStack, decompose_pd, prediction, stage_blocks

@@ -3,9 +3,10 @@
 Every agent keeps its own control block plus one copy of each chain
 neighbor's block, padded to a common width (``AugmentedLayout``).  The
 consensus subspace is where all copies agree with their owners; its
-orthogonal projection is a per-owner average.  A bulk synchronous message
-fabric simulates the exchanges so the solvers can run without any
-centralized gather.
+orthogonal projection is a per-owner average, ``_project``, the one
+implementation of the exchange.  A run's message fabric counts its rounds,
+messages and floats, with the one-speaker rounds of sequential sweeps, and
+checks once per layout that every message crosses a chain edge.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "AugmentedLayout",
     "MessageFabric",
     "SimulationFault",
-    "fabric_project",
 ]
 
 
@@ -44,9 +44,6 @@ class VehicleGraph:
     def neighbors(self, i: int) -> list:
         """The chain neighbors of i, ascending."""
         return [j for j in (i - 1, i + 1) if 0 <= j < self.n]
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
 
 
 _ZERO = np.zeros(1)  # what an owner index of -1 (padding) reads
@@ -98,15 +95,6 @@ class AugmentedLayout:
         self.from_next = entries([self.positions[j + 1][j] for j in range(n - 1)])
         self.count = np.repeat([float(len(order)) for order in self.var_order], p)
 
-    def agent_slice(self, i: int) -> slice:
-        """Agent i's entries, padding excluded."""
-        return slice(i * self.width, i * self.width + self.dims[i])
-
-    def block(self, vec: np.ndarray, i: int, j: int | None = None) -> np.ndarray:
-        """Agent i's own block, or its copy of vehicle j when j is given."""
-        start = self.positions[i][i if j is None else j]
-        return vec[start:start + self.p]
-
     def stack_controls(self, vec: np.ndarray) -> np.ndarray:
         """Owners' blocks concatenated vehicle-major."""
         return vec[self.own]
@@ -118,8 +106,11 @@ class AugmentedLayout:
 
 
 def _project(vec: np.ndarray, layout: AugmentedLayout) -> np.ndarray:
-    """Average each owner block with its copies (own block first, then the
-    copies in ascending holder index), and hand the averages back."""
+    """The consensus projection: a gather round brings each owner block's
+    copies to the owner, which averages them with its own block (own block
+    first, then the copies in ascending holder index), and a scatter round
+    hands the averages back.  ``MessageFabric.projection`` counts and
+    polices those two rounds."""
     p = layout.p
     avg = vec[layout.own]
     avg[p:] += vec[layout.from_prev]
@@ -129,67 +120,56 @@ def _project(vec: np.ndarray, layout: AugmentedLayout) -> np.ndarray:
 
 
 class MessageFabric:
-    """Bulk-synchronous neighbor-to-neighbor message exchange.
+    """A run's bulk-synchronous message fabric: it counts every round,
+    message and float, and refuses any message that would leave the chain.
 
-    Agents post one message per neighbor each round; the fabric delivers
-    messages only along graph edges, so no agent can observe non-neighbor
-    data.  A missing message aborts the round.  ``send`` is a round in
-    which a single agent speaks to one neighbor.
+    ``projection`` records one consensus projection, which ``_project``
+    computes: a gather round, each copy from its holder to its owner, and a
+    scatter round, each average back along the same edges.  ``send`` is a
+    round in which a single agent speaks to one neighbor.
     """
 
     def __init__(self, graph: VehicleGraph):
         self.graph = graph
-        self.round = 0
+        self.round = self.messages = self.floats = 0
+        self._cost = {}  # layout -> (messages, floats) of one projection, once checked
 
-    def exchange(self, outgoing: dict) -> dict:
-        """outgoing[i][j] = payload from agent i addressed to neighbor j.
+    def _check(self, edges: set, what: str) -> set:
+        for src, dst in sorted(edges):
+            if dst not in self.graph.neighbors(src):
+                raise SimulationFault(f"agent {src} would {what} non-neighbor {dst}")
+        return edges
 
-        Returns received[i][j] = payload sent by j to i.  Raises
-        SimulationFault if any expected message was not posted.
-        """
-        g = self.graph
-        for i in range(g.n):
-            posted = outgoing.get(i)
-            if posted is None:
-                raise SimulationFault(f"agent {i} posted nothing in round {self.round}")
-            for j in g.neighbors(i):
-                if j not in posted:
-                    raise SimulationFault(
-                        f"agent {i} did not post a message for neighbor {j} in round {self.round}")
-            for j in posted:
-                if j not in g.neighbors(i):
-                    raise SimulationFault(f"agent {i} attempted to message non-neighbor {j}")
-        self.round += 1
-        return {i: {j: outgoing[j][i] for j in g.neighbors(i)} for i in range(g.n)}
+    def projection(self, layout: AugmentedLayout):
+        """Count one consensus projection over ``layout``: two rounds, a
+        message per edge and direction in each, a float per exchanged entry.
+        On the layout's first projection, raises SimulationFault unless every
+        gathered copy goes from its holder to a chain-neighbor owner and every
+        average comes back along a gather edge."""
+        if layout not in self._cost:
+            n, p, holder = layout.graph.n, layout.p, np.arange(layout.dim) // layout.width
+            gathered, into = np.r_[layout.from_prev, layout.from_next], np.r_[1:n, :n - 1]
+            gather = self._check(set(zip(holder[gathered].tolist(), into.repeat(p).tolist())),
+                                 "send a copy to")
+            vehicle = layout.owner // p  # -1 on padding
+            copies = (vehicle >= 0) & (vehicle != holder)
+            scatter = self._check(set(zip(vehicle[copies].tolist(), holder[copies].tolist())),
+                                  "send an average to")
+            if not scatter <= {(dst, src) for src, dst in gather}:
+                raise SimulationFault("an average would return along no gather edge")
+            self._cost[layout] = len(gather) + len(scatter), gathered.size + int(copies.sum())
+        messages, floats = self._cost[layout]
+        self.round += 2
+        self.messages += messages
+        self.floats += floats
 
     def send(self, src: int, dst: int, payload):
         """One round in which only ``src`` speaks, to ``dst``; returns the
         payload as ``dst`` receives it.  Raises SimulationFault unless
         ``dst`` is a chain neighbor of ``src``."""
         if dst not in self.graph.neighbors(src):
-            raise SimulationFault(f"agent {src} attempted to message non-neighbor {dst}")
+            raise SimulationFault(f"agent {src} would message non-neighbor {dst}")
         self.round += 1
+        self.messages += 1
+        self.floats += np.size(payload)
         return payload
-
-
-def fabric_project(vec: np.ndarray, layout: AugmentedLayout, fabric: MessageFabric) -> np.ndarray:
-    """Consensus projection computed through the fabric only.
-
-    Phase one sends each agent's copy of a neighbor's block to that
-    neighbor; phase two sends the owner averages back so neighbors can
-    refresh their copies.  Bit-identical to ``_project`` because the
-    averaging order (own block, then ascending holder index) is the same.
-    """
-    g = layout.graph
-    got = fabric.exchange({i: {j: layout.block(vec, i, j) for j in g.neighbors(i)}
-                           for i in range(g.n)})
-    avg = []
-    for j in range(g.n):
-        acc = layout.block(vec, j).copy()
-        for k in g.neighbors(j):
-            acc += got[j][k]
-        avg.append(acc / (1 + g.degree(j)))
-    got = fabric.exchange({i: dict.fromkeys(g.neighbors(i), avg[i]) for i in range(g.n)})
-    return np.concatenate([blk for i in range(g.n)
-                           for blk in [avg[i]] + [got[i][j] for j in g.neighbors(i)]
-                           + [np.zeros(layout.width - layout.dims[i])]])

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .consensus import MessageFabric
 from .core import (LeaderProfile, PlatoonConfig, WeightSchedule, initial_state,
                    reference_config, step_dynamics)
 from .decomposition import decompose_pd, stage_blocks
@@ -87,11 +88,14 @@ class SimResult:
     realized accelerations (noise included), ``commanded`` the solver's
     first-stage answer.  ``warmup_iterations`` counts the sequential fabric
     rounds of the warm-up sweep, 2(n - 1) per step under the warm-up start
-    and zero otherwise.  When the centralized oracle runs, ``oracle_first``
-    holds its applied stage and ``rel_errors`` the per-step relative error
-    of the commanded stage against it (NaN where the oracle is numerically
-    zero); the aggregated metric keeps only steps whose oracle magnitude
-    exceeds one percent of the run's peak, where the ratio is meaningful.
+    and zero otherwise.  ``rounds`` and ``floats`` count each step's traffic
+    on the run's message fabric: two rounds and 4(n - 1)p floats per
+    consensus projection, plus the sweep's 2(n - 1) rounds of p floats.
+    When the centralized oracle runs, ``oracle_first`` holds its applied
+    stage and ``rel_errors`` the per-step relative error of the commanded
+    stage against it (NaN where the oracle is numerically zero); the
+    aggregated metric keeps only steps whose oracle magnitude exceeds one
+    percent of the run's peak, where the ratio is meaningful.
     """
 
     spec_name: str
@@ -104,6 +108,8 @@ class SimResult:
     iterations: np.ndarray
     residuals: np.ndarray
     warmup_iterations: np.ndarray
+    rounds: np.ndarray
+    floats: np.ndarray
     oracle_first: np.ndarray
     rel_errors: np.ndarray
     safety_margins: np.ndarray
@@ -156,9 +162,10 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     Builds the step program at every sample over the run's state-free
     ``StepTemplate``, solves it with the configured distributed engine
     (receding horizon: only the first stage of each vehicle's plan is
-    applied), optionally compares each step against the centralized
-    reference, and raises SafetyViolation if any realized spacing breaks
-    the safe-distance bound.
+    applied) over one message fabric, which counts every round of the run,
+    optionally compares each step against the centralized reference, and
+    raises SafetyViolation if any realized spacing breaks the safe-distance
+    bound.
     """
     cfg = cfg if cfg is not None else reference_config(horizon=spec.horizon)
     if cfg.horizon != spec.horizon:
@@ -172,6 +179,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     template = StepTemplate(cfg, weights, blocks)
     stack = decompose_pd(blocks)
     graph = stack.layout.graph
+    fabric = MessageFabric(graph)
     params = spec.solver
     # built only for noise: importing numpy.random alone costs about 5 MB
     rng = np.random.default_rng(spec.seed) if spec.noise is not None else None
@@ -181,10 +189,8 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
 
     spacings = np.zeros((T + 1, n))
     speeds = np.zeros((T + 1, n + 1))
-    controls = np.zeros((T, n))
-    commanded = np.zeros((T, n))
-    iterations = np.zeros(T, dtype=int)
-    warmups = np.zeros(T, dtype=int)
+    controls, commanded = np.zeros((2, T, n))
+    iterations, warmups, rounds, floats = np.zeros((4, T), dtype=int)
     residuals = np.zeros(T)
     oracle_first = np.full((T, n), np.nan)
     rel_errors = np.full(T, np.nan)
@@ -196,15 +202,17 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
 
     z_prev = warm = None
     for k in range(T):
+        sent = fabric.round, fabric.floats
         prob = build_qcqp(state, template=template)
         locals_ = build_local_problems(prob, stack, warm=warm)
         if params.warm_start == "warmup-projection":
-            z0, wu_iters, warm = warmup_initial_guess(prob, locals_, graph)
+            z0, wu_iters, warm = warmup_initial_guess(prob, locals_, fabric)
             locals_ = replace(locals_, warm=warm)
             warmups[k] = wu_iters
         else:
             z0 = z_prev  # None at the first step: a zero start
-        report = solve_variant(locals_, graph, params, z0=z0)
+        report = solve_variant(locals_, graph, params, z0=z0, fabric=fabric)
+        rounds[k], floats[k] = fabric.round - sent[0], fabric.floats - sent[1]
         if not report.converged:
             raise RuntimeError(f"solver did not converge at step {k} "
                                f"(residual {report.residual:.3e})")
@@ -232,20 +240,10 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         margins[k + 1] = _safety_margin(spacings[k + 1], speeds[k + 1], cfg)
 
     result = SimResult(
-        spec_name=spec.name,
-        gap=cfg.gap,
-        spacings=spacings,
-        speeds=speeds,
-        controls=controls,
-        commanded=commanded,
-        leader_accel=spec.leader.series(T),
-        iterations=iterations,
-        residuals=residuals,
-        warmup_iterations=warmups,
-        oracle_first=oracle_first,
-        rel_errors=rel_errors,
-        safety_margins=margins,
-    )
+        spec_name=spec.name, gap=cfg.gap, spacings=spacings, speeds=speeds, controls=controls,
+        commanded=commanded, leader_accel=spec.leader.series(T), iterations=iterations,
+        residuals=residuals, warmup_iterations=warmups, rounds=rounds, floats=floats,
+        oracle_first=oracle_first, rel_errors=rel_errors, safety_margins=margins)
     result.metrics = _metrics(spec, result)
     if result.safety_margins.min() < -1e-6:
         raise SafetyViolation(
@@ -370,6 +368,8 @@ def emit_results(result: SimResult, out_dir) -> list:
         "iterations_median": result.metrics["iterations_median"],
         "rel_error_mean": result.metrics["rel_error_mean"],
         "warmup_iterations_median": float(np.median(result.warmup_iterations)),
+        "rounds_median": float(np.median(result.rounds)),
+        "floats_median": float(np.median(result.floats)),
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

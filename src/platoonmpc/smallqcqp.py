@@ -35,6 +35,9 @@ import numpy as np
 
 __all__ = ["QcqpResult", "InfeasibleProblem", "active_set_loop", "row_values", "solve_qcqp"]
 KKT_TOL = 1e-9  # the KKT residual a solve must reach, unless the caller sets its own
+# |q| above which an objective is solved scaled to unit |q|: random QCQPs end "inaccurate"
+# unscaled from about 750; the built-in runs' solves reach 576 and keep their arithmetic.
+Q_SCALE = 600.0
 
 
 class InfeasibleProblem(RuntimeError):
@@ -63,9 +66,20 @@ def row_values(A, h, S, quad, x):
     """Value of every row ``A x - h + quad (S x)^2`` at ``x`` (<= 0 feasible),
     for one row family, or for a stack of them with ``x`` stacked alike."""
     if x.ndim > 1:  # each family times its own point; the 1-D form is the hot one
-        x = x[..., None]
-        return (A @ x)[..., 0] - h + quad * (S @ x)[..., 0] ** 2
+        return stacked_rows(A, h, S, quad, x)[0]
     return A @ x - h + quad * (S @ x) ** 2
+
+
+def stacked_rows(A, h, S, quad, x):
+    """(row values, each row's S x) of a stack of row families at ``x``."""
+    x = x[..., None]
+    Sx = (S @ x)[..., 0]
+    return (A @ x)[..., 0] - h + quad * Sx ** 2, Sx
+
+
+def row_grads(A, S, quad, Sx):
+    """Row gradients ``A + 2 quad (S x) S``, from each row's ``S x``."""
+    return A + (2.0 * quad * Sx)[..., None] * S
 
 
 class _Rows(NamedTuple):
@@ -78,8 +92,8 @@ class _Rows(NamedTuple):
         return row_values(*self, x)
 
     def grads(self, x):
-        """Row gradients ``A + 2 quad (S x) S``, one per row."""
-        return self.A + (2.0 * self.quad * (self.S @ x))[:, None] * self.S
+        """Row gradients at x, one per row."""
+        return row_grads(self.A, self.S, self.quad, self.S @ x)
 
     def curvature(self, w):
         """Weighted sum of the row Hessians, ``2 quad S' diag(w) S``."""
@@ -151,7 +165,7 @@ def _active_set_newton(P, q, rows, x, keys, lam, tol, max_iters=40):
         if not np.count_nonzero(live):  # cheaper than live.any() on a small mask
             break
         if curved:
-            grads = A + (2.0 * quad * Sx)[..., None] * S
+            grads = row_grads(A, S, quad, Sx)
             J[:, :dim, :dim] = P + 2.0 * quad * (St * z[:, None, dim:]) @ S
             J[:, :dim, dim:] = grads.transpose(0, 2, 1)
             J[:, dim:, :dim] = grads
@@ -183,8 +197,8 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
     full = np.maximum(lam, 0.0)
     clipped = low < 0.0
     if np.count_nonzero(clipped):  # a clipped multiplier moves the gradient
-        A, S = rows.A[at, keys], rows.S[at, keys]
-        grads = A + 2.0 * rows.quad * (S @ x[..., None]) * S
+        S = rows.S[at, keys]
+        grads = row_grads(rows.A[at, keys], S, rows.quad, (S @ x[..., None])[..., 0])
         again = (P @ x[..., None])[..., 0] + q
         again += (grads.transpose(0, 2, 1) @ full[..., None])[..., 0]
         stat = np.where(clipped[:, None], again, stat)
@@ -230,8 +244,8 @@ def active_set_loop(P, q, rows, x, keys, budget, newton_tol, kkt_tol):
         if grow.size:  # the rank of the working and added rows' gradients at x
             at, on = idx[grow, None], keys[grow]
             S = rows.S[at, on] * (on >= 0)[..., None]
-            sv = np.linalg.svd(rows.A[at, on] * (on >= 0)[..., None] + 2.0 * rows.quad
-                               * (S @ x[at[:, 0], :, None]) * S, compute_uv=False)
+            sv = np.linalg.svd(row_grads(rows.A[at, on] * (on >= 0)[..., None], S, rows.quad,
+                                         (S @ x[at[:, 0], :, None])[..., 0]), compute_uv=False)
             rank = np.count_nonzero(sv > 1e-12 * sv[:, :1], axis=1)
             live[grow[rank < np.count_nonzero(on >= 0, axis=1)]] = False
         idx, keys, lam = idx[live], keys[live], lam[live]
@@ -358,10 +372,17 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None,
         rows when ``A`` is None, all rows linear when ``S`` is None.
     x0 : optional start point; without one the solve starts from the
         unconstrained minimizer.
-    kkt_tol : target residual (stationarity, feasibility, complementarity).
+    kkt_tol : target residual (stationarity, feasibility, complementarity),
+        absolute, so an objective with |q| above ``Q_SCALE`` is solved divided
+        by max |q|: same minimizer, multipliers scaled back.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
+    big = float(np.abs(q).max(initial=0.0))
+    if big > Q_SCALE:
+        res = solve_qcqp(P / big, q / big, A, h, S, quad, x0, kkt_tol)
+        res.lam = res.lam * big
+        return res
     if A is None:
         A, h = np.zeros((0, q.size)), np.zeros(0)
     rows = _Rows(A, h, np.zeros_like(A) if S is None else S, quad)

@@ -2,22 +2,13 @@
 
 One loop, ``_iterate``, runs every scheme: a consensus projection over the
 vehicle graph, then one batched step in which every agent maps its own
-slice, until every agent's increment is small.  Each agent's step reads
-only its own locally coupled data, so the n steps of a round are computed
-together.  The data that never changes within a run, the chain layout and
-every agent's Hessian block padded to a common width and stacked, with the
-proximal maps at each weight rho, is the ``AgentStack`` that
-``decompose_pd`` returns once per run, and the iterate is that stack
-raveled; each control step adds only its linear terms, constraint rows and
-the agents' warm memory (``LocalProblems``).  ``_AgentBatch``
-then evaluates every closed-form candidate at once, and every row only when
-a candidate has left the ball its last check certified: a check in which
-every candidate stands also bounds how far the candidates may move before
-any row could break (safe screening, El Ghaoui, Viallon & Rabbani, 2012).
-Only an agent whose candidate breaks one of its rows solves its small QCQP
-with ``smallqcqp``, from its own last full solve, which it keeps across
-control steps: the agents of a round run one stacked active-set loop
-together.
+slice of the iterate, the run's ``AgentStack`` raveled, until every agent's
+increment is small.  Each control step adds only its linear terms,
+constraint rows and the agents' warm memory (``LocalProblems``).
+``_AgentBatch`` evaluates every closed-form candidate at once, and the rows
+only when a candidate has left the ball its last check certified (safe
+screening, El Ghaoui, Viallon & Rabbani, 2012); only an agent whose
+candidate breaks a row solves its small QCQP with ``smallqcqp``.
 The schemes differ in the candidate:
 
 * ``solve_dr``: relaxed proximal step; each agent's candidate is the
@@ -33,11 +24,11 @@ constraint-free program exactly; one batched projection then puts each
 agent's block into its constraint set.
 
 Agents never read non-neighbor data: every cross-agent value moves through
-the consensus projection or the sweep's messages, which the message fabric
-carries verbatim.  A centralized reference solver provides the "true"
-solution for accuracy metrics.
+the consensus projection, ``consensus._project``, or the sweep's messages.
+A run's message fabric counts both, and checks that they cross only chain
+edges.  A centralized reference solver provides the "true" solution for
+accuracy metrics.
 """
-
 from __future__ import annotations
 
 import math
@@ -45,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import MessageFabric, VehicleGraph, _project, fabric_project
+from .consensus import MessageFabric, VehicleGraph, _project
 from .decomposition import AgentStack
 from .problem import ConstraintSet, QcqpProblem
-from .smallqcqp import KKT_TOL, InfeasibleProblem, _Rows, active_set_loop, solve_qcqp
+from .smallqcqp import (KKT_TOL, InfeasibleProblem, _Rows, active_set_loop, row_grads,
+                        solve_qcqp, stacked_rows)
 
 __all__ = [
     "SolverParams",
@@ -149,25 +141,25 @@ class LocalProblems:
     def gradient(self, W: np.ndarray) -> np.ndarray:
         return (self.stack.H @ W[..., None])[..., 0] + self.C
 
-    def failing(self, X: np.ndarray) -> list:
-        """The agents i whose X[i] breaks a row (NaN does); one max finds none.
-        Every row of every agent is evaluated, so ``_AgentBatch`` calls this
-        only for candidates outside the ball its last check certified."""
-        values = self.constraints.values(self.rows, X)
+    def failing(self, X: np.ndarray):
+        """One evaluation of every row at X: the agents i whose X[i] breaks a
+        row (NaN does), found with one max when none does, the row values and
+        each row's S X, from which ``radii`` reads the ball about X."""
+        values, Sx = stacked_rows(*self.rows, self.constraints.quad, X)
         if values.max() <= _FEASIBLE_TOL:
-            return []
-        return (~(values.max(axis=1) <= _FEASIBLE_TOL)).nonzero()[0].tolist()
+            return [], values, Sx
+        return (~(values.max(axis=1) <= _FEASIBLE_TOL)).nonzero()[0].tolist(), values, Sx
 
-    def radii(self, X: np.ndarray) -> np.ndarray:
-        """Each row's certified radius about X, (n, 5p): with v the row's
-        value at X, g its gradient norm there and c = quad |s|^2, the row
-        obeys row(X + d) <= v + g |d| + c |d|^2 exactly, so it stays at or
-        below v/2 for |d| <= 2 sigma / (g + sqrt(g^2 + 4 c sigma)),
-        sigma = -v/2.  A row at or above 0 certifies nothing: radius 0."""
+    def radii(self, values: np.ndarray, Sx: np.ndarray) -> np.ndarray:
+        """Each row's certified radius, (n, 5p), about the X at which
+        ``failing`` read ``values`` and ``Sx``: with v the row's value, g its
+        gradient norm and c = quad |s|^2, row(X + d) <= v + g |d| + c |d|^2
+        exactly, so it stays at or below v/2 for |d| <= 2 sigma / (g +
+        sqrt(g^2 + 4 c sigma)), sigma = -v/2; 0 for a row at or above 0."""
         A, _, S = self.rows
         quad = self.constraints.quad
-        sigma = np.maximum(-0.5 * self.constraints.values(self.rows, X), 0.0)
-        G = A + 2.0 * quad * (S @ X[..., None]) * S
+        sigma = np.maximum(-0.5 * values, 0.0)
+        G = row_grads(A, S, quad, Sx)
         g = np.sqrt(np.einsum("...k,...k", G, G))
         den = g + np.sqrt(g * g + 4.0 * quad * np.einsum("...k,...k", S, S) * sigma)
         return np.divide(2.0 * sigma, den, out=np.zeros_like(den), where=den > 0)
@@ -195,18 +187,18 @@ class _AgentBatch:
     closed-form candidate stands when it meets all the agent's rows (the
     fast path); only the agents whose candidate breaks a row solve their
     QCQP.  A round whose rows were evaluated and all stand keeps its
-    candidates and their smallest row radius (``LocalProblems.radii``) as
-    the ``ball``.  A later round whose candidates lie within it in total,
-    sum_i |X_i - anchor_i|^2 <= r^2, stands without evaluating a row; a
-    round with a failing agent drops the ball.  Every decision is the one
-    that evaluating the rows would make: within the ball each row stays at
-    or below half its anchor value, below 0 by far more than the rounding
-    of its evaluation.  ``warm`` holds each agent's last full solve of each
-    kind, its point and active rows: seeded from the problems' ``warm``
-    (copied, so a solve never changes its inputs) and updated by every full
-    solve, it carries an agent's active set across rounds and, through
+    candidates and that evaluation as the ``ball``, whose radius r, the
+    smallest row radius (``LocalProblems.radii``), is computed at its first
+    use (a warm-up's one projection never needs it).  A later round with
+    sum_i |X_i - anchor_i|^2 <= r^2 stands without evaluating a row; a round
+    with a failing agent drops the ball.  Every decision is the one that
+    evaluating the rows would make: within the ball each row stays at or
+    below half its anchor value, below 0 by far more than its rounding.
+    ``warm`` holds each agent's last full solve of each kind, its point and
+    active rows: copied from the problems' ``warm`` and updated by every
+    full solve, it carries an agent's active set across rounds and, through
     ``SolveReport.warm``, across control steps.  A round's failing agents
-    that hold memory of the kind run it through one stacked active-set loop
+    that hold memory of the kind run one stacked active-set loop
     (``smallqcqp.active_set_loop``); an agent that holds none calls
     ``solve_qcqp`` cold, and one whose loop gives up calls it from its warm
     point.  With ``rho``, the proximal maps come from the stack.
@@ -223,7 +215,8 @@ class _AgentBatch:
         self.calls = 0
         self.full = [0] * stack.n
         self.warm = [dict(w) for w in problems.warm]
-        self.ball = None  # (anchor, squared radius) of the last all-standing check
+        self.ball = None  # (anchor, row values, S anchor) of the last all-standing check
+        self.radius2 = None  # the ball's squared radius, once computed
         self._eye = np.broadcast_to(np.eye(stack.H.shape[-1]), stack.H.shape)
 
     def prox(self, Y: np.ndarray) -> np.ndarray:
@@ -243,11 +236,15 @@ class _AgentBatch:
         stacked and padded for the agents ``i``."""
         self.calls += 1
         if self.ball is not None:
-            d = (X - self.ball[0]).ravel()
-            if d @ d <= self.ball[1]:  # every row stands (a NaN is never inside)
+            anchor, values, Sx = self.ball
+            if self.radius2 is None:
+                self.radius2 = self.problems.radii(values, Sx).min() ** 2
+            d = (X - anchor).ravel()
+            if d @ d <= self.radius2:  # every row stands (a NaN is never inside)
                 return X
-        failing = self.problems.failing(X)
-        self.ball = None if failing else (X.copy(), self.problems.radii(X).min() ** 2)
+        failing, values, Sx = self.problems.failing(X)
+        self.ball = None if failing else (X.copy(), values, Sx)
+        self.radius2 = None
         held = [i for i in failing if kind in self.warm[i]]
         taken = self._warm_loop(X, kind, objective, held) if held else ()
         for i in failing:
@@ -314,18 +311,20 @@ class SolveReport:
 def _iterate(batch, params, step, z0=None, fabric=None, momentum=None):
     """The iteration loop of every splitting scheme.
 
-    Each round projects onto the consensus subspace (through ``fabric``
-    when given), maps every agent's own slice at once with ``step(Z, W)``,
-    Z and W the iterate (padding 0, whatever ``z0`` holds there) and the
-    projected point reshaped to the agents' padded stack, and stops once
-    each agent's increment is at most tol/n.  The projected point is the
-    current iterate, or ``momentum(z, w)`` when given, with ``w`` the
-    previous projection.
+    Each round projects onto the consensus subspace (one ``_project`` call,
+    which ``fabric``, when given, counts), maps every agent's own slice at
+    once with ``step(Z, W)``, Z and W the iterate (padding 0, whatever
+    ``z0`` holds there) and the projected point reshaped to the agents'
+    padded stack, and stops once each agent's increment is at most tol/n.
+    The projected point is the current iterate, or ``momentum(z, w)`` when
+    given, with ``w`` the previous projection.
     """
     layout = batch.stack.layout
 
     def project(vec):
-        return _project(vec, layout) if fabric is None else fabric_project(vec, layout, fabric)
+        if fabric is not None:
+            fabric.projection(layout)
+        return _project(vec, layout)
 
     starts = np.arange(0, layout.dim, layout.width)
     per_agent_tol = params.tol / len(starts)
@@ -459,7 +458,7 @@ def solve_centralized(prob: QcqpProblem) -> np.ndarray:
     return res.x
 
 
-def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: VehicleGraph):
+def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, fabric: MessageFabric):
     """Initial iterate from the exact constraint-free minimizer.
 
     W is block tridiagonal along the chain, so the minimizer of 1/2 u'Wu + c'u
@@ -469,14 +468,14 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: Vehi
     Forward, vehicle i receives g_{i-1}, p floats, and keeps
     g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}.  Backward, it receives u_{i+1} and
     solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).  Every message crosses
-    one chain edge in a one-speaker fabric round (``MessageFabric.send``);
-    each agent then projects its block onto its constraint set, all in one
-    batch, warm-started from ``problems.warm``.
-    Returns z0, the fabric rounds, 2(n - 1), and the agents' memory after
-    the projection, which seeds the step's solve.
+    one chain edge in a one-speaker round of the run's ``fabric``
+    (``MessageFabric.send``); each agent then projects its block onto its
+    constraint set, all in one batch, warm-started from ``problems.warm``.
+    Returns z0, this sweep's fabric rounds, 2(n - 1), and the agents' memory
+    after the projection, which seeds the step's solve.
     """
-    n, fabric, stack = prob.n, MessageFabric(graph), problems.stack
-    batch = _AgentBatch(problems, graph)
+    n, stack, start = prob.n, problems.stack, fabric.round
+    batch = _AgentBatch(problems, fabric.graph)
     S, c = prob.schur, prob.c.reshape(n, -1)
     g = [-c[0]]
     for i in range(1, n):
@@ -487,4 +486,4 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, graph: Vehi
         u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ fabric.send(i + 1, i, u[i + 1]))
 
     w = stack.layout.scatter_controls(np.concatenate(u))
-    return batch.project(w.reshape(n, -1)).ravel(), fabric.round, tuple(batch.warm)
+    return batch.project(w.reshape(n, -1)).ravel(), fabric.round - start, tuple(batch.warm)

@@ -182,6 +182,11 @@ class PerAgentStep:
         return res.x
 
 
+def agent_slice(layout, i):
+    """Agent i's entries of a layout vector, padding excluded."""
+    return slice(i * layout.width, i * layout.width + layout.dims[i])
+
+
 def per_agent_solve(problems, graph, params, z0=None):
     """The splitting loop with one ``PerAgentStep`` call per agent per
     round, for every variant; returns (u_star, iterations, per-agent
@@ -192,7 +197,7 @@ def per_agent_solve(problems, graph, params, z0=None):
 
     layout = AugmentedLayout(graph, problems.stack.p)
     agents = [PerAgentStep(problems, i, params.rho) for i in range(graph.n)]
-    slices = [layout.agent_slice(i) for i in range(len(agents))]
+    slices = [agent_slice(layout, i) for i in range(len(agents))]
     L = max(float(np.linalg.norm(a.hessian, 2)) for a in agents)
     accel = params.variant == "three-op-accel"
     if params.variant == "dr":

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonmpc.consensus import (AugmentedLayout, MessageFabric, SimulationFault,
-                                  VehicleGraph, _project, fabric_project)
+                                  VehicleGraph, _project)
+
+from conftest import agent_slice
 
 
 def lstsq_projection_oracle(vec, layout):
@@ -86,49 +88,95 @@ def test_fixed_points_are_exactly_consensus(rng):
     assert np.linalg.norm(_project(vec2, layout) - vec2) > 1e-3
 
 
-def test_exchange_topology_and_isolation():
+def block(vec, layout, i, j=None):
+    """Agent i's own block of ``vec``, or its copy of vehicle j when j is given."""
+    start = layout.positions[i][i if j is None else j]
+    return vec[start:start + layout.p]
+
+
+def reference_exchange(graph, outgoing, rounds):
+    """One bulk-synchronous round, message by message: outgoing[i][j] is
+    agent i's payload for neighbor j; returns received[i][j], the payload j
+    sent to i.  Every agent must post to each neighbor and to no one else;
+    the round's messages are appended to ``rounds`` as one list."""
+    for i in range(graph.n):
+        assert sorted(outgoing[i]) == graph.neighbors(i), i
+    rounds.append([msg for i in range(graph.n) for msg in outgoing[i].values()])
+    return {i: {j: outgoing[j][i] for j in graph.neighbors(i)} for i in range(graph.n)}
+
+
+def reference_project(vec, layout, rounds):
+    """The consensus projection computed message by message: each agent
+    sends its copy of each neighbor's block to that neighbor, every owner
+    averages its own block with the copies in ascending holder index, then
+    sends the average back so the neighbors refresh their copies.  Each
+    round's messages are appended to ``rounds``."""
+    g = layout.graph
+    got = reference_exchange(g, {i: {j: block(vec, layout, i, j) for j in g.neighbors(i)}
+                                 for i in range(g.n)}, rounds)
+    avg = []
+    for j in range(g.n):
+        acc = block(vec, layout, j).copy()
+        for k in g.neighbors(j):
+            acc += got[j][k]
+        avg.append(acc / (1 + len(g.neighbors(j))))
+    got = reference_exchange(g, {i: dict.fromkeys(g.neighbors(i), avg[i])
+                                 for i in range(g.n)}, rounds)
+    return np.concatenate([blk for i in range(g.n)
+                           for blk in [avg[i]] + [got[i][j] for j in g.neighbors(i)]
+                           + [np.zeros(layout.width - layout.dims[i])]])
+
+
+def test_exchange_topology_and_isolation(rng):
+    # a projection's two rounds carry a value at most two chain edges: what
+    # an agent holds after it reads nothing of agents three or more away
     g = VehicleGraph.chain(6)
-    outgoing = {i: {j: np.array([10.0 * i + j]) for j in g.neighbors(i)} for i in range(6)}
-    # plant a sentinel at agent 5
-    outgoing[5] = {j: np.array([999.0]) for j in g.neighbors(5)}
-    received = MessageFabric(g).exchange(outgoing)
-    assert sorted(received[1].keys()) == [0, 2]
-    assert sorted(received[2].keys()) == [1, 3]
-    for agent in (0, 1, 2, 3):
-        seen = [float(v) for msg in received[agent].values() for v in np.atleast_1d(msg)]
-        assert 999.0 not in seen
-    # a one-speaker round reaches a neighbor only, and a refused one counts no round
+    layout = AugmentedLayout(g, 2)
+    v = rng.normal(size=layout.dim)
+    planted = v.copy()
+    planted[agent_slice(layout, 5)] = 999.0  # a sentinel at agent 5
+    before, after = _project(v, layout), _project(planted, layout)
+    for agent in range(6):
+        sl = agent_slice(layout, agent)
+        assert np.array_equal(before[sl], after[sl]) == (agent <= 2), agent
+    # a one-speaker round reaches a neighbor only, and a refused one counts nothing
     fabric = MessageFabric(g)
-    assert fabric.send(2, 3, "payload") == "payload" and fabric.round == 1
+    assert fabric.send(2, 3, np.zeros(3)).shape == (3,)
+    assert (fabric.round, fabric.messages, fabric.floats) == (1, 1, 3)
     for src, dst in ((0, 2), (5, 0), (3, 3)):
         with pytest.raises(SimulationFault):
-            fabric.send(src, dst, "payload")
-    assert fabric.round == 1
+            fabric.send(src, dst, np.zeros(3))
+    assert (fabric.round, fabric.messages, fabric.floats) == (1, 1, 3)
 
 
-def test_exchange_missing_post():
-    fabric = MessageFabric(VehicleGraph.chain(3))
-    outgoing = {0: {1: np.zeros(1)},
-                1: {0: np.zeros(1)}}  # agent 1 forgot neighbor 2; agent 2 missing
-    with pytest.raises(SimulationFault):
-        fabric.exchange(outgoing)
-    outgoing = {0: {1: np.zeros(1)},
-                1: {0: np.zeros(1), 2: np.zeros(1)},
-                2: {0: np.zeros(1), 1: np.zeros(1)}}  # 2 messages non-neighbor 0
-    with pytest.raises(SimulationFault):
-        fabric.exchange(outgoing)
+def test_layout_leaving_the_chain_is_refused():
+    # the fabric checks a layout's index arrays at its first projection: a
+    # copy gathered from a non-neighbor holder, an average scattered to one,
+    # or an average returned along an edge no copy came by raises, and the
+    # refused projection counts nothing
+    def moved(what):
+        layout = AugmentedLayout(VehicleGraph.chain(5), 2)
+        if what == "gather":
+            # vehicle 3's copy held by agent 2 read from agent 0's own block instead
+            layout.from_prev[2 * 2] = layout.positions[0][0]
+        elif what == "scatter":
+            # agent 0's copy of vehicle 1 relabelled a copy of vehicle 3
+            layout.owner[layout.positions[0][1]] = 3 * 2
+        else:
+            # vehicle 3's copy gathered twice from agent 4, never from agent 2,
+            # whose copy still receives the average
+            layout.from_prev[2 * 2:3 * 2] = layout.from_next[3 * 2:4 * 2]
+        return layout
 
-
-class CountingFabric(MessageFabric):
-    """A fabric that keeps every message posted to it."""
-
-    def __init__(self, graph):
-        super().__init__(graph)
-        self.posts = []
-
-    def exchange(self, outgoing):
-        self.posts.extend(msg for box in outgoing.values() for msg in box.values())
-        return super().exchange(outgoing)
+    for what, match in (("gather", "non-neighbor"), ("scatter", "non-neighbor"),
+                        ("return", "no gather edge")):
+        fabric = MessageFabric(VehicleGraph.chain(5))
+        with pytest.raises(SimulationFault, match=match):
+            fabric.projection(moved(what))
+        assert (fabric.round, fabric.messages, fabric.floats) == (0, 0, 0)
+    fabric = MessageFabric(VehicleGraph.chain(5))
+    fabric.projection(AugmentedLayout(VehicleGraph.chain(5), 2))
+    assert fabric.round == 2
 
 
 CHAINS = list(product(range(2, 7), range(1, 6)))  # (n, p): both chain ends, every horizon
@@ -146,20 +194,26 @@ def test_padded_entries_are_zero(rng, n, p):
     assert np.flatnonzero(pad).tolist() == ends
     v = rng.normal(size=layout.dim)
     assert (v[pad] != 0).all()
-    for out in (_project(v, layout), fabric_project(v, layout, MessageFabric(layout.graph)),
+    for out in (_project(v, layout), reference_project(v, layout, []),
                 layout.scatter_controls(rng.normal(size=n * p))):
         assert out.shape == (layout.dim,) and (out[pad] == 0).all()
 
 
 @pytest.mark.parametrize("n,p", CHAINS, ids=[f"n{n}-p{p}" for n, p in CHAINS])
 def test_fabric_projection_bit_identical(rng, n, p):
+    # _project gives the message-by-message projection bit for bit, and the
+    # fabric counts its rounds, messages and floats
     g = VehicleGraph.chain(n)
     layout = AugmentedLayout(g, p)
-    fabric = CountingFabric(g)
+    fabric, rounds = MessageFabric(g), []
     v = rng.normal(size=layout.dim)
-    direct = _project(v, layout)
-    via_fabric = fabric_project(v, layout, fabric)
-    assert np.array_equal(direct, via_fabric)  # bit-for-bit
-    assert fabric.round == 2
-    assert len(fabric.posts) == 2 * 2 * (n - 1)  # two phases, two directions per edge
-    assert all(np.shape(msg) == (p,) for msg in fabric.posts)  # one block per message
+    reference = reference_project(v, layout, rounds)
+    fabric.projection(layout)
+    assert np.array_equal(_project(v, layout), reference)  # bit-for-bit
+    assert fabric.round == len(rounds) == 2
+    posts = [msg for sent in rounds for msg in sent]
+    assert fabric.messages == len(posts) == 2 * 2 * (n - 1)  # two phases, two directions per edge
+    assert all(np.shape(msg) == (p,) for msg in posts)  # one block per message
+    assert fabric.floats == sum(np.size(msg) for msg in posts) == 4 * (n - 1) * p
+    fabric.projection(layout)  # checked once, counted every time
+    assert (fabric.round, fabric.messages, fabric.floats) == (4, 8 * (n - 1), 8 * (n - 1) * p)

@@ -84,6 +84,8 @@ def test_emit_results_and_recompute(tmp_path, rng):
     max_dev = max(abs(r[1] - res.gap) for r in rows)
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert metrics["max_dev_first_gap"] == pytest.approx(max_dev, rel=1e-12)
+    assert metrics["solver"]["rounds_median"] == float(np.median(res.rounds))
+    assert metrics["solver"]["floats_median"] == float(np.median(res.floats))
 
 
 def test_determinism_same_seed_same_files(tmp_path):
@@ -152,6 +154,35 @@ def test_warmup_memory_seeds_the_solve(monkeypatch):
     assert len(seen) == len(returned) == spec.duration
     assert all(s is r for s, r in zip(seen, returned))
     assert 0 < sum(cold) <= 10
+
+
+@pytest.mark.parametrize("warm_start", ["prev-solution", "warmup-projection"])
+def test_rounds_count_the_protocol(monkeypatch, warm_start):
+    # each step's fabric traffic is two rounds and 4(n - 1)p floats per
+    # consensus projection, plus the warm-up sweep's 2(n - 1) rounds of p
+    # floats under the warm-up start
+    import platoonmpc.harness as harness
+    import platoonmpc.solvers as solvers
+
+    per_step, project, build = [], solvers._project, harness.build_qcqp
+
+    def counted(*args):
+        per_step[-1] += 1
+        return project(*args)
+
+    def step_start(*args, **kwargs):
+        per_step.append(0)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_project", counted)
+    monkeypatch.setattr(harness, "build_qcqp", step_start)
+    res = run_scenario(scenario_builtin("s3-synthetic", p=2, seed=1, warm_start=warm_start))
+    n, p = res.commanded.shape[1], 2
+    sweep = 2 * (n - 1) if warm_start == "warmup-projection" else 0
+    assert len(per_step) == len(res.rounds) and min(per_step) > 0
+    assert res.warmup_iterations.tolist() == [sweep] * len(per_step)
+    assert res.rounds.tolist() == [2 * k + sweep for k in per_step]
+    assert res.floats.tolist() == [4 * (n - 1) * p * k + sweep * p for k in per_step]
 
 
 def test_noise_free_run_leaves_numpy_random_unloaded():

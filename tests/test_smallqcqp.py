@@ -379,6 +379,32 @@ def test_far_starts_on_random_qcqps():
         np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-7, err_msg=str(draw))
 
 
+def test_large_objectives_solve_optimal():
+    """random_qcqp draws with q scaled up to x1000 (seeds 100-109 and
+    200-209), and draws all scaled x1000 (seeds 100-104), where the
+    barrier's multipliers turn to noise before its path ends: every cold
+    solve of a draw with |q| above 250 is optimal, and its point and
+    multipliers meet the unscaled problem's KKT conditions relative to |q|."""
+    solved = 0
+    for seeds, q_scales in (([*range(100, 110), *range(200, 210)], (1.0, 10.0, 100.0, 1000.0)),
+                            (range(100, 105), (1000.0,))):
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            for draw in range(100):
+                P, q, A, h, S = random_qcqp(rng, q_scales=q_scales)
+                big = np.abs(q).max()
+                if big <= 250.0:
+                    continue
+                res = solve_qcqp(P, q, A, h, S, 0.5)
+                assert res.status == "optimal" and res.kkt_residual <= 1e-9, (seed, draw)
+                f = row_values(A, h, S, 0.5, res.x)
+                stat = P @ res.x + q + _Rows(A, h, S, 0.5).grads(res.x).T @ res.lam
+                assert (res.lam >= 0).all() and f.max() <= 1e-9, (seed, draw)
+                assert max(np.abs(stat).max(), np.abs(res.lam * f).max()) <= 1e-9 * big, (seed, draw)
+                solved += 1
+    assert solved >= 1000, solved
+
+
 def newton_one(P, q, A, h, S, quad, x, tol, lam=None, max_iters=40):
     """Reference: one problem's Newton solve on its working rows (A, h, S)
     from (x, lam), lam zero when not given, with the dense KKT system and

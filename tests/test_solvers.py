@@ -14,7 +14,7 @@ from platoonmpc.solvers import (SOLVERS, LocalProblems, ProxSolveError, SolverPa
                                 solve_centralized, solve_dr, solve_three_op,
                                 solve_three_op_accel, warmup_initial_guess)
 
-from conftest import per_agent_solve, random_state, random_weights, small_config
+from conftest import agent_slice, per_agent_solve, random_state, random_weights, small_config
 
 from test_smallqcqp import box_qp_enumeration_oracle
 
@@ -83,9 +83,9 @@ def test_local_problem_layout(rng):
     assert prev_blocks(0) == []
     assert prev_blocks(1) == [1]
     assert prev_blocks(3) == [1]
-    # the solvers and the warm start refuse a graph of another size
+    # the solvers and the warm start refuse a graph (a fabric) of another size
     for call in (lambda g: solve_dr(problems, g, default_params_for_horizon(2)),
-                 lambda g: warmup_initial_guess(prob, problems, g)):
+                 lambda g: warmup_initial_guess(prob, problems, MessageFabric(g))):
         with pytest.raises(ValueError, match="vehicles"):
             call(VehicleGraph.chain(5))
 
@@ -126,7 +126,7 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
         Z = layout.scatter_controls(u).reshape(n, -1)
         rep = check_membership(prob, u, tol=1e-11)
         values = prob.constraints.values(problems.rows, Z)
-        failing = problems.failing(Z)
+        failing = problems.failing(Z)[0]
         for i in range(n):
             val = values[i].reshape(5, p)
             np.testing.assert_allclose(val[0:2].max(axis=0), rep.box[i], rtol=0, atol=1e-12)
@@ -191,13 +191,13 @@ def test_all_standing_round_skips_the_full_path(rng):
     n = 4
     _, prob, problems, graph = make_instance(rng, n, 2, steady=True)
     X = np.zeros(problems.stack.H.shape[:2])
-    assert problems.failing(X) == []
+    assert problems.failing(X)[0] == []
     batch, sent = _AgentBatch(problems, graph), []
     batch._solve = lambda X, i, kind, objective: sent.append(i)
     batch.project(X)
     assert batch.calls == 1 and batch.full == [0] * n and not sent
     X[2, 1] = np.nan
-    assert problems.failing(X) == [2]
+    assert problems.failing(X)[0] == [2]
     batch.project(X)
     assert batch.calls == 2 and batch.full == [0, 0, 1, 0] and sent == [2]
 
@@ -217,7 +217,9 @@ def test_certified_radius_keeps_rows_at_half_their_value(rng, p):
         X = np.zeros(problems.stack.H.shape[:2])
         for i, d in enumerate(dims):
             X[i, :d] = scale * rng.normal(size=d)
-        values, radii = problems.constraints.values(problems.rows, X), problems.radii(X)
+        _, values, Sx = problems.failing(X)
+        assert values.tobytes() == problems.constraints.values(problems.rows, X).tobytes()
+        radii = problems.radii(values, Sx)
         for i in np.flatnonzero(values.max(axis=1) < 0):
             standing += 1
             v, rows = values[i], (A[i], h[i], S[i])
@@ -264,7 +266,7 @@ def test_candidate_leaving_the_ball_is_evaluated_again(rng, monkeypatch):
     batch._solve = lambda X, i, kind, objective: sent.append(i)
     anchor = np.zeros(problems.stack.H.shape[:2])
     anchor[:, :3] = 0.01 * rng.normal(size=(n, 3))
-    radius = problems.radii(anchor).min()
+    radius = problems.radii(*problems.failing(anchor)[1:]).min()
     step = np.zeros_like(anchor)
     step[1, :3] = rng.normal(size=3)
     step /= np.linalg.norm(step)
@@ -458,7 +460,8 @@ def test_centralized_box_active_matches_enumeration(rng):
 
 def test_fabric_driver_bit_identical_every_variant(rng, monkeypatch):
     # through the message fabric every variant gives the direct answer bit
-    # for bit, at two exchange rounds per consensus projection
+    # for bit, with the same _project calls, and the fabric counts two
+    # exchange rounds, 4(n - 1) messages and 4(n - 1)p floats per projection
     import platoonmpc.solvers as solvers
 
     _, prob, locals_, graph = make_instance(rng, 4, 2)
@@ -480,10 +483,13 @@ def test_fabric_driver_bit_identical_every_variant(rng, monkeypatch):
         assert projections == base.iterations + (variant == "three-op-accel"), variant
 
         fabric = MessageFabric(graph)
+        calls.clear()
         via_fabric = fn(locals_, graph, params, fabric=fabric)
+        assert len(calls) == projections, variant
         assert np.array_equal(base.u_star, via_fabric.u_star), variant
         assert via_fabric.iterations == base.iterations, variant
         assert fabric.round == 2 * projections, variant
+        assert (fabric.messages, fabric.floats) == (12 * projections, 24 * projections), variant
 
 
 @pytest.mark.parametrize("n,p", [(3, 1), (5, 3)])
@@ -494,7 +500,7 @@ def test_padded_entries_stay_zero(rng, n, p):
     _, prob, locals_, graph = make_instance(rng, n, p)
     pad = locals_.stack.layout.owner < 0
     assert pad.sum() == 2 * p
-    z0, _, _ = warmup_initial_guess(prob, locals_, graph)
+    z0, _, _ = warmup_initial_guess(prob, locals_, MessageFabric(graph))
     assert (z0[pad] == 0).all()
     dirty = rng.normal(size=pad.size)
     for variant, solve in SOLVERS.items():
@@ -517,7 +523,7 @@ def test_nonconvergence_reported(rng):
 
 def test_warmup_feasible_unconstrained_optimum(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    z0, wu_iters, _ = warmup_initial_guess(prob, locals_, graph)
+    z0, wu_iters, _ = warmup_initial_guess(prob, locals_, MessageFabric(graph))
     u_ref = solve_centralized(prob)
     W = prob.hessian_dense()
     interior = np.linalg.solve(W, -prob.c)
@@ -533,7 +539,7 @@ def test_warmup_feasible_unconstrained_optimum(rng):
 
 def test_warmup_zero_state(rng):
     _, prob, locals_, graph = make_instance(rng, 3, 1, steady=True)
-    z0, _, _ = warmup_initial_guess(prob, locals_, graph)
+    z0, _, _ = warmup_initial_guess(prob, locals_, MessageFabric(graph))
     np.testing.assert_allclose(z0, 0.0, atol=1e-12)
 
 
@@ -544,7 +550,7 @@ def test_warmup_is_exact_chain_solve(rng):
     for n in (2, 3, 5, 10):
         for p in range(1, 6):
             _, prob, locals_, graph = make_instance(rng, n, p)
-            z0, rounds, _ = warmup_initial_guess(prob, locals_, graph)
+            z0, rounds, _ = warmup_initial_guess(prob, locals_, MessageFabric(graph))
             assert rounds == 2 * (n - 1)
             u = np.linalg.solve(prob.hessian_dense(), -prob.c)
             if check_membership(prob, u).feasible:
@@ -567,8 +573,11 @@ def test_warmup_messages_carry_p_floats(rng, monkeypatch):
     for n, p in ((2, 1), (5, 3), (10, 5)):
         _, prob, locals_, graph = make_instance(rng, n, p)
         sent.clear()
-        _, rounds, _ = warmup_initial_guess(prob, locals_, graph)
-        assert rounds == 2 * (n - 1)
+        fabric = MessageFabric(graph)
+        fabric.round = 7  # a run's fabric: the sweep reports its own rounds
+        _, rounds, _ = warmup_initial_guess(prob, locals_, fabric)
+        assert rounds == 2 * (n - 1) and fabric.round == 7 + rounds
+        assert fabric.messages == rounds and fabric.floats == rounds * p
         assert sent == ([(i - 1, i, (p,)) for i in range(1, n)]
                         + [(i + 1, i, (p,)) for i in range(n - 2, -1, -1)])
 
@@ -589,7 +598,7 @@ def test_termination_certificates(rng):
     np.testing.assert_allclose(_project(w, layout), w, atol=1e-14)
     X = _AgentBatch(locals_, graph, params.rho).prox((2 * w - z).reshape(graph.n, -1)).ravel()
     for i in range(graph.n):
-        sl = layout.agent_slice(i)
+        sl = agent_slice(layout, i)
         assert np.linalg.norm(X[sl] - w[sl]) <= params.tol
 
 

@@ -1,0 +1,65 @@
+"""SHA-256 digests of the seven reference closed-loop runs.
+
+Run from anywhere; it imports the package from the checkout it lives in:
+
+    python3 tools/closed_loop_digest.py
+
+For each run (``s1`` and ``s2`` at p = 1 and 5; ``s3-synthetic`` seed 1 at
+p = 1 and 5 with the warm-up start; seed 7 at p = 5) it prints one line of
+digests: the ``commanded`` bytes, every step's ``u_star`` bytes, the
+per-step DR iterations and warm-up rounds, and every step's per-agent
+(fast, full) proximal counts.  Two checkouts that print the same lines
+computed the same closed loops bit for bit.
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+import platoonmpc.harness as harness  # noqa: E402
+
+RUNS = (
+    ("s1", 1, 0, None),
+    ("s1", 5, 0, None),
+    ("s2", 1, 0, None),
+    ("s2", 5, 0, None),
+    ("s3-synthetic", 1, 1, "warmup-projection"),
+    ("s3-synthetic", 5, 1, "warmup-projection"),
+    ("s3-synthetic", 5, 7, "warmup-projection"),
+)
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()[:16]
+
+
+def main():
+    reports, solve = [], harness.solve_variant
+
+    def recorded(*args, **kwargs):
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+
+    harness.solve_variant = recorded
+    for name, p, seed, warm_start in RUNS:
+        reports.clear()
+        result = harness.run_scenario(harness.scenario_builtin(name, p=p, seed=seed,
+                                                               warm_start=warm_start))
+        counts = np.array([r.agent_prox_stats for r in reports], dtype=np.int64)
+        print(f"{name} p={p} seed={seed} start={warm_start or 'prev-solution'}: "
+              f"commanded {digest(result.commanded)} "
+              f"u_star {digest(*(r.u_star for r in reports))} "
+              f"iterations {digest(np.array([r.iterations for r in reports], dtype=np.int64))} "
+              f"warmup {digest(result.warmup_iterations.astype(np.int64))} "
+              f"prox {digest(counts)}")
+
+
+if __name__ == "__main__":
+    main()
