@@ -62,9 +62,8 @@ def _load_config(path, horizon):
 
 def _cmd_simulate(args):
     cfg, weights, params = _load_config(args.config, args.horizon)
-    params.variant = args.variant
-    if args.warmup:
-        params.warm_start = "warmup-projection"
+    params = replace(params, variant=args.variant,
+                     warm_start="warmup-projection" if args.warmup else params.warm_start)
     if args.scenario in BUILTIN_SCENARIOS:
         spec = scenario_builtin(args.scenario, p=cfg.horizon, variant=args.variant,
                                 seed=args.seed, noise=args.noise,
@@ -96,7 +95,7 @@ def _cmd_analyze(args):
 
 def _cmd_solve_once(args):
     cfg, weights, params = _load_config(args.config, args.horizon)
-    params.variant = args.variant
+    params = replace(params, variant=args.variant)
     with open(args.state) as fh:
         raw = json.load(fh)
     state = PlatoonState(x=np.asarray(raw["x"], dtype=float),

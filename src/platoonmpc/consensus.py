@@ -57,7 +57,10 @@ class AugmentedLayout:
     holds its own p-block first, then copies of each neighbor's block in
     ascending neighbor index, then padding, 0 in every vector this module
     returns.  The fixed ordering pins serialization and floating-point
-    summation order across runs.
+    summation order across runs.  So every agent i >= 1 holds its
+    predecessor's copy in columns [p, 2p) of its segment, and agent 0 holds
+    vehicle 1 there: ``ConstraintSet``'s row skeleton, laid out over
+    [own, predecessor, successor], serves every agent as it is.
 
     One set of index arrays states the layout, the embedding and the
     consensus projection:

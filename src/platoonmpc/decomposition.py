@@ -71,22 +71,17 @@ def stage_blocks(weights: WeightSchedule, tau: float) -> np.ndarray:
 
 class AgentStack:
     """What the agents know for a whole run, as ``decompose_pd`` returns it:
-    the chain ``layout`` and every agent's Hessian block gathered over it,
-    padded to the layout's ``width`` and stacked as ``H`` (n, width, width).
-    ``prev`` is the column of each agent's copy of its predecessor (-1 for
-    the first vehicle), ``deltas`` the margins handed down the chain,
-    ``lambda_min`` each block's smallest eigenvalue, and ``L`` and ``mu``
-    the largest and smallest eigenvalues over the blocks, from which the
-    three-operator step sizes derive.
+    the chain ``layout`` and every agent's Hessian block over its segment's
+    columns (own vehicle first), padded to the layout's ``width`` and
+    stacked as ``H`` (n, width, width).  ``deltas`` are the margins handed
+    down the chain, ``lambda_min`` each unpadded block's smallest
+    eigenvalue, and ``L`` and ``mu`` the largest and smallest eigenvalues
+    over the blocks, from which the three-operator step sizes derive.
     """
 
-    def __init__(self, layout: AugmentedLayout, blocks, deltas):
-        self.layout, self.n, self.p = layout, layout.graph.n, layout.p
-        self.H = np.zeros((self.n, layout.width, layout.width))
-        for Hi, block in zip(self.H, blocks):
-            Hi[:len(block), :len(block)] = block
-        self.prev = np.array([order.index(i - 1) * self.p if i else -1
-                              for i, order in enumerate(layout.var_order)])
+    def __init__(self, layout: AugmentedLayout, H: np.ndarray, deltas):
+        self.layout, self.n, self.p, self.H = layout, layout.graph.n, layout.p, H
+        blocks = [Hi[:d, :d] for Hi, d in zip(H, layout.dims)]
         self.deltas = tuple(deltas)
         self.lambda_min = np.array([np.linalg.eigvalsh(block).min() for block in blocks])
         self.L = max(float(np.linalg.norm(block, 2)) for block in blocks)
@@ -120,41 +115,43 @@ def decompose_pd(U: np.ndarray) -> AgentStack:
     two agents that see all its vehicles.  Positive definiteness is then
     propagated down the chain: each agent hands a margin ``delta`` (half its
     current smallest eigenvalue) on the vehicle pair it shares with the
-    next agent to that agent.  The split runs over each agent's vehicles in
-    ascending order; the blocks are then gathered own vehicle first.  The
-    sum of the embedded blocks equals the central Hessian exactly.
+    next agent to that agent.  Every term and margin is written straight
+    into the padded stack at the agents' columns (``layout.positions``);
+    each smallest eigenvalue is read with the block's vehicles ascending.
+    The sum of the embedded blocks equals the central Hessian exactly.
     """
     n, p = len(U), U.shape[1]
     layout = AugmentedLayout(VehicleGraph.chain(n), p)
-    vehicles = [sorted(order) for order in layout.var_order]
-    mats = [np.zeros((p * len(v), p * len(v))) for v in vehicles]
+    width = layout.width
 
-    def window(a, vs):  # agent a's coordinates of the consecutive vehicles vs
-        start = vehicles[a].index(vs[0]) * p
-        return slice(start, start + len(vs) * p)
+    def at(a, vs):  # agent a's (vs, vs) block, vs in that order, in the stack's rows
+        idx = (np.array([layout.positions[a][v] for v in vs])[:, None] + np.arange(p)).ravel()
+        return np.ix_(idx, idx % width)
 
+    # terms[j]: term j's block in each of the two agents that hold all its vehicles
+    terms = [(at(0, (0,)), at(1, (0,)))]
+    terms += [(at(j - 1, (j - 1, j)), at(j, (j - 1, j))) for j in range(1, n)]
+    ascending = [at(a, sorted(order)) for a, order in enumerate(layout.var_order)]
+    H = np.zeros((n, width, width))
+    rows = H.reshape(-1, width)  # agent a's row r is row a * width + r
     for j, half in enumerate(0.5 * U):
-        vs, d = ((j - 1, j), np.array([1.0, -1.0])) if j else ((0,), np.ones(1))
+        d = np.array([1.0, -1.0]) if j else np.ones(1)
         # the Kronecker product d d' (x) half, without np.kron's overhead
         term = (np.outer(d, d)[:, None, :, None] * half[:, None]).reshape(len(d) * p, -1)
-        for a in (max(j - 1, 0), max(j, 1)):  # the two agents that hold all of vs
-            w = window(a, vs)
-            mats[a][w, w] += term
+        for block in terms[j]:
+            rows[block] += term
 
-    deltas = []
+    deltas, eye = [], np.eye(2 * p)
     for a in range(n - 1):
-        lam = float(np.linalg.eigvalsh(mats[a]).min())
+        lam = float(np.linalg.eigvalsh(rows[ascending[a]]).min())
         if lam <= 0:
             raise RuntimeError(f"block {a} lost positive definiteness; margin chain broke "
                                f"(delta={deltas[-1] if deltas else 0.0:.3e})")
         deltas.append(0.5 * lam)
-        for b, sign in ((a, -1.0), (a + 1, 1.0)):
-            w = window(b, (a, a + 1))  # the vehicle pair agents a and a + 1 share
-            mats[b][w, w] += sign * deltas[-1] * np.eye(2 * p)
+        for sign, block in zip((-1.0, 1.0), terms[a + 1]):  # the pair agents a and a + 1 share
+            rows[block] += sign * deltas[-1] * eye
 
-    cols = [np.r_[tuple(window(a, (v,)) for v in order)]
-            for a, order in enumerate(layout.var_order)]
-    stack = AgentStack(layout, [mat[np.ix_(c, c)] for mat, c in zip(mats, cols)], deltas)
+    stack = AgentStack(layout, H, deltas)
     for i, lam in enumerate(stack.lambda_min):
         if lam <= 0:
             raise RuntimeError(f"agent {i} block is not positive definite (lambda_min={lam:.3e})")

@@ -282,7 +282,7 @@ def scenario_builtin(name: str, p: int = 1, variant: str = "dr", seed: int = 0,
     """
     params = default_params_for_horizon(p, variant=variant)
     if warm_start is not None:
-        params.warm_start = warm_start
+        params = replace(params, warm_start=warm_start)
     noise_spec = NoiseSpec() if noise else None
     if name == "s1":
         duration = 160

@@ -6,13 +6,13 @@ speed-band rows per vehicle plus one convex quadratic safety constraint per
 vehicle and stage; nothing here iterates or communicates.  ``StepTemplate``
 builds what the state does not change once per run: the Hessian blocks and
 their chain's Schur blocks, the prediction (Φ, T) from which the linear
-term and the safety rows are read, and a row skeleton per layout.
-``build_qcqp`` adds what the measured state sets.
+term and the safety rows are read, and one row skeleton in the agents'
+columns.  ``build_qcqp`` adds what the measured state sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,59 +41,45 @@ class ConstraintSet:
     * the speed band ``speed_lo[i] <= tau * cumsum(u_i) <= speed_hi[i]``,
       with per-vehicle offsets ``v_min - v_i(k)`` and ``v_max - v_i(k)``;
     * one safe-spacing row per stage s,
-      ``quad * (S u_i)_s^2 + own[i, s] . u_i + prev[i, s] . u_{i-1} + const[i, s]``,
+      ``quad * (S u_i)_s^2 + own[i, s] . u_i - Φ[s] . u_{i-1} + const[i, s]``,
       S the cumulative-sum selector.  The first vehicle's predecessor is
       the uncontrolled leader, whose predicted motion is folded into
-      ``const`` (``prev[0]`` is zero).
+      ``const``.
+
+    ``skeleton`` is the run's read-only (A, S), each (n, 5p, 3p), over every
+    vehicle's [own, predecessor, successor] columns: the box, speed and
+    predecessor coefficients and the selector, which no state changes.  The
+    successor's columns are zero (no row reads u_{i+1}), and so are the
+    first vehicle's predecessor columns.
     """
 
-    tau: float
     a_min: float
     a_max: float
     speed_lo: np.ndarray
     speed_hi: np.ndarray
     quad: float
     own: np.ndarray
-    prev: np.ndarray
     const: np.ndarray
-    layouts: dict = field(default_factory=dict, compare=False, repr=False)  # a run's skeletons
+    skeleton: tuple
 
-    def rows(self, i, dim: int, own, prev):
-        """The rows of vehicles ``i`` (an index array), each over ``dim``
-        columns: vehicle ``i[k]``'s own block starts at column ``own[k]`` and
-        its predecessor's at ``prev[k]``, negative when the layout has no
-        predecessor block.
+    def rows(self, width: int):
+        """Every vehicle's rows over the skeleton's first ``width`` columns.
 
-        Returns ``(A, h, S)`` stacked over ``k``: row r of vehicle ``i[k]``
-        reads ``A[k, r] x - h[k, r] + quad (S[k, r] x)^2 <= 0``.  Each
+        Returns ``(A, h, S)`` stacked over the vehicles: row r of vehicle i
+        reads ``A[i, r] x - h[i, r] + quad (S[i, r] x)^2 <= 0``.  Each
         vehicle's 5p rows are upper box, lower box, upper speed, lower speed
-        (S zero on all four) and safety, p of each.  A layout's skeleton (A
-        less the own safety coefficients, and S) is laid out once per run and
-        shared, read-only, like ``prev``.
+        (S zero on all four) and safety, p of each.  A is a copy with the
+        own safety coefficients written in; S is the skeleton's, read-only.
         """
-        i = np.asarray(i)
-        m, p = i.size, self.own.shape[-1]
-        zero = np.zeros(m, dtype=int)
-        own, prev = zero + own, zero + prev
-        # fancy indices around a slice put (vehicle, column) first, rows last
-        k, cols = np.arange(m)[:, None], own[:, None] + np.arange(p)
-        key = (dim, i.tobytes(), own.tobytes(), prev.tobytes())
-        if key not in self.layouts:
-            L, has = np.tri(p), prev >= 0
-            A, S = np.zeros((m, 5 * p, dim)), np.zeros((m, 5 * p, dim))
-            A[k, :4 * p, cols] = np.concatenate([np.eye(p), -np.eye(p), self.tau * L,
-                                                 -self.tau * L]).T
-            A[k[has], 4 * p:, prev[has, None] + np.arange(p)] = self.prev[i[has]].transpose(0, 2, 1)
-            S[k, 4 * p:, cols] = L.T
-            A.flags.writeable = S.flags.writeable = False
-            self.layouts[key] = A, S
-        A, S = self.layouts[key][0].copy(), self.layouts[key][1]
-        A[k, 4 * p:, cols] = self.own[i].transpose(0, 2, 1)
-        h = np.empty((m, 5 * p))
+        A, S = self.skeleton
+        p = self.own.shape[-1]
+        A = A[..., :width].copy()
+        A[:, 4 * p:, :p] = self.own
+        h = np.empty(A.shape[:2])
         h[:, :p], h[:, p:2 * p] = self.a_max, -self.a_min
-        h[:, 2 * p:3 * p], h[:, 3 * p:4 * p] = self.speed_hi[i, None], -self.speed_lo[i, None]
-        h[:, 4 * p:] = -self.const[i]
-        return A, h, S
+        h[:, 2 * p:3 * p], h[:, 3 * p:4 * p] = self.speed_hi[:, None], -self.speed_lo[:, None]
+        h[:, 4 * p:] = -self.const
+        return A, h, S[..., :width]
 
     def values(self, rows, x: np.ndarray) -> np.ndarray:
         """Value of every row laid out by ``rows`` at ``x`` (stacked alike)."""
@@ -135,8 +121,9 @@ class StepTemplate:
     """The state-free part of a run's step programs, from the configuration,
     the weights and (optionally precomputed) stacked stage blocks: the
     Hessian's block-tridiagonal pieces and Schur blocks, the prediction
-    (Φ, T) and what the linear term and the safety rows read of it.  Every
-    array it builds is read-only."""
+    (Φ, T) and what the linear term reads of it, and the rows' one
+    ``skeleton`` (see ``ConstraintSet``).  Every array it builds is
+    read-only."""
 
     def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule, blocks=None):
         if weights.horizon != cfg.horizon or weights.n != cfg.n:
@@ -151,12 +138,15 @@ class StepTemplate:
         self.phi, self.T = prediction(cfg.horizon, cfg.tau)
         # a constant unit acceleration gap moves the gap error by Φ·1, the rate by tau T·1
         self.lead, self.reach = self.phi.sum(axis=1), cfg.tau * self.T.sum(axis=1)
-        self.prev = np.repeat(-self.phi[None], cfg.n, axis=0)
-        self.prev[0] = 0.0
         self.leader = np.eye(1, cfg.n)[0]  # the leader's acceleration enters vehicle 0 only
         self.quad = -cfg.tau ** 2 / (2.0 * cfg.a_min)
-        self.layouts = {}
-        for a in (diag, off, schur, self.lead, self.reach, self.prev, self.leader):
+        p, L = cfg.horizon, self.T
+        A, S = np.zeros((2, cfg.n, 5 * p, 3 * p))
+        A[:, :4 * p, :p] = np.concatenate([np.eye(p), -np.eye(p), cfg.tau * L, -cfg.tau * L])
+        A[1:, 4 * p:, p:2 * p] = -self.phi  # the leader (vehicle 0's predecessor) is in const
+        S[:, 4 * p:, :p] = L
+        self.skeleton = A, S
+        for a in (diag, off, schur, self.lead, self.reach, self.leader, A, S):
             a.flags.writeable = False  # shared by every step
 
 
@@ -191,10 +181,9 @@ def _constraint_set(state: PlatoonState, t: StepTemplate) -> ConstraintSet:
     # The leader prediction freezes its current acceleration, so the first
     # vehicle's predecessor contribution is a constant.
     const[0] -= t.lead * state.u0
-    return ConstraintSet(tau=tau, a_min=cfg.a_min, a_max=cfg.a_max, speed_lo=cfg.v_min - v,
+    return ConstraintSet(a_min=cfg.a_min, a_max=cfg.a_max, speed_lo=cfg.v_min - v,
                          speed_hi=cfg.v_max - v, quad=t.quad,
-                         own=coef[:, None, None] * t.T + t.phi, prev=t.prev, const=const,
-                         layouts=t.layouts)
+                         own=coef[:, None, None] * t.T + t.phi, const=const, skeleton=t.skeleton)
 
 
 def build_qcqp(state: PlatoonState, cfg: PlatoonConfig | None = None,
@@ -238,6 +227,6 @@ def check_membership(prob: QcqpProblem, u: np.ndarray, tol: float = 1e-8) -> Mem
     u = np.asarray(u, dtype=float).reshape(n, p)
     # each vehicle's rows over its own block and its predecessor's
     window = np.hstack([u, np.vstack([np.zeros((1, p)), u[:-1]])])
-    val = cons.values(cons.rows(np.arange(n), 2 * p, 0, p), window).reshape(n, 5, p)
+    val = cons.values(cons.rows(2 * p), window).reshape(n, 5, p)
     return MembershipReport(box=np.maximum(val[:, 0], val[:, 1]),
                             speed=np.maximum(val[:, 2], val[:, 3]), safety=val[:, 4], tol=tol)

@@ -69,9 +69,10 @@ class ProxSolveError(RuntimeError):
         self.agent = agent
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverParams:
-    """Tuning constants of the distributed solvers.
+    """Tuning constants of the distributed solvers, validated on
+    construction; derive a variant with ``dataclasses.replace``.
 
     ``tol`` is the global stopping tolerance on consecutive iterates; each
     agent checks its own block against tol/n and the stop flag is combined
@@ -121,7 +122,7 @@ def default_params_for_horizon(p: int, variant: str = "dr") -> SolverParams:
 class LocalProblems:
     """One control step's agent data over a run's ``stack``: the padded
     linear terms ``C`` (n, D), the step's constraint set and every agent's
-    rows laid out over (own block, neighbor copies), ``rows`` (n, 5p, D).
+    rows over its segment, ``rows`` (n, 5p, D), the skeleton's first D columns.
     Padded coordinates are zero in every stack and every point, so they add
     nothing to a product or a row value.
 
@@ -174,8 +175,7 @@ def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> Loc
         raise ValueError("the step program does not match the agent stack")
     C = np.zeros(stack.H.shape[:2])
     C[:, :p] = prob.c.reshape(n, p)
-    rows = prob.constraints.rows(np.arange(n), C.shape[1], 0, stack.prev)
-    return LocalProblems(stack, C, prob.constraints, rows,
+    return LocalProblems(stack, C, prob.constraints, prob.constraints.rows(C.shape[1]),
                          tuple(warm) if warm is not None else ({},) * n)
 
 
@@ -441,11 +441,16 @@ def solve_variant(problems, graph, params, z0=None, **kw) -> SolveReport:
 
 
 def _centralized_constraints(prob: QcqpProblem):
-    """Every vehicle's rows stacked over the vehicle-major columns."""
+    """Every vehicle's rows stacked over the vehicle-major columns: its 2p
+    window scattered, the own block to its own columns and the
+    predecessor's to the block before (the first vehicle's is zero)."""
     n, p = prob.n, prob.horizon
     i = np.arange(n)
-    A, h, S = prob.constraints.rows(i, n * p, i * p, (i - 1) * p)
-    return A.reshape(-1, n * p), h.ravel(), S.reshape(-1, n * p)
+    A, h, S = prob.constraints.rows(2 * p)
+    out = np.zeros((2, n, 5 * p, n, p))
+    for M, R in zip(out, (A, S)):
+        M[i, :, i], M[i[1:], :, i[:-1]] = R[..., :p], R[1:, :, p:]
+    return out[0].reshape(-1, n * p), h.ravel(), out[1].reshape(-1, n * p)
 
 
 def solve_centralized(prob: QcqpProblem) -> np.ndarray:

@@ -54,26 +54,15 @@ DEFAULT_KAPPA_RIDE = 0.0194
 DEFAULT_DECAY_ETA = 4.0
 
 
-def _eig_2x2(A: np.ndarray):
-    """Eigenvalues of a real 2x2 matrix from trace and determinant."""
-    tr = A[0, 0] + A[1, 1]
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    disc = tr * tr - 4.0 * det
-    if disc < 0:
-        root = complex(tr / 2.0, np.sqrt(-disc) / 2.0)
-        return root, root.conjugate()
-    s = np.sqrt(disc)
-    return complex((tr + s) / 2.0), complex((tr - s) / 2.0)
-
-
 @dataclass(frozen=True)
 class ClosedLoopModel:
     """Unconstrained closed loop in error coordinates.
 
     ``a_closed`` maps stacked (gap errors, closing rates); ``forcing`` gives
     the response to the leader's acceleration (nonzero only for the first
-    vehicle).  ``vehicle_blocks`` are the decoupled 2x2 maps whose radii
-    determine the spectral radius.
+    vehicle).  ``vehicle_blocks`` are the decoupled 2x2 maps, stacked
+    (n, 2, 2), and ``eigenvalues`` theirs, (n, 2), whose moduli set each
+    vehicle's radius and the spectral radius.
     """
 
     n: int
@@ -81,23 +70,18 @@ class ClosedLoopModel:
     tau: float
     a_closed: np.ndarray
     forcing: np.ndarray
-    vehicle_blocks: tuple
+    vehicle_blocks: np.ndarray
+    eigenvalues: np.ndarray
     vehicle_radii: np.ndarray
     spectral_radius: float
-
-    def eigenvalues(self):
-        out = []
-        for blk in self.vehicle_blocks:
-            out.extend(_eig_2x2(blk))
-        return out
 
     def to_report_dict(self) -> dict:
         return {
             "horizon": self.horizon,
             "rho": self.spectral_radius,
             "vehicle_radii": self.vehicle_radii.tolist(),
-            "per_vehicle_blocks": [b.tolist() for b in self.vehicle_blocks],
-            "eigenvalues": [[ev.real, ev.imag] for ev in self.eigenvalues()],
+            "per_vehicle_blocks": self.vehicle_blocks.tolist(),
+            "eigenvalues": [[ev.real, ev.imag] for ev in self.eigenvalues.ravel().tolist()],
         }
 
 
@@ -117,12 +101,13 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
     phi, T = prediction(p, tau)
     G = (_weighed(phi, weights.q_gap, np.column_stack([np.ones(p), tau * T.sum(axis=1)]))
          + tau * _weighed(T, weights.q_rate, np.outer(np.ones(p), [0.0, 1.0]))).sum(0)
-    K1, K2 = -np.linalg.solve(hess, G)[:, 0].T
+    K = -np.linalg.solve(hess, G)[:, 0]  # each vehicle's (gap, rate) gain
     base = np.array([[1.0, tau], [0.0, 1.0]])
     lever = np.array([phi[0, 0], tau])  # one step's (gap, rate) response to the applied gap
-    blocks = [base + np.outer(lever, k_i) for k_i in zip(K1, K2)]
-    radii = np.array([max(abs(ev) for ev in _eig_2x2(blk)) for blk in blocks])
-    gain = np.hstack([np.diag(K1), np.diag(K2)])
+    blocks = base + lever[:, None] * K[:, None, :]
+    eigenvalues = np.linalg.eigvals(blocks)
+    radii = np.abs(eigenvalues).max(axis=1)
+    gain = np.hstack([np.diag(K[:, 0]), np.diag(K[:, 1])])
     a_closed = np.kron(base, np.eye(n)) + np.kron(lever[:, None], np.eye(n)) @ gain
     ride_first = tau ** 2 * weights.q_ride[:, 0]
     forcing = np.zeros(n)
@@ -131,7 +116,8 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
         n=n, horizon=p, tau=tau,
         a_closed=a_closed,
         forcing=forcing,
-        vehicle_blocks=tuple(blocks),
+        vehicle_blocks=blocks,
+        eigenvalues=eigenvalues,
         vehicle_radii=radii,
         spectral_radius=float(radii.max()),
     )
@@ -153,12 +139,11 @@ def eigen_bounds_check(model: ClosedLoopModel, weights: WeightSchedule,
     tau = model.tau
     records = []
     ok = True
-    for i, blk in enumerate(model.vehicle_blocks):
+    for i, (ev1, ev2) in enumerate(model.eigenvalues.tolist()):
         a = weights.q_gap[0, i]
         b = weights.q_rate[0, i]
         zt = weights.q_ride[0, i]
         d = a * tau ** 2 / 4.0 + b + zt
-        ev1, ev2 = _eig_2x2(blk)
         if abs(ev1.imag) > 0:
             expected = zt / d
             err = abs(abs(ev1) ** 2 - expected)

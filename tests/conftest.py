@@ -128,17 +128,13 @@ class PerAgentStep:
     when the loop gives up, or from no point when there is none."""
 
     def __init__(self, problems, i, rho):
-        layout = problems.stack.layout
-        p, d = layout.p, layout.dims[i]
+        d = problems.stack.layout.dims[i]
         self.index, self.d, self.rho = i, d, rho
         self.cons = problems.constraints
         self.hessian = problems.stack.H[i, :d, :d]
         self.c_tilde = problems.C[i, :d]
         self.prox_mat = np.linalg.inv(rho * self.hessian + np.eye(d))
-        order = layout.var_order[i]
-        prev_col = order.index(i - 1) * p if i - 1 in order else -1
-        A, h, S = self.cons.rows(np.array([i]), d, 0, prev_col)
-        self.rows = (A[0], h[0], S[0])
+        self.rows = tuple(r[i] for r in self.cons.rows(d))
         self.fast = self.full = 0
         self._warm = {}
 

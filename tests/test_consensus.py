@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from platoonmpc.consensus import (AugmentedLayout, MessageFabric, SimulationFault,
                                   VehicleGraph, _project)
+from platoonmpc.problem import StepTemplate, build_qcqp
+from platoonmpc.solvers import _centralized_constraints
 
-from conftest import agent_slice
+from conftest import agent_slice, random_state, random_weights, small_config
 
 
 def lstsq_projection_oracle(vec, layout):
@@ -217,3 +219,43 @@ def test_fabric_projection_bit_identical(rng, n, p):
     assert fabric.floats == sum(np.size(msg) for msg in posts) == 4 * (n - 1) * p
     fabric.projection(layout)  # checked once, counted every time
     assert (fabric.round, fabric.messages, fabric.floats) == (4, 8 * (n - 1), 8 * (n - 1) * p)
+
+
+def chain_program(rng, n, p):
+    cfg = small_config(n, p)
+    template = StepTemplate(cfg, random_weights(rng, n, p))
+    return template, build_qcqp(random_state(rng, cfg), template=template)
+
+
+@pytest.mark.parametrize("n,p", CHAINS, ids=[f"n{n}-p{p}" for n, p in CHAINS])
+def test_row_skeleton_matches_agent_columns(rng, n, p):
+    # the one row skeleton is laid out over [own, predecessor, successor]:
+    # every agent i >= 1 holds its predecessor's copy in columns [p, 2p) of
+    # its segment, and agent 0's second block is vehicle 1, over which
+    # vehicle 0's rows read zero, as every vehicle's rows do over the third
+    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    for i in range(1, n):
+        assert layout.positions[i][i - 1] == i * layout.width + p
+    assert layout.var_order[0][:2] == [0, 1] and layout.positions[0][1] == p
+    template, _ = chain_program(rng, n, p)
+    for M in template.skeleton:
+        assert not M.flags.writeable and M.shape == (n, 5 * p, 3 * p)
+        assert (M[0, :, p:2 * p] == 0).all() and (M[:, :, 2 * p:] == 0).all()
+
+
+@pytest.mark.parametrize("n,p", CHAINS, ids=[f"n{n}-p{p}" for n, p in CHAINS])
+def test_row_readers_agree(rng, n, p):
+    # the centralized reference's vehicle-major rows, the membership check's
+    # 2p window and the agents' segments read the same row values at any plan
+    _, prob = chain_program(rng, n, p)
+    cons = prob.constraints
+    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    A, h, S = _centralized_constraints(prob)
+    for _ in range(3):
+        u = rng.normal(size=n * p)
+        central = (A @ u - h + cons.quad * (S @ u) ** 2).reshape(n, 5 * p)
+        U = u.reshape(n, p)
+        window = np.hstack([U, np.vstack([np.zeros((1, p)), U[:-1]])])
+        agents = layout.scatter_controls(u).reshape(n, layout.width)
+        for rows, x in ((cons.rows(2 * p), window), (cons.rows(layout.width), agents)):
+            np.testing.assert_allclose(cons.values(rows, x), central, rtol=0, atol=1e-12)

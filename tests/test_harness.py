@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -239,12 +239,19 @@ def test_scenario_horizon_mismatch():
         run_scenario(spec, cfg=reference_config(horizon=1))
 
 
+def test_misspelled_warm_start_raises():
+    # each scenario's solver parameters are validated again when built
+    with pytest.raises(ValueError, match="warm start"):
+        scenario_builtin("s1", p=1, warm_start="warmup")
+    with pytest.raises(FrozenInstanceError):
+        scenario_builtin("s1", p=1).solver.warm_start = "warmup"
+
+
 def test_solver_failure_carries_step_index():
     # equilibrium steps converge exactly even at an impossible tolerance;
     # the first transient step (the leader starts braking at k=51) fails
     # and the error names it
     spec = scenario_builtin("s1", p=1)
-    spec.solver.tol = 1e-14
-    spec.solver.max_iters = 2
+    spec = replace(spec, solver=replace(spec.solver, tol=1e-14, max_iters=2))
     with pytest.raises(RuntimeError, match="step 51"):
         run_scenario(spec)

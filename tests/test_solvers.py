@@ -395,9 +395,7 @@ def test_dr_steady_platoon_stays_put(rng):
 
 def test_dr_matches_centralized(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    params = default_params_for_horizon(2)
-    params.tol = 1e-7
-    params.max_iters = 30000
+    params = dataclasses.replace(default_params_for_horizon(2), tol=1e-7, max_iters=30000)
     rep = solve_dr(locals_, graph, params)
     assert rep.converged
     u_ref = solve_centralized(prob)
@@ -406,9 +404,7 @@ def test_dr_matches_centralized(rng):
 
 def test_three_op_agrees_with_dr(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    dr_params = default_params_for_horizon(2)
-    dr_params.tol = 1e-8
-    dr_params.max_iters = 50000
+    dr_params = dataclasses.replace(default_params_for_horizon(2), tol=1e-8, max_iters=50000)
     u_dr = solve_dr(locals_, graph, dr_params).u_star
 
     p3 = SolverParams(variant="three-op", tol=1e-7, max_iters=60000)
@@ -513,9 +509,7 @@ def test_padded_entries_stay_zero(rng, n, p):
 
 def test_nonconvergence_reported(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    params = default_params_for_horizon(2)
-    params.tol = 1e-12
-    params.max_iters = 5
+    params = dataclasses.replace(default_params_for_horizon(2), tol=1e-12, max_iters=5)
     rep = solve_dr(locals_, graph, params)
     assert not rep.converged
     assert rep.iterations == 5
@@ -586,9 +580,7 @@ def test_termination_certificates(rng):
     # at convergence the returned point projects to itself and every
     # agent's proximal map is nearly stationary there
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    params = default_params_for_horizon(2)
-    params.tol = 1e-6
-    params.max_iters = 30000
+    params = dataclasses.replace(default_params_for_horizon(2), tol=1e-6, max_iters=30000)
     rep = solve_dr(locals_, graph, params)
     assert rep.converged
     from platoonmpc.consensus import AugmentedLayout, _project
@@ -604,9 +596,7 @@ def test_termination_certificates(rng):
 
 def test_residuals_eventually_decrease(rng):
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    params = default_params_for_horizon(2)
-    params.tol = 1e-7
-    params.max_iters = 30000
+    params = dataclasses.replace(default_params_for_horizon(2), tol=1e-7, max_iters=30000)
     rep = solve_dr(locals_, graph, params)
     trace = np.asarray(rep.residual_trace)
     assert len(trace) == rep.iterations
@@ -617,9 +607,7 @@ def test_output_feasible_at_tolerance(rng):
     # constraint violations of the returned point scale with the stopping
     # tolerance; a tight solve passes the membership check outright
     _, prob, locals_, graph = make_instance(rng, 4, 2)
-    params = default_params_for_horizon(2)
-    params.tol = 1e-7
-    params.max_iters = 30000
+    params = dataclasses.replace(default_params_for_horizon(2), tol=1e-7, max_iters=30000)
     rep = solve_dr(locals_, graph, params)
     assert check_membership(prob, rep.u_star, tol=1e-6).feasible
 

@@ -8,8 +8,11 @@ For each run (``s1`` and ``s2`` at p = 1 and 5; ``s3-synthetic`` seed 1 at
 p = 1 and 5 with the warm-up start; seed 7 at p = 5) it prints one line of
 digests: the ``commanded`` bytes, every step's ``u_star`` bytes, the
 per-step DR iterations and warm-up rounds, and every step's per-agent
-(fast, full) proximal counts.  Two checkouts that print the same lines
-computed the same closed loops bit for bit.
+(fast, full) proximal counts.  Then, for ``s1`` at p = 1 and 5, one
+line digests every step's centralized reference answer
+(``solve_centralized``), which reads the reference's own constraint rows.
+Two checkouts that print the same lines computed the same closed loops,
+and the same reference answers, bit for bit.
 """
 
 import hashlib
@@ -31,6 +34,7 @@ RUNS = (
     ("s3-synthetic", 5, 1, "warmup-projection"),
     ("s3-synthetic", 5, 7, "warmup-projection"),
 )
+ORACLE_RUNS = (("s1", 1), ("s1", 5))
 
 
 def digest(*parts) -> str:
@@ -40,14 +44,21 @@ def digest(*parts) -> str:
     return h.hexdigest()[:16]
 
 
-def main():
-    reports, solve = [], harness.solve_variant
+def recording(name, into):
+    """Rebind ``harness.<name>`` to a wrapper that appends every answer to ``into``."""
+    call = getattr(harness, name)
 
     def recorded(*args, **kwargs):
-        reports.append(solve(*args, **kwargs))
-        return reports[-1]
+        into.append(call(*args, **kwargs))
+        return into[-1]
 
-    harness.solve_variant = recorded
+    setattr(harness, name, recorded)
+
+
+def main():
+    reports, answers = [], []
+    recording("solve_variant", reports)
+    recording("solve_centralized", answers)
     for name, p, seed, warm_start in RUNS:
         reports.clear()
         result = harness.run_scenario(harness.scenario_builtin(name, p=p, seed=seed,
@@ -59,6 +70,11 @@ def main():
               f"iterations {digest(np.array([r.iterations for r in reports], dtype=np.int64))} "
               f"warmup {digest(result.warmup_iterations.astype(np.int64))} "
               f"prox {digest(counts)}")
+    for name, p in ORACLE_RUNS:
+        answers.clear()
+        harness.run_scenario(harness.scenario_builtin(name, p=p), with_oracle=True)
+        print(f"{name} p={p} oracle: {len(answers)} answers, "
+              f"solve_centralized {digest(*answers)}")
 
 
 if __name__ == "__main__":
