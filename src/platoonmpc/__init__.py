@@ -11,8 +11,8 @@ analysis and weight design (``stability``), and scenario simulation
 """
 
 from .consensus import AugmentedLayout, MessageFabric, SimulationFault, VehicleGraph
-from .core import (ErrorState, LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule,
-                   error_coords, initial_state, reference_config, step_dynamics)
+from .core import (LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, error_coords,
+                   initial_state, reference_config, step_dynamics)
 from .decomposition import AgentStack, decompose_pd, prediction, stage_blocks
 from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
                       run_scenario, scenario_builtin)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, reference_config
 from .decomposition import decompose_pd, stage_blocks
-from .harness import (BUILTIN_SCENARIOS, ScenarioSpec, SafetyViolation, emit_results,
-                      run_scenario, scenario_builtin)
+from .harness import (BUILTIN_SCENARIOS, NoiseSpec, ScenarioSpec, SafetyViolation,
+                      emit_results, run_scenario, scenario_builtin)
 from .problem import StepTemplate, build_qcqp, check_membership
 from .solvers import (SOLVERS, SolverParams, build_local_problems, default_params_for_horizon,
                       solve_centralized, solve_variant)
@@ -41,8 +41,6 @@ def _load_config(path, horizon):
     plat = raw.get("platoon", {})
     _check_keys("section 'platoon'", plat, [f.name for f in fields(PlatoonConfig)])
     cfg = replace(reference_config(horizon=horizon), **plat)
-    if horizon is not None and "horizon" not in plat:
-        cfg = cfg.with_horizon(horizon)
 
     w = raw.get("weights", "default")
     if w == "default" or w is None:
@@ -65,17 +63,15 @@ def _cmd_simulate(args):
     params = replace(params, variant=args.variant,
                      warm_start="warmup-projection" if args.warmup else params.warm_start)
     if args.scenario in BUILTIN_SCENARIOS:
-        spec = scenario_builtin(args.scenario, p=cfg.horizon, variant=args.variant,
-                                seed=args.seed, noise=args.noise,
-                                warm_start=params.warm_start)
-        spec = replace(spec, solver=params)
+        spec = replace(scenario_builtin(args.scenario, p=cfg.horizon, seed=args.seed,
+                                        noise=args.noise), solver=params)
     else:
         if not args.trajectory:
             raise SystemExit("--scenario file needs --trajectory <csv>")
         leader = LeaderProfile.from_csv(args.trajectory, cfg.tau)
         spec = ScenarioSpec(name="file", leader=leader, duration=leader.samples.size,
                             solver=params, horizon=cfg.horizon, seed=args.seed,
-                            noise=None)
+                            noise=NoiseSpec() if args.noise else None)
     try:
         result = run_scenario(spec, cfg, weights)
     except (SafetyViolation, RuntimeError) as exc:

@@ -7,14 +7,13 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "PlatoonConfig",
     "PlatoonState",
-    "ErrorState",
     "LeaderProfile",
     "WeightSchedule",
     "reference_config",
@@ -77,9 +76,6 @@ class PlatoonConfig:
         if self.gap <= 0 or self.veh_len <= 0:
             raise ValueError("gap and veh_len must be positive")
 
-    def with_horizon(self, p: int) -> "PlatoonConfig":
-        return replace(self, horizon=p)
-
 
 def reference_config(n: int = 10, horizon: int = 1) -> PlatoonConfig:
     """Ten-vehicle reference platoon used by the built-in scenarios."""
@@ -134,23 +130,10 @@ def initial_state(cfg: PlatoonConfig, speed: float = 25.0, u0: float = 0.0,
     return PlatoonState(x=x0 - cfg.gap * idx, v=np.full(cfg.n + 1, float(speed)), u0=u0)
 
 
-@dataclass(frozen=True)
-class ErrorState:
-    """Gap errors and closing rates between adjacent vehicles.
-
-    ``gap_err[i-1] = x_{i-1} - x_i - gap`` and
-    ``rate_err[i-1] = v_{i-1} - v_i`` for i = 1..n.
-    """
-
-    gap_err: np.ndarray
-    rate_err: np.ndarray
-
-
-def error_coords(state: PlatoonState, cfg: PlatoonConfig) -> ErrorState:
-    """Gap-error coordinates of a platoon state."""
-    z = -np.diff(state.x) - cfg.gap
-    zp = -np.diff(state.v)
-    return ErrorState(gap_err=z, rate_err=zp)
+def error_coords(state: PlatoonState, cfg: PlatoonConfig):
+    """Gap errors and closing rates between adjacent vehicles, the pair
+    ``(x_{i-1} - x_i - gap, v_{i-1} - v_i)`` over i = 1..n."""
+    return -np.diff(state.x) - cfg.gap, -np.diff(state.v)
 
 
 def step_dynamics(state: PlatoonState, u: np.ndarray, u0_next: float,
@@ -178,8 +161,8 @@ class LeaderProfile:
     """Lead-vehicle acceleration profile on the sample grid.
 
     Built by ``piecewise`` (constant-acceleration segments), ``periodic``
-    (repeating pattern over a window), or ``from_samples``/``from_csv``
-    (explicit per-step samples).
+    (repeating pattern over a window), ``from_csv`` (a trajectory file), or
+    directly from explicit per-step float samples.
     """
 
     samples: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -213,10 +196,6 @@ class LeaderProfile:
         for k in range(k_first, min(k_last, duration - 1) + 1):
             samples[k] = pattern[(k - k_first) % pattern.size]
         return LeaderProfile(samples=samples)
-
-    @staticmethod
-    def from_samples(samples) -> "LeaderProfile":
-        return LeaderProfile(samples=np.asarray(samples, dtype=float))
 
     @staticmethod
     def from_csv(path, tau: float) -> "LeaderProfile":

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 BUILTIN_SCENARIOS = ("s1", "s2", "s3-synthetic")
+V_CRUISE = 25.0  # every run starts with the whole platoon at this speed [m/s]
 
 
 class SafetyViolation(RuntimeError):
@@ -47,11 +48,10 @@ class SafetyViolation(RuntimeError):
 @dataclass(frozen=True)
 class NoiseSpec:
     """Normal process noise added to the realized accelerations; the first
-    vehicle sees more disturbance than the rest.  Zero mean by default."""
+    vehicle sees more disturbance than the rest.  Zero mean."""
 
     std_first: float = 0.04
     std_rest: float = 0.02
-    mean: float = 0.0
 
     def __post_init__(self):
         if self.std_first < 0 or self.std_rest < 0:
@@ -67,7 +67,6 @@ class ScenarioSpec:
     horizon: int = 1
     seed: int = 0
     noise: NoiseSpec | None = None
-    v_init: float = 25.0
     settle_after: int | None = None
     a_max_override: float | None = None
 
@@ -82,11 +81,14 @@ class ScenarioSpec:
 class SimResult:
     """Realized trajectories plus per-step solver statistics.
 
-    ``spacings[k, i-1]`` is the gap ahead of vehicle i at step k; series
-    include the initial state, so they have duration + 1 rows, while the
-    control series has one row per applied step.  ``controls`` holds the
-    realized accelerations (noise included), ``commanded`` the solver's
-    first-stage answer.  ``warmup_iterations`` counts the sequential fabric
+    The run records one state history, positions and ``speeds`` once per
+    sample (duration + 1 rows, the initial state first, the leader in
+    column 0).  ``spacings[k, i-1]``, the gap ahead of vehicle i at step k,
+    and ``safety_margins``, each gap less its follower's safe-spacing
+    bound, are derived from it after the loop.  The control series have
+    one row per applied step: ``controls`` holds the realized
+    accelerations (noise included), ``commanded`` the solver's first-stage
+    answer.  ``warmup_iterations`` counts the sequential fabric
     rounds of the warm-up sweep, 2(n - 1) per step under the warm-up start
     and zero otherwise.  ``rounds`` and ``floats`` count each step's traffic
     on the run's message fabric: two rounds and 4(n - 1)p floats per
@@ -106,7 +108,6 @@ class SimResult:
     commanded: np.ndarray
     leader_accel: np.ndarray
     iterations: np.ndarray
-    residuals: np.ndarray
     warmup_iterations: np.ndarray
     rounds: np.ndarray
     floats: np.ndarray
@@ -116,10 +117,11 @@ class SimResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _safety_margin(spacings_row, speeds_row, cfg: PlatoonConfig) -> np.ndarray:
-    v = speeds_row[1:]
+def _safety_margin(spacings, speeds, cfg: PlatoonConfig) -> np.ndarray:
+    """Each gap's distance to its follower's safe-spacing bound, per row."""
+    v = speeds[:, 1:]
     bound = cfg.veh_len + cfg.reaction * v - (v - cfg.v_min) ** 2 / (2.0 * cfg.a_min)
-    return spacings_row - bound
+    return spacings - bound
 
 
 def _metrics(spec: ScenarioSpec, result: SimResult) -> dict:
@@ -173,7 +175,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     if spec.a_max_override is not None:
         cfg = replace(cfg, a_max=spec.a_max_override)
     weights = weights if weights is not None else default_weight_schedule(cfg.horizon)
-    spec.leader.validate_speeds(spec.v_init, cfg, spec.duration)
+    spec.leader.validate_speeds(V_CRUISE, cfg, spec.duration)
 
     blocks = stage_blocks(weights, cfg.tau)
     template = StepTemplate(cfg, weights, blocks)
@@ -185,20 +187,14 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     rng = np.random.default_rng(spec.seed) if spec.noise is not None else None
 
     n, p, T = cfg.n, cfg.horizon, spec.duration
-    state = initial_state(cfg, speed=spec.v_init, u0=spec.leader.accel_at(0))
+    state = initial_state(cfg, speed=V_CRUISE, u0=spec.leader.accel_at(0))
 
-    spacings = np.zeros((T + 1, n))
-    speeds = np.zeros((T + 1, n + 1))
+    positions, speeds = np.zeros((2, T + 1, n + 1))
+    positions[0], speeds[0] = state.x, state.v
     controls, commanded = np.zeros((2, T, n))
     iterations, warmups, rounds, floats = np.zeros((4, T), dtype=int)
-    residuals = np.zeros(T)
     oracle_first = np.full((T, n), np.nan)
     rel_errors = np.full(T, np.nan)
-    margins = np.zeros((T + 1, n))
-
-    spacings[0] = -np.diff(state.x)
-    speeds[0] = state.v
-    margins[0] = _safety_margin(spacings[0], speeds[0], cfg)
 
     z_prev = warm = None
     for k in range(T):
@@ -206,9 +202,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         prob = build_qcqp(state, template=template)
         locals_ = build_local_problems(prob, stack, warm=warm)
         if params.warm_start == "warmup-projection":
-            z0, wu_iters, warm = warmup_initial_guess(prob, locals_, fabric)
-            locals_ = replace(locals_, warm=warm)
-            warmups[k] = wu_iters
+            z0, warmups[k], locals_ = warmup_initial_guess(prob, locals_, fabric)
         else:
             z0 = z_prev  # None at the first step: a zero start
         report = solve_variant(locals_, graph, params, z0=z0, fabric=fabric)
@@ -228,22 +222,19 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
             if norm > 1e-12:
                 rel_errors[k] = np.linalg.norm(u_first - first) / norm
         if spec.noise is not None:
-            noise = rng.normal(spec.noise.mean,
-                               [spec.noise.std_first] + [spec.noise.std_rest] * (n - 1))
+            noise = rng.normal(0.0, [spec.noise.std_first] + [spec.noise.std_rest] * (n - 1))
             u_first = u_first + noise
         state = step_dynamics(state, u_first, spec.leader.accel_at(k + 1), cfg.tau)
         controls[k] = u_first
         iterations[k] = report.iterations
-        residuals[k] = report.residual
-        spacings[k + 1] = -np.diff(state.x)
-        speeds[k + 1] = state.v
-        margins[k + 1] = _safety_margin(spacings[k + 1], speeds[k + 1], cfg)
+        positions[k + 1], speeds[k + 1] = state.x, state.v
 
+    spacings = -np.diff(positions, axis=1)
     result = SimResult(
         spec_name=spec.name, gap=cfg.gap, spacings=spacings, speeds=speeds, controls=controls,
         commanded=commanded, leader_accel=spec.leader.series(T), iterations=iterations,
-        residuals=residuals, warmup_iterations=warmups, rounds=rounds, floats=floats,
-        oracle_first=oracle_first, rel_errors=rel_errors, safety_margins=margins)
+        warmup_iterations=warmups, rounds=rounds, floats=floats, oracle_first=oracle_first,
+        rel_errors=rel_errors, safety_margins=_safety_margin(spacings, speeds, cfg))
     result.metrics = _metrics(spec, result)
     if result.safety_margins.min() < -1e-6:
         raise SafetyViolation(
@@ -252,14 +243,13 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
 
 
 def _synthetic_oscillation(duration: int, seed: int, a_cap: float = 2.0,
-                           v_init: float = 25.0, v_lo: float = 22.0,
-                           v_hi: float = 26.0) -> np.ndarray:
+                           v_lo: float = 22.0, v_hi: float = 26.0) -> np.ndarray:
     """Seeded mean-reverting acceleration walk bounded by +-a_cap with the
     implied speed confined to [v_lo, v_hi]; a stand-in for a recorded
     oscillating trajectory."""
     rng = np.random.default_rng(seed)
     u = np.zeros(duration)
-    v = v_init
+    v = V_CRUISE
     a = 0.0
     for k in range(duration):
         a = np.clip(0.5 * a + rng.normal(0.0, 0.55), -a_cap, a_cap)
@@ -297,7 +287,7 @@ def scenario_builtin(name: str, p: int = 1, variant: str = "dr", seed: int = 0,
                             horizon=p, seed=seed, noise=noise_spec, settle_after=101)
     if name == "s3-synthetic":
         duration = 45
-        leader = LeaderProfile.from_samples(_synthetic_oscillation(duration, seed))
+        leader = LeaderProfile(_synthetic_oscillation(duration, seed))
         return ScenarioSpec(name=name, leader=leader, duration=duration, solver=params,
                             horizon=p, seed=seed, noise=noise_spec, a_max_override=2.0)
     raise ValueError(f"unknown scenario {name!r}; expected one of {BUILTIN_SCENARIOS}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import PlatoonConfig, PlatoonState, WeightSchedule, error_coords
 from .decomposition import prediction, stage_blocks
-from .smallqcqp import row_values
+from .smallqcqp import stacked_rows
 
 __all__ = [
     "ConstraintSet",
@@ -80,10 +80,6 @@ class ConstraintSet:
         h[:, 2 * p:3 * p], h[:, 3 * p:4 * p] = self.speed_hi[:, None], -self.speed_lo[:, None]
         h[:, 4 * p:] = -self.const
         return A, h, S[..., :width]
-
-    def values(self, rows, x: np.ndarray) -> np.ndarray:
-        """Value of every row laid out by ``rows`` at ``x`` (stacked alike)."""
-        return row_values(*rows, self.quad, x)
 
 
 @dataclass(frozen=True)
@@ -159,10 +155,10 @@ def _linear_term(state: PlatoonState, t: StepTemplate) -> np.ndarray:
     first-difference operator; only adjacent vehicles' measurements enter
     each vehicle's slice.
     """
-    err = error_coords(state, t.cfg)
+    gap_err, rate_err = error_coords(state, t.cfg)
     leader = t.leader * state.u0
-    d = err.gap_err + t.reach[:, None] * err.rate_err + t.lead[:, None] * leader
-    r = err.rate_err + t.reach[:, None] * leader
+    d = gap_err + t.reach[:, None] * rate_err + t.lead[:, None] * leader
+    r = rate_err + t.reach[:, None] * leader
     m = t.phi.T @ (t.weights.q_gap * d) + t.cfg.tau * (t.T.T @ (t.weights.q_rate * r))
     # transposed first-difference: row j reads m[j] - m[j+1]
     return (-(m - np.concatenate([m[:, 1:], np.zeros((len(m), 1))], axis=1))).T.ravel()
@@ -227,6 +223,6 @@ def check_membership(prob: QcqpProblem, u: np.ndarray, tol: float = 1e-8) -> Mem
     u = np.asarray(u, dtype=float).reshape(n, p)
     # each vehicle's rows over its own block and its predecessor's
     window = np.hstack([u, np.vstack([np.zeros((1, p)), u[:-1]])])
-    val = cons.values(cons.rows(2 * p), window).reshape(n, 5, p)
+    val = stacked_rows(*cons.rows(2 * p), cons.quad, window)[0].reshape(n, 5, p)
     return MembershipReport(box=np.maximum(val[:, 0], val[:, 1]),
                             speed=np.maximum(val[:, 2], val[:, 3]), safety=val[:, 4], tol=tol)

@@ -63,10 +63,8 @@ class QcqpResult:
 
 
 def row_values(A, h, S, quad, x):
-    """Value of every row ``A x - h + quad (S x)^2`` at ``x`` (<= 0 feasible),
-    for one row family, or for a stack of them with ``x`` stacked alike."""
-    if x.ndim > 1:  # each family times its own point; the 1-D form is the hot one
-        return stacked_rows(A, h, S, quad, x)[0]
+    """Value of every row ``A x - h + quad (S x)^2`` of one row family at one
+    point ``x`` (<= 0 feasible); ``stacked_rows`` serves stacks."""
     return A @ x - h + quad * (S @ x) ** 2
 
 
@@ -192,7 +190,7 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
     Returns (passed, the row values off the working set, -inf on it, with a
     last column for the padding keys, clipped multipliers, KKT residual)."""
     at = np.arange(len(x))[:, None]
-    f = row_values(*rows, x)
+    f = stacked_rows(*rows, x)[0]
     low = lam.min(axis=1, initial=0.0)
     full = np.maximum(lam, 0.0)
     clipped = low < 0.0

@@ -32,7 +32,7 @@ accuracy metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -476,8 +476,8 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, fabric: Mes
     one chain edge in a one-speaker round of the run's ``fabric``
     (``MessageFabric.send``); each agent then projects its block onto its
     constraint set, all in one batch, warm-started from ``problems.warm``.
-    Returns z0, this sweep's fabric rounds, 2(n - 1), and the agents' memory
-    after the projection, which seeds the step's solve.
+    Returns z0, this sweep's fabric rounds, 2(n - 1), and ``problems`` with
+    the agents' memory after the projection, the problems the step solves.
     """
     n, stack, start = prob.n, problems.stack, fabric.round
     batch = _AgentBatch(problems, fabric.graph)
@@ -491,4 +491,5 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, fabric: Mes
         u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ fabric.send(i + 1, i, u[i + 1]))
 
     w = stack.layout.scatter_controls(np.concatenate(u))
-    return batch.project(w.reshape(n, -1)).ravel(), fabric.round - start, tuple(batch.warm)
+    z0 = batch.project(w.reshape(n, -1)).ravel()
+    return z0, fabric.round - start, replace(problems, warm=tuple(batch.warm))

@@ -12,7 +12,7 @@ stability is lost, and generates decaying weight schedules.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -192,7 +192,7 @@ def schur_margin(cfg: PlatoonConfig, weights: WeightSchedule, scale_max: float =
 
     zero_tail = _scaled_tail(weights, 0.0)
     model0 = build_closed_loop(cfg, zero_tail)
-    two_cfg = cfg.with_horizon(2)
+    two_cfg = replace(cfg, horizon=2)
     two_weights = WeightSchedule(weights.q_gap[:2], weights.q_rate[:2], weights.q_ride[:2])
     model2 = build_closed_loop(two_cfg, two_weights)
     matches = all(
@@ -203,10 +203,7 @@ def schur_margin(cfg: PlatoonConfig, weights: WeightSchedule, scale_max: float =
     def rho(scale):
         return build_closed_loop(cfg, _scaled_tail(weights, scale)).spectral_radius
 
-    if rho(scale_max) < 1.0:
-        return SchurMarginResult(scale=scale_max, rho_at_zero=model0.spectral_radius,
-                                 rho_at_scale=rho(scale_max), matches_two_stage=matches)
-    lo, hi = 0.0, scale_max
+    lo, hi = (scale_max, scale_max) if rho(scale_max) < 1.0 else (0.0, scale_max)
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if rho(mid) < 1.0:

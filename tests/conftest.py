@@ -59,8 +59,7 @@ def rollout_objective(state, cfg, weights, u):
     Independent of the assembled Hessian/linear-term path."""
     n, p, tau = cfg.n, cfg.horizon, cfg.tau
     u = np.asarray(u, dtype=float).reshape(n, p)
-    err = error_coords(state, cfg)
-    z, zp = err.gap_err.copy(), err.rate_err.copy()
+    z, zp = error_coords(state, cfg)
     e1 = np.zeros(n)
     e1[0] = 1.0
     total = 0.0
@@ -151,10 +150,10 @@ class PerAgentStep:
 
     def _constrained(self, x, kind, objective):
         from platoonmpc.smallqcqp import (KKT_TOL, InfeasibleProblem, _Rows, active_set_loop,
-                                          solve_qcqp)
+                                          row_values, solve_qcqp)
         from platoonmpc.solvers import ProxSolveError
 
-        if self.cons.values(self.rows, x).max() <= 1e-11:
+        if row_values(*self.rows, self.cons.quad, x).max() <= 1e-11:
             self.fast += 1
             return x
         self.full += 1

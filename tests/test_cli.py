@@ -42,6 +42,20 @@ def test_simulate_trajectory_file(tmp_path, capsys):
     assert rc == 0
 
 
+def test_simulate_trajectory_file_with_noise(tmp_path, capsys):
+    # --noise reaches a file scenario: two seeds realize different controls
+    path = tmp_path / "lead.csv"
+    path.write_text("t,accel\n" + "".join(f"{k},0.0\n" for k in range(6)))
+    controls = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"out{seed}"
+        rc = main(["simulate", "--scenario", "file", "--trajectory", str(path), "--noise",
+                   "--seed", seed, "--out", str(out)])
+        assert rc == 0
+        controls.append((out / "controls.csv").read_text())
+    assert controls[0] != controls[1]
+
+
 def test_solve_once_with_oracle_diff(tmp_path, capsys, monkeypatch):
     # the step program and the Hessian split share one set of stage blocks
     import platoonmpc.cli as cli

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from platoonmpc.consensus import (AugmentedLayout, MessageFabric, SimulationFault,
                                   VehicleGraph, _project)
 from platoonmpc.problem import StepTemplate, build_qcqp
+from platoonmpc.smallqcqp import stacked_rows
 from platoonmpc.solvers import _centralized_constraints
 
 from conftest import agent_slice, random_state, random_weights, small_config
@@ -258,4 +259,5 @@ def test_row_readers_agree(rng, n, p):
         window = np.hstack([U, np.vstack([np.zeros((1, p)), U[:-1]])])
         agents = layout.scatter_controls(u).reshape(n, layout.width)
         for rows, x in ((cons.rows(2 * p), window), (cons.rows(layout.width), agents)):
-            np.testing.assert_allclose(cons.values(rows, x), central, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stacked_rows(*rows, cons.quad, x)[0], central,
+                                       rtol=0, atol=1e-12)

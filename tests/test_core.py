@@ -32,14 +32,14 @@ def test_error_update_matches_position_arithmetic(rng):
     state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
                          v=rng.uniform(15, 25, 5), u0=0.7)
     u = rng.uniform(-2, 1, 4)
-    before = error_coords(state, cfg)
-    after_direct = error_coords(step_dynamics(state, u, 0.0, tau=1.0), cfg)
+    gap_before, rate_before = error_coords(state, cfg)
+    gap_after, rate_after = error_coords(step_dynamics(state, u, 0.0, tau=1.0), cfg)
     # the error update the rollout oracle uses, driven by the acceleration gaps
     w = accel_gaps(u, state.u0)
-    gap_err = before.gap_err + before.rate_err + 0.5 * w
-    rate_err = before.rate_err + w
-    np.testing.assert_allclose(gap_err, after_direct.gap_err, atol=1e-12)
-    np.testing.assert_allclose(rate_err, after_direct.rate_err, atol=1e-12)
+    gap_err = gap_before + rate_before + 0.5 * w
+    rate_err = rate_before + w
+    np.testing.assert_allclose(gap_err, gap_after, atol=1e-12)
+    np.testing.assert_allclose(rate_err, rate_after, atol=1e-12)
 
 
 def test_dynamics_superposition(rng):
@@ -59,13 +59,13 @@ def test_dynamics_superposition(rng):
 def test_error_coords_equilibrium_and_arithmetic():
     cfg = small_config(2, 1)
     state = initial_state(cfg, speed=25.0)
-    err = error_coords(state, cfg)
-    np.testing.assert_allclose(err.gap_err, 0.0)
-    np.testing.assert_allclose(err.rate_err, 0.0)
+    gap_err, rate_err = error_coords(state, cfg)
+    np.testing.assert_allclose(gap_err, 0.0)
+    np.testing.assert_allclose(rate_err, 0.0)
 
     state = PlatoonState(x=np.array([100.0, 49.0, -3.0]), v=np.array([25.0, 25.0, 25.0]), u0=0.0)
-    err = error_coords(state, cfg)
-    np.testing.assert_allclose(err.gap_err, [1.0, 2.0])
+    gap_err, _ = error_coords(state, cfg)
+    np.testing.assert_allclose(gap_err, [1.0, 2.0])
 
 
 def test_accel_gap_identities(rng):

@@ -134,7 +134,7 @@ def test_warmup_memory_seeds_the_solve(monkeypatch):
         in_warmup[0] = True
         out = warmup(*args)
         in_warmup[0] = False
-        returned.append(out[2])
+        returned.append(out[2].warm)
         return out
 
     def recorded_solve(problems, *args, **kwargs):
@@ -213,6 +213,22 @@ def test_s3_noise_robustness_soft_bounds():
     res = run_scenario(scenario_builtin("s3-synthetic", p=1, seed=1, noise=True))
     assert res.metrics["max_dev_first_gap"] <= 1.0
     assert res.metrics["max_dev_other_gaps"] <= 0.5
+
+
+@pytest.mark.parametrize("noise", [False, True])
+def test_margins_are_the_spacing_bound(noise):
+    # every row of the margins, the initial state's included, is the gap
+    # less the safe-spacing bound at its follower's speed
+    from platoonmpc.core import reference_config
+    cfg = reference_config()
+    res = run_scenario(scenario_builtin("s3-synthetic", p=1, seed=1, noise=noise))
+    assert res.safety_margins.shape == res.spacings.shape == (res.speeds.shape[0], cfg.n)
+    for spacing, speed, margin in zip(res.spacings, res.speeds, res.safety_margins):
+        v = speed[1:]
+        bound = cfg.veh_len + cfg.reaction * v - (v - cfg.v_min) ** 2 / (2.0 * cfg.a_min)
+        np.testing.assert_array_equal(margin, spacing - bound)
+    # row 0 is the initial state: 50 m gaps at 25 m/s, bound 5 + 25 + 15**2 / 16
+    np.testing.assert_array_equal(res.safety_margins[0], 50.0 - (30.0 + 225.0 / 16.0))
 
 
 def test_noise_spec_validation():

@@ -199,7 +199,7 @@ def assert_kkt_certificate(prob, x, lam, tol=1e-10):
     rows = _centralized_constraints(prob)
     A, _, S = rows
     grads = A + 2.0 * cons.quad * (S @ x)[:, None] * S
-    f = cons.values(rows, x)
+    f = row_values(*rows, cons.quad, x)
     assert np.abs(prob.hessian_dense() @ x + prob.c + grads.T @ lam).max() <= tol
     assert f.max() <= tol
     assert lam.min() >= 0.0

@@ -7,7 +7,7 @@ from platoonmpc.consensus import AugmentedLayout, MessageFabric, VehicleGraph
 from platoonmpc.core import initial_state
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import StepTemplate, build_qcqp, check_membership
-from platoonmpc.smallqcqp import InfeasibleProblem
+from platoonmpc.smallqcqp import InfeasibleProblem, stacked_rows
 from platoonmpc.solvers import (SOLVERS, LocalProblems, ProxSolveError, SolverParams,
                                 _AgentBatch, _centralized_constraints, accel_gamma_next,
                                 build_local_problems, default_params_for_horizon,
@@ -125,7 +125,7 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
         u = scale * rng.normal(size=n * p)
         Z = layout.scatter_controls(u).reshape(n, -1)
         rep = check_membership(prob, u, tol=1e-11)
-        values = prob.constraints.values(problems.rows, Z)
+        values = stacked_rows(*problems.rows, prob.constraints.quad, Z)[0]
         failing = problems.failing(Z)[0]
         for i in range(n):
             val = values[i].reshape(5, p)
@@ -218,7 +218,7 @@ def test_certified_radius_keeps_rows_at_half_their_value(rng, p):
         for i, d in enumerate(dims):
             X[i, :d] = scale * rng.normal(size=d)
         _, values, Sx = problems.failing(X)
-        assert values.tobytes() == problems.constraints.values(problems.rows, X).tobytes()
+        assert values.tobytes() == stacked_rows(*problems.rows, quad, X)[0].tobytes()
         radii = problems.radii(values, Sx)
         for i in np.flatnonzero(values.max(axis=1) < 0):
             standing += 1
@@ -232,7 +232,7 @@ def test_certified_radius_keeps_rows_at_half_their_value(rng, p):
                 unit = np.vstack(toward + [-u for u in toward] + [random])
                 for r, checked in ((radii[i, j], [j]), (radii[i].min(), slice(None))):
                     for t in (1.0, rng.uniform(size=(len(unit), 1))):  # on, inside
-                        at = problems.constraints.values(rows, X[i] + t * r * unit)
+                        at = stacked_rows(*rows, quad, X[i] + t * r * unit)[0]
                         assert (at[:, checked] <= v[checked] / 2 + 1e-12).all(), (i, j)
     assert standing >= 4, standing
 

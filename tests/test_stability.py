@@ -141,8 +141,7 @@ def test_unconstrained_rollout_matches_closed_loop(rng):
     x[1:] += rng.uniform(-0.5, 0.5, 4)
     state = type(state)(x=x, v=state.v + rng.uniform(-0.5, 0.5, 5), u0=0.3)
 
-    err = error_coords(state, cfg)
-    zz = np.concatenate([err.gap_err, err.rate_err])
+    zz = np.concatenate(error_coords(state, cfg))
     for k in range(200):
         prob = build_qcqp(state, cfg, w)
         u = solve_centralized(prob)
@@ -150,8 +149,7 @@ def test_unconstrained_rollout_matches_closed_loop(rng):
         state = step_dynamics(state, u_first, state.u0, cfg.tau)
         zz = model.a_closed @ zz + np.concatenate([
             cfg.tau ** 2 / 2 * model.forcing, cfg.tau * model.forcing]) * 0.3
-        err = error_coords(state, cfg)
-        np.testing.assert_allclose(np.concatenate([err.gap_err, err.rate_err]), zz, atol=1e-8)
+        np.testing.assert_allclose(np.concatenate(error_coords(state, cfg)), zz, atol=1e-8)
 
 
 def test_schur_margin_zero_scale_reduces_to_two_stage(rng):

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the seven reference closed-loop runs.
+"""SHA-256 digests of the reference closed-loop runs.
 
 Run from anywhere; it imports the package from the checkout it lives in:
 
@@ -11,11 +11,16 @@ per-step DR iterations and warm-up rounds, and every step's per-agent
 (fast, full) proximal counts.  Then, for ``s1`` at p = 1 and 5, one
 line digests every step's centralized reference answer
 (``solve_centralized``), which reads the reference's own constraint rows.
+Last, one line per run, the seven above and ``s3-synthetic`` seed 1 at
+p = 1 with process noise, digests the series the run returns: spacings,
+speeds, safety margins, realized controls, fabric rounds and floats, and
+the ``metrics`` dict as sorted JSON.
 Two checkouts that print the same lines computed the same closed loops,
 and the same reference answers, bit for bit.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -35,6 +40,7 @@ RUNS = (
     ("s3-synthetic", 5, 7, "warmup-projection"),
 )
 ORACLE_RUNS = (("s1", 1), ("s1", 5))
+NOISY_RUN = ("s3-synthetic", 1, 1)
 
 
 def digest(*parts) -> str:
@@ -56,15 +62,17 @@ def recording(name, into):
 
 
 def main():
-    reports, answers = [], []
+    reports, answers, results = [], [], []
     recording("solve_variant", reports)
     recording("solve_centralized", answers)
     for name, p, seed, warm_start in RUNS:
         reports.clear()
         result = harness.run_scenario(harness.scenario_builtin(name, p=p, seed=seed,
                                                                warm_start=warm_start))
+        label = f"{name} p={p} seed={seed} start={warm_start or 'prev-solution'}"
+        results.append((label, result))
         counts = np.array([r.agent_prox_stats for r in reports], dtype=np.int64)
-        print(f"{name} p={p} seed={seed} start={warm_start or 'prev-solution'}: "
+        print(f"{label}: "
               f"commanded {digest(result.commanded)} "
               f"u_star {digest(*(r.u_star for r in reports))} "
               f"iterations {digest(np.array([r.iterations for r in reports], dtype=np.int64))} "
@@ -75,6 +83,17 @@ def main():
         harness.run_scenario(harness.scenario_builtin(name, p=p), with_oracle=True)
         print(f"{name} p={p} oracle: {len(answers)} answers, "
               f"solve_centralized {digest(*answers)}")
+    name, p, seed = NOISY_RUN
+    results.append((f"{name} p={p} seed={seed} start=prev-solution noise",
+                    harness.run_scenario(harness.scenario_builtin(name, p=p, seed=seed,
+                                                                  noise=True))))
+    for label, r in results:
+        metrics = json.dumps(r.metrics, sort_keys=True).encode()
+        print(f"{label} series: spacings {digest(r.spacings)} speeds {digest(r.speeds)} "
+              f"margins {digest(r.safety_margins)} controls {digest(r.controls)} "
+              f"rounds {digest(r.rounds.astype(np.int64))} "
+              f"floats {digest(r.floats.astype(np.int64))} "
+              f"metrics {digest(np.frombuffer(metrics, dtype=np.uint8))}")
 
 
 if __name__ == "__main__":
