@@ -11,6 +11,7 @@ import numpy as np
 from platoonmpc import (SolverParams, build_local_problems, build_qcqp, decompose_pd,
                         initial_state, reference_config, solve_centralized, solve_dr,
                         solve_three_op, solve_three_op_accel, stage_blocks, step_dynamics)
+from platoonmpc.problem import StepTemplate
 from platoonmpc.stability import default_weight_schedule
 
 cfg = reference_config(horizon=2)
@@ -20,8 +21,9 @@ weights = default_weight_schedule(2)
 state = initial_state(cfg, speed=25.0, u0=-2.0)
 state = step_dynamics(state, np.zeros(cfg.n), -2.0, cfg.tau)
 
-prob = build_qcqp(state, cfg, weights)
-stack = decompose_pd(stage_blocks(weights, cfg.tau))
+blocks = stage_blocks(weights, cfg.tau)
+prob = build_qcqp(state, template=StepTemplate(cfg, weights, blocks))
+stack = decompose_pd(blocks)
 graph = stack.layout.graph
 locals_ = build_local_problems(prob, stack)
 

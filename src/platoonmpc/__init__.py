@@ -14,8 +14,8 @@ from .consensus import AugmentedLayout, MessageFabric, SimulationFault, VehicleG
 from .core import (LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, error_coords,
                    initial_state, reference_config, step_dynamics)
 from .decomposition import AgentStack, decompose_pd, prediction, stage_blocks
-from .harness import (NoiseSpec, SafetyViolation, ScenarioSpec, SimResult, emit_results,
-                      run_scenario, scenario_builtin)
+from .harness import (SafetyViolation, ScenarioSpec, SimResult, emit_results, run_scenario,
+                      scenario_builtin)
 from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,
                       check_membership)
 from .solvers import (LocalProblems, ProxSolveError, SolveReport, SolverParams,

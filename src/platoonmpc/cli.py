@@ -10,13 +10,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 
+from .consensus import MessageFabric
 from .core import LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, reference_config
 from .decomposition import decompose_pd, stage_blocks
-from .harness import (BUILTIN_SCENARIOS, NoiseSpec, ScenarioSpec, SafetyViolation,
-                      emit_results, run_scenario, scenario_builtin)
+from .harness import (BUILTIN_SCENARIOS, ScenarioSpec, SafetyViolation, emit_results,
+                      run_scenario, scenario_builtin)
 from .problem import StepTemplate, build_qcqp, check_membership
 from .solvers import (SOLVERS, SolverParams, build_local_problems, default_params_for_horizon,
-                      solve_centralized, solve_variant)
+                      solve_centralized, solve_variant, warmup_initial_guess)
 from .stability import default_weight_schedule, stability_report_json
 
 
@@ -60,7 +61,7 @@ def _load_config(path, horizon):
 
 def _cmd_simulate(args):
     cfg, weights, params = _load_config(args.config, args.horizon)
-    params = replace(params, variant=args.variant,
+    params = replace(params, variant=args.variant or params.variant,
                      warm_start="warmup-projection" if args.warmup else params.warm_start)
     if args.scenario in BUILTIN_SCENARIOS:
         spec = replace(scenario_builtin(args.scenario, p=cfg.horizon, seed=args.seed,
@@ -71,7 +72,7 @@ def _cmd_simulate(args):
         leader = LeaderProfile.from_csv(args.trajectory, cfg.tau)
         spec = ScenarioSpec(name="file", leader=leader, duration=leader.samples.size,
                             solver=params, horizon=cfg.horizon, seed=args.seed,
-                            noise=NoiseSpec() if args.noise else None)
+                            noise=args.noise)
     try:
         result = run_scenario(spec, cfg, weights)
     except (SafetyViolation, RuntimeError) as exc:
@@ -91,18 +92,21 @@ def _cmd_analyze(args):
 
 def _cmd_solve_once(args):
     cfg, weights, params = _load_config(args.config, args.horizon)
-    params = replace(params, variant=args.variant)
+    params = replace(params, variant=args.variant or params.variant)
     with open(args.state) as fh:
         raw = json.load(fh)
     state = PlatoonState(x=np.asarray(raw["x"], dtype=float),
                          v=np.asarray(raw["v"], dtype=float),
-                         u0=float(raw.get("u0", 0.0)), k=int(raw.get("k", 0)))
+                         u0=float(raw.get("u0", 0.0)))
     if state.n != cfg.n:
         raise SystemExit("state size does not match the configuration")
     blocks = stage_blocks(weights, cfg.tau)
     prob = build_qcqp(state, template=StepTemplate(cfg, weights, blocks))
     stack = decompose_pd(blocks)
-    report = solve_variant(build_local_problems(prob, stack), stack.layout.graph, params)
+    problems, z0 = build_local_problems(prob, stack), None
+    if params.warm_start == "warmup-projection":
+        z0, _, problems = warmup_initial_guess(prob, problems, MessageFabric(stack.layout.graph))
+    report = solve_variant(problems, stack.layout.graph, params, z0=z0)
     u_oracle = solve_centralized(prob)
     norm = float(np.linalg.norm(u_oracle))
     rel = float(np.linalg.norm(report.u_star - u_oracle) / norm) if norm > 1e-12 else 0.0
@@ -129,8 +133,8 @@ def main(argv=None) -> int:
     sim.add_argument("--scenario", required=True,
                      help=" | ".join((*BUILTIN_SCENARIOS, "file")))
     sim.add_argument("--horizon", type=int, default=1)
-    sim.add_argument("--variant", default="dr",
-                     choices=list(SOLVERS))
+    sim.add_argument("--variant", choices=list(SOLVERS),
+                     help="solver variant (default: the config's, else dr)")
     sim.add_argument("--config", default=None, help="JSON config file")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--noise", action="store_true")
@@ -147,11 +151,11 @@ def main(argv=None) -> int:
     ana.set_defaults(fn=_cmd_analyze)
 
     once = sub.add_parser("solve-once", help="single-step solve with oracle diff")
-    once.add_argument("--state", required=True, help="JSON with x, v, u0, k")
+    once.add_argument("--state", required=True, help="JSON with x, v and u0")
     once.add_argument("--config", default=None)
     once.add_argument("--horizon", type=int, default=1)
-    once.add_argument("--variant", default="dr",
-                      choices=list(SOLVERS))
+    once.add_argument("--variant", choices=list(SOLVERS),
+                      help="solver variant (default: the config's, else dr)")
     once.set_defaults(fn=_cmd_solve_once)
 
     args = parser.parse_args(argv)

@@ -37,10 +37,6 @@ class VehicleGraph:
         if self.n < 2:
             raise ValueError("graph needs at least two nodes")
 
-    @staticmethod
-    def chain(n: int) -> "VehicleGraph":
-        return VehicleGraph(n=n)
-
     def neighbors(self, i: int) -> list:
         """The chain neighbors of i, ascending."""
         return [j for j in (i - 1, i + 1) if 0 <= j < self.n]

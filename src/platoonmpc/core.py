@@ -7,7 +7,7 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +104,6 @@ class PlatoonState:
     x: np.ndarray
     v: np.ndarray
     u0: float
-    k: int = 0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -123,11 +122,11 @@ class PlatoonState:
         return self.x.size - 1
 
 
-def initial_state(cfg: PlatoonConfig, speed: float = 25.0, u0: float = 0.0,
-                  x0: float = 0.0) -> PlatoonState:
-    """Equally spaced platoon at the desired gap, all at the same speed."""
-    idx = np.arange(cfg.n + 1)
-    return PlatoonState(x=x0 - cfg.gap * idx, v=np.full(cfg.n + 1, float(speed)), u0=u0)
+def initial_state(cfg: PlatoonConfig, speed: float = 25.0, u0: float = 0.0) -> PlatoonState:
+    """Equally spaced platoon at the desired gap, all at the same speed, the
+    leader at position +0.0."""
+    return PlatoonState(x=cfg.gap * -np.arange(cfg.n + 1), v=np.full(cfg.n + 1, float(speed)),
+                        u0=u0)
 
 
 def error_coords(state: PlatoonState, cfg: PlatoonConfig):
@@ -151,7 +150,7 @@ def step_dynamics(state: PlatoonState, u: np.ndarray, u0_next: float,
     acc = np.concatenate(([state.u0], u))
     x_new = state.x + tau * state.v + 0.5 * tau ** 2 * acc
     v_new = state.v + tau * acc
-    return PlatoonState(x=x_new, v=v_new, u0=float(u0_next), k=state.k + 1)
+    return PlatoonState(x=x_new, v=v_new, u0=float(u0_next))
 
 
 # -- leader motion profiles -------------------------------------------------
@@ -165,7 +164,7 @@ class LeaderProfile:
     directly from explicit per-step float samples.
     """
 
-    samples: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    samples: np.ndarray
 
     def accel_at(self, k: int) -> float:
         if 0 <= k < self.samples.size:

@@ -121,7 +121,7 @@ def decompose_pd(U: np.ndarray) -> AgentStack:
     The sum of the embedded blocks equals the central Hessian exactly.
     """
     n, p = len(U), U.shape[1]
-    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    layout = AugmentedLayout(VehicleGraph(n), p)
     width = layout.width
 
     def at(a, vs):  # agent a's (vs, vs) block, vs in that order, in the stack's rows

@@ -24,7 +24,6 @@ from .solvers import (SolverParams, build_local_problems, default_params_for_hor
 from .stability import default_weight_schedule
 
 __all__ = [
-    "NoiseSpec",
     "ScenarioSpec",
     "SimResult",
     "SafetyViolation",
@@ -46,19 +45,6 @@ class SafetyViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Normal process noise added to the realized accelerations; the first
-    vehicle sees more disturbance than the rest.  Zero mean."""
-
-    std_first: float = 0.04
-    std_rest: float = 0.02
-
-    def __post_init__(self):
-        if self.std_first < 0 or self.std_rest < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     name: str
     leader: LeaderProfile
@@ -66,7 +52,7 @@ class ScenarioSpec:
     solver: SolverParams
     horizon: int = 1
     seed: int = 0
-    noise: NoiseSpec | None = None
+    noise: bool = False
     settle_after: int | None = None
     a_max_override: float | None = None
 
@@ -184,7 +170,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     fabric = MessageFabric(graph)
     params = spec.solver
     # built only for noise: importing numpy.random alone costs about 5 MB
-    rng = np.random.default_rng(spec.seed) if spec.noise is not None else None
+    rng = np.random.default_rng(spec.seed) if spec.noise else None
 
     n, p, T = cfg.n, cfg.horizon, spec.duration
     state = initial_state(cfg, speed=V_CRUISE, u0=spec.leader.accel_at(0))
@@ -221,8 +207,9 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
             norm = np.linalg.norm(first)
             if norm > 1e-12:
                 rel_errors[k] = np.linalg.norm(u_first - first) / norm
-        if spec.noise is not None:
-            noise = rng.normal(0.0, [spec.noise.std_first] + [spec.noise.std_rest] * (n - 1))
+        if spec.noise:
+            # zero-mean normal process noise; the first vehicle sees the most
+            noise = rng.normal(0.0, [0.04] + [0.02] * (n - 1))
             u_first = u_first + noise
         state = step_dynamics(state, u_first, spec.leader.accel_at(k + 1), cfg.tau)
         controls[k] = u_first
@@ -242,25 +229,24 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     return result
 
 
-def _synthetic_oscillation(duration: int, seed: int, a_cap: float = 2.0,
-                           v_lo: float = 22.0, v_hi: float = 26.0) -> np.ndarray:
-    """Seeded mean-reverting acceleration walk bounded by +-a_cap with the
-    implied speed confined to [v_lo, v_hi]; a stand-in for a recorded
+def _synthetic_oscillation(duration: int, seed: int) -> np.ndarray:
+    """Seeded mean-reverting acceleration walk bounded by +-2 m/s^2 with the
+    implied speed confined to [22, 26] m/s; a stand-in for a recorded
     oscillating trajectory."""
     rng = np.random.default_rng(seed)
     u = np.zeros(duration)
     v = V_CRUISE
     a = 0.0
     for k in range(duration):
-        a = np.clip(0.5 * a + rng.normal(0.0, 0.55), -a_cap, a_cap)
-        a = np.clip(a, v_lo - v, v_hi - v)
+        a = np.clip(0.5 * a + rng.normal(0.0, 0.55), -2.0, 2.0)
+        a = np.clip(a, 22.0 - v, 26.0 - v)
         u[k] = a
         v += a
     return u
 
 
-def scenario_builtin(name: str, p: int = 1, variant: str = "dr", seed: int = 0,
-                     noise: bool = False, warm_start: str | None = None) -> ScenarioSpec:
+def scenario_builtin(name: str, p: int = 1, seed: int = 0, noise: bool = False,
+                     warm_start: str | None = None) -> ScenarioSpec:
     """Built-in scenarios:
 
     * ``s1``: the leader brakes at -2 for four seconds, holds speed, then
@@ -270,26 +256,25 @@ def scenario_builtin(name: str, p: int = 1, variant: str = "dr", seed: int = 0,
     * ``s3-synthetic``: 45 s of seeded random-walk accelerations capped at
       +-2 m/s^2; the acceleration limit is raised to 2 m/s^2 to match.
     """
-    params = default_params_for_horizon(p, variant=variant)
+    params = default_params_for_horizon(p)
     if warm_start is not None:
         params = replace(params, warm_start=warm_start)
-    noise_spec = NoiseSpec() if noise else None
     if name == "s1":
         duration = 160
         leader = LeaderProfile.piecewise(
             [(51, 54, -2.0), (101, 108, 1.0)], duration)
         return ScenarioSpec(name=name, leader=leader, duration=duration, solver=params,
-                            horizon=p, seed=seed, noise=noise_spec, settle_after=109)
+                            horizon=p, seed=seed, noise=noise, settle_after=109)
     if name == "s2":
         duration = 150
         leader = LeaderProfile.periodic([1.0, -1.0, -1.0, 1.0], 51, 100, duration)
         return ScenarioSpec(name=name, leader=leader, duration=duration, solver=params,
-                            horizon=p, seed=seed, noise=noise_spec, settle_after=101)
+                            horizon=p, seed=seed, noise=noise, settle_after=101)
     if name == "s3-synthetic":
         duration = 45
         leader = LeaderProfile(_synthetic_oscillation(duration, seed))
         return ScenarioSpec(name=name, leader=leader, duration=duration, solver=params,
-                            horizon=p, seed=seed, noise=noise_spec, a_max_override=2.0)
+                            horizon=p, seed=seed, noise=noise, a_max_override=2.0)
     raise ValueError(f"unknown scenario {name!r}; expected one of {BUILTIN_SCENARIOS}")
 
 

@@ -182,16 +182,14 @@ def _constraint_set(state: PlatoonState, t: StepTemplate) -> ConstraintSet:
                          own=coef[:, None, None] * t.T + t.phi, const=const, skeleton=t.skeleton)
 
 
-def build_qcqp(state: PlatoonState, cfg: PlatoonConfig | None = None,
-               weights: WeightSchedule | None = None, template=None) -> QcqpProblem:
+def build_qcqp(state: PlatoonState, template: StepTemplate) -> QcqpProblem:
     """Assemble the step's convex program from the measured state over a
-    run's ``template``, or over one built here from ``cfg`` and ``weights``."""
-    t = template if template is not None else StepTemplate(cfg, weights)
+    run's ``template``."""
     if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.v))):
         raise ValueError("state must be finite")
-    return QcqpProblem(n=t.cfg.n, horizon=t.cfg.horizon, diag=t.diag, off=t.off,
-                       schur=t.schur, c=_linear_term(state, t),
-                       constraints=_constraint_set(state, t))
+    return QcqpProblem(n=template.cfg.n, horizon=template.cfg.horizon, diag=template.diag,
+                       off=template.off, schur=template.schur, c=_linear_term(state, template),
+                       constraints=_constraint_set(state, template))
 
 
 @dataclass(frozen=True)

@@ -215,12 +215,10 @@ def schur_margin(cfg: PlatoonConfig, weights: WeightSchedule, scale_max: float =
 
 
 def gen_weight_schedule(base_gap, base_rate, base_ride, p: int, eta: float,
-                        kappa_gap: float, kappa_rate: float, kappa_ride: float,
-                        stage1_offset: float = 1.0) -> WeightSchedule:
+                        kappa_gap: float, kappa_rate: float, kappa_ride: float) -> WeightSchedule:
     """Decaying schedule: stage s >= 2 scales the base vectors by
-    kappa/(s-1)^eta; for multi-stage horizons the first stage subtracts a
-    constant offset from every base entry (the reference design does this;
-    the offset is exposed so it can be switched off).
+    kappa/(s-1)^eta; for multi-stage horizons the first stage subtracts one
+    from every base entry, as the reference design does.
     """
     if eta <= 1.0:
         raise ValueError("eta must exceed 1 for a summable tail")
@@ -229,9 +227,9 @@ def gen_weight_schedule(base_gap, base_rate, base_ride, p: int, eta: float,
     base_ride = np.asarray(base_ride, dtype=float)
     if p == 1:
         return WeightSchedule(base_gap[None, :], base_rate[None, :], base_ride[None, :])
-    qg = [base_gap - stage1_offset]
-    qr = [base_rate - stage1_offset]
-    qw = [base_ride - stage1_offset]
+    qg = [base_gap - 1.0]
+    qr = [base_rate - 1.0]
+    qw = [base_ride - 1.0]
     for s in range(2, p + 1):
         decay = (s - 1.0) ** eta
         qg.append(kappa_gap / decay * base_gap)

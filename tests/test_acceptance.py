@@ -14,7 +14,7 @@ from platoonmpc.consensus import AugmentedLayout, VehicleGraph, _project
 from platoonmpc.core import WeightSchedule, reference_config
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.harness import run_scenario, scenario_builtin
-from platoonmpc.problem import build_qcqp
+from platoonmpc.problem import StepTemplate, build_qcqp
 from platoonmpc.solvers import (SolverParams, build_local_problems, solve_centralized, solve_dr,
                                 solve_three_op, solve_three_op_accel)
 from platoonmpc.stability import build_closed_loop, default_weight_schedule
@@ -135,8 +135,8 @@ def test_criterion_5_oracle_equivalence_three_variants():
         cfg = small_config(n, p)
         w = random_weights(rng, n, p)
         state = random_state(rng, cfg)
-        prob = build_qcqp(state, cfg, w)
-        graph = VehicleGraph.chain(n)
+        prob = build_qcqp(state, template=StepTemplate(cfg, w))
+        graph = VehicleGraph(n)
         stack = decompose_pd(stage_blocks(w, cfg.tau))
         locals_ = build_local_problems(prob, stack)
         u_ref = solve_centralized(prob)
@@ -178,7 +178,7 @@ def test_criterion_7_consensus_projection():
     for _ in range(50):
         n = int(rng.integers(2, 8))
         p = int(rng.integers(1, 4))
-        layout = AugmentedLayout(VehicleGraph.chain(n), p)
+        layout = AugmentedLayout(VehicleGraph(n), p)
         v = rng.normal(size=layout.dim) * rng.uniform(0.1, 10.0)
         Pv = _project(v, layout)
         worst = max(worst, float(np.abs(Pv - lstsq_projection_oracle(v, layout)).max()))

@@ -69,23 +69,77 @@ def test_solve_once_with_oracle_diff(tmp_path, capsys, monkeypatch):
 
     for module in (cli, problem):
         monkeypatch.setattr(module, "stage_blocks", counted)
-    state = {
-        "x": list(np.arange(0.0, -11 * 50.0, -50.0)[:11] + np.linspace(0, 0.5, 11)),
-        "v": [25.0] * 11,
-        "u0": -1.0,
-        "k": 0,
-    }
-    # keep positions strictly decreasing after the jitter
-    state["x"] = sorted(state["x"], reverse=True)
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(state))
-    rc = main(["solve-once", "--state", str(path), "--horizon", "1"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _solve_once(capsys, "--state", _state_file(tmp_path), "--horizon", "1")
     assert payload["converged"] is True
     assert payload["rel_error_vs_oracle"] <= 1e-2
     assert payload["feasible"] is True
     assert len(built) == 1
+
+
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _state_file(tmp_path):
+    """A ten-vehicle state with jittered gaps, the leader braking."""
+    x = np.arange(0.0, -11 * 50.0, -50.0) + np.linspace(0, 0.5, 11)
+    return _write_json(tmp_path / "state.json", {"x": sorted(x.tolist(), reverse=True),
+                                                 "v": [25.0] * 11, "u0": -1.0})
+
+
+def _solve_once(capsys, *args):
+    assert main(["solve-once", *args]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_solve_once_config_variant_holds_unless_flag_given(tmp_path, capsys):
+    state = _state_file(tmp_path)
+    config = _write_json(tmp_path / "cfg.json", {"solver": {"variant": "three-op"}})
+    dr = _solve_once(capsys, "--state", state)
+    from_config = _solve_once(capsys, "--state", state, "--config", config)
+    assert from_config == _solve_once(capsys, "--state", state, "--variant", "three-op")
+    assert from_config["iterations"] != dr["iterations"]
+    assert _solve_once(capsys, "--state", state, "--config", config, "--variant", "dr") == dr
+
+
+def test_simulate_config_variant_holds_unless_flag_given(tmp_path, capsys):
+    trajectory = tmp_path / "lead.csv"
+    trajectory.write_text("t,accel\n" + "".join(f"{k},{-0.5 if k == 2 else 0.0}\n"
+                                                 for k in range(6)))
+    config = _write_json(tmp_path / "cfg.json", {"solver": {"variant": "three-op"}})
+
+    def iterations(name, *args):
+        out = tmp_path / name
+        assert main(["simulate", "--scenario", "file", "--trajectory", str(trajectory),
+                     "--out", str(out), *args]) == 0
+        return json.loads((out / "metrics.json").read_text())["iterations_mean"]
+
+    from_config, default = iterations("config", "--config", config), iterations("default")
+    assert from_config == iterations("flag", "--variant", "three-op")
+    assert from_config != default
+    assert iterations("overridden", "--config", config, "--variant", "dr") == default
+
+
+def test_solve_once_honours_warmup_start(tmp_path, capsys, monkeypatch):
+    # solver.warm_start = "warmup-projection" runs one warm-up sweep and
+    # solves from its start, as the closed loop does
+    import platoonmpc.cli as cli
+
+    sweeps, warmup = [], cli.warmup_initial_guess
+
+    def counted(*args):
+        sweeps.append(args)
+        return warmup(*args)
+
+    monkeypatch.setattr(cli, "warmup_initial_guess", counted)
+    state = _state_file(tmp_path)
+    config = _write_json(tmp_path / "cfg.json", {"solver": {"warm_start": "warmup-projection"}})
+    cold = _solve_once(capsys, "--state", state)
+    assert sweeps == []
+    warm = _solve_once(capsys, "--state", state, "--config", config)
+    assert len(sweeps) == 1
+    assert warm["converged"] is True and warm["u_star"] != cold["u_star"]
 
 
 def test_simulate_failure_exit_code(tmp_path, capsys):

@@ -29,16 +29,16 @@ def lstsq_projection_oracle(vec, layout):
 
 
 def test_graph_validation():
-    g = VehicleGraph.chain(4)
+    g = VehicleGraph(4)
     assert g.neighbors(0) == [1]
     assert g.neighbors(2) == [1, 3]
     assert g.neighbors(3) == [2]
     with pytest.raises(ValueError):
-        VehicleGraph.chain(1)
+        VehicleGraph(1)
 
 
 def test_projection_fixed_point():
-    g = VehicleGraph.chain(3)
+    g = VehicleGraph(3)
     layout = AugmentedLayout(g, 2)
     assert layout.dim == 3 * layout.width == 3 * 2 * 3  # three agents, padded to 3p
     u = np.arange(6.0)
@@ -47,7 +47,7 @@ def test_projection_fixed_point():
 
 
 def test_two_agent_average():
-    g = VehicleGraph.chain(2)
+    g = VehicleGraph(2)
     layout = AugmentedLayout(g, 1)
     vec = np.zeros(layout.dim)
     vec[layout.positions[0][0]] = 4.0   # owner block of agent 0
@@ -62,7 +62,7 @@ def test_two_agent_average():
        st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_projection_properties(n, p, seed):
     rng = np.random.default_rng(seed)
-    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    layout = AugmentedLayout(VehicleGraph(n), p)
     v = rng.normal(size=layout.dim)
     w = rng.normal(size=layout.dim)
     Pv = _project(v, layout)
@@ -81,7 +81,7 @@ def test_projection_properties(n, p, seed):
 
 
 def test_fixed_points_are_exactly_consensus(rng):
-    layout = AugmentedLayout(VehicleGraph.chain(4), 2)
+    layout = AugmentedLayout(VehicleGraph(4), 2)
     u = rng.normal(size=8)
     vec = layout.scatter_controls(u)
     np.testing.assert_allclose(_project(vec, layout), vec, atol=1e-14)
@@ -133,7 +133,7 @@ def reference_project(vec, layout, rounds):
 def test_exchange_topology_and_isolation(rng):
     # a projection's two rounds carry a value at most two chain edges: what
     # an agent holds after it reads nothing of agents three or more away
-    g = VehicleGraph.chain(6)
+    g = VehicleGraph(6)
     layout = AugmentedLayout(g, 2)
     v = rng.normal(size=layout.dim)
     planted = v.copy()
@@ -158,7 +158,7 @@ def test_layout_leaving_the_chain_is_refused():
     # or an average returned along an edge no copy came by raises, and the
     # refused projection counts nothing
     def moved(what):
-        layout = AugmentedLayout(VehicleGraph.chain(5), 2)
+        layout = AugmentedLayout(VehicleGraph(5), 2)
         if what == "gather":
             # vehicle 3's copy held by agent 2 read from agent 0's own block instead
             layout.from_prev[2 * 2] = layout.positions[0][0]
@@ -173,12 +173,12 @@ def test_layout_leaving_the_chain_is_refused():
 
     for what, match in (("gather", "non-neighbor"), ("scatter", "non-neighbor"),
                         ("return", "no gather edge")):
-        fabric = MessageFabric(VehicleGraph.chain(5))
+        fabric = MessageFabric(VehicleGraph(5))
         with pytest.raises(SimulationFault, match=match):
             fabric.projection(moved(what))
         assert (fabric.round, fabric.messages, fabric.floats) == (0, 0, 0)
-    fabric = MessageFabric(VehicleGraph.chain(5))
-    fabric.projection(AugmentedLayout(VehicleGraph.chain(5), 2))
+    fabric = MessageFabric(VehicleGraph(5))
+    fabric.projection(AugmentedLayout(VehicleGraph(5), 2))
     assert fabric.round == 2
 
 
@@ -190,7 +190,7 @@ def test_padded_entries_are_zero(rng, n, p):
     # the two chain ends hold one neighbor's copy, so on three or more
     # vehicles each pads its segment with p entries; whatever an input holds
     # there, every vector the layout hands back reads exactly 0
-    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    layout = AugmentedLayout(VehicleGraph(n), p)
     width = layout.width
     pad = layout.owner < 0
     ends = [] if n == 2 else [*range(2 * p, width), *range(n * width - p, n * width)]
@@ -206,7 +206,7 @@ def test_padded_entries_are_zero(rng, n, p):
 def test_fabric_projection_bit_identical(rng, n, p):
     # _project gives the message-by-message projection bit for bit, and the
     # fabric counts its rounds, messages and floats
-    g = VehicleGraph.chain(n)
+    g = VehicleGraph(n)
     layout = AugmentedLayout(g, p)
     fabric, rounds = MessageFabric(g), []
     v = rng.normal(size=layout.dim)
@@ -234,7 +234,7 @@ def test_row_skeleton_matches_agent_columns(rng, n, p):
     # every agent i >= 1 holds its predecessor's copy in columns [p, 2p) of
     # its segment, and agent 0's second block is vehicle 1, over which
     # vehicle 0's rows read zero, as every vehicle's rows do over the third
-    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    layout = AugmentedLayout(VehicleGraph(n), p)
     for i in range(1, n):
         assert layout.positions[i][i - 1] == i * layout.width + p
     assert layout.var_order[0][:2] == [0, 1] and layout.positions[0][1] == p
@@ -250,7 +250,7 @@ def test_row_readers_agree(rng, n, p):
     # 2p window and the agents' segments read the same row values at any plan
     _, prob = chain_program(rng, n, p)
     cons = prob.constraints
-    layout = AugmentedLayout(VehicleGraph.chain(n), p)
+    layout = AugmentedLayout(VehicleGraph(n), p)
     A, h, S = _centralized_constraints(prob)
     for _ in range(3):
         u = rng.normal(size=n * p)

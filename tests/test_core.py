@@ -13,7 +13,6 @@ def test_zero_control_coasts():
     nxt = step_dynamics(state, np.zeros(3), 0.0, tau=1.0)
     np.testing.assert_allclose(nxt.x, state.x + 25.0)
     np.testing.assert_allclose(nxt.v, 25.0)
-    assert nxt.k == state.k + 1
 
 
 def test_braking_step_matches_kinematics():

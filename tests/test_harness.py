@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from platoonmpc.core import LeaderProfile
-from platoonmpc.harness import (NoiseSpec, ScenarioSpec, emit_results, run_scenario,
-                                scenario_builtin)
+from platoonmpc.harness import ScenarioSpec, emit_results, run_scenario, scenario_builtin
 from platoonmpc.solvers import default_params_for_horizon
 
 
@@ -229,11 +228,6 @@ def test_margins_are_the_spacing_bound(noise):
         np.testing.assert_array_equal(margin, spacing - bound)
     # row 0 is the initial state: 50 m gaps at 25 m/s, bound 5 + 25 + 15**2 / 16
     np.testing.assert_array_equal(res.safety_margins[0], 50.0 - (30.0 + 225.0 / 16.0))
-
-
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(std_first=-0.1)
 
 
 def test_trajectory_file_scenario(tmp_path):

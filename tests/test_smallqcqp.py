@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from platoonmpc.core import PlatoonState, reference_config
-from platoonmpc.problem import build_qcqp
+from platoonmpc.problem import StepTemplate, build_qcqp
 from platoonmpc.smallqcqp import (KKT_TOL, InfeasibleProblem, _accept, _central_path, _Rows,
                                   active_set_loop, row_values, solve_qcqp)
 from platoonmpc.solvers import _centralized_constraints, solve_centralized
@@ -226,8 +226,8 @@ def test_polish_with_many_weakly_active_rows_reaches_tolerance():
                     21.81433083980949, 21.814330839809493, 21.814330839809493,
                     21.814330839809497, 21.814330839809497, 21.814330839809497,
                     21.814330839809497]),
-        u0=1.0, k=106)
-    prob = build_qcqp(state, cfg, weights)
+        u0=1.0)
+    prob = build_qcqp(state, template=StepTemplate(cfg, weights))
     x = solve_centralized(prob)
 
     # independent KKT certificate from the returned multipliers
@@ -249,7 +249,7 @@ def test_centralized_interleaved_rows_kkt_certificate(rng):
             state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
                                  v=rng.uniform(20.0, 27.0, cfg.n + 1),
                                  u0=float(rng.uniform(-2.0, 1.0)))
-            prob = build_qcqp(state, cfg, weights)
+            prob = build_qcqp(state, template=StepTemplate(cfg, weights))
             x = solve_centralized(prob)
             res = centralized_multipliers(prob)
             np.testing.assert_array_equal(res.x, x)

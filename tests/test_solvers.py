@@ -23,9 +23,9 @@ def make_instance(rng, n, p, steady=False):
     cfg = small_config(n, p)
     w = random_weights(rng, n, p)
     state = initial_state(cfg, speed=25.0, u0=0.0) if steady else random_state(rng, cfg)
-    prob = build_qcqp(state, cfg, w)
+    prob = build_qcqp(state, template=StepTemplate(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
-    return cfg, prob, build_local_problems(prob, stack), VehicleGraph.chain(n)
+    return cfg, prob, build_local_problems(prob, stack), VehicleGraph(n)
 
 
 def agent_map(problems, graph, i, point, rho=None):
@@ -87,7 +87,7 @@ def test_local_problem_layout(rng):
     for call in (lambda g: solve_dr(problems, g, default_params_for_horizon(2)),
                  lambda g: warmup_initial_guess(prob, problems, MessageFabric(g))):
         with pytest.raises(ValueError, match="vehicles"):
-            call(VehicleGraph.chain(5))
+            call(VehicleGraph(5))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -179,7 +179,7 @@ def test_template_steps_do_not_alias(rng, p):
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(arrays(first, first_local) + shared, seen, strict=True))
     for state, prob, local in zip(states, (first, second), (first_local, second_local)):
-        fresh = build_qcqp(state, cfg, w)
+        fresh = build_qcqp(state, template=StepTemplate(cfg, w))
         fresh_local = build_local_problems(fresh, stack)
         for now, again in zip(arrays(prob, local), arrays(fresh, fresh_local), strict=True):
             assert now.tobytes() == again.tobytes()
@@ -309,8 +309,8 @@ def test_batched_engine_matches_per_agent_oracle(rng):
             w = random_weights(rng, n, p)
             state = random_state(rng, cfg, gap_jitter=6.0, speed_lo=24.0, speed_hi=27.0,
                                  u0_mag=2.0)
-            prob = build_qcqp(state, cfg, w)
-            graph = VehicleGraph.chain(n)
+            prob = build_qcqp(state, template=StepTemplate(cfg, w))
+            graph = VehicleGraph(n)
             locals_ = build_local_problems(
                 prob, decompose_pd(stage_blocks(w, cfg.tau)))
             rep = check_membership(prob, solve_centralized(prob))
@@ -623,7 +623,7 @@ def test_accuracy_level_after_leader_brake():
     w = default_weight_schedule(1)
     state = initial_state(cfg, speed=25.0, u0=-2.0)
     state = step_dynamics(state, np.zeros(10), -2.0, cfg.tau)
-    prob = build_qcqp(state, cfg, w)
+    prob = build_qcqp(state, template=StepTemplate(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
     rep = solve_dr(build_local_problems(prob, stack), stack.layout.graph,
                    default_params_for_horizon(1))
@@ -646,7 +646,7 @@ def test_prox_active_safety_matches_grid_oracle():
     gaps = np.array([44.2, 50.0, 50.0])
     state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
                          v=np.full(4, 25.0), u0=0.0)
-    prob = build_qcqp(state, cfg, w)
+    prob = build_qcqp(state, template=StepTemplate(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
     problems = build_local_problems(prob, stack)
     H, c = agent_block(problems, 0)
@@ -654,7 +654,7 @@ def test_prox_active_safety_matches_grid_oracle():
 
     rho = 5.0
     point = np.array([4.0, 1.0])  # accelerating into the tight gap
-    got = agent_map(problems, VehicleGraph.chain(3), 0, point, rho)
+    got = agent_map(problems, VehicleGraph(3), 0, point, rho)
 
     cons = problems.constraints
     quad = RankOneRow(quad=cons.quad, s=np.array([1.0, 0.0]),
@@ -686,9 +686,9 @@ def test_carried_warm_state_is_read_only(rng):
     cfg = small_config(5, 3)
     w = random_weights(rng, 5, 3)
     state = random_state(rng, cfg, gap_jitter=6.0, speed_lo=24.0, speed_hi=27.0, u0_mag=2.0)
-    prob = build_qcqp(state, cfg, w)
+    prob = build_qcqp(state, template=StepTemplate(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
-    graph = VehicleGraph.chain(5)
+    graph = VehicleGraph(5)
     params = default_params_for_horizon(3)
     first = solve_dr(build_local_problems(prob, stack), graph, params)
     assert first.prox_full > 0

@@ -4,7 +4,7 @@ import pytest
 from platoonmpc.core import WeightSchedule, error_coords, initial_state, \
     reference_config, step_dynamics
 from platoonmpc.decomposition import stage_blocks
-from platoonmpc.problem import build_qcqp
+from platoonmpc.problem import StepTemplate, build_qcqp
 from platoonmpc.solvers import solve_centralized
 from platoonmpc.stability import (build_closed_loop, default_weight_schedule,
                                   eigen_bounds_check, gen_weight_schedule, schur_margin)
@@ -143,7 +143,7 @@ def test_unconstrained_rollout_matches_closed_loop(rng):
 
     zz = np.concatenate(error_coords(state, cfg))
     for k in range(200):
-        prob = build_qcqp(state, cfg, w)
+        prob = build_qcqp(state, template=StepTemplate(cfg, w))
         u = solve_centralized(prob)
         u_first = u.reshape(4, 2)[:, 0]
         state = step_dynamics(state, u_first, state.u0, cfg.tau)
@@ -186,12 +186,12 @@ def test_schur_margin_adversarial_tail(rng):
 
 
 def test_schedule_factors_and_validation():
-    base = np.ones(3)
+    base = np.full(3, 2.0)
     w = gen_weight_schedule(base, base, base, p=3, eta=4.0,
-                            kappa_gap=0.0228, kappa_rate=0.0228, kappa_ride=0.0228,
-                            stage1_offset=0.0)
-    assert w.q_gap[1, 0] == pytest.approx(0.0228)        # (s-1)^4 = 1 at s = 2
-    assert w.q_gap[2, 0] == pytest.approx(0.0228 / 16)   # = 0.001425 at s = 3
+                            kappa_gap=0.0228, kappa_rate=0.0228, kappa_ride=0.0228)
+    assert w.q_gap[0, 0] == w.q_rate[0, 0] == w.q_ride[0, 0] == 1.0  # stage one subtracts one
+    assert w.q_gap[1, 0] == pytest.approx(2 * 0.0228)        # (s-1)^4 = 1 at s = 2
+    assert w.q_gap[2, 0] == pytest.approx(2 * 0.0228 / 16)   # = 0.00285 at s = 3
     with pytest.raises(ValueError):
         gen_weight_schedule(base, base, base, p=2, eta=1.0,
                             kappa_gap=0.1, kappa_rate=0.1, kappa_ride=0.1)

@@ -11,12 +11,14 @@ per-step DR iterations and warm-up rounds, and every step's per-agent
 (fast, full) proximal counts.  Then, for ``s1`` at p = 1 and 5, one
 line digests every step's centralized reference answer
 (``solve_centralized``), which reads the reference's own constraint rows.
-Last, one line per run, the seven above and ``s3-synthetic`` seed 1 at
+Then, one line per run, the seven above and ``s3-synthetic`` seed 1 at
 p = 1 with process noise, digests the series the run returns: spacings,
 speeds, safety margins, realized controls, fabric rounds and floats, and
-the ``metrics`` dict as sorted JSON.
+the ``metrics`` dict as sorted JSON.  Last, one line digests the built-in
+weight schedules (``default_weight_schedule``) and the stability reports
+(``stability_report_json`` of the reference platoon) for p = 1 to 5.
 Two checkouts that print the same lines computed the same closed loops,
-and the same reference answers, bit for bit.
+the same reference answers and the same weight designs, bit for bit.
 """
 
 import hashlib
@@ -29,6 +31,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 import platoonmpc.harness as harness  # noqa: E402
+from platoonmpc.core import reference_config  # noqa: E402
+from platoonmpc.stability import default_weight_schedule, stability_report_json  # noqa: E402
 
 RUNS = (
     ("s1", 1, 0, None),
@@ -41,6 +45,7 @@ RUNS = (
 )
 ORACLE_RUNS = (("s1", 1), ("s1", 5))
 NOISY_RUN = ("s3-synthetic", 1, 1)
+SCHEDULE_HORIZONS = range(1, 6)
 
 
 def digest(*parts) -> str:
@@ -94,6 +99,12 @@ def main():
               f"rounds {digest(r.rounds.astype(np.int64))} "
               f"floats {digest(r.floats.astype(np.int64))} "
               f"metrics {digest(np.frombuffer(metrics, dtype=np.uint8))}")
+    schedules = [default_weight_schedule(p) for p in SCHEDULE_HORIZONS]
+    reports = [stability_report_json(reference_config(horizon=p), w).encode()
+               for p, w in zip(SCHEDULE_HORIZONS, schedules)]
+    print(f"weights p={SCHEDULE_HORIZONS[0]}..{SCHEDULE_HORIZONS[-1]}: "
+          f"schedule {digest(*(q for w in schedules for q in (w.q_gap, w.q_rate, w.q_ride)))} "
+          f"stability {digest(*(np.frombuffer(r, dtype=np.uint8) for r in reports))}")
 
 
 if __name__ == "__main__":
