@@ -16,8 +16,7 @@ from .core import (LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, e
 from .decomposition import AgentStack, decompose_pd, prediction, stage_blocks
 from .harness import (SafetyViolation, ScenarioSpec, SimResult, emit_results, run_scenario,
                       scenario_builtin)
-from .problem import (ConstraintSet, MembershipReport, QcqpProblem, build_qcqp,
-                      check_membership)
+from .problem import MembershipReport, QcqpProblem, build_qcqp, check_membership
 from .solvers import (LocalProblems, ProxSolveError, SolveReport, SolverParams,
                       build_local_problems, default_params_for_horizon, solve_centralized,
                       solve_dr, solve_three_op, solve_three_op_accel, solve_variant,

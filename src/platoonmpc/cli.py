@@ -24,10 +24,10 @@ from .stability import default_weight_schedule, stability_report_json
 def _check_keys(section, raw, known, required=()):
     unknown = sorted(set(raw) - set(known))
     if unknown:
-        raise SystemExit(f"config {section} has unknown key(s): {', '.join(unknown)}")
+        raise SystemExit(f"{section} has unknown key(s): {', '.join(unknown)}")
     missing = [key for key in required if key not in raw]
     if missing:
-        raise SystemExit(f"config {section} lacks key(s): {', '.join(missing)}")
+        raise SystemExit(f"{section} lacks key(s): {', '.join(missing)}")
 
 
 def _load_config(path, horizon):
@@ -38,9 +38,9 @@ def _load_config(path, horizon):
     if path:
         with open(path) as fh:
             raw = json.load(fh)
-    _check_keys("top level", raw, ("platoon", "weights", "solver"))
+    _check_keys("config top level", raw, ("platoon", "weights", "solver"))
     plat = raw.get("platoon", {})
-    _check_keys("section 'platoon'", plat, [f.name for f in fields(PlatoonConfig)])
+    _check_keys("config section 'platoon'", plat, [f.name for f in fields(PlatoonConfig)])
     cfg = replace(reference_config(horizon=horizon), **plat)
 
     w = raw.get("weights", "default")
@@ -51,11 +51,11 @@ def _load_config(path, horizon):
         weights = default_weight_schedule(cfg.horizon)
     else:
         names = [f.name for f in fields(WeightSchedule)]
-        _check_keys("section 'weights'", w, names, required=names)
+        _check_keys("config section 'weights'", w, names, required=names)
         weights = WeightSchedule(**w)
 
     s = raw.get("solver", {})
-    _check_keys("section 'solver'", s, [f.name for f in fields(SolverParams)])
+    _check_keys("config section 'solver'", s, [f.name for f in fields(SolverParams)])
     return cfg, weights, replace(default_params_for_horizon(cfg.horizon), **s)
 
 
@@ -95,6 +95,7 @@ def _cmd_solve_once(args):
     params = replace(params, variant=args.variant or params.variant)
     with open(args.state) as fh:
         raw = json.load(fh)
+    _check_keys("state file", raw, ("x", "v", "u0"), required=("x", "v"))
     state = PlatoonState(x=np.asarray(raw["x"], dtype=float),
                          v=np.asarray(raw["v"], dtype=float),
                          u0=float(raw.get("u0", 0.0)))

@@ -55,8 +55,8 @@ class AugmentedLayout:
     returns.  The fixed ordering pins serialization and floating-point
     summation order across runs.  So every agent i >= 1 holds its
     predecessor's copy in columns [p, 2p) of its segment, and agent 0 holds
-    vehicle 1 there: ``ConstraintSet``'s row skeleton, laid out over
-    [own, predecessor, successor], serves every agent as it is.
+    vehicle 1 there: the step program's rows (``problem.QcqpProblem``), laid
+    out over [own, predecessor, successor], serve every agent as they are.
 
     One set of index arrays states the layout, the embedding and the
     consensus projection:

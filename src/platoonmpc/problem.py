@@ -17,69 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PlatoonConfig, PlatoonState, WeightSchedule, error_coords
-from .decomposition import prediction, stage_blocks
-from .smallqcqp import stacked_rows
+from .decomposition import prediction
+from .smallqcqp import Rows
 
 __all__ = [
-    "ConstraintSet",
     "QcqpProblem",
     "StepTemplate",
     "MembershipReport",
     "build_qcqp",
     "check_membership",
 ]
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Every constraint row of one step's program, stored per vehicle.
-
-    Vehicle i's rows read only its own controls u_i and its predecessor's
-    u_{i-1}, and each is feasible when its value is <= 0:
-
-    * the box ``a_min <= u_i <= a_max``;
-    * the speed band ``speed_lo[i] <= tau * cumsum(u_i) <= speed_hi[i]``,
-      with per-vehicle offsets ``v_min - v_i(k)`` and ``v_max - v_i(k)``;
-    * one safe-spacing row per stage s,
-      ``quad * (S u_i)_s^2 + own[i, s] . u_i - Φ[s] . u_{i-1} + const[i, s]``,
-      S the cumulative-sum selector.  The first vehicle's predecessor is
-      the uncontrolled leader, whose predicted motion is folded into
-      ``const``.
-
-    ``skeleton`` is the run's read-only (A, S), each (n, 5p, 3p), over every
-    vehicle's [own, predecessor, successor] columns: the box, speed and
-    predecessor coefficients and the selector, which no state changes.  The
-    successor's columns are zero (no row reads u_{i+1}), and so are the
-    first vehicle's predecessor columns.
-    """
-
-    a_min: float
-    a_max: float
-    speed_lo: np.ndarray
-    speed_hi: np.ndarray
-    quad: float
-    own: np.ndarray
-    const: np.ndarray
-    skeleton: tuple
-
-    def rows(self, width: int):
-        """Every vehicle's rows over the skeleton's first ``width`` columns.
-
-        Returns ``(A, h, S)`` stacked over the vehicles: row r of vehicle i
-        reads ``A[i, r] x - h[i, r] + quad (S[i, r] x)^2 <= 0``.  Each
-        vehicle's 5p rows are upper box, lower box, upper speed, lower speed
-        (S zero on all four) and safety, p of each.  A is a copy with the
-        own safety coefficients written in; S is the skeleton's, read-only.
-        """
-        A, S = self.skeleton
-        p = self.own.shape[-1]
-        A = A[..., :width].copy()
-        A[:, 4 * p:, :p] = self.own
-        h = np.empty(A.shape[:2])
-        h[:, :p], h[:, p:2 * p] = self.a_max, -self.a_min
-        h[:, 2 * p:3 * p], h[:, 3 * p:4 * p] = self.speed_hi[:, None], -self.speed_lo[:, None]
-        h[:, 4 * p:] = -self.const
-        return A, h, S[..., :width]
 
 
 @dataclass(frozen=True)
@@ -91,6 +38,26 @@ class QcqpProblem:
     i+1, with the Schur blocks of its forward elimination,
     ``schur[i] = diag[i] - off[i-1]' schur[i-1]^-1 off[i-1]``; ``c`` is
     partitioned per vehicle.
+
+    ``rows`` holds every constraint row of the step, a ``Rows`` stack over
+    the vehicles, each (5p, 3p) over the vehicle's [own, predecessor,
+    successor] columns: row r of vehicle i reads
+    ``A[i, r] x - h[i, r] + quad (S[i, r] x)^2 <= 0``, and only its own
+    controls u_i and its predecessor's u_{i-1}.  Its 5p rows are p each of:
+
+    * the upper and the lower box, ``a_min <= u_i <= a_max``;
+    * the upper and the lower speed band,
+      ``v_min - v_i(k) <= tau * cumsum(u_i) <= v_max - v_i(k)``;
+    * the safe spacing per stage s,
+      ``quad * (S u_i)_s^2 + own_s . u_i - Φ[s] . u_{i-1} + const_s``,
+      S the cumulative-sum selector (zero on the other rows) and own and
+      const set by the state.  The first vehicle's predecessor is the
+      uncontrolled leader, whose predicted motion is folded into const.
+
+    A is the template's skeleton with the own coefficients written in; S is
+    the skeleton's, read-only.  The agents read the rows over their
+    segments' first columns, and ``central_rows`` over the vehicle-major
+    controls.
     """
 
     n: int
@@ -99,7 +66,7 @@ class QcqpProblem:
     off: np.ndarray
     schur: np.ndarray
     c: np.ndarray
-    constraints: ConstraintSet
+    rows: Rows
 
     def hessian_dense(self) -> np.ndarray:
         """Assemble the full Hessian (test/oracle path only)."""
@@ -112,21 +79,33 @@ class QcqpProblem:
                 W[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = self.off[i].T
         return W
 
+    def central_rows(self) -> Rows:
+        """Every vehicle's rows over the vehicle-major columns, for the
+        centralized reference and the membership check: the own block to
+        the vehicle's own columns, the predecessor's to the block before."""
+        n, p = self.n, self.horizon
+        i = np.arange(n)
+        out = np.zeros((2, n, 5 * p, n, p))
+        for M, R in zip(out, (self.rows.A, self.rows.S)):
+            M[i, :, i], M[i[1:], :, i[:-1]] = R[..., :p], R[1:, :, p:2 * p]
+        return Rows(out[0].reshape(-1, n * p), self.rows.h.ravel(), out[1].reshape(-1, n * p),
+                    self.rows.quad)
+
 
 class StepTemplate:
     """The state-free part of a run's step programs, from the configuration,
-    the weights and (optionally precomputed) stacked stage blocks: the
-    Hessian's block-tridiagonal pieces and Schur blocks, the prediction
-    (Φ, T) and what the linear term reads of it, and the rows' one
-    ``skeleton`` (see ``ConstraintSet``).  Every array it builds is
-    read-only."""
+    the weights and their stacked stage blocks: the Hessian's
+    block-tridiagonal pieces and Schur blocks, the prediction (Φ, T) and
+    what the linear term reads of it, and the rows' one ``skeleton`` (A, S),
+    each (n, 5p, 3p): the box, speed and predecessor coefficients and the
+    selector, which no state changes (see ``QcqpProblem``).  Every array it
+    builds is read-only."""
 
-    def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule, blocks=None):
+    def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule, blocks: np.ndarray):
         if weights.horizon != cfg.horizon or weights.n != cfg.n:
             raise ValueError("weight schedule shape does not match the configuration")
-        U = blocks if blocks is not None else stage_blocks(weights, cfg.tau)
-        diag, off = U.copy(), -U[1:]
-        diag[:-1] += U[1:]
+        diag, off = blocks.copy(), -blocks[1:]
+        diag[:-1] += blocks[1:]
         schur = diag.copy()
         for i in range(1, cfg.n):
             schur[i] -= off[i - 1].T @ np.linalg.solve(schur[i - 1], off[i - 1])
@@ -164,9 +143,9 @@ def _linear_term(state: PlatoonState, t: StepTemplate) -> np.ndarray:
     return (-(m - np.concatenate([m[:, 1:], np.zeros((len(m), 1))], axis=1))).T.ravel()
 
 
-def _constraint_set(state: PlatoonState, t: StepTemplate) -> ConstraintSet:
+def _step_rows(state: PlatoonState, t: StepTemplate) -> Rows:
     """Box, speed-band and safe-spacing rows of every vehicle."""
-    cfg, tau = t.cfg, t.cfg.tau
+    cfg, tau, p = t.cfg, t.cfg.tau, t.cfg.horizon
     v, v_prev = state.v[1:], state.v[:-1]
     coef = cfg.reaction * tau - tau * (v - cfg.v_min) / cfg.a_min
     # float_power squares through libm pow, like a scalar ``**``; an array's
@@ -177,9 +156,14 @@ def _constraint_set(state: PlatoonState, t: StepTemplate) -> ConstraintSet:
     # The leader prediction freezes its current acceleration, so the first
     # vehicle's predecessor contribution is a constant.
     const[0] -= t.lead * state.u0
-    return ConstraintSet(a_min=cfg.a_min, a_max=cfg.a_max, speed_lo=cfg.v_min - v,
-                         speed_hi=cfg.v_max - v, quad=t.quad,
-                         own=coef[:, None, None] * t.T + t.phi, const=const, skeleton=t.skeleton)
+    A, S = t.skeleton
+    A = A.copy()
+    A[:, 4 * p:, :p] = coef[:, None, None] * t.T + t.phi
+    h = np.empty(A.shape[:2])
+    h[:, :p], h[:, p:2 * p] = cfg.a_max, -cfg.a_min
+    h[:, 2 * p:3 * p], h[:, 3 * p:4 * p] = (cfg.v_max - v)[:, None], -(cfg.v_min - v)[:, None]
+    h[:, 4 * p:] = -const
+    return Rows(A, h, S, t.quad)
 
 
 def build_qcqp(state: PlatoonState, template: StepTemplate) -> QcqpProblem:
@@ -189,7 +173,7 @@ def build_qcqp(state: PlatoonState, template: StepTemplate) -> QcqpProblem:
         raise ValueError("state must be finite")
     return QcqpProblem(n=template.cfg.n, horizon=template.cfg.horizon, diag=template.diag,
                        off=template.off, schur=template.schur, c=_linear_term(state, template),
-                       constraints=_constraint_set(state, template))
+                       rows=_step_rows(state, template))
 
 
 @dataclass(frozen=True)
@@ -217,10 +201,6 @@ class MembershipReport:
 
 def check_membership(prob: QcqpProblem, u: np.ndarray, tol: float = 1e-8) -> MembershipReport:
     """Evaluate every constraint of the step program at ``u``."""
-    p, n, cons = prob.horizon, prob.n, prob.constraints
-    u = np.asarray(u, dtype=float).reshape(n, p)
-    # each vehicle's rows over its own block and its predecessor's
-    window = np.hstack([u, np.vstack([np.zeros((1, p)), u[:-1]])])
-    val = stacked_rows(*cons.rows(2 * p), cons.quad, window)[0].reshape(n, 5, p)
+    val = prob.central_rows().values(np.asarray(u, dtype=float)).reshape(prob.n, 5, prob.horizon)
     return MembershipReport(box=np.maximum(val[:, 0], val[:, 1]),
                             speed=np.maximum(val[:, 2], val[:, 3]), safety=val[:, 4], tol=tol)

@@ -1,14 +1,15 @@
 """Dense solver for small strongly convex QCQPs.
 
-Solves  minimize 0.5 x'Px + q'x  subject to one family of rows
+Solves  minimize 0.5 x'Px + q'x  subject to one ``Rows`` family
 
     A[k] x - h[k] + quad (S[k] x)^2 <= 0,
 
 with P positive definite and quad >= 0: a row whose S is zero is linear,
-any other is a convex rank-one quadratic.  This is the layout of
-``problem.ConstraintSet.rows``.  Problems here have at most a few dozen
-variables (per-agent proximal steps and the centralized reference solve),
-so everything is dense and direct, vectorized over the rows.
+any other is a convex rank-one quadratic.  ``Rows`` is the constraint set
+of every layer: the step program's (``problem.QcqpProblem.rows``), the
+agents' and the centralized reference's.  Problems here have at most a few
+dozen variables (per-agent proximal steps and the centralized reference
+solve), so everything is dense and direct, vectorized over the rows.
 
 Strategy: without a start point, the unconstrained minimizer, returned when
 it is feasible and the start otherwise.  Then one log-barrier central path
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["QcqpResult", "InfeasibleProblem", "active_set_loop", "row_values", "solve_qcqp"]
+__all__ = ["QcqpResult", "InfeasibleProblem", "Rows", "active_set_loop", "solve_qcqp"]
 KKT_TOL = 1e-9  # the KKT residual a solve must reach, unless the caller sets its own
 # |q| above which an objective is solved scaled to unit |q|: random QCQPs end "inaccurate"
 # unscaled from about 750; the built-in runs' solves reach 576 and keep their arithmetic.
@@ -62,40 +63,41 @@ class QcqpResult:
     active: tuple = ()
 
 
-def row_values(A, h, S, quad, x):
-    """Value of every row ``A x - h + quad (S x)^2`` of one row family at one
-    point ``x`` (<= 0 feasible); ``stacked_rows`` serves stacks."""
-    return A @ x - h + quad * (S @ x) ** 2
-
-
-def stacked_rows(A, h, S, quad, x):
-    """(row values, each row's S x) of a stack of row families at ``x``."""
-    x = x[..., None]
-    Sx = (S @ x)[..., 0]
-    return (A @ x)[..., 0] - h + quad * Sx ** 2, Sx
-
-
-def row_grads(A, S, quad, Sx):
+def _row_grads(A, S, quad, Sx):
     """Row gradients ``A + 2 quad (S x) S``, from each row's ``S x``."""
     return A + (2.0 * quad * Sx)[..., None] * S
 
 
-class _Rows(NamedTuple):
+class Rows(NamedTuple):
+    """The rows ``A[k] x - h[k] + quad (S[k] x)^2 <= 0`` of one problem, A
+    and S (m, d) and h (m,), or of a stack of problems, A and S (..., m, d)
+    and h (..., m), under one ``quad``.  ``values`` and ``grads`` read one
+    point per problem, and give each problem of a stack its own answer bit
+    for bit."""
+
     A: np.ndarray
     h: np.ndarray
     S: np.ndarray
     quad: float
 
     def values(self, x):
-        return row_values(*self, x)
+        """Every row's value at x (<= 0 feasible)."""
+        x = x[..., None]
+        return (self.A @ x)[..., 0] - self.h + self.quad * (self.S @ x)[..., 0] ** 2
 
     def grads(self, x):
-        """Row gradients at x, one per row."""
-        return row_grads(self.A, self.S, self.quad, self.S @ x)
+        """Every row's gradient at x."""
+        return _row_grads(self.A, self.S, self.quad, (self.S @ x[..., None])[..., 0])
 
     def curvature(self, w):
-        """Weighted sum of the row Hessians, ``2 quad S' diag(w) S``."""
+        """Weighted sum of one problem's row Hessians, ``2 quad S' diag(w) S``."""
         return 2.0 * self.quad * (self.S.T * w) @ self.S
+
+    def take(self, idx, width=None):
+        """The rows of the problems ``idx`` of a stack (``...`` for all), over
+        their first ``width`` columns (all without one)."""
+        cut = (..., slice(width))
+        return Rows(self.A[idx][cut], self.h[idx], self.S[idx][cut], self.quad)
 
 
 def _solve(J, b):
@@ -130,12 +132,11 @@ def _active_set_newton(P, q, rows, x, keys, lam, tol, max_iters=40):
     k, dim = x.shape
     a = keys.shape[1]
     at = np.arange(k)[:, None]
-    A, h, S = rows.A[at, keys], rows.h[at, keys], rows.S[at, keys]
+    A, h, S, quad = rows.take((at, keys))
     pad = keys < 0
     padded = np.count_nonzero(pad) > 0
     if padded:
         A[pad], h[pad], S[pad] = 0.0, 0.0, 0.0
-    quad = rows.quad
     curved = quad != 0.0 and np.count_nonzero(S) > 0
     St = S.transpose(0, 2, 1)
     K = np.zeros((k, dim + a, dim + a))
@@ -163,7 +164,7 @@ def _active_set_newton(P, q, rows, x, keys, lam, tol, max_iters=40):
         if not np.count_nonzero(live):  # cheaper than live.any() on a small mask
             break
         if curved:
-            grads = row_grads(A, S, quad, Sx)
+            grads = _row_grads(A, S, quad, Sx)
             J[:, :dim, :dim] = P + 2.0 * quad * (St * z[:, None, dim:]) @ S
             J[:, :dim, dim:] = grads.transpose(0, 2, 1)
             J[:, dim:, :dim] = grads
@@ -190,13 +191,12 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
     Returns (passed, the row values off the working set, -inf on it, with a
     last column for the padding keys, clipped multipliers, KKT residual)."""
     at = np.arange(len(x))[:, None]
-    f = stacked_rows(*rows, x)[0]
+    f = rows.values(x)
     low = lam.min(axis=1, initial=0.0)
     full = np.maximum(lam, 0.0)
     clipped = low < 0.0
     if np.count_nonzero(clipped):  # a clipped multiplier moves the gradient
-        S = rows.S[at, keys]
-        grads = row_grads(rows.A[at, keys], S, rows.quad, (S @ x[..., None])[..., 0])
+        grads = rows.take((at, keys)).grads(x)
         again = (P @ x[..., None])[..., 0] + q
         again += (grads.transpose(0, 2, 1) @ full[..., None])[..., 0]
         stat = np.where(clipped[:, None], again, stat)
@@ -209,7 +209,7 @@ def _accept(P, q, rows, x, keys, lam, stat, kkt_tol):
 
 def active_set_loop(P, q, rows, x, keys, budget, newton_tol, kkt_tol):
     """The primal active-set loop over a stack of problems: problem j is
-    (P[j], q[j]) over its rows in ``rows``, a ``_Rows`` of stacked arrays,
+    (P[j], q[j]) over its rows in ``rows``, a ``Rows`` stack,
     from ``x[j]`` with working rows ``keys[j]`` (ascending, padded with -1).
     Each pass runs one Newton solve of the problems still open, from their
     last points and multipliers, to ``newton_tol`` (per problem or one for
@@ -242,7 +242,7 @@ def active_set_loop(P, q, rows, x, keys, budget, newton_tol, kkt_tol):
         if grow.size:  # the rank of the working and added rows' gradients at x
             at, on = idx[grow, None], keys[grow]
             S = rows.S[at, on] * (on >= 0)[..., None]
-            sv = np.linalg.svd(row_grads(rows.A[at, on] * (on >= 0)[..., None], S, rows.quad,
+            sv = np.linalg.svd(_row_grads(rows.A[at, on] * (on >= 0)[..., None], S, rows.quad,
                                          (S @ x[at[:, 0], :, None])[..., 0]), compute_uv=False)
             rank = np.count_nonzero(sv > 1e-12 * sv[:, :1], axis=1)
             live[grow[rank < np.count_nonzero(on >= 0, axis=1)]] = False
@@ -252,7 +252,7 @@ def active_set_loop(P, q, rows, x, keys, budget, newton_tol, kkt_tol):
         order = np.argsort(np.where(keys < 0, m, keys), axis=1, kind="stable")
         width = np.count_nonzero(keys >= 0, axis=1).max()
         keys, lam = (np.take_along_axis(a, order[:, :width], 1) for a in (keys, lam))
-        one = P[idx], q[idx], _Rows(rows.A[idx], rows.h[idx], rows.S[idx], rows.quad)
+        one = P[idx], q[idx], rows.take(idx)
         x[idx], lam, step_its, stat = _active_set_newton(*one, x[idx], keys, lam, tol[idx])
         ok, off, full, res[idx] = _accept(*one, x[idx], keys, lam, stat, kkt_tol)
         its += step_its
@@ -344,8 +344,8 @@ def _phase_one(rows, x0):
     def inside(y):
         return rows.values(y[:dim]).max() < -1e-7 * scale
 
-    lifted = _Rows(np.hstack([rows.A, -np.ones((rows.h.size, 1))]), rows.h,
-                   np.hstack([rows.S, np.zeros((rows.h.size, 1))]), rows.quad)
+    lifted = Rows(np.hstack([rows.A, -np.ones((rows.h.size, 1))]), rows.h,
+                  np.hstack([rows.S, np.zeros((rows.h.size, 1))]), rows.quad)
     e_t = np.zeros(dim + 1)
     e_t[dim] = 1.0
     for y, eta in _central_path(np.zeros((dim + 1, dim + 1)), e_t, lifted,
@@ -359,15 +359,13 @@ def _phase_one(rows, x0):
     raise InfeasibleProblem(f"constraint set numerically empty (min worst violation {worst:.3e})")
 
 
-def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None,
-               kkt_tol: float = KKT_TOL) -> QcqpResult:
+def solve_qcqp(P, q, rows: Rows, x0=None, kkt_tol: float = KKT_TOL) -> QcqpResult:
     """Solve the QCQP to a target KKT residual.
 
     Parameters
     ----------
     P, q : quadratic objective data, P symmetric positive definite.
-    A, h, S, quad : the rows ``A[k] x - h[k] + quad (S[k] x)^2 <= 0``; no
-        rows when ``A`` is None, all rows linear when ``S`` is None.
+    rows : the ``Rows`` of one problem.
     x0 : optional start point; without one the solve starts from the
         unconstrained minimizer.
     kkt_tol : target residual (stationarity, feasibility, complementarity),
@@ -378,13 +376,10 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None,
     q = np.asarray(q, dtype=float)
     big = float(np.abs(q).max(initial=0.0))
     if big > Q_SCALE:
-        res = solve_qcqp(P / big, q / big, A, h, S, quad, x0, kkt_tol)
+        res = solve_qcqp(P / big, q / big, rows, x0, kkt_tol)
         res.lam = res.lam * big
         return res
-    if A is None:
-        A, h = np.zeros((0, q.size)), np.zeros(0)
-    rows = _Rows(A, h, np.zeros_like(A) if S is None else S, quad)
-    m = h.size
+    m = rows.h.size
     iterations = 0
 
     if x0 is None or m == 0:
@@ -405,7 +400,7 @@ def solve_qcqp(P, q, A=None, h=None, S=None, quad=0.0, x0=None,
     # many weakly active rows needs room for every row, and Newton's stop,
     # relative to max|q|, must sit below kkt_tol.
     polish_tol = min(1e-12 * (1.0 + float(np.abs(q).max())), 0.1 * kkt_tol)
-    one = P[None], q[None], _Rows(A[None], h[None], rows.S[None], quad)
+    one = P[None], q[None], rows.take(None)  # a stack of one
     held, prev = 0, None
     for x, eta in _central_path(P, q, rows, start, 1.0, 20.0):
         # the multipliers read off the barrier gradient, and the rows whose

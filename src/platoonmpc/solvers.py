@@ -38,9 +38,8 @@ import numpy as np
 
 from .consensus import MessageFabric, VehicleGraph, _project
 from .decomposition import AgentStack
-from .problem import ConstraintSet, QcqpProblem
-from .smallqcqp import (KKT_TOL, InfeasibleProblem, _Rows, active_set_loop, row_grads,
-                        solve_qcqp, stacked_rows)
+from .problem import QcqpProblem
+from .smallqcqp import KKT_TOL, InfeasibleProblem, Rows, active_set_loop, solve_qcqp
 
 __all__ = [
     "SolverParams",
@@ -105,7 +104,7 @@ class SolverParams:
             raise ValueError(f"unknown warm start {self.warm_start!r}")
 
 
-def default_params_for_horizon(p: int, variant: str = "dr") -> SolverParams:
+def default_params_for_horizon(p: int) -> SolverParams:
     """Relaxation, proximal weight, and tolerance per horizon length."""
     table = {
         1: (0.95, 0.3, 1e-3),
@@ -115,16 +114,16 @@ def default_params_for_horizon(p: int, variant: str = "dr") -> SolverParams:
         5: (0.8, 0.1, 1.25e-2),
     }
     alpha, rho, tol = table.get(p, table[5])
-    return SolverParams(variant=variant, alpha=alpha, rho=rho, tol=tol)
+    return SolverParams(alpha=alpha, rho=rho, tol=tol)
 
 
 @dataclass(frozen=True)
 class LocalProblems:
     """One control step's agent data over a run's ``stack``: the padded
-    linear terms ``C`` (n, D), the step's constraint set and every agent's
-    rows over its segment, ``rows`` (n, 5p, D), the skeleton's first D columns.
-    Padded coordinates are zero in every stack and every point, so they add
-    nothing to a product or a row value.
+    linear terms ``C`` (n, D) and every agent's rows over its segment,
+    ``rows``, the step rows' first D columns.  Padded coordinates are zero
+    in every stack and every point, so they add nothing to a product or a
+    row value.
 
     ``warm[i]`` is agent i's memory of its last full subsolve of each kind
     ("prox subproblem", "projection"): the point, padded like ``C``, and
@@ -135,8 +134,7 @@ class LocalProblems:
 
     stack: AgentStack
     C: np.ndarray
-    constraints: ConstraintSet
-    rows: tuple
+    rows: Rows
     warm: tuple
 
     def gradient(self, W: np.ndarray) -> np.ndarray:
@@ -144,25 +142,24 @@ class LocalProblems:
 
     def failing(self, X: np.ndarray):
         """One evaluation of every row at X: the agents i whose X[i] breaks a
-        row (NaN does), found with one max when none does, the row values and
-        each row's S X, from which ``radii`` reads the ball about X."""
-        values, Sx = stacked_rows(*self.rows, self.constraints.quad, X)
+        row (NaN does), found with one max when none does, and the row
+        values, from which ``radii`` reads the ball about X."""
+        values = self.rows.values(X)
         if values.max() <= _FEASIBLE_TOL:
-            return [], values, Sx
-        return (~(values.max(axis=1) <= _FEASIBLE_TOL)).nonzero()[0].tolist(), values, Sx
+            return [], values
+        return (~(values.max(axis=1) <= _FEASIBLE_TOL)).nonzero()[0].tolist(), values
 
-    def radii(self, values: np.ndarray, Sx: np.ndarray) -> np.ndarray:
-        """Each row's certified radius, (n, 5p), about the X at which
-        ``failing`` read ``values`` and ``Sx``: with v the row's value, g its
-        gradient norm and c = quad |s|^2, row(X + d) <= v + g |d| + c |d|^2
-        exactly, so it stays at or below v/2 for |d| <= 2 sigma / (g +
+    def radii(self, anchor: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Each row's certified radius, (n, 5p), about the ``anchor`` at which
+        ``failing`` read ``values``: with v the row's value, g its gradient
+        norm and c = quad |s|^2, row(X + d) <= v + g |d| + c |d|^2 exactly,
+        so it stays at or below v/2 for |d| <= 2 sigma / (g +
         sqrt(g^2 + 4 c sigma)), sigma = -v/2; 0 for a row at or above 0."""
-        A, _, S = self.rows
-        quad = self.constraints.quad
         sigma = np.maximum(-0.5 * values, 0.0)
-        G = row_grads(A, S, quad, Sx)
+        G = self.rows.grads(anchor)
         g = np.sqrt(np.einsum("...k,...k", G, G))
-        den = g + np.sqrt(g * g + 4.0 * quad * np.einsum("...k,...k", S, S) * sigma)
+        S = self.rows.S
+        den = g + np.sqrt(g * g + 4.0 * self.rows.quad * np.einsum("...k,...k", S, S) * sigma)
         return np.divide(2.0 * sigma, den, out=np.zeros_like(den), where=den > 0)
 
 
@@ -175,7 +172,7 @@ def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> Loc
         raise ValueError("the step program does not match the agent stack")
     C = np.zeros(stack.H.shape[:2])
     C[:, :p] = prob.c.reshape(n, p)
-    return LocalProblems(stack, C, prob.constraints, prob.constraints.rows(C.shape[1]),
+    return LocalProblems(stack, C, prob.rows.take(..., C.shape[1]),
                          tuple(warm) if warm is not None else ({},) * n)
 
 
@@ -215,7 +212,7 @@ class _AgentBatch:
         self.calls = 0
         self.full = [0] * stack.n
         self.warm = [dict(w) for w in problems.warm]
-        self.ball = None  # (anchor, row values, S anchor) of the last all-standing check
+        self.ball = None  # (anchor, row values) of the last all-standing check
         self.radius2 = None  # the ball's squared radius, once computed
         self._eye = np.broadcast_to(np.eye(stack.H.shape[-1]), stack.H.shape)
 
@@ -236,14 +233,14 @@ class _AgentBatch:
         stacked and padded for the agents ``i``."""
         self.calls += 1
         if self.ball is not None:
-            anchor, values, Sx = self.ball
+            anchor, values = self.ball
             if self.radius2 is None:
-                self.radius2 = self.problems.radii(values, Sx).min() ** 2
+                self.radius2 = self.problems.radii(anchor, values).min() ** 2
             d = (X - anchor).ravel()
             if d @ d <= self.radius2:  # every row stands (a NaN is never inside)
                 return X
-        failing, values, Sx = self.problems.failing(X)
-        self.ball = None if failing else (X.copy(), values, Sx)
+        failing, values = self.problems.failing(X)
+        self.ball = None if failing else (X.copy(), values)
         self.radius2 = None
         held = [i for i in failing if kind in self.warm[i]]
         taken = self._warm_loop(X, kind, objective, held) if held else ()
@@ -257,13 +254,11 @@ class _AgentBatch:
         """Run the ``agents``' warm active sets through one stacked loop;
         write the passing agents' points and memory, and return them."""
         memory = [self.warm[i][kind] for i in agents]
-        A, h, S = self.problems.rows
-        rows = _Rows(A[agents], h[agents], S[agents], self.problems.constraints.quad)
         a = max(len(on) for _, on in memory)
         keys = np.array([on + (-1,) * (a - len(on)) for _, on in memory], dtype=int)
         P, q = objective(agents)
         x, lam, keys, ok, _, _ = active_set_loop(
-            P, q, rows, np.array([x for x, _ in memory]), keys, 12,
+            P, q, self.problems.rows.take(agents), np.array([x for x, _ in memory]), keys, 12,
             1e-12 * (1.0 + np.abs(q).max(axis=1)), KKT_TOL)
         taken = [i for i, passed in zip(agents, ok.tolist()) if passed]
         X[taken] = x = x[ok]
@@ -274,11 +269,10 @@ class _AgentBatch:
     def _solve(self, X, i, kind, objective):
         d = self.stack.layout.dims[i]
         (P,), (q,) = objective([i])
-        A, h, S = self.problems.rows
         x = self.warm[i].get(kind, (None,))[0]
         try:
-            res = solve_qcqp(P[:d, :d], q[:d], A[i, :, :d], h[i], S[i, :, :d],
-                             self.problems.constraints.quad, x0=None if x is None else x[:d])
+            res = solve_qcqp(P[:d, :d], q[:d], self.problems.rows.take(i, d),
+                             x0=None if x is None else x[:d])
         except InfeasibleProblem as exc:
             raise ProxSolveError(i, f"{kind}: {exc}") from exc
         if res.status != "optimal":
@@ -440,23 +434,9 @@ def solve_variant(problems, graph, params, z0=None, **kw) -> SolveReport:
     return SOLVERS[params.variant](problems, graph, params, z0=z0, **kw)
 
 
-def _centralized_constraints(prob: QcqpProblem):
-    """Every vehicle's rows stacked over the vehicle-major columns: its 2p
-    window scattered, the own block to its own columns and the
-    predecessor's to the block before (the first vehicle's is zero)."""
-    n, p = prob.n, prob.horizon
-    i = np.arange(n)
-    A, h, S = prob.constraints.rows(2 * p)
-    out = np.zeros((2, n, 5 * p, n, p))
-    for M, R in zip(out, (A, S)):
-        M[i, :, i], M[i[1:], :, i[:-1]] = R[..., :p], R[1:, :, p:]
-    return out[0].reshape(-1, n * p), h.ravel(), out[1].reshape(-1, n * p)
-
-
 def solve_centralized(prob: QcqpProblem) -> np.ndarray:
     """Reference solution of the full step program to KKT residual 1e-10."""
-    res = solve_qcqp(prob.hessian_dense(), prob.c, *_centralized_constraints(prob),
-                     prob.constraints.quad, kkt_tol=1e-10)
+    res = solve_qcqp(prob.hessian_dense(), prob.c, prob.central_rows(), kkt_tol=1e-10)
     if res.status != "optimal":
         raise RuntimeError(
             f"centralized solve did not reach tolerance (KKT residual {res.kkt_residual:.2e})")

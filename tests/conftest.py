@@ -18,6 +18,14 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def step_template(cfg, weights):
+    """The run's ``StepTemplate`` over the weights' stage blocks."""
+    from platoonmpc.decomposition import stage_blocks
+    from platoonmpc.problem import StepTemplate
+
+    return StepTemplate(cfg, weights, stage_blocks(weights, cfg.tau))
+
+
 def prefix_sum_matrix(n):
     """Dense lower-triangular all-ones matrix (cumulative sums)."""
     return np.tril(np.ones((n, n)))
@@ -129,11 +137,10 @@ class PerAgentStep:
     def __init__(self, problems, i, rho):
         d = problems.stack.layout.dims[i]
         self.index, self.d, self.rho = i, d, rho
-        self.cons = problems.constraints
         self.hessian = problems.stack.H[i, :d, :d]
         self.c_tilde = problems.C[i, :d]
         self.prox_mat = np.linalg.inv(rho * self.hessian + np.eye(d))
-        self.rows = tuple(r[i] for r in self.cons.rows(d))
+        self.rows = problems.rows.take(i, d)
         self.fast = self.full = 0
         self._warm = {}
 
@@ -149,11 +156,10 @@ class PerAgentStep:
         return self._constrained(y.copy(), "projection", lambda: (np.eye(self.d), -y))
 
     def _constrained(self, x, kind, objective):
-        from platoonmpc.smallqcqp import (KKT_TOL, InfeasibleProblem, _Rows, active_set_loop,
-                                          row_values, solve_qcqp)
+        from platoonmpc.smallqcqp import KKT_TOL, InfeasibleProblem, active_set_loop, solve_qcqp
         from platoonmpc.solvers import ProxSolveError
 
-        if row_values(*self.rows, self.cons.quad, x).max() <= 1e-11:
+        if self.rows.values(x).max() <= 1e-11:
             self.fast += 1
             return x
         self.full += 1
@@ -161,13 +167,13 @@ class PerAgentStep:
         x0, active = self._warm.get(kind, (None, None))
         if x0 is not None:  # the warm active set, as a stack of one
             x, lam, keys, passed, _, _ = active_set_loop(
-                P[None], q[None], _Rows(*(r[None] for r in self.rows), self.cons.quad), x0[None],
+                P[None], q[None], self.rows.take(None), x0[None],
                 np.array([active], dtype=int), 12, 1e-12 * (1.0 + np.abs(q).max()), KKT_TOL)
             if passed[0]:
                 self._warm[kind] = (x[0], tuple(keys[0][lam[0] > 0].tolist()))
                 return x[0]
         try:
-            res = solve_qcqp(P, q, *self.rows, self.cons.quad, x0=x0)
+            res = solve_qcqp(P, q, self.rows, x0=x0)
         except InfeasibleProblem as exc:
             raise ProxSolveError(self.index, f"{kind}: {exc}") from exc
         if res.status != "optimal":

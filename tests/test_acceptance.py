@@ -14,12 +14,13 @@ from platoonmpc.consensus import AugmentedLayout, VehicleGraph, _project
 from platoonmpc.core import WeightSchedule, reference_config
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.harness import run_scenario, scenario_builtin
-from platoonmpc.problem import StepTemplate, build_qcqp
+from platoonmpc.problem import build_qcqp
 from platoonmpc.solvers import (SolverParams, build_local_problems, solve_centralized, solve_dr,
                                 solve_three_op, solve_three_op_accel)
 from platoonmpc.stability import build_closed_loop, default_weight_schedule
 
-from conftest import dense_hessian_oracle, random_state, random_weights, small_config
+from conftest import (dense_hessian_oracle, random_state, random_weights, small_config,
+                      step_template)
 from test_consensus import lstsq_projection_oracle
 
 
@@ -135,7 +136,7 @@ def test_criterion_5_oracle_equivalence_three_variants():
         cfg = small_config(n, p)
         w = random_weights(rng, n, p)
         state = random_state(rng, cfg)
-        prob = build_qcqp(state, template=StepTemplate(cfg, w))
+        prob = build_qcqp(state, template=step_template(cfg, w))
         graph = VehicleGraph(n)
         stack = decompose_pd(stage_blocks(w, cfg.tau))
         locals_ = build_local_problems(prob, stack)

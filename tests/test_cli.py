@@ -59,7 +59,6 @@ def test_simulate_trajectory_file_with_noise(tmp_path, capsys):
 def test_solve_once_with_oracle_diff(tmp_path, capsys, monkeypatch):
     # the step program and the Hessian split share one set of stage blocks
     import platoonmpc.cli as cli
-    import platoonmpc.problem as problem
 
     built, stage_blocks = [], cli.stage_blocks
 
@@ -67,8 +66,7 @@ def test_solve_once_with_oracle_diff(tmp_path, capsys, monkeypatch):
         built.append(args)
         return stage_blocks(*args, **kwargs)
 
-    for module in (cli, problem):
-        monkeypatch.setattr(module, "stage_blocks", counted)
+    monkeypatch.setattr(cli, "stage_blocks", counted)
     payload = _solve_once(capsys, "--state", _state_file(tmp_path), "--horizon", "1")
     assert payload["converged"] is True
     assert payload["rel_error_vs_oracle"] <= 1e-2
@@ -91,6 +89,19 @@ def _state_file(tmp_path):
 def _solve_once(capsys, *args):
     assert main(["solve-once", *args]) == 0
     return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("drop, add, named", [
+    ("u0", {"U0": -2.0}, "unknown key.*U0"),
+    ("v", {}, "lacks key.*v"),
+])
+def test_state_file_keys_checked(tmp_path, drop, add, named):
+    # a misspelled key is refused, not read as a coasting leader
+    with open(_state_file(tmp_path)) as fh:
+        state = {k: v for k, v in json.load(fh).items() if k != drop} | add
+    path = _write_json(tmp_path / "bad.json", state)
+    with pytest.raises(SystemExit, match=named):
+        main(["solve-once", "--state", path])
 
 
 def test_solve_once_config_variant_holds_unless_flag_given(tmp_path, capsys):

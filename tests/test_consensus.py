@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from platoonmpc.consensus import (AugmentedLayout, MessageFabric, SimulationFault,
                                   VehicleGraph, _project)
-from platoonmpc.problem import StepTemplate, build_qcqp
-from platoonmpc.smallqcqp import stacked_rows
-from platoonmpc.solvers import _centralized_constraints
+from platoonmpc.decomposition import decompose_pd, stage_blocks
+from platoonmpc.problem import build_qcqp, check_membership
+from platoonmpc.solvers import build_local_problems
 
-from conftest import agent_slice, random_state, random_weights, small_config
+from conftest import agent_slice, random_state, random_weights, small_config, step_template
 
 
 def lstsq_projection_oracle(vec, layout):
@@ -224,7 +224,7 @@ def test_fabric_projection_bit_identical(rng, n, p):
 
 def chain_program(rng, n, p):
     cfg = small_config(n, p)
-    template = StepTemplate(cfg, random_weights(rng, n, p))
+    template = step_template(cfg, random_weights(rng, n, p))
     return template, build_qcqp(random_state(rng, cfg), template=template)
 
 
@@ -246,18 +246,24 @@ def test_row_skeleton_matches_agent_columns(rng, n, p):
 
 @pytest.mark.parametrize("n,p", CHAINS, ids=[f"n{n}-p{p}" for n, p in CHAINS])
 def test_row_readers_agree(rng, n, p):
-    # the centralized reference's vehicle-major rows, the membership check's
-    # 2p window and the agents' segments read the same row values at any plan
-    _, prob = chain_program(rng, n, p)
-    cons = prob.constraints
-    layout = AugmentedLayout(VehicleGraph(n), p)
-    A, h, S = _centralized_constraints(prob)
+    # the step rows over each vehicle's [own, predecessor, successor]
+    # columns, the agents' segments, the centralized reference's
+    # vehicle-major rows and the membership check read the same row values
+    # at any plan; the step rows read nothing of the successor's columns
+    # nor of the first vehicle's predecessor's, which hold other blocks here
+    template, prob = chain_program(rng, n, p)
+    problems = build_local_problems(prob, decompose_pd(stage_blocks(template.weights,
+                                                                    template.cfg.tau)))
+    layout = problems.stack.layout
     for _ in range(3):
         u = rng.normal(size=n * p)
-        central = (A @ u - h + cons.quad * (S @ u) ** 2).reshape(n, 5 * p)
+        central = prob.central_rows().values(u).reshape(n, 5 * p)
         U = u.reshape(n, p)
-        window = np.hstack([U, np.vstack([np.zeros((1, p)), U[:-1]])])
+        window = np.hstack([U, np.roll(U, 1, axis=0), np.roll(U, -1, axis=0)])
         agents = layout.scatter_controls(u).reshape(n, layout.width)
-        for rows, x in ((cons.rows(2 * p), window), (cons.rows(layout.width), agents)):
-            np.testing.assert_allclose(stacked_rows(*rows, cons.quad, x)[0], central,
-                                       rtol=0, atol=1e-12)
+        for rows, x in ((prob.rows, window), (problems.rows, agents)):
+            np.testing.assert_allclose(rows.values(x), central, rtol=0, atol=1e-12)
+        rep, kinds = check_membership(prob, u), central.reshape(n, 5, p)
+        np.testing.assert_array_equal(rep.box, np.maximum(kinds[:, 0], kinds[:, 1]))
+        np.testing.assert_array_equal(rep.speed, np.maximum(kinds[:, 2], kinds[:, 3]))
+        np.testing.assert_array_equal(rep.safety, kinds[:, 4])

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from platoonmpc.core import PlatoonState, reference_config
-from platoonmpc.problem import StepTemplate, build_qcqp
-from platoonmpc.smallqcqp import (KKT_TOL, InfeasibleProblem, _accept, _central_path, _Rows,
-                                  active_set_loop, row_values, solve_qcqp)
-from platoonmpc.solvers import _centralized_constraints, solve_centralized
+from platoonmpc.problem import build_qcqp
+from platoonmpc.smallqcqp import (KKT_TOL, InfeasibleProblem, Rows, _accept, _central_path,
+                                  active_set_loop, solve_qcqp)
+from platoonmpc.solvers import solve_centralized
 from platoonmpc.stability import (DEFAULT_BASE_GAP_WEIGHTS, DEFAULT_BASE_RATE_WEIGHTS,
                                   DEFAULT_BASE_RIDE_WEIGHTS, default_weight_schedule,
                                   gen_weight_schedule)
+
+from conftest import step_template
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,13 @@ class RankOneRow:
         return 2.0 * self.quad * np.outer(self.s, self.s)
 
     def rows(self):
-        """The row in ``solve_qcqp``'s ``(A, h, S)`` form."""
-        return self.b[None], np.array([-self.c]), self.s[None]
+        """The row as ``Rows``."""
+        return Rows(self.b[None], np.array([-self.c]), self.s[None], self.quad)
+
+
+def linear(G, h):
+    """The linear rows ``G x <= h`` as ``Rows``."""
+    return Rows(G, h, np.zeros_like(G), 0.0)
 
 
 def rand_spd(rng, d, scale=1.0):
@@ -47,7 +54,7 @@ def rand_spd(rng, d, scale=1.0):
 def test_unconstrained_closed_form(rng):
     P = rand_spd(rng, 4)
     q = rng.normal(size=4)
-    res = solve_qcqp(P, q)
+    res = solve_qcqp(P, q, linear(np.zeros((0, 4)), np.zeros(0)))
     np.testing.assert_allclose(res.x, np.linalg.solve(P, -q), atol=1e-12)
     assert res.status == "optimal"
 
@@ -57,7 +64,7 @@ def test_inactive_constraints_take_fast_path(rng):
     q = np.zeros(2)
     G = np.vstack([np.eye(2), -np.eye(2)])
     h = np.ones(4)
-    res = solve_qcqp(P, q, G, h)
+    res = solve_qcqp(P, q, linear(G, h))
     np.testing.assert_allclose(res.x, 0.0, atol=1e-14)
     assert res.iterations == 1
 
@@ -90,7 +97,7 @@ def test_box_active_matches_enumeration(rng):
         hi = np.array([0.5, 0.5])
         G = np.vstack([np.eye(2), -np.eye(2)])
         h = np.concatenate([hi, -lo])
-        res = solve_qcqp(P, q, G, h)
+        res = solve_qcqp(P, q, linear(G, h))
         oracle = box_qp_enumeration_oracle(P, q, lo, hi)
         np.testing.assert_allclose(res.x, oracle, atol=1e-8)
         assert res.kkt_residual <= 1e-9
@@ -135,7 +142,7 @@ def test_quadratic_constraint_matches_grid_oracle(rng):
         P = rand_spd(rng, 2)
         q = rng.normal(size=2) * 3
         quad = RankOneRow(quad=1.0, s=rng.normal(size=2), b=rng.normal(size=2), c=-1.0)
-        res = solve_qcqp(P, q, *quad.rows(), quad.quad)
+        res = solve_qcqp(P, q, quad.rows())
         oracle = grid_polish_oracle(P, q, quad)
         np.testing.assert_allclose(res.x, oracle, atol=1e-6)
         assert res.kkt_residual <= 1e-9
@@ -150,9 +157,9 @@ def test_mixed_constraints_kkt_certificate(rng):
         h = np.concatenate([rng.uniform(0.1, 1.0, d), rng.uniform(0.1, 1.0, d)])
         row = RankOneRow(quad=1.0, s=rng.normal(size=d), b=rng.normal(size=d) * 0.1,
                          c=-rng.uniform(0.5, 2.0))
-        A, hq, S = row.rows()
-        res = solve_qcqp(P, q, np.vstack([G, A]), np.concatenate([h, hq]),
-                         np.vstack([np.zeros_like(G), S]), row.quad)
+        one = row.rows()
+        res = solve_qcqp(P, q, Rows(np.vstack([G, one.A]), np.concatenate([h, one.h]),
+                                    np.vstack([np.zeros_like(G), one.S]), row.quad))
         assert res.status == "optimal"
         assert res.kkt_residual <= 1e-9
         # primal feasibility double check
@@ -165,15 +172,33 @@ def test_warm_active_set_reuse(rng):
     q = rng.normal(size=3) * 5
     G = np.vstack([np.eye(3), -np.eye(3)])
     h = 0.3 * np.ones(6)
-    first = solve_qcqp(P, q, G, h)
+    first = solve_qcqp(P, q, linear(G, h))
     # the nearby problem from the first solve's point and active rows, as a
     # stack of one through the active-set loop
     moved = q + 1e-3
     x, _, _, passed, res, _ = active_set_loop(
-        P[None], moved[None], _Rows(G[None], h[None], np.zeros((1, *G.shape)), 0.0), first.x[None],
+        P[None], moved[None], linear(G, h).take(None), first.x[None],
         np.array([first.active], dtype=int), 12, 1e-12 * (1.0 + np.abs(moved).max()), KKT_TOL)
     assert passed[0] and res[0] <= 1e-9
-    np.testing.assert_allclose(x[0], solve_qcqp(P, moved, G, h).x, atol=1e-8)
+    np.testing.assert_allclose(x[0], solve_qcqp(P, moved, linear(G, h)).x, atol=1e-8)
+
+
+def test_row_stack_reads_each_problem_bit_for_bit():
+    """``Rows.values`` and ``Rows.grads`` on a stack of problems, linear and
+    curved, over all its columns or the first few, give each problem the
+    bits that its own rows, copied out, give it alone."""
+    rng = np.random.default_rng(16)
+    for draw in range(200):
+        k, m, D = (int(v) for v in rng.integers(1, [11, 30, 16]))
+        rows = Rows(rng.normal(size=(k, m, D)), rng.normal(size=(k, m)),
+                    rng.normal(size=(k, m, D)) * (draw % 2), 0.5)
+        for stack in (rows, rows.take(..., int(rng.integers(1, D + 1)))):
+            x = rng.normal(size=(k, stack.A.shape[-1]))
+            values, grads = stack.values(x), stack.grads(x)
+            for j in range(k):
+                one = Rows(*(a.copy() for a in stack.take(j)[:3]), stack.quad)
+                assert values[j].tobytes() == one.values(x[j].copy()).tobytes(), (draw, j)
+                assert grads[j].tobytes() == one.grads(x[j].copy()).tobytes(), (draw, j)
 
 
 def test_infeasible_detection():
@@ -182,24 +207,22 @@ def test_infeasible_detection():
     G = np.array([[1.0, 0.0], [-1.0, 0.0]])
     h = np.array([-1.0, -1.0])  # x0 <= -1 and x0 >= 1
     with pytest.raises(InfeasibleProblem):
-        solve_qcqp(P, q, G, h)
+        solve_qcqp(P, q, linear(G, h))
 
 
 def centralized_multipliers(prob, tol=1e-10):
     """``solve_centralized``'s solve, returning the multipliers as well."""
-    return solve_qcqp(prob.hessian_dense(), prob.c, *_centralized_constraints(prob),
-                      prob.constraints.quad, kkt_tol=tol)
+    return solve_qcqp(prob.hessian_dense(), prob.c, prob.central_rows(), kkt_tol=tol)
 
 
 def assert_kkt_certificate(prob, x, lam, tol=1e-10):
     """Stationarity, feasibility, dual sign and complementarity of (x, lam)
-    over the centralized rows, from the row values of the ``ConstraintSet``
-    and the row gradients A + 2 quad (S x) S."""
-    cons = prob.constraints
-    rows = _centralized_constraints(prob)
-    A, _, S = rows
-    grads = A + 2.0 * cons.quad * (S @ x)[:, None] * S
-    f = row_values(*rows, cons.quad, x)
+    over the centralized rows, from their values and the row gradients
+    A + 2 quad (S x) S."""
+    rows = prob.central_rows()
+    A, _, S, quad = rows
+    grads = A + 2.0 * quad * (S @ x)[:, None] * S
+    f = rows.values(x)
     assert np.abs(prob.hessian_dense() @ x + prob.c + grads.T @ lam).max() <= tol
     assert f.max() <= tol
     assert lam.min() >= 0.0
@@ -227,7 +250,7 @@ def test_polish_with_many_weakly_active_rows_reaches_tolerance():
                     21.814330839809497, 21.814330839809497, 21.814330839809497,
                     21.814330839809497]),
         u0=1.0)
-    prob = build_qcqp(state, template=StepTemplate(cfg, weights))
+    prob = build_qcqp(state, template=step_template(cfg, weights))
     x = solve_centralized(prob)
 
     # independent KKT certificate from the returned multipliers
@@ -249,7 +272,7 @@ def test_centralized_interleaved_rows_kkt_certificate(rng):
             state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
                                  v=rng.uniform(20.0, 27.0, cfg.n + 1),
                                  u0=float(rng.uniform(-2.0, 1.0)))
-            prob = build_qcqp(state, template=StepTemplate(cfg, weights))
+            prob = build_qcqp(state, template=step_template(cfg, weights))
             x = solve_centralized(prob)
             res = centralized_multipliers(prob)
             np.testing.assert_array_equal(res.x, x)
@@ -260,11 +283,11 @@ def test_centralized_interleaved_rows_kkt_certificate(rng):
 
 
 def vehicle_rows(p, dim, own0, h, prev0=None):
-    """One vehicle's 5p rows in ``solve_qcqp``'s form over ``dim`` columns,
-    its own controls first and its predecessor's copy next: the box, the
-    speed band (tau = 1), then the safe-spacing rows, whose own and
-    predecessor coefficients grow by one per stage of lag (own0 + k,
-    -(prev0 + k)) and whose S is the cumulative sum."""
+    """One vehicle's 5p ``Rows`` over ``dim`` columns, its own controls
+    first and its predecessor's copy next: the box, the speed band (tau = 1),
+    then the safe-spacing rows, whose own and predecessor coefficients grow
+    by one per stage of lag (own0 + k, -(prev0 + k)), whose S is the
+    cumulative sum and whose quad is 1/16 (a_min = -8)."""
     L = np.tri(p)
     lag = np.subtract.outer(np.arange(p), np.arange(p))
     A = np.zeros((5 * p, dim))
@@ -273,7 +296,7 @@ def vehicle_rows(p, dim, own0, h, prev0=None):
         A[4 * p:, p:2 * p] = np.where(lag >= 0, -(prev0 + lag), 0.0)
     S = np.zeros((5 * p, dim))
     S[4 * p:, :p] = L
-    return A, np.asarray(h, dtype=float), S
+    return Rows(A, np.asarray(h, dtype=float), S, 0.0625)
 
 
 def test_phase_one_from_far_starts():
@@ -283,12 +306,11 @@ def test_phase_one_from_far_starts():
     of P = I, q = 50 * 1, stalled at a worst violation of 1.869e+03 and
     raised InfeasibleProblem.  Far projections onto the same set failed
     alike."""
-    A, h, S = vehicle_rows(5, 10, 3.375,
-                           np.repeat([1.35, 8.0, 2.780000000000001, 15.0, 5.9375], 5))
-    assert (A @ np.zeros(10) - h).max() == -1.35
+    rows = vehicle_rows(5, 10, 3.375, np.repeat([1.35, 8.0, 2.780000000000001, 15.0, 5.9375], 5))
+    assert rows.values(np.zeros(10)).max() == -1.35
     for q in [50.0 * np.ones(10)] + [-s * np.ones(10) for s in (10.0, -30.0, 100.0, -300.0)]:
-        res = solve_qcqp(np.eye(10), q, A, h, S, 0.0625)
-        from_origin = solve_qcqp(np.eye(10), q, A, h, S, 0.0625, x0=np.zeros(10))
+        res = solve_qcqp(np.eye(10), q, rows)
+        from_origin = solve_qcqp(np.eye(10), q, rows, x0=np.zeros(10))
         assert res.status == "optimal" and res.kkt_residual <= 1e-9
         np.testing.assert_allclose(res.x, from_origin.x, rtol=0, atol=1e-9)
 
@@ -326,7 +348,7 @@ def test_barrier_from_a_far_feasible_point():
     q = np.array([-122.07399576927165, -63.74020385950888, -20.398484967071226,
                   0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     speed = (2.577114930666397, 15.202885069333604)
-    A, h, S = vehicle_rows(3, 9, 3.4003606336667005,
+    rows = vehicle_rows(3, 9, 3.4003606336667005,
                            np.concatenate([np.repeat([1.35, 8.0, *speed], 3),
                                            [9.193153990775171, 10.053062052215997,
                                             10.912970113656824]]),
@@ -334,25 +356,25 @@ def test_barrier_from_a_far_feasible_point():
     far = np.array([-2.8850612022798643, -1.0918690411153107, 0.021287395955523536,
                     8361.180125380677, -23170.872076074964, 27658.800067857046,
                     11.366106128104057, 6.27293086779636, 1.9583201615630046])
-    assert row_values(A, h, S, 0.0625, far).max() < 0
+    assert rows.values(far).max() < 0
     # the whole central path from there, past the hand-off to the polish
     # and down to its end, m/eta < 1e-10, stays strictly feasible
-    for x, eta in _central_path(P, q, _Rows(A, h, S, 0.0625), far, 1.0, 20.0):
-        assert row_values(A, h, S, 0.0625, x).max() < 0
-        if h.size / eta < 1e-10:
+    for x, eta in _central_path(P, q, rows, far, 1.0, 20.0):
+        assert rows.values(x).max() < 0
+        if rows.h.size / eta < 1e-10:
             break
-    cold = solve_qcqp(P, q, A, h, S, 0.0625)
-    from_far = solve_qcqp(P, q, A, h, S, 0.0625, x0=far)
+    cold = solve_qcqp(P, q, rows)
+    from_far = solve_qcqp(P, q, rows, x0=far)
     for res in (cold, from_far):
         assert res.status == "optimal" and res.kkt_residual <= 1e-9
     np.testing.assert_allclose(from_far.x, cold.x, rtol=0, atol=1e-9)
 
 
 def random_qcqp(rng, q_scales=(1.0, 10.0, 100.0)):
-    """A random strictly convex QCQP in ``solve_qcqp``'s row form (quad 0.5)
-    whose origin is strictly interior: P = MM' + 0.1 I, box rows with
-    bounds in U(0.5, 3), up to 2d random linear rows and up to d rank-one
-    quadratic rows, each with h ~ U(0.1, 2)."""
+    """A random strictly convex QCQP, (P, q, rows) with quad 0.5, whose
+    origin is strictly interior: P = MM' + 0.1 I, box rows with bounds in
+    U(0.5, 3), up to 2d random linear rows and up to d rank-one quadratic
+    rows, each with h ~ U(0.1, 2)."""
     d = int(rng.integers(2, 16))
     M = rng.normal(size=(d, d))
     q = rng.normal(size=d) * rng.choice(q_scales)
@@ -361,7 +383,7 @@ def random_qcqp(rng, q_scales=(1.0, 10.0, 100.0)):
     h = np.concatenate([rng.uniform(0.5, 3.0, 2 * d), rng.uniform(0.1, 2.0, n_lin + n_quad)])
     S = np.zeros_like(A)
     S[2 * d + n_lin:] = rng.normal(size=(n_quad, d))
-    return M @ M.T + 0.1 * np.eye(d), q, A, h, S
+    return M @ M.T + 0.1 * np.eye(d), q, Rows(A, h, S, 0.5)
 
 
 def test_far_starts_on_random_qcqps():
@@ -370,10 +392,10 @@ def test_far_starts_on_random_qcqps():
     solve from the strictly interior origin."""
     rng = np.random.default_rng(10)
     for draw in range(200):
-        P, q, A, h, S = random_qcqp(rng)
+        P, q, rows = random_qcqp(rng)
         far = rng.normal(size=q.size) * rng.choice([10.0, 30.0, 100.0, 300.0])
-        res = solve_qcqp(P, q, A, h, S, 0.5, x0=far if draw % 2 else None)
-        ref = solve_qcqp(P, q, A, h, S, 0.5, x0=np.zeros(q.size))
+        res = solve_qcqp(P, q, rows, x0=far if draw % 2 else None)
+        ref = solve_qcqp(P, q, rows, x0=np.zeros(q.size))
         for r in (res, ref):
             assert r.status == "optimal" and r.kkt_residual <= 1e-9, draw
         np.testing.assert_allclose(res.x, ref.x, rtol=0, atol=1e-7, err_msg=str(draw))
@@ -391,14 +413,14 @@ def test_large_objectives_solve_optimal():
         for seed in seeds:
             rng = np.random.default_rng(seed)
             for draw in range(100):
-                P, q, A, h, S = random_qcqp(rng, q_scales=q_scales)
+                P, q, rows = random_qcqp(rng, q_scales=q_scales)
                 big = np.abs(q).max()
                 if big <= 250.0:
                     continue
-                res = solve_qcqp(P, q, A, h, S, 0.5)
+                res = solve_qcqp(P, q, rows)
                 assert res.status == "optimal" and res.kkt_residual <= 1e-9, (seed, draw)
-                f = row_values(A, h, S, 0.5, res.x)
-                stat = P @ res.x + q + _Rows(A, h, S, 0.5).grads(res.x).T @ res.lam
+                f = rows.values(res.x)
+                stat = P @ res.x + q + rows.grads(res.x).T @ res.lam
                 assert (res.lam >= 0).all() and f.max() <= 1e-9, (seed, draw)
                 assert max(np.abs(stat).max(), np.abs(res.lam * f).max()) <= 1e-9 * big, (seed, draw)
                 solved += 1
@@ -470,7 +492,7 @@ def agent_like_stack(rng, k, p, curved):
         x0[j] = x_star + 0.01 * rng.normal(size=D) * (np.arange(D) < d)
     a = work.sum(axis=1).max()
     keys = np.array([list(np.flatnonzero(row)) + [-1] * (a - row.sum()) for row in work], dtype=int)
-    return P, q, _Rows(A, h, S, quad), x0, keys.reshape(k, a), dims
+    return P, q, Rows(A, h, S, quad), x0, keys.reshape(k, a), dims
 
 
 def test_stacked_newton_matches_single_problems():
@@ -519,7 +541,7 @@ def test_stacked_newton_matches_single_problems():
     # -1e-10, a stationarity residual above kkt_tol or a second violated
     # row fails the test
     P, q = np.eye(1)[None], np.array([[-2.0]])
-    one = _Rows(np.array([[[1.0], [1.0]]]), np.array([[1.0, 5.0]]), np.zeros((1, 2, 1)), 0.0)
+    one = Rows(np.array([[[1.0], [1.0]]]), np.array([[1.0, 5.0]]), np.zeros((1, 2, 1)), 0.0)
     x, keys, zero = np.array([[1.0 + 1e-10]]), np.array([[0]]), np.zeros((1, 1))
     for lam, stat, rows, passed in ((1.0, 0.0, one, True), (-1e-9, 0.0, one, False),
                                     (1.0, 1e-6, one, False),
@@ -635,8 +657,7 @@ def test_stacked_loop_matches_single_problems():
     x, lam, _, _, _, _ = active_set_loop(P, q, rows, x0, keys, 1, tol, KKT_TOL)
     assert np.isfinite(x[1]).all()
     for j in (0, 2, 3):
-        one = active_set_loop(P[j:j + 1], q[j:j + 1], _Rows(*(r[j:j + 1] for r in rows[:3]),
-                                                           rows.quad),
-                              x0[j:j + 1], keys[j:j + 1], 1, tol[j:j + 1], KKT_TOL)
+        one = active_set_loop(P[j:j + 1], q[j:j + 1], rows.take(slice(j, j + 1)), x0[j:j + 1],
+                              keys[j:j + 1], 1, tol[j:j + 1], KKT_TOL)
         assert x[j].tobytes() == one[0][0].tobytes() and lam[j].tobytes() == one[1][0].tobytes()
         assert not x[j, dims[j]:].any(), j

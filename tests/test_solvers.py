@@ -7,14 +7,15 @@ from platoonmpc.consensus import AugmentedLayout, MessageFabric, VehicleGraph
 from platoonmpc.core import initial_state
 from platoonmpc.decomposition import decompose_pd, stage_blocks
 from platoonmpc.problem import StepTemplate, build_qcqp, check_membership
-from platoonmpc.smallqcqp import InfeasibleProblem, stacked_rows
+from platoonmpc.smallqcqp import InfeasibleProblem
 from platoonmpc.solvers import (SOLVERS, LocalProblems, ProxSolveError, SolverParams,
-                                _AgentBatch, _centralized_constraints, accel_gamma_next,
+                                _AgentBatch, accel_gamma_next,
                                 build_local_problems, default_params_for_horizon,
                                 solve_centralized, solve_dr, solve_three_op,
                                 solve_three_op_accel, warmup_initial_guess)
 
-from conftest import agent_slice, per_agent_solve, random_state, random_weights, small_config
+from conftest import (agent_slice, per_agent_solve, random_state, random_weights, small_config,
+                      step_template)
 
 from test_smallqcqp import box_qp_enumeration_oracle
 
@@ -23,7 +24,7 @@ def make_instance(rng, n, p, steady=False):
     cfg = small_config(n, p)
     w = random_weights(rng, n, p)
     state = initial_state(cfg, speed=25.0, u0=0.0) if steady else random_state(rng, cfg)
-    prob = build_qcqp(state, template=StepTemplate(cfg, w))
+    prob = build_qcqp(state, template=step_template(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
     return cfg, prob, build_local_problems(prob, stack), VehicleGraph(n)
 
@@ -119,13 +120,13 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
     # own block and its copy of the predecessor, and decide feasibility alike
     _, prob, problems, graph = make_instance(rng, n, p)
     layout = AugmentedLayout(graph, p)
-    A, _, S = problems.rows
+    A, _, S, _ = problems.rows
     outcomes = set()
     for scale in (0.1, 1.0, 3.0):
         u = scale * rng.normal(size=n * p)
         Z = layout.scatter_controls(u).reshape(n, -1)
         rep = check_membership(prob, u, tol=1e-11)
-        values = stacked_rows(*problems.rows, prob.constraints.quad, Z)[0]
+        values = problems.rows.values(Z)
         failing = problems.failing(Z)[0]
         for i in range(n):
             val = values[i].reshape(5, p)
@@ -161,9 +162,8 @@ def test_template_steps_do_not_alias(rng, p):
     states = [random_state(rng, cfg, u0_mag=2.0) for _ in range(2)]
 
     def arrays(prob, local):
-        cons = prob.constraints
-        return [prob.c, local.C, *local.rows, *prob.diag, *prob.off, *prob.schur] + [
-            np.asarray(getattr(cons, f.name)) for f in dataclasses.fields(cons) if f.compare]
+        return [prob.c, local.C, *prob.rows[:3], *local.rows[:3], *prob.diag, *prob.off,
+                *prob.schur]
 
     shared = [blocks, template.phi, template.T, template.leader]
     assert not any(a.flags.writeable for a in shared)
@@ -173,13 +173,13 @@ def test_template_steps_do_not_alias(rng, p):
     second = build_qcqp(states[1], template=template)
     second_local = build_local_problems(second, stack)
     check_membership(second, rng.normal(size=n * p))
-    _centralized_constraints(second)
+    second.central_rows()
     assert second.c.tobytes() != first.c.tobytes()
     assert second_local.rows[0].tobytes() != first_local.rows[0].tobytes()
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(arrays(first, first_local) + shared, seen, strict=True))
     for state, prob, local in zip(states, (first, second), (first_local, second_local)):
-        fresh = build_qcqp(state, template=StepTemplate(cfg, w))
+        fresh = build_qcqp(state, template=step_template(cfg, w))
         fresh_local = build_local_problems(fresh, stack)
         for now, again in zip(arrays(prob, local), arrays(fresh, fresh_local), strict=True):
             assert now.tobytes() == again.tobytes()
@@ -210,19 +210,19 @@ def test_certified_radius_keeps_rows_at_half_their_value(rng, p):
     # of the agent within the agent's ball, the smallest of its radii
     n = 4
     _, _, problems, _ = make_instance(rng, n, p)
-    A, h, S = problems.rows
-    dims, quad = problems.stack.layout.dims, problems.constraints.quad
+    A, h, S, quad = problems.rows
+    dims = problems.stack.layout.dims
     standing = 0
     for scale in (0.05, 0.3, 1.0):
         X = np.zeros(problems.stack.H.shape[:2])
         for i, d in enumerate(dims):
             X[i, :d] = scale * rng.normal(size=d)
-        _, values, Sx = problems.failing(X)
-        assert values.tobytes() == stacked_rows(*problems.rows, quad, X)[0].tobytes()
-        radii = problems.radii(values, Sx)
+        _, values = problems.failing(X)
+        assert values.tobytes() == problems.rows.values(X).tobytes()
+        radii = problems.radii(X, values)
         for i in np.flatnonzero(values.max(axis=1) < 0):
             standing += 1
-            v, rows = values[i], (A[i], h[i], S[i])
+            v, rows = values[i], problems.rows.take(i)
             G = A[i] + 2.0 * quad * (S[i] @ X[i])[:, None] * S[i]
             random = rng.normal(size=(16, X.shape[1]))
             random[:, dims[i]:] = 0.0
@@ -232,7 +232,7 @@ def test_certified_radius_keeps_rows_at_half_their_value(rng, p):
                 unit = np.vstack(toward + [-u for u in toward] + [random])
                 for r, checked in ((radii[i, j], [j]), (radii[i].min(), slice(None))):
                     for t in (1.0, rng.uniform(size=(len(unit), 1))):  # on, inside
-                        at = stacked_rows(*rows, quad, X[i] + t * r * unit)[0]
+                        at = rows.values(X[i] + t * r * unit)
                         assert (at[:, checked] <= v[checked] / 2 + 1e-12).all(), (i, j)
     assert standing >= 4, standing
 
@@ -260,13 +260,13 @@ def test_candidate_leaving_the_ball_is_evaluated_again(rng, monkeypatch):
     # outside, or with a NaN, or after a failing round dropped the ball,
     # the rows are evaluated again, and decide as they would have
     n = 4
-    _, _, problems, graph = make_instance(rng, n, 3, steady=True)
+    cfg, _, problems, graph = make_instance(rng, n, 3, steady=True)
     evaluated = count_evaluations(monkeypatch)
     batch, sent = _AgentBatch(problems, graph), []
     batch._solve = lambda X, i, kind, objective: sent.append(i)
     anchor = np.zeros(problems.stack.H.shape[:2])
     anchor[:, :3] = 0.01 * rng.normal(size=(n, 3))
-    radius = problems.radii(*problems.failing(anchor)[1:]).min()
+    radius = problems.radii(anchor, problems.failing(anchor)[1]).min()
     step = np.zeros_like(anchor)
     step[1, :3] = rng.normal(size=3)
     step /= np.linalg.norm(step)
@@ -292,7 +292,7 @@ def test_candidate_leaving_the_ball_is_evaluated_again(rng, monkeypatch):
     # a candidate that stands only by the 1e-11 tolerance certifies no ball
     # beyond itself: 4e-12 further out its box row reads 1.3e-11 and fails
     edge = moved.copy()
-    edge[0, 0] = problems.constraints.a_min - 9e-12
+    edge[0, 0] = cfg.a_min - 9e-12
     assert run(edge) and not run(edge)
     edge[0, 0] -= 4e-12
     assert run(edge) and sent == [2, 0, 0]
@@ -309,7 +309,7 @@ def test_batched_engine_matches_per_agent_oracle(rng):
             w = random_weights(rng, n, p)
             state = random_state(rng, cfg, gap_jitter=6.0, speed_lo=24.0, speed_hi=27.0,
                                  u0_mag=2.0)
-            prob = build_qcqp(state, template=StepTemplate(cfg, w))
+            prob = build_qcqp(state, template=step_template(cfg, w))
             graph = VehicleGraph(n)
             locals_ = build_local_problems(
                 prob, decompose_pd(stage_blocks(w, cfg.tau)))
@@ -317,7 +317,7 @@ def test_batched_engine_matches_per_agent_oracle(rng):
             binding["box"] += bool((rep.box > -1e-8).any())
             binding["safety"] += bool((rep.safety > -1e-8).any())
             for variant, solve in SOLVERS.items():
-                params = default_params_for_horizon(p, variant)
+                params = dataclasses.replace(default_params_for_horizon(p), variant=variant)
                 case = (n, p, variant)
                 u, iterations, stats = per_agent_solve(locals_, graph, params)
                 got = solve(locals_, graph, params)
@@ -346,13 +346,13 @@ def test_prox_closed_form_when_inactive(rng):
 
 
 def test_prox_with_active_box_matches_kkt(rng):
-    _, prob, problems, graph = make_instance(rng, 3, 1)
+    cfg, prob, problems, graph = make_instance(rng, 3, 1)
     H, c = agent_block(problems, 0)
     # pull far beyond the acceleration box so the bound becomes active
     point = np.array([50.0, 0.0])
     rho = 0.5
     out = agent_map(problems, graph, 0, point, rho)
-    assert out[0] <= problems.constraints.a_max + 1e-9
+    assert out[0] <= cfg.a_max + 1e-9
     # KKT: the projected gradient must vanish on the inactive face
     grad = H @ out + c + (out - point) / rho
     assert abs(grad[1]) <= 1e-7
@@ -368,11 +368,9 @@ def test_project_local_noop_inside(rng):
 def test_empty_local_set_raises_agent_error(rng):
     # crossed speed bounds leave no feasible point; the failure names the agent
     _, prob, problems, graph = make_instance(rng, 3, 2)
-    cons = prob.constraints
-    lo, hi = cons.speed_lo.copy(), cons.speed_hi.copy()
-    lo[1], hi[1] = 5.0, -5.0
-    crossed_prob = dataclasses.replace(
-        prob, constraints=dataclasses.replace(cons, speed_lo=lo, speed_hi=hi))
+    h = prob.rows.h.copy()
+    h[1, 4:8] = -5.0  # vehicle 1's speed band (rows 2p to 4p): 5 <= tau cumsum(u_1) <= -5
+    crossed_prob = dataclasses.replace(prob, rows=prob.rows._replace(h=h))
     crossed = build_local_problems(crossed_prob, problems.stack)
     point = np.zeros(6)
     # inside the batched loop too, where the other agents' candidates stand
@@ -445,8 +443,8 @@ def test_centralized_box_active_matches_enumeration(rng):
     c = prob.c - np.array([40.0, 40.0])  # drag the minimizer far outside
     prob2 = type(prob)(**{**prob.__dict__, "c": c})
     u = solve_centralized(prob2)
-    lo = np.full(2, prob.constraints.a_min)
-    hi = np.full(2, prob.constraints.a_max)
+    lo = np.full(2, cfg.a_min)
+    hi = np.full(2, cfg.a_max)
     oracle = box_qp_enumeration_oracle(W, c, lo, hi)
     # ignore speed/safety rows when they stay inactive at the oracle point
     rep = check_membership(prob2, oracle)
@@ -471,7 +469,7 @@ def test_fabric_driver_bit_identical_every_variant(rng, monkeypatch):
     monkeypatch.setattr(solvers, "_project", counted)
     for variant, fn in (("dr", solve_dr), ("three-op", solve_three_op),
                         ("three-op-accel", solve_three_op_accel)):
-        params = default_params_for_horizon(2, variant)
+        params = dataclasses.replace(default_params_for_horizon(2), variant=variant)
         calls.clear()
         base = fn(locals_, graph, params)
         assert base.converged, variant
@@ -500,7 +498,8 @@ def test_padded_entries_stay_zero(rng, n, p):
     assert (z0[pad] == 0).all()
     dirty = rng.normal(size=pad.size)
     for variant, solve in SOLVERS.items():
-        params = dataclasses.replace(default_params_for_horizon(p, variant), max_iters=50)
+        params = dataclasses.replace(default_params_for_horizon(p), variant=variant,
+                                     max_iters=50)
         for start in (None, z0, dirty):
             assert (solve(locals_, graph, params, z0=start).z_final[pad] == 0).all(), variant
         assert (solve(locals_, graph, params, z0=dirty).z_final.tobytes()
@@ -623,7 +622,7 @@ def test_accuracy_level_after_leader_brake():
     w = default_weight_schedule(1)
     state = initial_state(cfg, speed=25.0, u0=-2.0)
     state = step_dynamics(state, np.zeros(10), -2.0, cfg.tau)
-    prob = build_qcqp(state, template=StepTemplate(cfg, w))
+    prob = build_qcqp(state, template=step_template(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
     rep = solve_dr(build_local_problems(prob, stack), stack.layout.graph,
                    default_params_for_horizon(1))
@@ -646,7 +645,7 @@ def test_prox_active_safety_matches_grid_oracle():
     gaps = np.array([44.2, 50.0, 50.0])
     state = PlatoonState(x=np.concatenate([[0.0], -np.cumsum(gaps)]),
                          v=np.full(4, 25.0), u0=0.0)
-    prob = build_qcqp(state, template=StepTemplate(cfg, w))
+    prob = build_qcqp(state, template=step_template(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
     problems = build_local_problems(prob, stack)
     H, c = agent_block(problems, 0)
@@ -656,9 +655,9 @@ def test_prox_active_safety_matches_grid_oracle():
     point = np.array([4.0, 1.0])  # accelerating into the tight gap
     got = agent_map(problems, VehicleGraph(3), 0, point, rho)
 
-    cons = problems.constraints
-    quad = RankOneRow(quad=cons.quad, s=np.array([1.0, 0.0]),
-                      b=np.concatenate([cons.own[0, 0], [0.0]]), c=float(cons.const[0, 0]))
+    A, h, _, quad = problems.rows  # vehicle 0's safety row is row 4p = 4
+    quad = RankOneRow(quad=quad, s=np.array([1.0, 0.0]), b=np.array([A[0, 4, 0], 0.0]),
+                      c=-float(h[0, 4]))
     P = H + np.eye(2) / rho
     q = c - point / rho
     assert quad.value(np.linalg.solve(P, -q)) > 0  # safety genuinely active
@@ -686,7 +685,7 @@ def test_carried_warm_state_is_read_only(rng):
     cfg = small_config(5, 3)
     w = random_weights(rng, 5, 3)
     state = random_state(rng, cfg, gap_jitter=6.0, speed_lo=24.0, speed_hi=27.0, u0_mag=2.0)
-    prob = build_qcqp(state, template=StepTemplate(cfg, w))
+    prob = build_qcqp(state, template=step_template(cfg, w))
     stack = decompose_pd(stage_blocks(w, cfg.tau))
     graph = VehicleGraph(5)
     params = default_params_for_horizon(3)
@@ -734,7 +733,7 @@ def test_warm_started_steps_match_cold_solves(monkeypatch):
         x, accepted = out[0], out[3]
         for j in accepted.nonzero()[0]:
             if not fresh(x0[j]):
-                carried.append(((P[j], q[j], rows.A[j], rows.h[j], rows.S[j], rows.quad), x[j]))
+                carried.append(((P[j], q[j], rows.take(j)), x[j]))
             made.update(x[j, :d].tobytes() for d in (10, 15))
         return out
 
@@ -796,12 +795,10 @@ def test_stale_warm_sets_are_repaired_in_the_stack(rng, monkeypatch):
     assert len(loops) == 1
     assert loops[0][0].tolist() == [i not in stale for i in range(n)]
     assert loops[0][1].all() and not solved
-    A, h, S = batch.problems.rows
     for i in range(n):
         d = stack.layout.dims[i]
         q = batch.problems.C[i, :d] - Y[i, :d] / rho
-        cold = solve_qcqp(stack.H[i, :d, :d] + np.eye(d) / rho, q, A[i, :, :d], h[i], S[i, :, :d],
-                          prob.constraints.quad)
+        cold = solve_qcqp(stack.H[i, :d, :d] + np.eye(d) / rho, q, batch.problems.rows.take(i, d))
         assert cold.status == "optimal"
         np.testing.assert_allclose(X[i, :d], cold.x, rtol=0, atol=1e-10, err_msg=str(i))
         assert batch.warm[i]["prox subproblem"][1] == cold.active, i

@@ -4,12 +4,12 @@ import pytest
 from platoonmpc.core import WeightSchedule, error_coords, initial_state, \
     reference_config, step_dynamics
 from platoonmpc.decomposition import stage_blocks
-from platoonmpc.problem import StepTemplate, build_qcqp
+from platoonmpc.problem import build_qcqp
 from platoonmpc.solvers import solve_centralized
 from platoonmpc.stability import (build_closed_loop, default_weight_schedule,
                                   eigen_bounds_check, gen_weight_schedule, schur_margin)
 
-from conftest import random_weights, small_config
+from conftest import random_weights, small_config, step_template
 
 
 def test_reference_spectral_radii():
@@ -143,7 +143,7 @@ def test_unconstrained_rollout_matches_closed_loop(rng):
 
     zz = np.concatenate(error_coords(state, cfg))
     for k in range(200):
-        prob = build_qcqp(state, template=StepTemplate(cfg, w))
+        prob = build_qcqp(state, template=step_template(cfg, w))
         u = solve_centralized(prob)
         u_first = u.reshape(4, 2)[:, 0]
         state = step_dynamics(state, u_first, state.u0, cfg.tau)

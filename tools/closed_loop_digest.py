@@ -8,7 +8,10 @@ For each run (``s1`` and ``s2`` at p = 1 and 5; ``s3-synthetic`` seed 1 at
 p = 1 and 5 with the warm-up start; seed 7 at p = 5) it prints one line of
 digests: the ``commanded`` bytes, every step's ``u_star`` bytes, the
 per-step DR iterations and warm-up rounds, and every step's per-agent
-(fast, full) proximal counts.  Then, for ``s1`` at p = 1 and 5, one
+(fast, full) proximal counts.  Then ``s1`` at p = 1 under each
+three-operator variant, whose agents take the projection path
+(``_AgentBatch.project``): the ``commanded`` bytes, the per-step
+iterations and the proximal counts.  Then, for ``s1`` at p = 1 and 5, one
 line digests every step's centralized reference answer
 (``solve_centralized``), which reads the reference's own constraint rows.
 Then, one line per run, the seven above and ``s3-synthetic`` seed 1 at
@@ -24,6 +27,7 @@ the same reference answers and the same weight designs, bit for bit.
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -43,6 +47,7 @@ RUNS = (
     ("s3-synthetic", 5, 1, "warmup-projection"),
     ("s3-synthetic", 5, 7, "warmup-projection"),
 )
+THREE_OP_VARIANTS = ("three-op", "three-op-accel")
 ORACLE_RUNS = (("s1", 1), ("s1", 5))
 NOISY_RUN = ("s3-synthetic", 1, 1)
 SCHEDULE_HORIZONS = range(1, 6)
@@ -82,6 +87,15 @@ def main():
               f"u_star {digest(*(r.u_star for r in reports))} "
               f"iterations {digest(np.array([r.iterations for r in reports], dtype=np.int64))} "
               f"warmup {digest(result.warmup_iterations.astype(np.int64))} "
+              f"prox {digest(counts)}")
+    for variant in THREE_OP_VARIANTS:
+        reports.clear()
+        spec = harness.scenario_builtin("s1", p=1)
+        result = harness.run_scenario(replace(spec, solver=replace(spec.solver, variant=variant)))
+        counts = np.array([r.agent_prox_stats for r in reports], dtype=np.int64)
+        print(f"s1 p=1 {variant}: "
+              f"commanded {digest(result.commanded)} "
+              f"iterations {digest(np.array([r.iterations for r in reports], dtype=np.int64))} "
               f"prox {digest(counts)}")
     for name, p in ORACLE_RUNS:
         answers.clear()
