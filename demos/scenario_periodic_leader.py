@@ -12,7 +12,7 @@ from platoonmpc import run_scenario, scenario_builtin
 spec = scenario_builtin("s2", p=1)
 res = run_scenario(spec)
 
-dev = np.abs(res.spacings[:, 0] - res.gap)
+dev = np.abs(res.spacings[:, 0] - spec.cfg.gap)
 print(f"lead-gap oscillation during forcing: max {dev[:101].max():.3f} m")
 decay = next(k for k in range(101, dev.size) if np.all(dev[k:] < 0.01))
 print(f"decays below 1 cm within {decay - 101} s after the forcing ends")

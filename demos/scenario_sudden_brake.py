@@ -13,7 +13,7 @@ from platoonmpc import emit_results, run_scenario, scenario_builtin
 spec = scenario_builtin("s1", p=1)
 res = run_scenario(spec)
 
-dev = np.abs(res.spacings[:, 0] - res.gap)
+dev = np.abs(res.spacings[:, 0] - spec.cfg.gap)
 print(f"lead gap: max deviation {dev.max():.2f} m at k = {int(dev.argmax())}")
 print(f"settled back into the 0.05 m band {res.metrics['settle_time']} s "
       f"after the recovery acceleration ended")

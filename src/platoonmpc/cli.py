@@ -14,10 +14,9 @@ from .consensus import MessageFabric
 from .core import LeaderProfile, PlatoonConfig, PlatoonState, WeightSchedule, reference_config
 from .decomposition import decompose_pd, stage_blocks
 from .harness import (BUILTIN_SCENARIOS, ScenarioSpec, SafetyViolation, emit_results,
-                      run_scenario, scenario_builtin)
+                      run_scenario, scenario_builtin, solve_step)
 from .problem import StepTemplate, build_qcqp, check_membership
-from .solvers import (SOLVERS, SolverParams, build_local_problems, default_params_for_horizon,
-                      solve_centralized, solve_variant, warmup_initial_guess)
+from .solvers import SOLVERS, SolverParams, default_params_for_horizon, solve_centralized
 from .stability import default_weight_schedule, stability_report_json
 
 
@@ -30,10 +29,10 @@ def _check_keys(section, raw, known, required=()):
         raise SystemExit(f"{section} lacks key(s): {', '.join(missing)}")
 
 
-def _load_config(path, horizon):
+def _load_config(path, base):
     """Config JSON mirrors PlatoonConfig + WeightSchedule + SolverParams;
-    every section is optional (reference setup otherwise); unknown keys fail,
-    and so does a weights section without all three weights."""
+    every section is optional, the ``platoon`` keys override ``base``, and
+    unknown keys fail, as does a weights section without all three weights."""
     raw = {}
     if path:
         with open(path) as fh:
@@ -41,7 +40,7 @@ def _load_config(path, horizon):
     _check_keys("config top level", raw, ("platoon", "weights", "solver"))
     plat = raw.get("platoon", {})
     _check_keys("config section 'platoon'", plat, [f.name for f in fields(PlatoonConfig)])
-    cfg = replace(reference_config(horizon=horizon), **plat)
+    cfg = replace(base, **plat)
 
     w = raw.get("weights", "default")
     if w == "default" or w is None:
@@ -60,21 +59,22 @@ def _load_config(path, horizon):
 
 
 def _cmd_simulate(args):
-    cfg, weights, params = _load_config(args.config, args.horizon)
+    if args.scenario in BUILTIN_SCENARIOS:
+        spec = scenario_builtin(args.scenario, p=args.horizon, seed=args.seed, noise=args.noise)
+        cfg, weights, params = _load_config(args.config, spec.cfg)
+    elif args.trajectory:
+        cfg, weights, params = _load_config(args.config, reference_config(horizon=args.horizon))
+        leader = LeaderProfile.from_csv(args.trajectory, cfg.tau)
+        spec = ScenarioSpec(name="file", cfg=cfg, weights=weights, leader=leader,
+                            duration=leader.samples.size, solver=params, seed=args.seed,
+                            noise=args.noise)
+    else:
+        raise SystemExit("--scenario file needs --trajectory <csv>")
     params = replace(params, variant=args.variant or params.variant,
                      warm_start="warmup-projection" if args.warmup else params.warm_start)
-    if args.scenario in BUILTIN_SCENARIOS:
-        spec = replace(scenario_builtin(args.scenario, p=cfg.horizon, seed=args.seed,
-                                        noise=args.noise), solver=params)
-    else:
-        if not args.trajectory:
-            raise SystemExit("--scenario file needs --trajectory <csv>")
-        leader = LeaderProfile.from_csv(args.trajectory, cfg.tau)
-        spec = ScenarioSpec(name="file", leader=leader, duration=leader.samples.size,
-                            solver=params, horizon=cfg.horizon, seed=args.seed,
-                            noise=args.noise)
+    spec = replace(spec, cfg=cfg, weights=weights, solver=params)
     try:
-        result = run_scenario(spec, cfg, weights)
+        result = run_scenario(spec)
     except (SafetyViolation, RuntimeError) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
@@ -85,13 +85,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_analyze(args):
-    cfg, weights, _ = _load_config(args.config, args.horizon)
+    cfg, weights, _ = _load_config(args.config, reference_config(horizon=args.horizon))
     print(stability_report_json(cfg, weights))
     return 0
 
 
 def _cmd_solve_once(args):
-    cfg, weights, params = _load_config(args.config, args.horizon)
+    cfg, weights, params = _load_config(args.config, reference_config(horizon=args.horizon))
     params = replace(params, variant=args.variant or params.variant)
     with open(args.state) as fh:
         raw = json.load(fh)
@@ -104,10 +104,7 @@ def _cmd_solve_once(args):
     blocks = stage_blocks(weights, cfg.tau)
     prob = build_qcqp(state, template=StepTemplate(cfg, weights, blocks))
     stack = decompose_pd(blocks)
-    problems, z0 = build_local_problems(prob, stack), None
-    if params.warm_start == "warmup-projection":
-        z0, _, problems = warmup_initial_guess(prob, problems, MessageFabric(stack.layout.graph))
-    report = solve_variant(problems, stack.layout.graph, params, z0=z0)
+    report, _ = solve_step(prob, stack, MessageFabric(stack.layout.graph), params)
     u_oracle = solve_centralized(prob)
     norm = float(np.linalg.norm(u_oracle))
     rel = float(np.linalg.norm(report.u_star - u_oracle) / norm) if norm > 1e-12 else 0.0

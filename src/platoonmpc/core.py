@@ -7,6 +7,7 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,13 @@ __all__ = [
     "step_dynamics",
     "error_coords",
 ]
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as an int: numpy integers pass, ``bool`` and floats fail."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,11 @@ class PlatoonConfig:
     v_max: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_count("n", self.n))
+        object.__setattr__(self, "horizon", as_count("horizon", self.horizon))
+        for name in ("tau", "gap", "veh_len", "reaction", "a_min", "a_max", "v_min", "v_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n < 2:
             raise ValueError("need at least two controlled vehicles")
         if self.horizon < 1:
@@ -77,10 +90,10 @@ class PlatoonConfig:
             raise ValueError("gap and veh_len must be positive")
 
 
-def reference_config(n: int = 10, horizon: int = 1) -> PlatoonConfig:
+def reference_config(horizon: int = 1) -> PlatoonConfig:
     """Ten-vehicle reference platoon used by the built-in scenarios."""
     return PlatoonConfig(
-        n=n,
+        n=10,
         horizon=horizon,
         tau=1.0,
         gap=50.0,
@@ -170,12 +183,6 @@ class LeaderProfile:
         if 0 <= k < self.samples.size:
             return float(self.samples[k])
         return 0.0
-
-    def series(self, duration: int) -> np.ndarray:
-        out = np.zeros(duration)
-        m = min(duration, self.samples.size)
-        out[:m] = self.samples[:m]
-        return out
 
     @staticmethod
     def piecewise(segments, duration: int) -> "LeaderProfile":

@@ -28,6 +28,7 @@ __all__ = [
     "SimResult",
     "SafetyViolation",
     "run_scenario",
+    "solve_step",
     "scenario_builtin",
     "emit_results",
 ]
@@ -46,26 +47,31 @@ class SafetyViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """Everything ``run_scenario`` reads: the platoon, its horizon included,
+    and its weights, the leader's profile, the solver and the noise."""
+
     name: str
+    cfg: PlatoonConfig
+    weights: WeightSchedule
     leader: LeaderProfile
     duration: int
     solver: SolverParams
-    horizon: int = 1
     seed: int = 0
     noise: bool = False
     settle_after: int | None = None
-    a_max_override: float | None = None
 
     def __post_init__(self):
         if self.duration < 1:
             raise ValueError("duration must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+
+    @property
+    def horizon(self) -> int:
+        return self.cfg.horizon
 
 
 @dataclass
 class SimResult:
-    """Realized trajectories plus per-step solver statistics.
+    """Realized trajectories of the run ``spec`` plus per-step solver statistics.
 
     The run records one state history, positions and ``speeds`` once per
     sample (duration + 1 rows, the initial state first, the leader in
@@ -86,13 +92,11 @@ class SimResult:
     percent of the run's peak, where the ratio is meaningful.
     """
 
-    spec_name: str
-    gap: float
+    spec: ScenarioSpec
     spacings: np.ndarray
     speeds: np.ndarray
     controls: np.ndarray
     commanded: np.ndarray
-    leader_accel: np.ndarray
     iterations: np.ndarray
     warmup_iterations: np.ndarray
     rounds: np.ndarray
@@ -103,48 +107,45 @@ class SimResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _safety_margin(spacings, speeds, cfg: PlatoonConfig) -> np.ndarray:
-    """Each gap's distance to its follower's safe-spacing bound, per row."""
-    v = speeds[:, 1:]
-    bound = cfg.veh_len + cfg.reaction * v - (v - cfg.v_min) ** 2 / (2.0 * cfg.a_min)
-    return spacings - bound
-
-
-def _metrics(spec: ScenarioSpec, result: SimResult) -> dict:
-    dev = np.abs(result.spacings - result.gap)
+def _metrics(result: SimResult) -> dict:
+    spec = result.spec
+    dev = np.abs(result.spacings - spec.cfg.gap)
     first = dev[:, 0]
     metrics = {
         "max_dev_first_gap": float(first.max()),
-        "max_dev_other_gaps": float(dev[:, 1:].max()) if dev.shape[1] > 1 else 0.0,
+        "max_dev_other_gaps": float(dev[:, 1:].max()),
         "min_safety_margin": float(result.safety_margins.min()),
         "iterations_mean": float(result.iterations.mean()),
         "iterations_median": float(np.median(result.iterations)),
         "duration": int(result.controls.shape[0]),
     }
-    finite = np.isfinite(result.rel_errors)
-    if finite.any():
-        mags = np.abs(result.oracle_first).max(axis=1)
-        material = finite & (mags > 0.01 * mags.max())
-        metrics["rel_error_mean"] = float(result.rel_errors[material].mean()) \
-            if material.any() else None
-    else:
-        metrics["rel_error_mean"] = None
+    # without the oracle every magnitude is NaN, and no step is material
+    mags = np.abs(result.oracle_first).max(axis=1)
+    material = np.isfinite(result.rel_errors) & (mags > 0.01 * mags.max())
+    metrics["rel_error_mean"] = float(result.rel_errors[material].mean()) \
+        if material.any() else None
+    settle = None
     if spec.settle_after is not None:
-        settle = None
         band = first < 0.05
         for k in range(spec.settle_after, first.size):
             if band[k:].all():
                 settle = k - spec.settle_after
                 break
-        metrics["settle_time"] = settle
-    else:
-        metrics["settle_time"] = None
+    metrics["settle_time"] = settle
     return metrics
 
 
-def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
-                 weights: WeightSchedule | None = None,
-                 with_oracle: bool = False) -> SimResult:
+def solve_step(prob, stack, fabric, params: SolverParams, z_prev=None, warm=None):
+    """Solve one step from the warm-up sweep's answer under the warm-up
+    start, else from ``z_prev`` (None: a zero start), with the agents'
+    memory ``warm``; returns the report and the sweep's rounds (or zero)."""
+    problems, sweep = build_local_problems(prob, stack, warm=warm), 0
+    if params.warm_start == "warmup-projection":
+        z_prev, sweep, problems = warmup_initial_guess(prob, problems, fabric)
+    return solve_variant(problems, stack.layout.graph, params, z0=z_prev, fabric=fabric), sweep
+
+
+def run_scenario(spec: ScenarioSpec, with_oracle: bool = False) -> SimResult:
     """Run one closed-loop scenario.
 
     Builds the step program at every sample over the run's state-free
@@ -155,20 +156,13 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     raises SafetyViolation if any realized spacing breaks the safe-distance
     bound.
     """
-    cfg = cfg if cfg is not None else reference_config(horizon=spec.horizon)
-    if cfg.horizon != spec.horizon:
-        raise ValueError("configuration horizon does not match the scenario")
-    if spec.a_max_override is not None:
-        cfg = replace(cfg, a_max=spec.a_max_override)
-    weights = weights if weights is not None else default_weight_schedule(cfg.horizon)
+    cfg = spec.cfg
     spec.leader.validate_speeds(V_CRUISE, cfg, spec.duration)
 
-    blocks = stage_blocks(weights, cfg.tau)
-    template = StepTemplate(cfg, weights, blocks)
+    blocks = stage_blocks(spec.weights, cfg.tau)
+    template = StepTemplate(cfg, spec.weights, blocks)
     stack = decompose_pd(blocks)
-    graph = stack.layout.graph
-    fabric = MessageFabric(graph)
-    params = spec.solver
+    fabric = MessageFabric(stack.layout.graph)
     # built only for noise: importing numpy.random alone costs about 5 MB
     rng = np.random.default_rng(spec.seed) if spec.noise else None
 
@@ -186,12 +180,7 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
     for k in range(T):
         sent = fabric.round, fabric.floats
         prob = build_qcqp(state, template=template)
-        locals_ = build_local_problems(prob, stack, warm=warm)
-        if params.warm_start == "warmup-projection":
-            z0, warmups[k], locals_ = warmup_initial_guess(prob, locals_, fabric)
-        else:
-            z0 = z_prev  # None at the first step: a zero start
-        report = solve_variant(locals_, graph, params, z0=z0, fabric=fabric)
+        report, warmups[k] = solve_step(prob, stack, fabric, spec.solver, z_prev, warm)
         rounds[k], floats[k] = fabric.round - sent[0], fabric.floats - sent[1]
         if not report.converged:
             raise RuntimeError(f"solver did not converge at step {k} "
@@ -217,12 +206,13 @@ def run_scenario(spec: ScenarioSpec, cfg: PlatoonConfig | None = None,
         positions[k + 1], speeds[k + 1] = state.x, state.v
 
     spacings = -np.diff(positions, axis=1)
+    v = speeds[:, 1:]  # each gap less its follower's safe-spacing bound
+    bound = cfg.veh_len + cfg.reaction * v - (v - cfg.v_min) ** 2 / (2.0 * cfg.a_min)
     result = SimResult(
-        spec_name=spec.name, gap=cfg.gap, spacings=spacings, speeds=speeds, controls=controls,
-        commanded=commanded, leader_accel=spec.leader.series(T), iterations=iterations,
-        warmup_iterations=warmups, rounds=rounds, floats=floats, oracle_first=oracle_first,
-        rel_errors=rel_errors, safety_margins=_safety_margin(spacings, speeds, cfg))
-    result.metrics = _metrics(spec, result)
+        spec=spec, spacings=spacings, speeds=speeds, controls=controls, commanded=commanded,
+        iterations=iterations, warmup_iterations=warmups, rounds=rounds, floats=floats,
+        oracle_first=oracle_first, rel_errors=rel_errors, safety_margins=spacings - bound)
+    result.metrics = _metrics(result)
     if result.safety_margins.min() < -1e-6:
         raise SafetyViolation(
             f"safe-spacing bound violated by {-result.safety_margins.min():.3e} m", result)
@@ -259,23 +249,21 @@ def scenario_builtin(name: str, p: int = 1, seed: int = 0, noise: bool = False,
     params = default_params_for_horizon(p)
     if warm_start is not None:
         params = replace(params, warm_start=warm_start)
+    cfg, settle_after = reference_config(horizon=p), None
     if name == "s1":
-        duration = 160
-        leader = LeaderProfile.piecewise(
-            [(51, 54, -2.0), (101, 108, 1.0)], duration)
-        return ScenarioSpec(name=name, leader=leader, duration=duration, solver=params,
-                            horizon=p, seed=seed, noise=noise, settle_after=109)
-    if name == "s2":
-        duration = 150
+        duration, settle_after = 160, 109
+        leader = LeaderProfile.piecewise([(51, 54, -2.0), (101, 108, 1.0)], duration)
+    elif name == "s2":
+        duration, settle_after = 150, 101
         leader = LeaderProfile.periodic([1.0, -1.0, -1.0, 1.0], 51, 100, duration)
-        return ScenarioSpec(name=name, leader=leader, duration=duration, solver=params,
-                            horizon=p, seed=seed, noise=noise, settle_after=101)
-    if name == "s3-synthetic":
-        duration = 45
+    elif name == "s3-synthetic":
+        duration, cfg = 45, replace(cfg, a_max=2.0)
         leader = LeaderProfile(_synthetic_oscillation(duration, seed))
-        return ScenarioSpec(name=name, leader=leader, duration=duration, solver=params,
-                            horizon=p, seed=seed, noise=noise, a_max_override=2.0)
-    raise ValueError(f"unknown scenario {name!r}; expected one of {BUILTIN_SCENARIOS}")
+    else:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {BUILTIN_SCENARIOS}")
+    return ScenarioSpec(name=name, cfg=cfg, weights=default_weight_schedule(p), leader=leader,
+                        duration=duration, solver=params, seed=seed, noise=noise,
+                        settle_after=settle_after)
 
 
 _PLOT_STUB = """\
@@ -337,7 +325,7 @@ def emit_results(result: SimResult, out_dir) -> list:
 
     path = os.path.join(out_dir, "metrics.json")
     payload = dict(result.metrics)
-    payload["scenario"] = result.spec_name
+    payload["scenario"] = result.spec.name
     payload["solver"] = {
         "iterations_mean": result.metrics["iterations_mean"],
         "iterations_median": result.metrics["iterations_median"],

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .consensus import MessageFabric, VehicleGraph, _project
+from .core import as_count
 from .decomposition import AgentStack
 from .problem import QcqpProblem
 from .smallqcqp import KKT_TOL, InfeasibleProblem, Rows, active_set_loop, solve_qcqp
@@ -98,6 +99,7 @@ class SolverParams:
             raise ValueError("eta must lie in (0, 1)")
         if not (0.0 < self.tol < np.inf):
             raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "max_iters", as_count("max_iters", self.max_iters))
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.warm_start not in _WARM_STARTS:

@@ -85,7 +85,7 @@ def test_criterion_2_scenario_1_closed_loop(s1_runs, p):
 
 def test_criterion_3_scenario_2_closed_loop(s2_run):
     res, elapsed = s2_run
-    dev = np.abs(res.spacings[:, 0] - res.gap)
+    dev = np.abs(res.spacings[:, 0] - res.spec.cfg.gap)
     forcing_max = float(dev[:101].max())
     decay_at = next((k for k in range(101, dev.size) if np.all(dev[k:] < 0.01)), None)
     within = None if decay_at is None else decay_at - 101

@@ -135,15 +135,15 @@ def test_simulate_config_variant_holds_unless_flag_given(tmp_path, capsys):
 def test_solve_once_honours_warmup_start(tmp_path, capsys, monkeypatch):
     # solver.warm_start = "warmup-projection" runs one warm-up sweep and
     # solves from its start, as the closed loop does
-    import platoonmpc.cli as cli
+    import platoonmpc.harness as harness
 
-    sweeps, warmup = [], cli.warmup_initial_guess
+    sweeps, warmup = [], harness.warmup_initial_guess
 
     def counted(*args):
         sweeps.append(args)
         return warmup(*args)
 
-    monkeypatch.setattr(cli, "warmup_initial_guess", counted)
+    monkeypatch.setattr(harness, "warmup_initial_guess", counted)
     state = _state_file(tmp_path)
     config = _write_json(tmp_path / "cfg.json", {"solver": {"warm_start": "warmup-projection"}})
     cold = _solve_once(capsys, "--state", state)
@@ -151,6 +151,17 @@ def test_solve_once_honours_warmup_start(tmp_path, capsys, monkeypatch):
     warm = _solve_once(capsys, "--state", state, "--config", config)
     assert len(sweeps) == 1
     assert warm["converged"] is True and warm["u_star"] != cold["u_star"]
+
+
+def test_simulate_config_a_max_holds_on_s3(tmp_path, capsys):
+    # the config's platoon keys override the scenario's own platoon: s3's
+    # raised acceleration limit gives way to the config's
+    config = _write_json(tmp_path / "cfg.json", {"platoon": {"a_max": 0.5}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", "s3-synthetic", "--seed", "1", "--config", config,
+                 "--out", str(out)]) == 0
+    controls = np.loadtxt(out / "controls.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert controls.max() <= 0.5 + 1e-3
 
 
 def test_simulate_failure_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,27 @@ def test_config_validation():
                       a_min=1.0, a_max=1.35, v_min=10, v_max=27.78)  # a_min > 0
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f, v) for f in ("n", "horizon") for v in (NAN, INF, 2.5, 10.0, True)),
+    *((f, NAN) for f in ("tau", "gap", "veh_len", "reaction", "a_min", "a_max", "v_min",
+                         "v_max")),
+    ("v_max", INF), ("a_min", -INF), ("a_max", INF), ("reaction", INF),
+])
+def test_config_rejects_unusable_values(field, value):
+    # a config file can carry NaN, Infinity and non-integer counts: no run
+    # can use them, so they fail on construction
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(reference_config(), **{field: value})
+
+
+def test_config_counts_take_numpy_integers():
+    cfg = dataclasses.replace(reference_config(), n=np.int64(4), horizon=np.int32(2))
+    assert (cfg.n, cfg.horizon) == (4, 2) and type(cfg.n) is int and type(cfg.horizon) is int
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         PlatoonState(x=np.array([0.0, 10.0, 20.0]), v=np.zeros(3), u0=0.0)  # increasing
@@ -101,7 +124,7 @@ def test_leader_profiles(tmp_path):
     assert prof.accel_at(100) == 0.0
 
     per = LeaderProfile.periodic([1.0, -1.0], 1, 4, 6)
-    np.testing.assert_allclose(per.series(6), [0, 1, -1, 1, -1, 0])
+    np.testing.assert_allclose(per.samples, [0, 1, -1, 1, -1, 0])
 
     path = tmp_path / "traj.csv"
     path.write_text("t,accel\n0,0.5\n1,-0.5\n2,0.0\n")

@@ -1,6 +1,5 @@
 """The package imports of the demos and of the README's Python examples
-resolve; the README example and the demo that call the per-step
-``build_local_problems`` also run to the end."""
+resolve, and every demo and the README example run to the end."""
 
 import ast
 import importlib
@@ -42,10 +41,7 @@ def test_demo_imports_resolve(path):
         assert name is None or hasattr(mod, name), f"{module} has no {name}"
 
 
-RUN = [ROOT / "README.md", ROOT / "demos" / "distributed_vs_centralized.py"]
-
-
-@pytest.mark.parametrize("path", RUN, ids=[p.name for p in RUN])
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_example_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # whatever the example writes lands here
     if path.suffix == ".md":

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from platoonmpc.core import LeaderProfile
+from platoonmpc.core import LeaderProfile, reference_config
 from platoonmpc.harness import ScenarioSpec, emit_results, run_scenario, scenario_builtin
 from platoonmpc.solvers import default_params_for_horizon
+from platoonmpc.stability import default_weight_schedule
 
 
 def test_builtin_s1_leader_profile():
@@ -27,7 +28,7 @@ def test_builtin_s1_leader_profile():
 
 def test_builtin_s2_period_balance():
     spec = scenario_builtin("s2")
-    series = spec.leader.series(spec.duration)
+    series = spec.leader.samples
     assert series[:51].sum() == 0.0
     one_period = series[51:55]
     assert one_period.sum() == pytest.approx(0.0)
@@ -51,11 +52,11 @@ def test_unknown_scenario():
 
 
 def test_constant_leader_equilibrium(tmp_path):
-    params = default_params_for_horizon(1)
-    spec = ScenarioSpec(name="const", leader=LeaderProfile.piecewise([], 12),
-                        duration=12, solver=params, horizon=1)
+    spec = ScenarioSpec(name="const", cfg=reference_config(), weights=default_weight_schedule(1),
+                        leader=LeaderProfile.piecewise([], 12), duration=12,
+                        solver=default_params_for_horizon(1))
     res = run_scenario(spec)
-    np.testing.assert_allclose(res.spacings, res.gap, atol=1e-9)
+    np.testing.assert_allclose(res.spacings, spec.cfg.gap, atol=1e-9)
     np.testing.assert_allclose(res.speeds, 25.0, atol=1e-9)
     np.testing.assert_allclose(res.controls, 0.0, atol=1e-9)
     # emitted series of a constant run have constant columns
@@ -80,7 +81,7 @@ def test_emit_results_and_recompute(tmp_path, rng):
 
     # recompute the headline metric from the emitted file
     rows = [list(map(float, line.split(","))) for line in spac[1:]]
-    max_dev = max(abs(r[1] - res.gap) for r in rows)
+    max_dev = max(abs(r[1] - spec.cfg.gap) for r in rows)
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert metrics["max_dev_first_gap"] == pytest.approx(max_dev, rel=1e-12)
     assert metrics["solver"]["rounds_median"] == float(np.median(res.rounds))
@@ -218,7 +219,6 @@ def test_s3_noise_robustness_soft_bounds():
 def test_margins_are_the_spacing_bound(noise):
     # every row of the margins, the initial state's included, is the gap
     # less the safe-spacing bound at its follower's speed
-    from platoonmpc.core import reference_config
     cfg = reference_config()
     res = run_scenario(scenario_builtin("s3-synthetic", p=1, seed=1, noise=noise))
     assert res.safety_margins.shape == res.spacings.shape == (res.speeds.shape[0], cfg.n)
@@ -235,18 +235,11 @@ def test_trajectory_file_scenario(tmp_path):
     rows = ["t,accel"] + [f"{k},{0.2 if 3 <= k <= 4 else 0.0}" for k in range(12)]
     path.write_text("\n".join(rows) + "\n")
     leader = LeaderProfile.from_csv(path, tau=1.0)
-    spec = ScenarioSpec(name="file", leader=leader, duration=12,
-                        solver=default_params_for_horizon(1), horizon=1)
+    spec = ScenarioSpec(name="file", cfg=reference_config(), weights=default_weight_schedule(1),
+                        leader=leader, duration=12, solver=default_params_for_horizon(1))
     res = run_scenario(spec)
     assert res.spacings.shape == (13, 10)
     assert res.metrics["min_safety_margin"] > 0
-
-
-def test_scenario_horizon_mismatch():
-    spec = scenario_builtin("s1", p=2)
-    from platoonmpc.core import reference_config
-    with pytest.raises(ValueError):
-        run_scenario(spec, cfg=reference_config(horizon=1))
 
 
 def test_misspelled_warm_start_raises():

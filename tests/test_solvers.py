@@ -69,6 +69,13 @@ def test_params_validation():
             SolverParams(**bad)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 2.5, 100.0])
+def test_params_max_iters_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverParams(max_iters=value)
+    assert SolverParams(max_iters=np.int64(7)).max_iters == 7
+
+
 def test_local_problem_layout(rng):
     _, prob, problems, graph = make_instance(rng, 4, 2)
     var_order = problems.stack.layout.var_order

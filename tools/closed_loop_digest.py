@@ -17,16 +17,24 @@ line digests every step's centralized reference answer
 Then, one line per run, the seven above and ``s3-synthetic`` seed 1 at
 p = 1 with process noise, digests the series the run returns: spacings,
 speeds, safety margins, realized controls, fabric rounds and floats, and
-the ``metrics`` dict as sorted JSON.  Last, one line digests the built-in
+the ``metrics`` dict as sorted JSON.  Then one line digests the built-in
 weight schedules (``default_weight_schedule``) and the stability reports
 (``stability_report_json`` of the reference platoon) for p = 1 to 5.
+Last, one line digests every file that ``platoon-mpc simulate`` writes
+(the three CSV series, ``metrics.json`` and ``plot_results.py``) for
+``s1`` at p = 1 and ``s3-synthetic --seed 1 --noise``, run through the
+command line into a temporary directory with its stdout discarded.
 Two checkouts that print the same lines computed the same closed loops,
-the same reference answers and the same weight designs, bit for bit.
+the same reference answers, the same weight designs and the same command
+output files, bit for bit.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
+import platoonmpc.cli as cli  # noqa: E402
 import platoonmpc.harness as harness  # noqa: E402
 from platoonmpc.core import reference_config  # noqa: E402
 from platoonmpc.stability import default_weight_schedule, stability_report_json  # noqa: E402
@@ -51,6 +60,8 @@ THREE_OP_VARIANTS = ("three-op", "three-op-accel")
 ORACLE_RUNS = (("s1", 1), ("s1", 5))
 NOISY_RUN = ("s3-synthetic", 1, 1)
 SCHEDULE_HORIZONS = range(1, 6)
+CLI_RUNS = (("s1",), ("s3-synthetic", "--seed", "1", "--noise"))
+CLI_FILES = ("spacings.csv", "speeds.csv", "controls.csv", "metrics.json", "plot_results.py")
 
 
 def digest(*parts) -> str:
@@ -119,6 +130,15 @@ def main():
     print(f"weights p={SCHEDULE_HORIZONS[0]}..{SCHEDULE_HORIZONS[-1]}: "
           f"schedule {digest(*(q for w in schedules for q in (w.q_gap, w.q_rate, w.q_ride)))} "
           f"stability {digest(*(np.frombuffer(r, dtype=np.uint8) for r in reports))}")
+    files = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for i, args in enumerate(CLI_RUNS):
+            out = Path(tmp) / str(i)
+            if cli.main(["simulate", "--scenario", *args, "--out", str(out)]) != 0:
+                raise SystemExit(f"simulate {' '.join(args)} failed")
+            files += [np.frombuffer((out / name).read_bytes(), dtype=np.uint8)
+                      for name in CLI_FILES]
+    print(f"simulate files (s1 p=1; s3-synthetic seed=1 noise): {digest(*files)}")
 
 
 if __name__ == "__main__":
