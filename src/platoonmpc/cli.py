@@ -99,8 +99,6 @@ def _cmd_solve_once(args):
     state = PlatoonState(x=np.asarray(raw["x"], dtype=float),
                          v=np.asarray(raw["v"], dtype=float),
                          u0=float(raw.get("u0", 0.0)))
-    if state.n != cfg.n:
-        raise SystemExit("state size does not match the configuration")
     blocks = stage_blocks(weights, cfg.tau)
     prob = build_qcqp(state, template=StepTemplate(cfg, weights, blocks))
     stack = decompose_pd(blocks)
@@ -157,7 +155,10 @@ def main(argv=None) -> int:
     once.set_defaults(fn=_cmd_solve_once)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # input that a constructor or a check refuses
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

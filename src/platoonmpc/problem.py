@@ -5,7 +5,7 @@ convex quadratic in the stacked per-vehicle controls, subject to box and
 speed-band rows per vehicle plus one convex quadratic safety constraint per
 vehicle and stage; nothing here iterates or communicates.  ``StepTemplate``
 builds what the state does not change once per run: the Hessian blocks and
-their chain's Schur blocks, the prediction (Φ, T) from which the linear
+their chain's elimination factors, the prediction (Φ, T) from which the linear
 term and the safety rows are read, and one row skeleton in the agents'
 columns.  ``build_qcqp`` adds what the measured state sets.
 """
@@ -33,11 +33,9 @@ __all__ = [
 class QcqpProblem:
     """One step's convex program in stacked vehicle-major controls.
 
-    The Hessian is stored as its block-tridiagonal pieces, stacked: ``diag``
-    (n, p, p) and ``off`` (n - 1, p, p), ``off[i]`` coupling vehicles i and
-    i+1, with the Schur blocks of its forward elimination,
-    ``schur[i] = diag[i] - off[i-1]' schur[i-1]^-1 off[i-1]``; ``c`` is
-    partitioned per vehicle.
+    The Hessian is the run's: ``template`` holds its block-tridiagonal
+    pieces and their chain's factors, which no state changes.  The step adds
+    the linear term ``c``, partitioned per vehicle, and its rows.
 
     ``rows`` holds every constraint row of the step, a ``Rows`` stack over
     the vehicles, each (5p, 3p) over the vehicle's [own, predecessor,
@@ -60,30 +58,27 @@ class QcqpProblem:
     controls.
     """
 
-    n: int
-    horizon: int
-    diag: np.ndarray
-    off: np.ndarray
-    schur: np.ndarray
+    template: StepTemplate
     c: np.ndarray
     rows: Rows
 
     def hessian_dense(self) -> np.ndarray:
         """Assemble the full Hessian (test/oracle path only)."""
-        p, n = self.horizon, self.n
+        t = self.template
+        p, n = t.cfg.horizon, t.cfg.n
         W = np.zeros((n * p, n * p))
         for i in range(n):
-            W[i * p:(i + 1) * p, i * p:(i + 1) * p] = self.diag[i]
+            W[i * p:(i + 1) * p, i * p:(i + 1) * p] = t.diag[i]
             if i + 1 < n:
-                W[i * p:(i + 1) * p, (i + 1) * p:(i + 2) * p] = self.off[i]
-                W[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = self.off[i].T
+                W[i * p:(i + 1) * p, (i + 1) * p:(i + 2) * p] = t.off[i]
+                W[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = t.off[i].T
         return W
 
     def central_rows(self) -> Rows:
         """Every vehicle's rows over the vehicle-major columns, for the
         centralized reference and the membership check: the own block to
         the vehicle's own columns, the predecessor's to the block before."""
-        n, p = self.n, self.horizon
+        n, p = self.template.cfg.n, self.template.cfg.horizon
         i = np.arange(n)
         out = np.zeros((2, n, 5 * p, n, p))
         for M, R in zip(out, (self.rows.A, self.rows.S)):
@@ -94,22 +89,27 @@ class QcqpProblem:
 
 class StepTemplate:
     """The state-free part of a run's step programs, from the configuration,
-    the weights and their stacked stage blocks: the Hessian's
-    block-tridiagonal pieces and Schur blocks, the prediction (Φ, T) and
-    what the linear term reads of it, and the rows' one ``skeleton`` (A, S),
-    each (n, 5p, 3p): the box, speed and predecessor coefficients and the
-    selector, which no state changes (see ``QcqpProblem``).  Every array it
-    builds is read-only."""
+    the weights and their stacked stage blocks: the Hessian's pieces,
+    ``diag`` (n, p, p) and ``off`` (n - 1, p, p), ``off[i]`` coupling
+    vehicles i and i+1, with their chain's factors ``sinv[i]`` = S_i^-1 and
+    ``fwd[i]`` = off[i]' S_i^-1 for the sweep (``warmup_initial_guess``);
+    the prediction (Φ, T) and what the linear term reads of it; and the
+    rows' one ``skeleton`` (A, S), each (n, 5p, 3p): the box, speed and
+    predecessor coefficients and the selector, which no state changes (see
+    ``QcqpProblem``).  Every array it builds is read-only."""
 
     def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule, blocks: np.ndarray):
         if weights.horizon != cfg.horizon or weights.n != cfg.n:
             raise ValueError("weight schedule shape does not match the configuration")
         diag, off = blocks.copy(), -blocks[1:]
         diag[:-1] += blocks[1:]
-        schur = diag.copy()
+        sinv, fwd = np.empty_like(diag), np.empty_like(off)
+        sinv[0] = np.linalg.inv(diag[0])  # S_i = diag[i] - off[i-1]' S_{i-1}^-1 off[i-1]
         for i in range(1, cfg.n):
-            schur[i] -= off[i - 1].T @ np.linalg.solve(schur[i - 1], off[i - 1])
-        self.cfg, self.weights, self.diag, self.off, self.schur = cfg, weights, diag, off, schur
+            fwd[i - 1] = off[i - 1].T @ sinv[i - 1]
+            sinv[i] = np.linalg.inv(diag[i] - fwd[i - 1] @ off[i - 1])
+        self.cfg, self.weights, self.diag, self.off = cfg, weights, diag, off
+        self.sinv, self.fwd = sinv, fwd
         self.phi, self.T = prediction(cfg.horizon, cfg.tau)
         # a constant unit acceleration gap moves the gap error by Φ·1, the rate by tau T·1
         self.lead, self.reach = self.phi.sum(axis=1), cfg.tau * self.T.sum(axis=1)
@@ -121,7 +121,7 @@ class StepTemplate:
         A[1:, 4 * p:, p:2 * p] = -self.phi  # the leader (vehicle 0's predecessor) is in const
         S[:, 4 * p:, :p] = L
         self.skeleton = A, S
-        for a in (diag, off, schur, self.lead, self.reach, self.leader, A, S):
+        for a in (diag, off, sinv, fwd, self.lead, self.reach, self.leader, A, S):
             a.flags.writeable = False  # shared by every step
 
 
@@ -169,11 +169,9 @@ def _step_rows(state: PlatoonState, t: StepTemplate) -> Rows:
 def build_qcqp(state: PlatoonState, template: StepTemplate) -> QcqpProblem:
     """Assemble the step's convex program from the measured state over a
     run's ``template``."""
-    if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.v))):
-        raise ValueError("state must be finite")
-    return QcqpProblem(n=template.cfg.n, horizon=template.cfg.horizon, diag=template.diag,
-                       off=template.off, schur=template.schur, c=_linear_term(state, template),
-                       rows=_step_rows(state, template))
+    if state.n != template.cfg.n:  # a PlatoonState is finite and ordered by construction
+        raise ValueError("state size does not match the configuration")
+    return QcqpProblem(template, _linear_term(state, template), _step_rows(state, template))
 
 
 @dataclass(frozen=True)
@@ -201,6 +199,7 @@ class MembershipReport:
 
 def check_membership(prob: QcqpProblem, u: np.ndarray, tol: float = 1e-8) -> MembershipReport:
     """Evaluate every constraint of the step program at ``u``."""
-    val = prob.central_rows().values(np.asarray(u, dtype=float)).reshape(prob.n, 5, prob.horizon)
+    cfg = prob.template.cfg
+    val = prob.central_rows().values(np.asarray(u, dtype=float)).reshape(cfg.n, 5, cfg.horizon)
     return MembershipReport(box=np.maximum(val[:, 0], val[:, 1]),
                             speed=np.maximum(val[:, 2], val[:, 3]), safety=val[:, 4], tol=tol)

@@ -127,11 +127,11 @@ class LocalProblems:
     in every stack and every point, so they add nothing to a product or a
     row value.
 
-    ``warm[i]`` is agent i's memory of its last full subsolve of each kind
-    ("prox subproblem", "projection"): the point, padded like ``C``, and
-    the active rows, the start of its next full solve of that kind.  Solvers
-    read it and never write it; the next step's problems take it from
-    ``SolveReport.warm``.
+    ``warm[i]`` is agent i's memory of its last full subsolve, a proximal
+    step or a projection: the point, padded like ``C``, and the active rows,
+    the start of its next full solve of either kind; None before its first.
+    Solvers read it and never write it; the next step's problems take it
+    from ``SolveReport.warm``.
     """
 
     stack: AgentStack
@@ -170,12 +170,12 @@ def build_local_problems(prob: QcqpProblem, stack: AgentStack, warm=None) -> Loc
     ``warm``, one entry per agent (a previous ``SolveReport.warm``), seeds
     each agent's subsolver memory."""
     n, p = stack.n, stack.p
-    if (prob.n, prob.horizon) != (n, p):
+    if (prob.template.cfg.n, prob.template.cfg.horizon) != (n, p):
         raise ValueError("the step program does not match the agent stack")
     C = np.zeros(stack.H.shape[:2])
     C[:, :p] = prob.c.reshape(n, p)
     return LocalProblems(stack, C, prob.rows.take(..., C.shape[1]),
-                         tuple(warm) if warm is not None else ({},) * n)
+                         tuple(warm) if warm is not None else (None,) * n)
 
 
 class _AgentBatch:
@@ -193,11 +193,11 @@ class _AgentBatch:
     with a failing agent drops the ball.  Every decision is the one that
     evaluating the rows would make: within the ball each row stays at or
     below half its anchor value, below 0 by far more than its rounding.
-    ``warm`` holds each agent's last full solve of each kind, its point and
-    active rows: copied from the problems' ``warm`` and updated by every
+    ``warm`` holds each agent's last full solve of either kind, its point
+    and active rows: copied from the problems' ``warm`` and updated by every
     full solve, it carries an agent's active set across rounds and, through
     ``SolveReport.warm``, across control steps.  A round's failing agents
-    that hold memory of the kind run one stacked active-set loop
+    that hold memory run one stacked active-set loop
     (``smallqcqp.active_set_loop``); an agent that holds none calls
     ``solve_qcqp`` cold, and one whose loop gives up calls it from its warm
     point.  With ``rho``, the proximal maps come from the stack.
@@ -207,13 +207,13 @@ class _AgentBatch:
         stack = problems.stack
         if graph.n != stack.n:
             raise ValueError(f"graph has {graph.n} vehicles, the agent stack {stack.n}")
-        self.problems, self.stack, self.rho = problems, stack, rho
+        self.problems, self.rho = problems, rho
         if rho is not None:
             self.prox_mat, self.prox_hess = stack.prox(rho)
             self.rho_C = rho * problems.C
         self.calls = 0
         self.full = [0] * stack.n
-        self.warm = [dict(w) for w in problems.warm]
+        self.warm = list(problems.warm)
         self.ball = None  # (anchor, row values) of the last all-standing check
         self.radius2 = None  # the ball's squared radius, once computed
         self._eye = np.broadcast_to(np.eye(stack.H.shape[-1]), stack.H.shape)
@@ -244,18 +244,18 @@ class _AgentBatch:
         failing, values = self.problems.failing(X)
         self.ball = None if failing else (X.copy(), values)
         self.radius2 = None
-        held = [i for i in failing if kind in self.warm[i]]
-        taken = self._warm_loop(X, kind, objective, held) if held else ()
+        held = [i for i in failing if self.warm[i] is not None]
+        taken = self._warm_loop(X, objective, held) if held else ()
         for i in failing:
             self.full[i] += 1
             if i not in taken:
                 self._solve(X, i, kind, objective)
         return X
 
-    def _warm_loop(self, X, kind, objective, agents):
+    def _warm_loop(self, X, objective, agents):
         """Run the ``agents``' warm active sets through one stacked loop;
         write the passing agents' points and memory, and return them."""
-        memory = [self.warm[i][kind] for i in agents]
+        memory = [self.warm[i] for i in agents]
         a = max(len(on) for _, on in memory)
         keys = np.array([on + (-1,) * (a - len(on)) for _, on in memory], dtype=int)
         P, q = objective(agents)
@@ -265,22 +265,21 @@ class _AgentBatch:
         taken = [i for i, passed in zip(agents, ok.tolist()) if passed]
         X[taken] = x = x[ok]
         for i, xi, on in zip(taken, x, np.where(lam[ok] > 0, keys[ok], -1).tolist()):
-            self.warm[i][kind] = (xi, tuple(k for k in on if k >= 0))
+            self.warm[i] = (xi, tuple(k for k in on if k >= 0))
         return taken
 
     def _solve(self, X, i, kind, objective):
-        d = self.stack.layout.dims[i]
+        d = self.problems.stack.layout.dims[i]
         (P,), (q,) = objective([i])
-        x = self.warm[i].get(kind, (None,))[0]
         try:
             res = solve_qcqp(P[:d, :d], q[:d], self.problems.rows.take(i, d),
-                             x0=None if x is None else x[:d])
+                             x0=None if self.warm[i] is None else self.warm[i][0][:d])
         except InfeasibleProblem as exc:
             raise ProxSolveError(i, f"{kind}: {exc}") from exc
         if res.status != "optimal":
             raise ProxSolveError(i, f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
         X[i, :d] = res.x
-        self.warm[i][kind] = (X[i].copy(), res.active)
+        self.warm[i] = (X[i].copy(), res.active)
 
 
 @dataclass
@@ -315,7 +314,7 @@ def _iterate(batch, params, step, z0=None, fabric=None, momentum=None):
     The projected point is the current iterate, or ``momentum(z, w)`` when
     given, with ``w`` the previous projection.
     """
-    layout = batch.stack.layout
+    layout = batch.problems.stack.layout
 
     def project(vec):
         if fabric is not None:
@@ -451,26 +450,26 @@ def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, fabric: Mes
     W is block tridiagonal along the chain, so the minimizer of 1/2 u'Wu + c'u
     is one block elimination (Golub & Van Loan, *Matrix Computations*, 4th
     ed., section 4.5).  Its Schur blocks S_i = W_ii - B' S_{i-1}^{-1} B,
-    B = W_{i-1,i}, read no state: each run computes them once (``prob.schur``).
+    B = W_{i-1,i}, read no state: the run's template holds S_i^{-1} and
+    B' S_{i-1}^{-1} (``sinv`` and ``fwd``), so the sweep only multiplies.
     Forward, vehicle i receives g_{i-1}, p floats, and keeps
     g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}.  Backward, it receives u_{i+1} and
-    solves u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).  Every message crosses
+    takes u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).  Every message crosses
     one chain edge in a one-speaker round of the run's ``fabric``
     (``MessageFabric.send``); each agent then projects its block onto its
     constraint set, all in one batch, warm-started from ``problems.warm``.
     Returns z0, this sweep's fabric rounds, 2(n - 1), and ``problems`` with
     the agents' memory after the projection, the problems the step solves.
     """
-    n, stack, start = prob.n, problems.stack, fabric.round
+    n, stack, start = prob.template.cfg.n, problems.stack, fabric.round
     batch = _AgentBatch(problems, fabric.graph)
-    S, c = prob.schur, prob.c.reshape(n, -1)
+    t, c = prob.template, prob.c.reshape(n, -1)
     g = [-c[0]]
     for i in range(1, n):
-        g_prev = fabric.send(i - 1, i, g[-1])
-        g.append(-c[i] - prob.off[i - 1].T @ np.linalg.solve(S[i - 1], g_prev))
-    u = [None] * (n - 1) + [np.linalg.solve(S[-1], g[-1])]
+        g.append(-c[i] - t.fwd[i - 1] @ fabric.send(i - 1, i, g[-1]))
+    u = [None] * (n - 1) + [t.sinv[-1] @ g[-1]]
     for i in range(n - 2, -1, -1):
-        u[i] = np.linalg.solve(S[i], g[i] - prob.off[i] @ fabric.send(i + 1, i, u[i + 1]))
+        u[i] = t.sinv[i] @ (g[i] - t.off[i] @ fabric.send(i + 1, i, u[i + 1]))
 
     w = stack.layout.scatter_controls(np.concatenate(u))
     z0 = batch.project(w.reshape(n, -1)).ravel()

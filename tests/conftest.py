@@ -131,8 +131,9 @@ class PerAgentStep:
     its rows out over its own dimension, takes its closed-form candidate from
     its own inverted prox matrix, and sends only a candidate that breaks a
     row to its full solve: the active-set loop on a stack of one from the
-    agent's last full solve of the kind, and ``solve_qcqp`` from that point
-    when the loop gives up, or from no point when there is none."""
+    agent's last full solve of either kind, its memory, which starts as the
+    problems' ``warm[i]``, and ``solve_qcqp`` from that point when the loop
+    gives up, or from no point when there is none (counted in ``cold``)."""
 
     def __init__(self, problems, i, rho):
         d = problems.stack.layout.dims[i]
@@ -141,8 +142,9 @@ class PerAgentStep:
         self.c_tilde = problems.C[i, :d]
         self.prox_mat = np.linalg.inv(rho * self.hessian + np.eye(d))
         self.rows = problems.rows.take(i, d)
-        self.fast = self.full = 0
-        self._warm = {}
+        self.fast = self.full = self.cold = 0
+        warm = problems.warm[i]
+        self.memory = None if warm is None else (warm[0][:d], warm[1])
 
     def gradient(self, x):
         return self.hessian @ x + self.c_tilde
@@ -164,14 +166,15 @@ class PerAgentStep:
             return x
         self.full += 1
         P, q = objective()
-        x0, active = self._warm.get(kind, (None, None))
+        x0, active = self.memory or (None, None)
         if x0 is not None:  # the warm active set, as a stack of one
             x, lam, keys, passed, _, _ = active_set_loop(
                 P[None], q[None], self.rows.take(None), x0[None],
                 np.array([active], dtype=int), 12, 1e-12 * (1.0 + np.abs(q).max()), KKT_TOL)
             if passed[0]:
-                self._warm[kind] = (x[0], tuple(keys[0][lam[0] > 0].tolist()))
+                self.memory = (x[0], tuple(keys[0][lam[0] > 0].tolist()))
                 return x[0]
+        self.cold += x0 is None
         try:
             res = solve_qcqp(P, q, self.rows, x0=x0)
         except InfeasibleProblem as exc:
@@ -179,7 +182,7 @@ class PerAgentStep:
         if res.status != "optimal":
             raise ProxSolveError(self.index,
                                  f"{kind} stuck at KKT residual {res.kkt_residual:.2e}")
-        self._warm[kind] = (res.x, res.active)
+        self.memory = (res.x, res.active)
         return res.x
 
 
@@ -190,8 +193,8 @@ def agent_slice(layout, i):
 
 def per_agent_solve(problems, graph, params, z0=None):
     """The splitting loop with one ``PerAgentStep`` call per agent per
-    round, for every variant; returns (u_star, iterations, per-agent
-    (fast, full) counts).  The step sizes are the solvers' derived ones,
+    round, for every variant; returns (u_star, iterations, the agents'
+    ``PerAgentStep``s).  The step sizes are the solvers' derived ones,
     from the extreme eigenvalues of the agents' unpadded blocks."""
     from platoonmpc.consensus import AugmentedLayout, _project
     from platoonmpc.solvers import accel_gamma_next
@@ -242,4 +245,4 @@ def per_agent_solve(problems, graph, params, z0=None):
             break
         if not accel:
             w = _project(z, layout)
-    return layout.stack_controls(w), iterations, tuple((a.fast, a.full) for a in agents)
+    return layout.stack_controls(w), iterations, agents

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -206,3 +207,36 @@ def test_config_unknown_keys_rejected(tmp_path, cfg, named):
     path.write_text(json.dumps(cfg))
     with pytest.raises(SystemExit, match=named):
         main(["analyze", "--config", str(path), "--horizon", "1"])
+
+
+TWO_VEHICLE_WEIGHTS = {"q_gap": [[1.0, 1.0]], "q_rate": [[1.0, 1.0]], "q_ride": [[1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("args, config, named", [
+    (["simulate", "--scenario", "s1"], {"platoon": {"reaction": 0.5}}, "reaction time"),
+    (["analyze"], {"platoon": {"reaction": 0.5}}, "reaction time"),
+    (["simulate", "--scenario", "s1"], {"solver": {"max_iters": 2.5}}, "max_iters"),
+    (["simulate", "--scenario", "s1"], {"weights": TWO_VEHICLE_WEIGHTS}, "weight schedule"),
+    (["analyze"], {"weights": TWO_VEHICLE_WEIGHTS}, "weight schedule"),
+    (["simulate", "--scenario", "s1"], {"platoon": {"v_max": 24.0}}, "leader speed"),
+    (["simulate", "--scenario", "file", "--trajectory", "LEAD"], None, "header"),
+    (["simulate", "--scenario", "s3-synthetic", "--seed", "-1"], None, "non-negative"),
+    (["analyze", "--horizon", "0"], None, "horizon"),
+    (["solve-once", "--state", "STATE"], None, "strictly decreasing"),
+])
+def test_bad_input_ends_in_one_line(tmp_path, args, config, named):
+    # input that a constructor or a check refuses ends the command with one
+    # line naming the fault and a nonzero exit, not a traceback
+    files = {"LEAD": tmp_path / "lead.csv", "STATE": tmp_path / "state.json"}
+    files["LEAD"].write_text("t,acc\n0,0.0\n1,0.0\n")
+    x = [0.0, -50.0, -40.0] + [-50.0 * k for k in range(3, 11)]
+    _write_json(files["STATE"], {"x": x, "v": [25.0] * 11})
+    args = [str(files.get(a, a)) for a in args]
+    if config is not None:
+        args += ["--config", _write_json(tmp_path / "cfg.json", config)]
+    if args[0] == "simulate":
+        args += ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert re.search(named, exc.value.code)

@@ -167,4 +167,8 @@ def test_weight_validation_and_finiteness(rng):
     state = initial_state(cfg, speed=25.0)
     with pytest.raises(ValueError):
         build_qcqp(state, template=step_template(cfg, w))
+    # a state of another platoon size is refused before any term is read
+    with pytest.raises(ValueError, match="state size"):
+        build_qcqp(initial_state(small_config(4, 2)),
+                   template=step_template(cfg, random_weights(rng, 3, 2)))
 

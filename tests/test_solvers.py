@@ -158,8 +158,9 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
 def test_template_steps_do_not_alias(rng, p):
     # two steps with different states from one run's template: building the
     # second (its agent rows, membership and centralized rows too) changes
-    # no array of the first nor the run's stage blocks, prediction and
-    # leader column, which are read-only, and each step equals a fresh
+    # no array of the first nor the run's stage blocks, Hessian pieces and
+    # chain factors, prediction and leader column, which are read-only and
+    # shared by both steps, and each step and the factors equal a fresh
     # template's build
     n = 5
     cfg, w = small_config(n, p), random_weights(rng, n, p)
@@ -169,10 +170,12 @@ def test_template_steps_do_not_alias(rng, p):
     states = [random_state(rng, cfg, u0_mag=2.0) for _ in range(2)]
 
     def arrays(prob, local):
-        return [prob.c, local.C, *prob.rows[:3], *local.rows[:3], *prob.diag, *prob.off,
-                *prob.schur]
+        return [prob.c, local.C, *prob.rows[:3], *local.rows[:3]]
 
-    shared = [blocks, template.phi, template.T, template.leader]
+    def factors(t):
+        return [t.diag, t.off, t.sinv, t.fwd]
+
+    shared = [blocks, template.phi, template.T, template.leader, *factors(template)]
     assert not any(a.flags.writeable for a in shared)
     first = build_qcqp(states[0], template=template)
     first_local = build_local_problems(first, stack)
@@ -181,10 +184,13 @@ def test_template_steps_do_not_alias(rng, p):
     second_local = build_local_problems(second, stack)
     check_membership(second, rng.normal(size=n * p))
     second.central_rows()
+    assert first.template is second.template is template
     assert second.c.tobytes() != first.c.tobytes()
     assert second_local.rows[0].tobytes() != first_local.rows[0].tobytes()
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(arrays(first, first_local) + shared, seen, strict=True))
+    for now, again in zip(factors(template), factors(step_template(cfg, w)), strict=True):
+        assert now.tobytes() == again.tobytes()
     for state, prob, local in zip(states, (first, second), (first_local, second_local)):
         fresh = build_qcqp(state, template=step_template(cfg, w))
         fresh_local = build_local_problems(fresh, stack)
@@ -306,9 +312,32 @@ def test_candidate_leaving_the_ball_is_evaluated_again(rng, monkeypatch):
     assert batch.calls == 13 and batch.full == [2, 0, 1, 0]
 
 
-def test_batched_engine_matches_per_agent_oracle(rng):
+def test_batched_engine_matches_per_agent_oracle(rng, monkeypatch):
     # every variant against the per-agent loop it replaced, on draws whose
-    # exact solutions have binding box rows and binding safety rows
+    # exact solutions have binding box rows and binding safety rows; and DR
+    # from the warm-up start, whose agents carry the warm-up projection's
+    # memory into their proximal steps.  Both keep the same memory: the
+    # same active rows at the end, and the same full solves started cold
+    import platoonmpc.solvers as solvers
+
+    cold, solve_qcqp = [], solvers.solve_qcqp
+
+    def counted(*args, **kwargs):
+        cold.append(kwargs.get("x0") is None)
+        return solve_qcqp(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_qcqp", counted)
+
+    def agree(problems, graph, params, solve, case, z0=None):
+        u, iterations, agents = per_agent_solve(problems, graph, params, z0=z0)
+        cold.clear()
+        got = solve(problems, graph, params, z0=z0)
+        assert got.iterations == iterations, case
+        assert got.agent_prox_stats == tuple((a.fast, a.full) for a in agents), case
+        assert [m and m[1] for m in got.warm] == [a.memory and a.memory[1] for a in agents], case
+        assert sum(cold) == sum(a.cold for a in agents), case
+        assert np.linalg.norm(got.u_star - u) <= 1e-12 * np.linalg.norm(u), case
+
     binding = {"box": 0, "safety": 0}
     for n in (2, 3, 5, 10):
         for p in range(1, 6):
@@ -325,12 +354,10 @@ def test_batched_engine_matches_per_agent_oracle(rng):
             binding["safety"] += bool((rep.safety > -1e-8).any())
             for variant, solve in SOLVERS.items():
                 params = dataclasses.replace(default_params_for_horizon(p), variant=variant)
-                case = (n, p, variant)
-                u, iterations, stats = per_agent_solve(locals_, graph, params)
-                got = solve(locals_, graph, params)
-                assert got.iterations == iterations, case
-                assert got.agent_prox_stats == stats, case
-                assert np.linalg.norm(got.u_star - u) <= 1e-12 * np.linalg.norm(u), case
+                agree(locals_, graph, params, solve, (n, p, variant))
+            z0, _, warmed = warmup_initial_guess(prob, locals_, MessageFabric(graph))
+            agree(warmed, graph, default_params_for_horizon(p), solve_dr,
+                  (n, p, "dr from the warm-up"), z0)
     assert binding["box"] >= 3 and binding["safety"] >= 3, binding
 
 
@@ -699,18 +726,17 @@ def test_carried_warm_state_is_read_only(rng):
     first = solve_dr(build_local_problems(prob, stack), graph, params)
     assert first.prox_full > 0
     locals_ = build_local_problems(prob, stack, warm=first.warm)
-    before = [{kind: (x.copy(), active) for kind, (x, active) in warm.items()}
-              for warm in locals_.warm]
-    assert any(before)
+    before = [None if warm is None else (warm[0].copy(), warm[1]) for warm in locals_.warm]
+    assert any(warm is not None for warm in before)
 
     direct = solve_dr(locals_, graph, params)
     via_fabric = solve_dr(locals_, graph, params, fabric=MessageFabric(graph))
     assert direct.prox_full > 0
     assert direct.u_star.tobytes() == via_fabric.u_star.tobytes()
     for warm, seen in zip(locals_.warm, before):
-        assert warm.keys() == seen.keys()
-        for kind, (x, active) in warm.items():
-            assert x.tobytes() == seen[kind][0].tobytes() and active == seen[kind][1]
+        assert (warm is None) == (seen is None)
+        if warm is not None:
+            assert warm[0].tobytes() == seen[0].tobytes() and warm[1] == seen[1]
 
 
 def test_warm_started_steps_match_cold_solves(monkeypatch):
@@ -777,8 +803,7 @@ def test_stale_warm_sets_are_repaired_in_the_stack(rng, monkeypatch):
     assert first.full == [1] * n
     stale = {1, 3}
     lower_box = tuple(range(p, 2 * p))  # rows the push above a_max leaves slack
-    warm = [{kind: (x, lower_box if i in stale else active) for kind, (x, active) in w.items()}
-            for i, w in enumerate(first.warm)]
+    warm = [(x, lower_box if i in stale else active) for i, (x, active) in enumerate(first.warm)]
     noise, real = np.zeros(stack.layout.dim), stack.layout.owner >= 0
     noise[real] = rng.normal(size=real.sum())
     Y = Y + 1e-3 * noise.reshape(n, -1)
@@ -808,4 +833,4 @@ def test_stale_warm_sets_are_repaired_in_the_stack(rng, monkeypatch):
         cold = solve_qcqp(stack.H[i, :d, :d] + np.eye(d) / rho, q, batch.problems.rows.take(i, d))
         assert cold.status == "optimal"
         np.testing.assert_allclose(X[i, :d], cold.x, rtol=0, atol=1e-10, err_msg=str(i))
-        assert batch.warm[i]["prox subproblem"][1] == cold.active, i
+        assert batch.warm[i][1] == cold.active, i
