@@ -1,9 +1,10 @@
 """Effect of the constraint-free warm start on solver effort.
 
 On oscillating traffic at a five-stage horizon, seeding each step's solve
-from the projected constraint-free solution (computed exactly by one
-elimination sweep down the vehicle chain and back) beats reusing the
-previous step's iterate.
+from the projected constraint-free solution (computed exactly: each
+vehicle solves its own acceleration gap, and one forward pass down the
+vehicle chain turns the gaps into controls) beats reusing the previous
+step's iterate.
 """
 
 import numpy as np

@@ -59,7 +59,11 @@ def _load_config(path, base):
 
 
 def _cmd_simulate(args):
-    if args.scenario in BUILTIN_SCENARIOS:
+    if args.seed < 0:  # before any generator is built
+        raise SystemExit(f"--seed must be non-negative, got {args.seed}")
+    if args.scenario != "file":
+        if args.trajectory:
+            raise SystemExit(f"--trajectory goes with --scenario file, not {args.scenario}")
         spec = scenario_builtin(args.scenario, p=args.horizon, seed=args.seed, noise=args.noise)
         cfg, weights, params = _load_config(args.config, spec.cfg)
     elif args.trajectory:
@@ -126,8 +130,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a closed-loop scenario")
-    sim.add_argument("--scenario", required=True,
-                     help=" | ".join((*BUILTIN_SCENARIOS, "file")))
+    sim.add_argument("--scenario", required=True, choices=(*BUILTIN_SCENARIOS, "file"))
     sim.add_argument("--horizon", type=int, default=1)
     sim.add_argument("--variant", choices=list(SOLVERS),
                      help="solver variant (default: the config's, else dr)")

@@ -5,8 +5,8 @@ neighbor's block, padded to a common width (``AugmentedLayout``).  The
 consensus subspace is where all copies agree with their owners; its
 orthogonal projection is a per-owner average, ``_project``, the one
 implementation of the exchange.  A run's message fabric counts its rounds,
-messages and floats, with the one-speaker rounds of sequential sweeps, and
-checks once per layout that every message crosses a chain edge.
+messages and floats, with the one-speaker rounds of a pass down the chain,
+and checks that every message crosses a chain edge.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class MessageFabric:
 
     ``projection`` records one consensus projection, which ``_project``
     computes: a gather round, each copy from its holder to its owner, and a
-    scatter round, each average back along the same edges.  ``send`` is a
-    round in which a single agent speaks to one neighbor.
+    scatter round, each average back along the same edges.
+    ``forward_pass`` records a pass down the chain in one-speaker rounds.
     """
 
     def __init__(self, graph: VehicleGraph):
@@ -162,13 +162,13 @@ class MessageFabric:
         self.messages += messages
         self.floats += floats
 
-    def send(self, src: int, dst: int, payload):
-        """One round in which only ``src`` speaks, to ``dst``; returns the
-        payload as ``dst`` receives it.  Raises SimulationFault unless
-        ``dst`` is a chain neighbor of ``src``."""
-        if dst not in self.graph.neighbors(src):
-            raise SimulationFault(f"agent {src} would message non-neighbor {dst}")
-        self.round += 1
-        self.messages += 1
-        self.floats += np.size(payload)
-        return payload
+    def forward_pass(self, layout: AugmentedLayout):
+        """Count one pass down the chain of ``layout``'s vehicles: n - 1
+        rounds in which only vehicle j - 1 speaks, p floats to vehicle j.
+        Raises SimulationFault, counting nothing, unless every such edge is
+        a chain edge of this fabric's graph."""
+        hops = len(self._check({(j - 1, j) for j in range(1, layout.graph.n)},
+                               "pass its plan to"))
+        self.round += hops
+        self.messages += hops
+        self.floats += hops * layout.p

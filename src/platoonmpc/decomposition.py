@@ -6,7 +6,8 @@ the linear term and the safety rows in ``problem`` and the closed-loop
 gains in ``stability``, derives from one pair of matrices, ``prediction``:
 how the acceleration gaps move a vehicle pair's gap error and closing rate
 over the horizon.  The central quadratic cost couples all vehicles through
-prefix sums of the acceleration-gap variables.  After the change of
+prefix sums of the acceleration gaps, one term per gap (``gap_response``
+minimizes each on its own).  After the change of
 variables, the Hessian is block tridiagonal and can be written as a sum of
 n small positive definite pieces, each touching only a vehicle and its
 chain neighbors.  ``decompose_pd`` returns them as the run's ``AgentStack``,
@@ -25,6 +26,7 @@ __all__ = [
     "AgentStack",
     "prediction",
     "stage_blocks",
+    "gap_response",
     "decompose_pd",
 ]
 
@@ -67,6 +69,14 @@ def stage_blocks(weights: WeightSchedule, tau: float) -> np.ndarray:
             raise ValueError(f"stage block for vehicle {i} is not positive definite")
     U.flags.writeable = False
     return U
+
+
+def gap_response(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """-U_j^-1 B_j per vehicle, stacked vehicle-major like ``B`` (n, p, k):
+    in the gaps delta_j = u_{j-1} - u_j (delta_0 = -u_0) the constraint-free
+    objective is sum_j 1/2 delta_j' U_j delta_j + m_j' delta_j, minimized
+    by each vehicle's own delta_j = -U_j^-1 m_j, ``U`` the stage blocks."""
+    return -np.linalg.solve(U, B)
 
 
 class AgentStack:

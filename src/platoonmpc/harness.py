@@ -81,10 +81,10 @@ class SimResult:
     one row per applied step: ``controls`` holds the realized
     accelerations (noise included), ``commanded`` the solver's first-stage
     answer.  ``warmup_iterations`` counts the sequential fabric
-    rounds of the warm-up sweep, 2(n - 1) per step under the warm-up start
+    rounds of the warm-up sweep, n - 1 per step under the warm-up start
     and zero otherwise.  ``rounds`` and ``floats`` count each step's traffic
     on the run's message fabric: two rounds and 4(n - 1)p floats per
-    consensus projection, plus the sweep's 2(n - 1) rounds of p floats.
+    consensus projection, plus the sweep's n - 1 rounds of p floats.
     When the centralized oracle runs, ``oracle_first`` holds its applied
     stage and ``rel_errors`` the per-step relative error of the commanded
     stage against it (NaN where the oracle is numerically zero); the

@@ -4,10 +4,10 @@ At every sample step the receding-horizon controller minimizes a strongly
 convex quadratic in the stacked per-vehicle controls, subject to box and
 speed-band rows per vehicle plus one convex quadratic safety constraint per
 vehicle and stage; nothing here iterates or communicates.  ``StepTemplate``
-builds what the state does not change once per run: the Hessian blocks and
-their chain's elimination factors, the prediction (Φ, T) from which the linear
-term and the safety rows are read, and one row skeleton in the agents'
-columns.  ``build_qcqp`` adds what the measured state sets.
+builds what the state does not change once per run: the stage blocks, the
+prediction (Φ, T) from which the linear term and the safety rows are read,
+and one row skeleton in the agents' columns.  ``build_qcqp`` adds what the
+measured state sets.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ __all__ = [
 class QcqpProblem:
     """One step's convex program in stacked vehicle-major controls.
 
-    The Hessian is the run's: ``template`` holds its block-tridiagonal
-    pieces and their chain's factors, which no state changes.  The step adds
-    the linear term ``c``, partitioned per vehicle, and its rows.
+    The Hessian is the run's: ``template`` holds its stage blocks U_j.  In
+    the gaps delta_j = u_{j-1} - u_j (delta_0 = -u_0) the objective is
+    sum_j 1/2 delta_j' U_j delta_j + m_j' delta_j; the step adds ``m``
+    (n, p), whose row j reads only vehicle j's and its predecessor's
+    measurements (row 0 also the leader's acceleration), and its rows.
 
     ``rows`` holds every constraint row of the step, a ``Rows`` stack over
     the vehicles, each (5p, 3p) over the vehicle's [own, predecessor,
@@ -59,20 +61,24 @@ class QcqpProblem:
     """
 
     template: StepTemplate
-    c: np.ndarray
+    m: np.ndarray
     rows: Rows
 
+    @property
+    def c(self) -> np.ndarray:
+        """The linear term over the vehicle-major controls, m_{j+1} - m_j."""
+        m = self.m
+        return (-(m - np.concatenate([m[1:], np.zeros((1, m.shape[1]))]))).ravel()
+
     def hessian_dense(self) -> np.ndarray:
-        """Assemble the full Hessian (test/oracle path only)."""
-        t = self.template
-        p, n = t.cfg.horizon, t.cfg.n
-        W = np.zeros((n * p, n * p))
-        for i in range(n):
-            W[i * p:(i + 1) * p, i * p:(i + 1) * p] = t.diag[i]
-            if i + 1 < n:
-                W[i * p:(i + 1) * p, (i + 1) * p:(i + 2) * p] = t.off[i]
-                W[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p] = t.off[i].T
-        return W
+        """Assemble the full Hessian (test/oracle path only): block
+        tridiagonal, diag U_i + U_{i+1}, off[i] = -U_{i+1} coupling i, i+1."""
+        U, i = self.template.blocks, np.arange(len(self.m))
+        diag, off = U.copy(), -U[1:]
+        diag[:-1] += U[1:]
+        W = np.zeros((len(i), U.shape[1]) * 2)
+        W[i, :, i], W[i[:-1], :, i[1:]], W[i[1:], :, i[:-1]] = diag, off, off.swapaxes(1, 2)
+        return W.reshape(U.shape[1] * len(i), -1)
 
     def central_rows(self) -> Rows:
         """Every vehicle's rows over the vehicle-major columns, for the
@@ -89,27 +95,17 @@ class QcqpProblem:
 
 class StepTemplate:
     """The state-free part of a run's step programs, from the configuration,
-    the weights and their stacked stage blocks: the Hessian's pieces,
-    ``diag`` (n, p, p) and ``off`` (n - 1, p, p), ``off[i]`` coupling
-    vehicles i and i+1, with their chain's factors ``sinv[i]`` = S_i^-1 and
-    ``fwd[i]`` = off[i]' S_i^-1 for the sweep (``warmup_initial_guess``);
-    the prediction (Φ, T) and what the linear term reads of it; and the
-    rows' one ``skeleton`` (A, S), each (n, 5p, 3p): the box, speed and
-    predecessor coefficients and the selector, which no state changes (see
-    ``QcqpProblem``).  Every array it builds is read-only."""
+    the weights and their stacked stage blocks: ``blocks`` U_j (n, p, p),
+    read-only from ``stage_blocks``, which the warm-up sweep solves against
+    and ``QcqpProblem.hessian_dense`` assembles; the prediction (Φ, T) and what the linear term reads of it;
+    and the rows' one ``skeleton`` (A, S), each (n, 5p, 3p): the box, speed
+    and predecessor coefficients and the selector, which no state changes
+    (see ``QcqpProblem``).  Every array it builds is read-only."""
 
     def __init__(self, cfg: PlatoonConfig, weights: WeightSchedule, blocks: np.ndarray):
         if weights.horizon != cfg.horizon or weights.n != cfg.n:
             raise ValueError("weight schedule shape does not match the configuration")
-        diag, off = blocks.copy(), -blocks[1:]
-        diag[:-1] += blocks[1:]
-        sinv, fwd = np.empty_like(diag), np.empty_like(off)
-        sinv[0] = np.linalg.inv(diag[0])  # S_i = diag[i] - off[i-1]' S_{i-1}^-1 off[i-1]
-        for i in range(1, cfg.n):
-            fwd[i - 1] = off[i - 1].T @ sinv[i - 1]
-            sinv[i] = np.linalg.inv(diag[i] - fwd[i - 1] @ off[i - 1])
-        self.cfg, self.weights, self.diag, self.off = cfg, weights, diag, off
-        self.sinv, self.fwd = sinv, fwd
+        self.cfg, self.weights, self.blocks = cfg, weights, blocks
         self.phi, self.T = prediction(cfg.horizon, cfg.tau)
         # a constant unit acceleration gap moves the gap error by Φ·1, the rate by tau T·1
         self.lead, self.reach = self.phi.sum(axis=1), cfg.tau * self.T.sum(axis=1)
@@ -121,26 +117,21 @@ class StepTemplate:
         A[1:, 4 * p:, p:2 * p] = -self.phi  # the leader (vehicle 0's predecessor) is in const
         S[:, 4 * p:, :p] = L
         self.skeleton = A, S
-        for a in (diag, off, sinv, fwd, self.lead, self.reach, self.leader, A, S):
+        for a in (self.lead, self.reach, self.leader, A, S):
             a.flags.writeable = False  # shared by every step
 
 
 def _linear_term(state: PlatoonState, t: StepTemplate) -> np.ndarray:
-    """Vehicle-major linear term of the objective.
-
-    ``m = Φ'(q_gap * d) + tau T'(q_rate * r)`` per vehicle, d and r the
+    """Each vehicle's linear term in its acceleration gap, (n, p):
+    ``m = Φ'(q_gap * d) + tau T'(q_rate * r)``, d and r the vehicle's
     predicted gap and rate errors with no control applied (the leader keeps
-    its frozen acceleration), then mapped through the transposed
-    first-difference operator; only adjacent vehicles' measurements enter
-    each vehicle's slice.
+    its frozen acceleration).
     """
     gap_err, rate_err = error_coords(state, t.cfg)
     leader = t.leader * state.u0
     d = gap_err + t.reach[:, None] * rate_err + t.lead[:, None] * leader
     r = rate_err + t.reach[:, None] * leader
-    m = t.phi.T @ (t.weights.q_gap * d) + t.cfg.tau * (t.T.T @ (t.weights.q_rate * r))
-    # transposed first-difference: row j reads m[j] - m[j+1]
-    return (-(m - np.concatenate([m[:, 1:], np.zeros((len(m), 1))], axis=1))).T.ravel()
+    return (t.phi.T @ (t.weights.q_gap * d) + t.cfg.tau * (t.T.T @ (t.weights.q_rate * r))).T
 
 
 def _step_rows(state: PlatoonState, t: StepTemplate) -> Rows:

@@ -18,13 +18,13 @@ The schemes differ in the candidate:
 * ``solve_three_op_accel``: the same operators at a momentum point with an
   adaptive step size; the iterate error decays like O(1/(k+1)).
 
-The warm start ``warmup_initial_guess`` needs no loop: one elimination sweep
-along the chain and back (2(n - 1) sequential neighbor messages) solves the
-constraint-free program exactly; one batched projection then puts each
-agent's block into its constraint set.
+The warm start ``warmup_initial_guess`` needs no loop: each vehicle solves
+its own constraint-free acceleration gap, one forward pass down the chain
+(n - 1 sequential neighbor messages) turns the gaps into controls, and one
+batched projection puts each agent's block into its constraint set.
 
 Agents never read non-neighbor data: every cross-agent value moves through
-the consensus projection, ``consensus._project``, or the sweep's messages.
+the consensus projection, ``consensus._project``, or the pass's messages.
 A run's message fabric counts both, and checks that they cross only chain
 edges.  A centralized reference solver provides the "true" solution for
 accuracy metrics.
@@ -38,7 +38,7 @@ import numpy as np
 
 from .consensus import MessageFabric, VehicleGraph, _project
 from .core import as_count
-from .decomposition import AgentStack
+from .decomposition import AgentStack, gap_response
 from .problem import QcqpProblem
 from .smallqcqp import KKT_TOL, InfeasibleProblem, Rows, active_set_loop, solve_qcqp
 
@@ -447,30 +447,22 @@ def solve_centralized(prob: QcqpProblem) -> np.ndarray:
 def warmup_initial_guess(prob: QcqpProblem, problems: LocalProblems, fabric: MessageFabric):
     """Initial iterate from the exact constraint-free minimizer.
 
-    W is block tridiagonal along the chain, so the minimizer of 1/2 u'Wu + c'u
-    is one block elimination (Golub & Van Loan, *Matrix Computations*, 4th
-    ed., section 4.5).  Its Schur blocks S_i = W_ii - B' S_{i-1}^{-1} B,
-    B = W_{i-1,i}, read no state: the run's template holds S_i^{-1} and
-    B' S_{i-1}^{-1} (``sinv`` and ``fwd``), so the sweep only multiplies.
-    Forward, vehicle i receives g_{i-1}, p floats, and keeps
-    g_i = -c_i - B' S_{i-1}^{-1} g_{i-1}.  Backward, it receives u_{i+1} and
-    takes u_i = S_i^{-1} (g_i - W_{i,i+1} u_{i+1}).  Every message crosses
-    one chain edge in a one-speaker round of the run's ``fabric``
-    (``MessageFabric.send``); each agent then projects its block onto its
-    constraint set, all in one batch, warm-started from ``problems.warm``.
-    Returns z0, this sweep's fabric rounds, 2(n - 1), and ``problems`` with
-    the agents' memory after the projection, the problems the step solves.
+    In the acceleration gaps delta_j = u_{j-1} - u_j (delta_0 = -u_0) the
+    objective is sum_j 1/2 delta_j' U_j delta_j + m_j' delta_j, so each
+    vehicle solves its own gap, delta_j = -U_j^-1 m_j (``gap_response``),
+    from its own and its predecessor's measurements.  One forward pass then
+    takes the controls down the chain: u_0 = -delta_0, and vehicle j
+    receives u_{j-1}, p floats, and keeps u_j = u_{j-1} - delta_j.  Each of
+    its n - 1 messages crosses one chain edge in a one-speaker round of the
+    run's ``fabric`` (``MessageFabric.forward_pass``); each agent then
+    projects its block onto its constraint set, all in one batch,
+    warm-started from ``problems.warm``.  Returns z0, this pass's fabric
+    rounds, n - 1, and ``problems`` with the agents' memory after the
+    projection, the problems the step solves.
     """
-    n, stack, start = prob.template.cfg.n, problems.stack, fabric.round
-    batch = _AgentBatch(problems, fabric.graph)
-    t, c = prob.template, prob.c.reshape(n, -1)
-    g = [-c[0]]
-    for i in range(1, n):
-        g.append(-c[i] - t.fwd[i - 1] @ fabric.send(i - 1, i, g[-1]))
-    u = [None] * (n - 1) + [t.sinv[-1] @ g[-1]]
-    for i in range(n - 2, -1, -1):
-        u[i] = t.sinv[i] @ (g[i] - t.off[i] @ fabric.send(i + 1, i, u[i + 1]))
-
-    w = stack.layout.scatter_controls(np.concatenate(u))
-    z0 = batch.project(w.reshape(n, -1)).ravel()
+    stack, start, batch = problems.stack, fabric.round, _AgentBatch(problems, fabric.graph)
+    delta = gap_response(prob.template.blocks, prob.m[..., None])[..., 0]
+    fabric.forward_pass(stack.layout)
+    w = stack.layout.scatter_controls(-np.cumsum(delta, axis=0).ravel())
+    z0 = batch.project(w.reshape(stack.n, -1)).ravel()
     return z0, fabric.round - start, replace(problems, warm=tuple(batch.warm))

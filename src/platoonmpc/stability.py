@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PlatoonConfig, WeightSchedule
-from .decomposition import _weighed, prediction, stage_blocks
+from .decomposition import _weighed, gap_response, prediction, stage_blocks
 
 __all__ = [
     "ClosedLoopModel",
@@ -58,9 +58,10 @@ DEFAULT_DECAY_ETA = 4.0
 class ClosedLoopModel:
     """Unconstrained closed loop in error coordinates.
 
-    ``a_closed`` maps stacked (gap errors, closing rates); ``forcing`` gives
-    the response to the leader's acceleration (nonzero only for the first
-    vehicle).  ``vehicle_blocks`` are the decoupled 2x2 maps, stacked
+    ``gains`` (n, 2) are each vehicle's first-stage feedback on its (gap
+    error, closing rate), and ``a_closed`` maps them stacked; ``forcing``
+    gives the response to the leader's acceleration (nonzero only for the
+    first vehicle).  ``vehicle_blocks`` are the decoupled 2x2 maps, stacked
     (n, 2, 2), and ``eigenvalues`` theirs, (n, 2), whose moduli set each
     vehicle's radius and the spectral radius.
     """
@@ -68,6 +69,7 @@ class ClosedLoopModel:
     n: int
     horizon: int
     tau: float
+    gains: np.ndarray
     a_closed: np.ndarray
     forcing: np.ndarray
     vehicle_blocks: np.ndarray
@@ -91,8 +93,10 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
     Per vehicle, the optimal first-stage acceleration gap is a linear
     feedback read off the stage-coupling Hessian U_i and the gain block
     ``G_i = Φ' diag(q_gap,i) [1, (s+1) tau] + tau T' diag(q_rate,i) [0, 1]``,
-    solved for every vehicle at once; the full map then follows from the
-    error dynamics.
+    which maps its (gap error, closing rate) to its linear term m_i (in
+    the first vehicle's gap to the leader, u0 adds -tau^2 q_ride,0 u0), by
+    the warm-up sweep's own solve, ``gap_response``: wherever no row binds,
+    this is the controller's answer.  The error dynamics give the full map.
     """
     if weights.horizon != cfg.horizon or weights.n != cfg.n:
         raise ValueError("weight schedule shape does not match the configuration")
@@ -101,7 +105,9 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
     phi, T = prediction(p, tau)
     G = (_weighed(phi, weights.q_gap, np.column_stack([np.ones(p), tau * T.sum(axis=1)]))
          + tau * _weighed(T, weights.q_rate, np.outer(np.ones(p), [0.0, 1.0]))).sum(0)
-    K = -np.linalg.solve(hess, G)[:, 0]  # each vehicle's (gap, rate) gain
+    leader = (-tau ** 2 * np.eye(1, n)[0] * weights.q_ride).T[..., None]  # vehicle 0 only
+    first = gap_response(hess, np.concatenate([G, leader], axis=2))[:, 0]
+    K, forcing = first[:, :2], first[:, 2]  # each vehicle's (gap, rate) gain
     base = np.array([[1.0, tau], [0.0, 1.0]])
     lever = np.array([phi[0, 0], tau])  # one step's (gap, rate) response to the applied gap
     blocks = base + lever[:, None] * K[:, None, :]
@@ -109,11 +115,8 @@ def build_closed_loop(cfg: PlatoonConfig, weights: WeightSchedule) -> ClosedLoop
     radii = np.abs(eigenvalues).max(axis=1)
     gain = np.hstack([np.diag(K[:, 0]), np.diag(K[:, 1])])
     a_closed = np.kron(base, np.eye(n)) + np.kron(lever[:, None], np.eye(n)) @ gain
-    ride_first = tau ** 2 * weights.q_ride[:, 0]
-    forcing = np.zeros(n)
-    forcing[0] = float(np.linalg.solve(hess[0], ride_first)[0])
     return ClosedLoopModel(
-        n=n, horizon=p, tau=tau,
+        n=n, horizon=p, tau=tau, gains=K,
         a_closed=a_closed,
         forcing=forcing,
         vehicle_blocks=blocks,

@@ -220,15 +220,19 @@ TWO_VEHICLE_WEIGHTS = {"q_gap": [[1.0, 1.0]], "q_rate": [[1.0, 1.0]], "q_ride": 
     (["analyze"], {"weights": TWO_VEHICLE_WEIGHTS}, "weight schedule"),
     (["simulate", "--scenario", "s1"], {"platoon": {"v_max": 24.0}}, "leader speed"),
     (["simulate", "--scenario", "file", "--trajectory", "LEAD"], None, "header"),
-    (["simulate", "--scenario", "s3-synthetic", "--seed", "-1"], None, "non-negative"),
+    (["simulate", "--scenario", "s3-synthetic", "--seed", "-1"], None, "seed.*-1"),
     (["analyze", "--horizon", "0"], None, "horizon"),
     (["solve-once", "--state", "STATE"], None, "strictly decreasing"),
+    (["simulate", "--scenario", "file", "--trajectory", "TRAJ", "--noise", "--seed", "-1"],
+     None, "seed.*-1"),
 ])
 def test_bad_input_ends_in_one_line(tmp_path, args, config, named):
     # input that a constructor or a check refuses ends the command with one
     # line naming the fault and a nonzero exit, not a traceback
-    files = {"LEAD": tmp_path / "lead.csv", "STATE": tmp_path / "state.json"}
+    files = {"LEAD": tmp_path / "lead.csv", "STATE": tmp_path / "state.json",
+             "TRAJ": tmp_path / "traj.csv"}
     files["LEAD"].write_text("t,acc\n0,0.0\n1,0.0\n")
+    files["TRAJ"].write_text("t,accel\n0,0.0\n1,0.0\n")
     x = [0.0, -50.0, -40.0] + [-50.0 * k for k in range(3, 11)]
     _write_json(files["STATE"], {"x": x, "v": [25.0] * 11})
     args = [str(files.get(a, a)) for a in args]
@@ -240,3 +244,22 @@ def test_bad_input_ends_in_one_line(tmp_path, args, config, named):
         main(args)
     assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
     assert re.search(named, exc.value.code)
+
+
+@pytest.mark.parametrize("scenario, trajectory, named", [
+    ("s4", False, "invalid choice: 's4'"),
+    ("s4", True, "invalid choice: 's4'"),
+    ("s1", True, "--trajectory goes with --scenario file"),
+], ids=["misspelled", "misspelled-with-trajectory", "trajectory-with-builtin"])
+def test_simulate_scenario_names_checked(tmp_path, capsys, scenario, trajectory, named):
+    # --scenario takes a built-in name or file, and --trajectory only with
+    # file: a misspelled name or a trajectory a built-in run would ignore
+    # ends the command before anything runs
+    path = tmp_path / "lead.csv"
+    path.write_text("t,accel\n0,0.0\n1,0.0\n")
+    args = ["simulate", "--scenario", scenario, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--trajectory", str(path)] * trajectory)
+    message = exc.value.code if isinstance(exc.value.code, str) else capsys.readouterr().err
+    assert named in message
+    assert not (tmp_path / "out").exists()

@@ -142,14 +142,16 @@ def test_exchange_topology_and_isolation(rng):
     for agent in range(6):
         sl = agent_slice(layout, agent)
         assert np.array_equal(before[sl], after[sl]) == (agent <= 2), agent
-    # a one-speaker round reaches a neighbor only, and a refused one counts nothing
+    # a pass down the chain is n - 1 one-speaker rounds, each p floats to
+    # the next vehicle; a fabric refuses, counting nothing, a pass whose
+    # vehicles reach past its own chain
     fabric = MessageFabric(g)
-    assert fabric.send(2, 3, np.zeros(3)).shape == (3,)
-    assert (fabric.round, fabric.messages, fabric.floats) == (1, 1, 3)
-    for src, dst in ((0, 2), (5, 0), (3, 3)):
+    fabric.forward_pass(layout)
+    assert (fabric.round, fabric.messages, fabric.floats) == (5, 5, 10)
+    for short in (MessageFabric(VehicleGraph(2)), MessageFabric(VehicleGraph(5))):
         with pytest.raises(SimulationFault):
-            fabric.send(src, dst, np.zeros(3))
-    assert (fabric.round, fabric.messages, fabric.floats) == (1, 1, 3)
+            short.forward_pass(layout)
+        assert (short.round, short.messages, short.floats) == (0, 0, 0)
 
 
 def test_layout_leaving_the_chain_is_refused():

@@ -159,7 +159,7 @@ def test_warmup_memory_seeds_the_solve(monkeypatch):
 @pytest.mark.parametrize("warm_start", ["prev-solution", "warmup-projection"])
 def test_rounds_count_the_protocol(monkeypatch, warm_start):
     # each step's fabric traffic is two rounds and 4(n - 1)p floats per
-    # consensus projection, plus the warm-up sweep's 2(n - 1) rounds of p
+    # consensus projection, plus the warm-up sweep's n - 1 rounds of p
     # floats under the warm-up start
     import platoonmpc.harness as harness
     import platoonmpc.solvers as solvers
@@ -178,7 +178,7 @@ def test_rounds_count_the_protocol(monkeypatch, warm_start):
     monkeypatch.setattr(harness, "build_qcqp", step_start)
     res = run_scenario(scenario_builtin("s3-synthetic", p=2, seed=1, warm_start=warm_start))
     n, p = res.commanded.shape[1], 2
-    sweep = 2 * (n - 1) if warm_start == "warmup-projection" else 0
+    sweep = n - 1 if warm_start == "warmup-projection" else 0
     assert len(per_step) == len(res.rounds) and min(per_step) > 0
     assert res.warmup_iterations.tolist() == [sweep] * len(per_step)
     assert res.rounds.tolist() == [2 * k + sweep for k in per_step]

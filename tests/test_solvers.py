@@ -158,10 +158,9 @@ def test_agent_rows_are_local_and_match_membership(rng, n, p):
 def test_template_steps_do_not_alias(rng, p):
     # two steps with different states from one run's template: building the
     # second (its agent rows, membership and centralized rows too) changes
-    # no array of the first nor the run's stage blocks, Hessian pieces and
-    # chain factors, prediction and leader column, which are read-only and
-    # shared by both steps, and each step and the factors equal a fresh
-    # template's build
+    # no array of the first nor the run's stage blocks, prediction and leader
+    # column, which are read-only and shared by both steps, and each step
+    # and the stage blocks equal a fresh template's build
     n = 5
     cfg, w = small_config(n, p), random_weights(rng, n, p)
     blocks = stage_blocks(w, cfg.tau)
@@ -170,12 +169,9 @@ def test_template_steps_do_not_alias(rng, p):
     states = [random_state(rng, cfg, u0_mag=2.0) for _ in range(2)]
 
     def arrays(prob, local):
-        return [prob.c, local.C, *prob.rows[:3], *local.rows[:3]]
+        return [prob.m, local.C, *prob.rows[:3], *local.rows[:3]]
 
-    def factors(t):
-        return [t.diag, t.off, t.sinv, t.fwd]
-
-    shared = [blocks, template.phi, template.T, template.leader, *factors(template)]
+    shared = [template.blocks, template.phi, template.T, template.leader]
     assert not any(a.flags.writeable for a in shared)
     first = build_qcqp(states[0], template=template)
     first_local = build_local_problems(first, stack)
@@ -184,13 +180,12 @@ def test_template_steps_do_not_alias(rng, p):
     second_local = build_local_problems(second, stack)
     check_membership(second, rng.normal(size=n * p))
     second.central_rows()
-    assert first.template is second.template is template
-    assert second.c.tobytes() != first.c.tobytes()
+    assert first.template is second.template is template and template.blocks is blocks
+    assert second.m.tobytes() != first.m.tobytes()
     assert second_local.rows[0].tobytes() != first_local.rows[0].tobytes()
     assert all(a.tobytes() == b.tobytes()
                for a, b in zip(arrays(first, first_local) + shared, seen, strict=True))
-    for now, again in zip(factors(template), factors(step_template(cfg, w)), strict=True):
-        assert now.tobytes() == again.tobytes()
+    assert template.blocks.tobytes() == step_template(cfg, w).blocks.tobytes()
     for state, prob, local in zip(states, (first, second), (first_local, second_local)):
         fresh = build_qcqp(state, template=step_template(cfg, w))
         fresh_local = build_local_problems(fresh, stack)
@@ -474,8 +469,12 @@ def test_centralized_box_active_matches_enumeration(rng):
     # two vehicles, single stage, forced against the acceleration box
     cfg, prob, locals_, graph = make_instance(rng, 2, 1)
     W = prob.hessian_dense()
-    c = prob.c - np.array([40.0, 40.0])  # drag the minimizer far outside
-    prob2 = type(prob)(**{**prob.__dict__, "c": c})
+    # drag the minimizer far outside: c - 40 per vehicle, as c_0 = m_1 - m_0
+    # and c_1 = -m_1
+    m = prob.m + np.array([[80.0], [40.0]])
+    prob2 = type(prob)(**{**prob.__dict__, "m": m})
+    c = prob2.c
+    np.testing.assert_allclose(c, prob.c - 40.0, rtol=0, atol=1e-12)
     u = solve_centralized(prob2)
     lo = np.full(2, cfg.a_min)
     hi = np.full(2, cfg.a_max)
@@ -578,7 +577,7 @@ def test_warmup_is_exact_chain_solve(rng):
         for p in range(1, 6):
             _, prob, locals_, graph = make_instance(rng, n, p)
             z0, rounds, _ = warmup_initial_guess(prob, locals_, MessageFabric(graph))
-            assert rounds == 2 * (n - 1)
+            assert rounds == n - 1
             u = np.linalg.solve(prob.hessian_dense(), -prob.c)
             if check_membership(prob, u).feasible:
                 ref = AugmentedLayout(graph, p).scatter_controls(u)
@@ -588,25 +587,24 @@ def test_warmup_is_exact_chain_solve(rng):
 
 
 def test_warmup_messages_carry_p_floats(rng, monkeypatch):
-    # the Schur blocks are the run's: forward, each vehicle sends its
-    # successor g_i alone, p floats; backward, u_{i+1}, p floats
-    sent, send = [], MessageFabric.send
+    # each vehicle solves its own gap, so only the forward pass talks: each
+    # vehicle sends its successor u_i alone, p floats, and nothing comes back
+    sent, check = [], MessageFabric._check
 
-    def recorded(fabric, src, dst, payload):
-        sent.append((src, dst, payload.shape))
-        return send(fabric, src, dst, payload)
+    def recorded(fabric, edges, what):
+        sent.append(sorted(edges))
+        return check(fabric, edges, what)
 
-    monkeypatch.setattr(MessageFabric, "send", recorded)
+    monkeypatch.setattr(MessageFabric, "_check", recorded)
     for n, p in ((2, 1), (5, 3), (10, 5)):
         _, prob, locals_, graph = make_instance(rng, n, p)
         sent.clear()
         fabric = MessageFabric(graph)
         fabric.round = 7  # a run's fabric: the sweep reports its own rounds
         _, rounds, _ = warmup_initial_guess(prob, locals_, fabric)
-        assert rounds == 2 * (n - 1) and fabric.round == 7 + rounds
+        assert rounds == n - 1 and fabric.round == 7 + rounds
         assert fabric.messages == rounds and fabric.floats == rounds * p
-        assert sent == ([(i - 1, i, (p,)) for i in range(1, n)]
-                        + [(i + 1, i, (p,)) for i in range(n - 2, -1, -1)])
+        assert sent == [[(i - 1, i) for i in range(1, n)]]
 
 
 def test_termination_certificates(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import platoonmpc.harness as harness
 from platoonmpc.core import WeightSchedule, error_coords, initial_state, \
     reference_config, step_dynamics
 from platoonmpc.decomposition import stage_blocks
@@ -150,6 +151,35 @@ def test_unconstrained_rollout_matches_closed_loop(rng):
         zz = model.a_closed @ zz + np.concatenate([
             cfg.tau ** 2 / 2 * model.forcing, cfg.tau * model.forcing]) * 0.3
         np.testing.assert_allclose(np.concatenate(error_coords(state, cfg)), zz, atol=1e-8)
+
+
+@pytest.mark.parametrize("name, p, seed, noise", [
+    ("s1", 1, 0, False), ("s1", 5, 0, False), ("s1", 1, 3, True), ("s3-synthetic", 5, 4, True)])
+def test_analyzed_gain_is_the_constraint_free_first_stage(monkeypatch, name, p, seed, noise):
+    # on every step of a closed loop, the dense constraint-free minimizer's
+    # first-stage acceleration gaps u_{j-1} - u_j, u_{-1} the leader's, are
+    # the analyzed feedback K_j (e_j, r_j), plus forcing u0 on the first
+    # vehicle; only noise gives the followers sizable gaps
+    steps, build = [], harness.build_qcqp
+
+    def recorded(state, template):
+        steps.append((state, build(state, template=template)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(harness, "build_qcqp", recorded)
+    spec = harness.scenario_builtin(name, p=p, seed=seed, noise=noise)
+    harness.run_scenario(spec)
+    model = build_closed_loop(spec.cfg, spec.weights)
+    gaps = []
+    for state, prob in steps:
+        u = np.linalg.solve(prob.hessian_dense(), -prob.c).reshape(spec.cfg.n, p)[:, 0]
+        e, r = error_coords(state, spec.cfg)
+        gap = np.concatenate([[state.u0], u[:-1]]) - u
+        analyzed = model.gains[:, 0] * e + model.gains[:, 1] * r + model.forcing * state.u0
+        np.testing.assert_allclose(gap, analyzed, rtol=0, atol=1e-12)
+        gaps.append(gap)
+    assert len(steps) == spec.duration
+    assert (np.abs(np.array(gaps)[:, 1:]).max() > 1e-2) == noise
 
 
 def test_schur_margin_zero_scale_reduces_to_two_stage(rng):

@@ -4,7 +4,7 @@
 
 OLD and NEW are the roots of two checkouts.  Each one, in its own
 subprocess with its own ``src`` on the path, runs the closed loops of
-``closed_loop_digest.py``: its seven built-in runs, ``s1`` at p = 1 under
+``closed_loop_digest.py``: its eight built-in runs, ``s1`` at p = 1 under
 each three-operator variant, and its two runs with the centralized
 reference.  One line per run compares NEW with OLD: the largest absolute
 difference of ``commanded`` and of the safety margins, the total DR
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from closed_loop_digest import ORACLE_RUNS, RUNS, THREE_OP_VARIANTS  # noqa: E402
+from closed_loop_digest import ORACLE_RUNS, RUNS, THREE_OP_VARIANTS, run_label  # noqa: E402
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -47,8 +47,8 @@ def recorded(prob):
 
 harness.solve_centralized = recorded
 out = {}
-for i, (name, p, seed, start, variant, oracle) in enumerate(json.loads(sys.argv[1])):
-    spec = harness.scenario_builtin(name, p=p, seed=seed, warm_start=start)
+for i, (name, p, seed, start, noise, variant, oracle) in enumerate(json.loads(sys.argv[1])):
+    spec = harness.scenario_builtin(name, p=p, seed=seed, noise=noise, warm_start=start)
     if variant is not None:
         spec = replace(spec, solver=replace(spec.solver, variant=variant))
     answers.clear()
@@ -61,12 +61,12 @@ np.savez(sys.argv[2], **out)
 
 
 def runs():
-    """(label, (name, p, seed, start, variant, oracle)) of every compared run."""
-    out = [(f"{name} p={p} seed={seed} start={start or 'prev-solution'}",
-            (name, p, seed, start, None, False)) for name, p, seed, start in RUNS]
-    out += [(f"s1 p=1 {variant}", ("s1", 1, 0, None, variant, False))
+    """(label, (name, p, seed, start, noise, variant, oracle)) of every compared run."""
+    out = [(run_label(*run), (*run, None, False)) for run in RUNS]
+    out += [(f"s1 p=1 {variant}", ("s1", 1, 0, None, False, variant, False))
             for variant in THREE_OP_VARIANTS]
-    out += [(f"{name} p={p} oracle", (name, p, 0, None, None, True)) for name, p in ORACLE_RUNS]
+    out += [(f"{name} p={p} oracle", (name, p, 0, None, False, None, True))
+            for name, p in ORACLE_RUNS]
     return out
 
 

@@ -5,7 +5,8 @@ Run from anywhere; it imports the package from the checkout it lives in:
     python3 tools/closed_loop_digest.py
 
 For each run (``s1`` and ``s2`` at p = 1 and 5; ``s3-synthetic`` seed 1 at
-p = 1 and 5 with the warm-up start; seed 7 at p = 5) it prints one line of
+p = 1 and 5 with the warm-up start; seed 7 at p = 5; seed 1 at p = 1 with
+the warm-up start and process noise) it prints one line of
 digests: the ``commanded`` bytes, every step's ``u_star`` bytes, the
 per-step DR iterations and warm-up rounds, and every step's per-agent
 (fast, full) proximal counts.  Then ``s1`` at p = 1 under each
@@ -14,8 +15,9 @@ three-operator variant, whose agents take the projection path
 iterations and the proximal counts.  Then, for ``s1`` at p = 1 and 5, one
 line digests every step's centralized reference answer
 (``solve_centralized``), which reads the reference's own constraint rows.
-Then, one line per run, the seven above and ``s3-synthetic`` seed 1 at
-p = 1 with process noise, digests the series the run returns: spacings,
+Then, one line per run, the eight above and ``s3-synthetic`` seed 1 at
+p = 1 with process noise from the previous-solution start, digests the
+series the run returns: spacings,
 speeds, safety margins, realized controls, fabric rounds and floats, and
 the ``metrics`` dict as sorted JSON.  Then one line digests the built-in
 weight schedules (``default_weight_schedule``) and the stability reports
@@ -47,14 +49,15 @@ import platoonmpc.harness as harness  # noqa: E402
 from platoonmpc.core import reference_config  # noqa: E402
 from platoonmpc.stability import default_weight_schedule, stability_report_json  # noqa: E402
 
-RUNS = (
-    ("s1", 1, 0, None),
-    ("s1", 5, 0, None),
-    ("s2", 1, 0, None),
-    ("s2", 5, 0, None),
-    ("s3-synthetic", 1, 1, "warmup-projection"),
-    ("s3-synthetic", 5, 1, "warmup-projection"),
-    ("s3-synthetic", 5, 7, "warmup-projection"),
+RUNS = (  # (name, p, seed, start, noise)
+    ("s1", 1, 0, None, False),
+    ("s1", 5, 0, None, False),
+    ("s2", 1, 0, None, False),
+    ("s2", 5, 0, None, False),
+    ("s3-synthetic", 1, 1, "warmup-projection", False),
+    ("s3-synthetic", 5, 1, "warmup-projection", False),
+    ("s3-synthetic", 5, 7, "warmup-projection", False),
+    ("s3-synthetic", 1, 1, "warmup-projection", True),
 )
 THREE_OP_VARIANTS = ("three-op", "three-op-accel")
 ORACLE_RUNS = (("s1", 1), ("s1", 5))
@@ -69,6 +72,11 @@ def digest(*parts) -> str:
     for part in parts:
         h.update(np.ascontiguousarray(part).tobytes())
     return h.hexdigest()[:16]
+
+
+def run_label(name, p, seed, warm_start, noise) -> str:
+    return (f"{name} p={p} seed={seed} start={warm_start or 'prev-solution'}"
+            + " noise" * noise)
 
 
 def recording(name, into):
@@ -86,11 +94,11 @@ def main():
     reports, answers, results = [], [], []
     recording("solve_variant", reports)
     recording("solve_centralized", answers)
-    for name, p, seed, warm_start in RUNS:
+    for name, p, seed, warm_start, noise in RUNS:
         reports.clear()
-        result = harness.run_scenario(harness.scenario_builtin(name, p=p, seed=seed,
-                                                               warm_start=warm_start))
-        label = f"{name} p={p} seed={seed} start={warm_start or 'prev-solution'}"
+        result = harness.run_scenario(harness.scenario_builtin(
+            name, p=p, seed=seed, noise=noise, warm_start=warm_start))
+        label = run_label(name, p, seed, warm_start, noise)
         results.append((label, result))
         counts = np.array([r.agent_prox_stats for r in reports], dtype=np.int64)
         print(f"{label}: "
@@ -114,7 +122,7 @@ def main():
         print(f"{name} p={p} oracle: {len(answers)} answers, "
               f"solve_centralized {digest(*answers)}")
     name, p, seed = NOISY_RUN
-    results.append((f"{name} p={p} seed={seed} start=prev-solution noise",
+    results.append((run_label(name, p, seed, None, True),
                     harness.run_scenario(harness.scenario_builtin(name, p=p, seed=seed,
                                                                   noise=True))))
     for label, r in results:
